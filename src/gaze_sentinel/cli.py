@@ -59,28 +59,43 @@ _CASTS = {
 
 
 def _resolve(args: argparse.Namespace, keys) -> dict:
-    """Merge defaults <- config file <- environment <- explicit flags."""
+    """Merge defaults <- config file <- environment <- explicit flags.
+
+    A config file that is not a JSON object, or a config or environment
+    value its option cannot take, raises ``InvalidParameterError`` naming
+    where the value came from."""
     file_cfg = {}
     config_path = getattr(args, "config", None) or os.environ.get(ENV_PREFIX + "CONFIG")
     if config_path:
         with open(config_path, encoding="utf-8") as fh:
-            file_cfg = json.load(fh)
+            try:
+                file_cfg = json.load(fh)
+            except ValueError as exc:
+                raise InvalidParameterError(
+                    f"config file {config_path} is not JSON: {exc}") from None
         if not isinstance(file_cfg, dict):
-            raise InvalidParameterError("config file must hold a JSON object")
+            raise InvalidParameterError(f"config file {config_path} must hold a JSON object")
     resolved = {}
     for key in keys:
-        cast = _CASTS[key]
         value = _DEFAULTS[key]
         if key in file_cfg:
-            value = cast(file_cfg[key])
+            value = _cast(key, file_cfg[key], f"config file {config_path}")
         env = os.environ.get(ENV_PREFIX + key.upper())
         if env is not None:
-            value = cast(env)
+            value = _cast(key, env, ENV_PREFIX + key.upper())
         flag = getattr(args, key, None)
         if flag is not None:
             value = flag
         resolved[key] = value
     return resolved
+
+
+def _cast(key: str, value, source: str):
+    try:
+        return _CASTS[key](value)
+    except (TypeError, ValueError):
+        raise InvalidParameterError(
+            f"{source}: {key} cannot be {value!r}") from None
 
 
 def _parse_n_range(spec: str) -> list:

@@ -208,13 +208,19 @@ class FixationEvent:
 
 
 class Debouncer:
-    """Run table over a labelled stream, supporting whole-stream and causal
-    (prefix-limited) fixation extraction.
+    """Run table and fixation-event table over a labelled stream, for
+    whole-stream and causal (prefix-limited) fixation extraction.
 
     Invalid samples are skipped; a run interrupted by less than
     ``INVALID_BRIDGE_S`` of missing data is treated as continuous. Runs
     shorter than ``min_dwell`` are dropped and adjacent surviving runs with
     equal labels are merged (duration sums, gap time is not counted).
+
+    The event table is built once, in one forward pass over the runs. In a
+    causal prefix only the last run is provisional (it may still grow), and
+    every earlier drop and merge decision is final; so the prefix's events
+    are the first few of the table, the last of them as long as it had grown
+    by then, plus the provisional run.
     """
 
     def __init__(self, stream: GazeStream, layout: AoiLayout,
@@ -229,52 +235,34 @@ class Debouncer:
         mask = np.asarray(stream.valid, dtype=bool)
         t = stream.t[mask]
         self._t = t
-        if t.size == 0:
-            self._run_first = np.empty(0, dtype=np.int64)
-            self._run_code = np.empty(0, dtype=np.int64)
-            self._run_t0 = np.empty(0, dtype=np.float64)
-            self._run_t1 = np.empty(0, dtype=np.float64)
-            return
         codes = layout.label_points(stream.x[mask], stream.y[mask])
-        if t.size == 1:
-            starts = np.array([0], dtype=np.int64)
-        else:
-            gap_break = np.diff(t) >= (INVALID_BRIDGE_S + self._period)
-            label_break = codes[1:] != codes[:-1]
-            starts = np.concatenate(
-                [[0], np.flatnonzero(gap_break | label_break) + 1]
-            ).astype(np.int64)
-        lasts = np.concatenate([starts[1:] - 1, [t.size - 1]])
+        gap_break = np.diff(t) >= (INVALID_BRIDGE_S + self._period)
+        label_break = codes[1:] != codes[:-1]
+        starts = np.flatnonzero(np.concatenate([[t.size > 0], gap_break | label_break]))
+        ends = np.append(starts[1:], t.size)[: starts.size]
         self._run_first = starts
         self._run_code = codes[starts]
         self._run_t0 = t[starts]
-        self._run_t1 = t[lasts]
+        self._run_t1 = t[ends - 1]
+        self._build_events()
 
-    @property
-    def period(self) -> float:
-        return self._period
-
-    def fixations(self) -> list[FixationEvent]:
-        return self._assemble(len(self._run_first), None)
-
-    def fixations_until(self, t_end: float) -> list[FixationEvent]:
-        """Debounce using only samples with t <= t_end (causal prefix)."""
-        p = int(np.searchsorted(self._t, t_end, side="right"))
-        if p == 0:
-            return []
-        n_runs = int(np.searchsorted(self._run_first, p, side="left"))
-        return self._assemble(n_runs, float(self._t[p - 1]))
-
-    def _assemble(self, n_runs: int, last_t1: Optional[float]) -> list[FixationEvent]:
+    def _build_events(self) -> None:
+        """One forward pass: the final events, and for each run the number of
+        events before it and the running duration of the last of them."""
+        n_runs = len(self._run_first)
+        run_events = np.zeros(n_runs, dtype=np.int64)
+        run_last_dur = np.zeros(n_runs, dtype=np.float64)
+        durations = (self._run_t1 - self._run_t0) + self._period
+        threshold = self.min_dwell - 1e-12
         out_code: list[int] = []
         out_t0: list[float] = []
         out_dur: list[float] = []
         for i in range(n_runs):
-            t1 = self._run_t1[i]
-            if last_t1 is not None and i == n_runs - 1 and last_t1 < t1:
-                t1 = last_t1
-            dur = float(t1 - self._run_t0[i] + self._period)
-            if dur < self.min_dwell - 1e-12:
+            run_events[i] = len(out_code)
+            if out_dur:
+                run_last_dur[i] = out_dur[-1]
+            dur = float(durations[i])
+            if dur < threshold:
                 continue
             code = int(self._run_code[i])
             if out_code and out_code[-1] == code:
@@ -282,11 +270,82 @@ class Debouncer:
             else:
                 out_code.append(code)
                 out_t0.append(float(self._run_t0[i]))
-                out_dur.append(float(dur))
-        return [
-            FixationEvent(AoiLabel(c), s, d)
-            for c, s, d in zip(out_code, out_t0, out_dur)
-        ]
+                out_dur.append(dur)
+        self._run_events = run_events
+        self._run_last_dur = run_last_dur
+        self._ev_code = np.array(out_code, dtype=np.int64)
+        self._ev_start = np.array(out_t0, dtype=np.float64)
+        self._ev_dur = np.array(out_dur, dtype=np.float64)
+        # Ends need not increase (an event lasts one period past its last
+        # sample), so windows search their running maximum.
+        self._ev_reach = np.maximum.accumulate(self._ev_start + self._ev_dur)
+
+    @property
+    def period(self) -> float:
+        return self._period
+
+    def fixations(self) -> list[FixationEvent]:
+        return _events(self._ev_code, self._ev_start, self._ev_dur)
+
+    def fixations_until(self, t_end: float) -> list[FixationEvent]:
+        """Debounce using only samples with t <= t_end (causal prefix)."""
+        _, code, start, duration = self.window_events([-np.inf], [t_end])
+        return _events(code, start, duration)
+
+    def window_events(self, t0, t1):
+        """The events of each causal window [t0[i], t1[i]] (samples with
+        t <= t1[i] only) that may overlap it, unclipped: (window index, code,
+        start, duration), window by window and in time order within one.
+
+        A window's events are the final table events that can reach past
+        t0, then the last event it had begun, as long as it had grown by
+        then, then the provisional run, truncated at the window's last
+        sample, if it is kept and does not merge into that event. Per window
+        this costs three binary searches plus the events it returns.
+        """
+        t0 = np.asarray(t0, dtype=np.float64)
+        p = np.searchsorted(self._t, np.asarray(t1, dtype=np.float64), side="right")
+        q = np.searchsorted(self._run_first, p, side="left") - 1
+        live = np.flatnonzero(q >= 0)
+        q = q[live]
+        begun = self._run_events[q]
+        n_final = np.zeros(len(t0), dtype=np.int64)
+        n_final[live] = np.maximum(begun - 1, 0)
+
+        dur = (self._t[p[live] - 1] - self._run_t0[q]) + self._period
+        kept = dur >= self.min_dwell - 1e-12
+        code = self._run_code[q]
+        has_last = begun > 0
+        last = begun[has_last] - 1
+        merged = np.zeros_like(kept)
+        merged[has_last] = kept[has_last] & (self._ev_code[last] == code[has_last])
+        last_dur = self._run_last_dur[q[has_last]] + np.where(merged, dur, 0.0)[has_last]
+        appended = kept & ~merged
+
+        # Final events lo..n_final-1: the ones before lo end by t0 (their
+        # running maximum end does).
+        lo = np.minimum(np.searchsorted(self._ev_reach, t0, side="right"), n_final)
+        counts = n_final - lo
+        offsets = np.cumsum(counts) - counts
+        idx = np.arange(int(counts.sum())) + np.repeat(lo - offsets, counts)
+        win = np.concatenate([np.repeat(np.arange(len(t0)), counts),
+                              live[has_last], live[appended]])
+        order = np.argsort(win, kind="stable")
+        return (
+            win[order],
+            np.concatenate([self._ev_code[idx], self._ev_code[last],
+                            code[appended]])[order],
+            np.concatenate([self._ev_start[idx], self._ev_start[last],
+                            self._run_t0[q[appended]]])[order],
+            np.concatenate([self._ev_dur[idx], last_dur, dur[appended]])[order],
+        )
+
+
+def _events(code, start, duration) -> list[FixationEvent]:
+    return [
+        FixationEvent(AoiLabel(c), s, d)
+        for c, s, d in zip(code.tolist(), start.tolist(), duration.tolist())
+    ]
 
 
 def debounce(stream: GazeStream, layout: AoiLayout,

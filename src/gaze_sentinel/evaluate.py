@@ -24,7 +24,7 @@ from .core import (
     segment_session,
 )
 from .errors import InvalidParameterError
-from .features import FEATURE_NAMES, extract_features
+from .features import extract_features, feature_matrix
 from .learners import (
     ClassifierConfig,
     LabeledDataset,
@@ -187,12 +187,8 @@ class Corpus:
         key = (self._key(session), float(width), float(slide))
         if key not in self._window_cache:
             windows = sliding_windows(session, width, slide)
-            deb = self.debouncer(session)
-            rows = np.empty((len(windows), len(FEATURE_NAMES)))
-            for i, w in enumerate(windows):
-                fx = deb.fixations_until(w.t1)
-                rows[i] = extract_features(fx, w.t0, w.t1).as_array()
-            self._window_cache[key] = (windows, rows)
+            self._window_cache[key] = (windows, causal_window_matrix(
+                self.debouncer(session), windows))
         return self._window_cache[key]
 
 
@@ -341,6 +337,14 @@ def sliding_windows(session: Session, width: float, slide: float = 1.0) -> list:
     return out
 
 
+def causal_window_matrix(debouncer: Debouncer, windows) -> np.ndarray:
+    """The (windows, 11) feature matrix, each window's row computed only from
+    the samples with t <= its end."""
+    t0 = np.array([w.t0 for w in windows], dtype=np.float64)
+    t1 = np.array([w.t1 for w in windows], dtype=np.float64)
+    return feature_matrix(*debouncer.window_events(t0, t1), t0, t1)
+
+
 def stream_detect(model: TrainedModel, session: Session, width: float,
                   slide: float = 1.0, debouncer: Optional[Debouncer] = None,
                   min_dwell: float = DEFAULT_MIN_DWELL_S) -> list:
@@ -350,11 +354,7 @@ def stream_detect(model: TrainedModel, session: Session, width: float,
     windows = sliding_windows(session, width, slide)
     if not windows:
         return []
-    X = np.empty((len(windows), model.n_features))
-    for i, w in enumerate(windows):
-        fx = deb.fixations_until(w.t1)
-        X[i] = extract_features(fx, w.t0, w.t1).as_array()
-    labels, scores = predict_batch(model, X)
+    labels, scores = predict_batch(model, causal_window_matrix(deb, windows))
     return [
         DetectionEvent(session.participant_id, session.puzzle_id,
                        w.t0, w.t1, int(l), float(s))

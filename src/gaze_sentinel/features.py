@@ -92,17 +92,42 @@ class TransitionModel:
 
 def clip_fixations(fixations, t0: float, t1: float) -> list[FixationEvent]:
     """Truncate fixations at slice edges, dropping zero-overlap events."""
-    out = []
-    for f in fixations:
-        s = max(f.start, t0)
-        e = min(f.end, t1)
-        if e - s > 1e-12:
-            out.append(FixationEvent(f.aoi, s, e - s))
-    return out
+    code, start, duration = _columns(fixations)
+    keep, start, duration = _clip(np.zeros(len(code), dtype=np.int64), start, duration,
+                                  np.array([t0]), np.array([t1]))
+    return [FixationEvent(AoiLabel(c), s, d) for c, s, d in
+            zip(code[keep].tolist(), start.tolist(), duration.tolist())]
+
+
+def _columns(fixations):
+    fx = list(fixations)
+    return (np.array([int(f.aoi) for f in fx], dtype=np.int64),
+            np.array([f.start for f in fx], dtype=np.float64),
+            np.array([f.duration for f in fx], dtype=np.float64))
+
+
+def _clip(win, start, duration, t0, t1):
+    """Clip each event to its slice [t0[win], t1[win]]: (kept mask, clipped
+    starts and durations of the kept events)."""
+    s = np.maximum(start, t0[win])
+    d = np.minimum(start + duration, t1[win]) - s
+    keep = d > 1e-12
+    return keep, s[keep], d[keep]
 
 
 def _codes(fixations) -> list[int]:
     return [int(f.aoi) if isinstance(f, FixationEvent) else int(f) for f in fixations]
+
+
+def _tally(win, code, n_slices: int):
+    """Per slice: visit counts (n_slices, 6) and counts of consecutive
+    fixation pairs (n_slices, 6, 6)."""
+    visits = np.bincount(win * N_AOI + code, minlength=n_slices * N_AOI)
+    same = win[1:] == win[:-1]
+    pairs = (win[1:] * N_AOI + code[:-1]) * N_AOI + code[1:]
+    counts = np.bincount(pairs[same], minlength=n_slices * N_AOI * N_AOI)
+    return (visits.reshape(n_slices, N_AOI),
+            counts.reshape(n_slices, N_AOI, N_AOI))
 
 
 def build_transition_model(fixations) -> TransitionModel:
@@ -111,23 +136,39 @@ def build_transition_model(fixations) -> TransitionModel:
     Accepts FixationEvents or bare AOI labels. With no fixations, the visit
     distribution is the all-zero flag and downstream entropies are 0.
     """
-    codes = _codes(fixations)
-    counts = np.zeros((N_AOI, N_AOI), dtype=np.int64)
-    for a, b in zip(codes, codes[1:]):
-        counts[a, b] += 1
-    pi = np.zeros(N_AOI, dtype=np.float64)
-    if codes:
-        pi = np.bincount(codes, minlength=N_AOI).astype(np.float64) / len(codes)
-    return TransitionModel(counts, pi)
+    codes = np.array(_codes(fixations), dtype=np.int64)
+    visits, counts = _tally(np.zeros(len(codes), dtype=np.int64), codes, 1)
+    return TransitionModel(counts[0], visits[0] / max(len(codes), 1))
+
+
+def _plogp_sum(p: np.ndarray) -> np.ndarray:
+    """Sum over the last axis of p log2 p (0 log 0 := 0), added left to right
+    as ``np.sum`` adds a vector this short."""
+    terms = p * np.log2(np.where(p > 0, p, 1.0))
+    total = terms[..., 0]
+    for j in range(1, p.shape[-1]):
+        total = total + terms[..., j]
+    return total
+
+
+def _stationary_entropies(visit_dist: np.ndarray) -> np.ndarray:
+    return np.where((visit_dist > 0).any(axis=-1), -_plogp_sum(visit_dist), 0.0)
+
+
+def _transition_entropies(counts: np.ndarray, visit_dist: np.ndarray) -> np.ndarray:
+    counts = counts.astype(np.float64)
+    row_sums = counts.sum(axis=-1)
+    row_entropy = -_plogp_sum(counts / np.maximum(row_sums, 1.0)[..., None])
+    total = np.zeros(row_sums.shape[:-1])
+    for i in range(N_AOI):
+        used = (row_sums[..., i] > 0) & (visit_dist[..., i] > 0)
+        total = total + np.where(used, visit_dist[..., i] * row_entropy[..., i], 0.0)
+    return total
 
 
 def stationary_entropy(visit_dist) -> float:
     """Shannon entropy of the visit distribution, in bits (0*log0 := 0)."""
-    p = np.asarray(visit_dist, dtype=np.float64)
-    p = p[p > 0]
-    if p.size == 0:
-        return 0.0
-    return float(-(p * np.log2(p)).sum())
+    return float(_stationary_entropies(np.asarray(visit_dist, dtype=np.float64)))
 
 
 def transition_entropy(model: TransitionModel) -> float:
@@ -135,16 +176,53 @@ def transition_entropy(model: TransitionModel) -> float:
 
     Rows with zero outgoing transitions contribute nothing.
     """
-    counts = model.counts.astype(np.float64)
-    row_sums = counts.sum(axis=1)
-    total = 0.0
-    for i in range(N_AOI):
-        if row_sums[i] <= 0 or model.visit_dist[i] <= 0:
-            continue
-        p = counts[i] / row_sums[i]
-        p = p[p > 0]
-        total += model.visit_dist[i] * float(-(p * np.log2(p)).sum())
-    return total
+    return float(_transition_entropies(model.counts, model.visit_dist))
+
+
+def feature_matrix(win, code, start, duration, t0, t1, *, clipped: bool = False) -> np.ndarray:
+    """The (slices, 11) feature matrix of the slices [t0[i], t1[i]].
+
+    The events are columns (slice index, AOI code, start, duration), slice
+    by slice and in time order within a slice; they are clipped to their
+    slice unless ``clipped``. Every sum adds its terms in event order, as
+    one slice at a time would, so a row does not depend on the other slices.
+    """
+    t0 = np.asarray(t0, dtype=np.float64)
+    t1 = np.asarray(t1, dtype=np.float64)
+    win = np.asarray(win, dtype=np.int64)
+    code = np.asarray(code, dtype=np.int64)
+    start = np.asarray(start, dtype=np.float64)
+    duration = np.asarray(duration, dtype=np.float64)
+    if not clipped:
+        keep, start, duration = _clip(win, start, duration, t0, t1)
+        win, code = win[keep], code[keep]
+    n_slices = len(t0)
+    span = t1 - t0
+    out = np.empty((n_slices, N_FEATURES))
+
+    n = np.bincount(win, minlength=n_slices)
+    out[:, 0] = np.where(n > 1, (n - 1) / span, 0.0)
+    entries = (code == int(AoiLabel.ROBOT_BODY)) & (start > t0[win])
+    out[:, 1] = np.bincount(win[entries], minlength=n_slices) / span
+    ee = code == int(AoiLabel.END_EFFECTOR)
+    ee_n = np.bincount(win[ee], minlength=n_slices)
+    ee_sum = np.bincount(win[ee], weights=duration[ee], minlength=n_slices)
+    out[:, 2] = np.where(ee_n > 0, ee_sum / np.maximum(ee_n, 1), 0.0)
+
+    dwell = np.bincount(win * N_AOI + code, weights=duration, minlength=n_slices * N_AOI)
+    p = dwell.reshape(n_slices, N_AOI) / span[:, None]
+    elsewhere = int(AoiLabel.ELSEWHERE)
+    on_aoi = p[:, 0]
+    for j in range(1, elsewhere):
+        on_aoi = on_aoi + p[:, j]
+    p[:, elsewhere] = np.maximum(0.0, 1.0 - on_aoi)
+    out[:, 3:9] = p
+
+    visits, counts = _tally(win, code, n_slices)
+    visit_dist = visits / np.maximum(n, 1)[:, None]
+    out[:, 9] = _transition_entropies(counts, visit_dist)
+    out[:, 10] = _stationary_entropies(visit_dist)
+    return out
 
 
 def extract_features(fixations, t0: float, t1: float, *, clipped: bool = False) -> FeatureVector:
@@ -156,33 +234,7 @@ def extract_features(fixations, t0: float, t1: float, *, clipped: bool = False) 
     """
     if not t1 > t0:
         raise InvalidSliceError(f"slice [{t0}, {t1}] is empty")
-    fx = list(fixations) if clipped else clip_fixations(fixations, t0, t1)
-    span = t1 - t0
-
-    n = len(fx)
-    shift_rate_all = (n - 1) / span if n > 1 else 0.0
-    rb_entries = sum(
-        1 for f in fx if f.aoi is AoiLabel.ROBOT_BODY and f.start > t0
-    )
-    shift_rate_rb = rb_entries / span
-
-    ee_durations = [f.duration for f in fx if f.aoi is AoiLabel.END_EFFECTOR]
-    mean_ee = sum(ee_durations) / len(ee_durations) if ee_durations else 0.0
-
-    dwell = np.zeros(N_AOI, dtype=np.float64)
-    for f in fx:
-        dwell[int(f.aoi)] += f.duration
-    p = dwell / span
-    p[int(AoiLabel.ELSEWHERE)] = max(
-        0.0, 1.0 - float(np.sum(np.delete(p, int(AoiLabel.ELSEWHERE))))
-    )
-
-    model = build_transition_model(fx)
-    return FeatureVector(
-        shift_rate_all=float(shift_rate_all),
-        shift_rate_robot_body=float(shift_rate_rb),
-        mean_ee_dwell=float(mean_ee),
-        p_aoi=tuple(float(v) for v in p),
-        transition_entropy=transition_entropy(model),
-        stationary_entropy=stationary_entropy(model.visit_dist),
-    )
+    code, start, duration = _columns(fixations)
+    row = feature_matrix(np.zeros(len(code), dtype=np.int64), code, start, duration,
+                         [t0], [t1], clipped=clipped)
+    return FeatureVector.from_array(row[0])

@@ -97,13 +97,20 @@ def write_session_jsonl(session: Session, path, config: Optional[dict] = None) -
 
 
 def read_session_header(path) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        line = fh.readline()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return _parse_session_header(fh.readline(), path)
+    except UnicodeDecodeError:
+        raise MalformedStreamError(f"{path} is not UTF-8 text") from None
+
+
+def _parse_session_header(line: str, path) -> dict:
     try:
         header = json.loads(line)
     except ValueError as exc:
-        raise MalformedStreamError(f"cannot parse session header in {path}: {exc}")
-    if header.get("kind") != "session":
+        raise MalformedStreamError(
+            f"{path}, line 1: cannot parse session header: {exc}") from None
+    if not isinstance(header, dict) or header.get("kind") != "session":
         raise MalformedStreamError(f"{path} is not a session file")
     if header.get("schema") != SESSION_SCHEMA_VERSION:
         raise MalformedStreamError(
@@ -139,29 +146,56 @@ def session_from_header(header: dict, gaze: GazeStream) -> Session:
 
 
 def read_session_jsonl(path) -> Session:
-    with open(path, encoding="utf-8") as fh:
-        header_line = fh.readline()
-        header = json.loads(header_line)
-        t, x, y, valid = [], [], [], []
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            rec = json.loads(line)
-            t.append(rec["t"])
-            x.append(rec["x"])
-            y.append(rec["y"])
-            valid.append(rec["valid"])
-    if header.get("kind") != "session":
-        raise MalformedStreamError(f"{path} is not a session file")
-    if header.get("schema") != SESSION_SCHEMA_VERSION:
+    """Read a session file, failing closed.
+
+    A sample line that does not parse or lacks one of ``t``, ``x``, ``y``,
+    ``valid`` raises ``MalformedStreamError`` with the path and its 1-based
+    line number. A last line cut mid-record (a file still being written) is
+    such a line: a truncated session is an error, not a shorter session.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            header = _parse_session_header(fh.readline(), path)
+            t, x, y, valid = [], [], [], []
+            line = ""
+            try:
+                for line in fh:
+                    line = line.strip()
+                    if not line:
+                        continue
+                    rec = json.loads(line)
+                    t.append(rec["t"])
+                    x.append(rec["x"])
+                    y.append(rec["y"])
+                    valid.append(rec["valid"])
+            except UnicodeDecodeError:
+                raise
+            except (ValueError, KeyError, TypeError, IndexError) as exc:
+                raise MalformedStreamError(
+                    f"{path}, line {_line_number(path, line)}: malformed gaze sample "
+                    f"({type(exc).__name__}: {exc})"
+                ) from None
+    except UnicodeDecodeError:
+        raise MalformedStreamError(f"{path} is not UTF-8 text") from None
+    try:
+        gaze = GazeStream(t=np.array(t, dtype=np.float64), x=np.array(x, dtype=np.float64),
+                          y=np.array(y, dtype=np.float64), valid=np.array(valid, dtype=bool))
+        return session_from_header(header, gaze)
+    except (ValueError, KeyError, TypeError) as exc:
         raise MalformedStreamError(
-            f"unsupported session schema {header.get('schema')!r} in {path}"
-        )
-    gaze = GazeStream(
-        t=np.array(t), x=np.array(x), y=np.array(y), valid=np.array(valid, dtype=bool)
-    )
-    return session_from_header(header, gaze)
+            f"malformed session {path} ({type(exc).__name__}: {exc})"
+        ) from None
+
+
+def _line_number(path, failed: str) -> int:
+    """1-based number of the first sample line reading ``failed``: any
+    earlier copy of it would have failed first. Looked up only on error, so
+    reading costs nothing per line."""
+    with open(path, encoding="utf-8") as fh:
+        for number, line in enumerate(fh, start=1):
+            if number > 1 and line.strip() == failed:
+                return number
+    return 1
 
 
 def session_filename(participant: int, puzzle: int) -> str:
@@ -234,10 +268,13 @@ def write_feature_csv(rows, path, config: Optional[dict] = None) -> None:
 
 
 def read_feature_csv(path) -> list:
+    """Rows of a feature table; a header other than the writer's, a row
+    without exactly its fields or a number that does not parse raises
+    ``InvalidParameterError`` with the path and the 1-based line number."""
     rows = []
     with open(path, encoding="utf-8") as fh:
         header = None
-        for line in fh:
+        for number, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line or line.startswith("#"):
                 continue
@@ -247,18 +284,26 @@ def read_feature_csv(path) -> list:
                     raise InvalidParameterError(f"unexpected feature CSV header in {path}")
                 continue
             parts = line.split(",")
-            rows.append(
-                SegmentRow(
-                    task=parts[0],
-                    participant=int(parts[1]),
-                    puzzle=int(parts[2]),
-                    piece=int(parts[3]),
-                    label=parts[4],
-                    t0=float(parts[5]),
-                    t1=float(parts[6]),
-                    features=np.array([float(v) for v in parts[7:]]),
+            if len(parts) != len(_FEATURE_CSV_HEADER):
+                raise InvalidParameterError(
+                    f"{path}, line {number}: {len(parts)} fields, "
+                    f"expected {len(_FEATURE_CSV_HEADER)}"
                 )
-            )
+            try:
+                rows.append(
+                    SegmentRow(
+                        task=parts[0],
+                        participant=int(parts[1]),
+                        puzzle=int(parts[2]),
+                        piece=int(parts[3]),
+                        label=parts[4],
+                        t0=float(parts[5]),
+                        t1=float(parts[6]),
+                        features=np.array([float(v) for v in parts[7:]]),
+                    )
+                )
+            except ValueError as exc:
+                raise InvalidParameterError(f"{path}, line {number}: {exc}") from None
     if not rows:
         raise InvalidParameterError(f"feature CSV {path} holds no rows")
     return rows

@@ -210,6 +210,49 @@ class TestErrors:
         record = json.loads(capsys.readouterr().err.strip())
         assert record["error"] == "ModelFormatError"
 
+    def test_cut_session_is_json_error(self, features_csv, corpus_dir, tmp_path, capsys):
+        model_path = tmp_path / "model.json"
+        assert main(["train", "--features", str(features_csv), "--task", "nf-ef",
+                     "--classifier", "ada", "--seed", "3", "--out", str(model_path)]) == 0
+        session = tmp_path / "cut.jsonl"
+        with open(storage.corpus_paths(corpus_dir)[0], "rb") as fh:
+            data = fh.read()
+        session.write_bytes(data[:-20])
+        last_line = data.count(b"\n")
+        capsys.readouterr()
+        code = main(["detect", "--model", str(model_path), "--session", str(session),
+                     "--width", "5", "--out", str(tmp_path / "d.jsonl")])
+        assert code == 1
+        err = capsys.readouterr().err
+        record = json.loads(err.strip())
+        assert record["error"] == "MalformedStreamError"
+        assert f"line {last_line}:" in record["message"]
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("name, value, argv", [
+        ("GAZE_SENTINEL_WIDTH", "abc", ["eval", "--corpus", "unread"]),
+        ("GAZE_SENTINEL_SEED", "1.5", ["simulate", "--participants", "1"]),
+    ])
+    def test_uncastable_env_value_is_json_error(self, tmp_path, monkeypatch, capsys,
+                                                name, value, argv):
+        monkeypatch.setenv(name, value)
+        code = main(argv + ["--out", str(tmp_path / "out")])
+        assert code == 1
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "InvalidParameterError"
+        assert name in record["message"]
+
+    @pytest.mark.parametrize("text", ['{"participants": "many"}', '{"participants": 1',
+                                      '{"seed": [1]}'])
+    def test_bad_config_file_is_json_error(self, tmp_path, capsys, text):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "c")])
+        assert code == 1
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "InvalidParameterError"
+        assert str(cfg) in record["message"]
+
     def test_usage_error_exits_2(self):
         with pytest.raises(SystemExit) as err:
             main(["eval", "--corpus", "x", "--out", "y", "--mode", "bogus"])

@@ -22,6 +22,8 @@ from gaze_sentinel.errors import (
     MalformedStreamError,
     MalformedTimelineError,
 )
+from gaze_sentinel.evaluate import Window, causal_window_matrix
+from gaze_sentinel.features import FEATURE_NAMES, extract_features
 
 RATE = 200.0
 PERIOD = 1.0 / RATE
@@ -270,6 +272,92 @@ class TestCausalDebouncer:
         stream = constant_stream(500, 50, 50)
         deb = Debouncer(stream, BOARD_ONLY, 0.1)
         assert deb.fixations() == debounce(stream, BOARD_ONLY, 0.1)
+
+
+
+# Zone x positions in TWO_ZONES, plus invalid samples (None).
+ZONE_X = {"body": 5.0, "board": 25.0, "elsewhere": 50.0, "invalid": None}
+# Run lengths in samples on either side of min_dwell (0.1 s = 20 samples),
+# and invalid stretches whose valid-to-valid gap lies on either side of
+# INVALID_BRIDGE_S + period (0.055 s = 11 periods).
+RUN_SAMPLES = st.one_of(st.sampled_from([9, 10, 11, 12, 19, 20, 21]), st.integers(1, 60))
+
+
+def piecewise_stream(pieces):
+    """A 200 Hz stream of (zone, samples) pieces on the sample grid."""
+    x, valid = [], []
+    for zone, k in pieces:
+        x.extend([ZONE_X[zone] or 0.0] * k)
+        valid.extend([ZONE_X[zone] is not None] * k)
+    t = np.arange(len(x)) / RATE
+    x = np.array(x)
+    return GazeStream(t=t, x=x, y=x, valid=np.array(valid, dtype=bool))
+
+
+def truncated_features(stream, t0, t1):
+    """What a window [t0, t1] would read from a recording that ends at t1."""
+    keep = stream.t <= t1
+    trimmed = GazeStream(t=stream.t[keep], x=stream.x[keep], y=stream.y[keep],
+                         valid=stream.valid[keep])
+    return extract_features(debounce(trimmed, TWO_ZONES, 0.1), t0, t1).as_array()
+
+
+def assert_windows_match_truncation(stream, bounds):
+    deb = Debouncer(stream, TWO_ZONES, 0.1)
+    windows = [Window(t0, t1, 0) for t0, t1 in bounds]
+    rows = causal_window_matrix(deb, windows)
+    assert rows.shape == (len(windows), len(FEATURE_NAMES))
+    for (t0, t1), row in zip(bounds, rows):
+        expected = truncated_features(stream, t0, t1)
+        assert np.array_equal(row, expected), (t0, t1, row, expected)
+        assert row.tobytes() == expected.tobytes(), (t0, t1)
+
+
+class TestCausalWindows:
+    """Each window's row equals the features of the recording cut at its end."""
+
+    @given(
+        pieces=st.lists(st.tuples(st.sampled_from(sorted(ZONE_X)), RUN_SAMPLES),
+                        min_size=1, max_size=25),
+        ends=st.lists(st.tuples(st.integers(0, 10 ** 6), st.booleans(),
+                                st.sampled_from([0.004, 0.05, 0.3, 1.0, 3.0])),
+                      min_size=1, max_size=12),
+    )
+    def test_rows_match_truncated_streams(self, pieces, ends):
+        stream = piecewise_stream(pieces)
+        t = stream.t
+        bounds = []
+        for k, on_sample, width in ends:
+            # Either exactly on a sample timestamp or between two of them.
+            t1 = float(t[k % len(t)]) + (0.0 if on_sample else 0.4 * PERIOD)
+            bounds.append((t1 - width, t1))
+        assert_windows_match_truncation(stream, bounds)
+
+    def test_explicit_window_ends(self):
+        pieces = [("invalid", 5), ("body", 40), ("board", 10), ("body", 40),
+                  ("board", 15), ("elsewhere", 30)]
+        stream = piecewise_stream(pieces)
+        t = stream.t
+        deb = Debouncer(stream, TWO_ZONES, 0.1)
+        before_first_valid = float(t[2])
+        assert deb.fixations_until(before_first_valid) == []
+        # 25 samples into the second body run: the board run between is
+        # dropped, so the provisional body run merges into the first.
+        merging = float(t[5 + 40 + 10 + 24])
+        merged = deb.fixations_until(merging)
+        assert [f.aoi for f in merged] == [AoiLabel.ROBOT_BODY]
+        assert merged[0].duration == pytest.approx(65 * PERIOD)
+        # 10 samples into the last board run: too short yet, dropped.
+        dropped = float(t[5 + 40 + 10 + 40 + 9])
+        assert [f.aoi for f in deb.fixations_until(dropped)] == [AoiLabel.ROBOT_BODY]
+        ends = [before_first_valid, float(t[60]), merging, dropped,
+                merging + 0.3 * PERIOD, float(t[-1]), float(t[-1]) + 1.0]
+        bounds = [(t1 - width, t1) for t1 in ends for width in (0.05, 0.2, 1.0)]
+        assert_windows_match_truncation(stream, bounds)
+
+    def test_no_valid_samples(self):
+        stream = piecewise_stream([("invalid", 50)])
+        assert_windows_match_truncation(stream, [(0.0, 0.1), (-1.0, 0.3)])
 
 
 def make_timeline(failure_piece=1, failure_type="EF"):

@@ -13,6 +13,7 @@ from gaze_sentinel.features import (
     build_transition_model,
     clip_fixations,
     extract_features,
+    feature_matrix,
     stationary_entropy,
     transition_entropy,
 )
@@ -277,3 +278,66 @@ class TestExtractFeatures:
         fx = seq_to_fixations([A, B, C], dwell=1.0)
         v = extract_features(fx, 0.0, 3.0)
         assert FeatureVector.from_array(v.as_array()) == v
+
+
+def loop_features(fixations, t0, t1):
+    """The per-slice loop the feature kernel replaced, operation for
+    operation: the kernel must reproduce it bit for bit."""
+    fx = []
+    for f in fixations:
+        s, e = max(f.start, t0), min(f.end, t1)
+        if e - s > 1e-12:
+            fx.append(FixationEvent(f.aoi, s, e - s))
+    span = t1 - t0
+    n = len(fx)
+    shift_rate_all = (n - 1) / span if n > 1 else 0.0
+    rb = sum(1 for f in fx if f.aoi is AoiLabel.ROBOT_BODY and f.start > t0) / span
+    ee = [f.duration for f in fx if f.aoi is AoiLabel.END_EFFECTOR]
+    mean_ee = sum(ee) / len(ee) if ee else 0.0
+    dwell = np.zeros(N_AOI)
+    for f in fx:
+        dwell[int(f.aoi)] += f.duration
+    p = dwell / span
+    p[5] = max(0.0, 1.0 - float(np.sum(np.delete(p, 5))))
+    codes = [int(f.aoi) for f in fx]
+    counts = np.zeros((N_AOI, N_AOI))
+    for a, b in zip(codes, codes[1:]):
+        counts[a, b] += 1
+    pi = np.bincount(codes, minlength=N_AOI) / n if n else np.zeros(N_AOI)
+    row_sums = counts.sum(axis=1)
+    ht = 0.0
+    for i in range(N_AOI):
+        if row_sums[i] > 0 and pi[i] > 0:
+            q = counts[i] / row_sums[i]
+            q = q[q > 0]
+            ht += pi[i] * float(-(q * np.log2(q)).sum())
+    q = pi[pi > 0]
+    hs = float(-(q * np.log2(q)).sum()) if q.size else 0.0
+    return np.array([shift_rate_all, rb, mean_ee, *p, ht, hs])
+
+
+class TestFeatureKernel:
+    @given(st.integers(0, 2 ** 31 - 1), st.integers(0, 30), st.integers(1, 6))
+    def test_rows_match_the_per_slice_loop_bit_for_bit(self, seed, n_events, n_slices):
+        rng = np.random.default_rng(seed)
+        fx, t = [], 0.5
+        for _ in range(n_events):
+            d = float(rng.uniform(0.05, 2.0))
+            fx.append(FixationEvent(AoiLabel(int(rng.integers(0, 6))), t, d))
+            # Ends may pass the next start by less than a sample period.
+            t += d + float(rng.uniform(-0.004, 0.05))
+        ends = [f.end for f in fx] or [1.0]
+        t0 = rng.uniform(-1.0, t, n_slices)
+        # Some slices start within 1e-12 of an event's end.
+        near = rng.random(n_slices) < 0.3
+        t0[near] = rng.choice(ends, near.sum()) - rng.choice([0.0, 5e-13, 2e-12], near.sum())
+        t1 = t0 + rng.uniform(1e-3, 10.0, n_slices)
+        code = np.array([int(f.aoi) for f in fx], dtype=np.int64)
+        start = np.array([f.start for f in fx])
+        duration = np.array([f.duration for f in fx])
+        # Every slice is given every event: the kernel clips them.
+        rows = feature_matrix(np.repeat(np.arange(n_slices), n_events),
+                              np.tile(code, n_slices), np.tile(start, n_slices),
+                              np.tile(duration, n_slices), t0, t1)
+        for row, a, b in zip(rows, t0, t1):
+            assert row.tobytes() == loop_features(fx, float(a), float(b)).tobytes()
