@@ -8,6 +8,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..errors import FeatureArityError
+
 _LEAF = -1
 
 
@@ -16,7 +18,9 @@ class TreeNodes:
     """Flat array representation of one binary tree.
 
     ``feature`` is -1 at leaves; ``value`` holds the leaf prediction. Rows
-    route left when x[feature] < threshold.
+    route left when x[feature] < threshold. An internal node's children come
+    after it (``i < left[i], right[i] < len(feature)``); ``pack_trees``
+    refuses a tree that breaks this.
     """
 
     feature: np.ndarray
@@ -26,23 +30,111 @@ class TreeNodes:
     value: np.ndarray
 
     def apply(self, X: np.ndarray) -> np.ndarray:
-        idx = np.zeros(X.shape[0], dtype=np.int64)
-        while True:
-            feat = self.feature[idx]
-            internal = feat != _LEAF
-            if not internal.any():
-                break
-            rows = np.flatnonzero(internal)
-            node = idx[rows]
-            goes_left = X[rows, feat[rows]] < self.threshold[node]
-            idx[rows] = np.where(goes_left, self.left[node], self.right[node])
-        return self.value[idx]
+        return pack_trees([self], X.shape[1]).leaf_values(X)[0]
+
+
+@dataclass(frozen=True)
+class PackedTrees:
+    """Every tree of an ensemble in one set of flat arrays.
+
+    Node arrays are concatenated, child indices offset by their tree's root.
+    ``child[2 * i + goes_left]`` is node i's next node; a leaf points to
+    itself both ways and reads feature 0, so ``depth`` steps (the longest
+    root-to-leaf path of any tree) bring every (tree, row) pair to its leaf.
+    """
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    child: np.ndarray
+    value: np.ndarray
+    roots: np.ndarray
+    depth: int
+    n_features: int
+
+    def leaf_values(self, X: np.ndarray) -> np.ndarray:
+        """(n_trees, n_rows) leaf value of each row in each tree."""
+        X = np.ascontiguousarray(X, dtype=np.float64)
+        if X.ndim != 2 or X.shape[1] != self.n_features:
+            raise FeatureArityError(
+                f"expected {self.n_features} features, got shape {X.shape}")
+        n = X.shape[0]
+        flat = X.ravel()
+        row_base = np.tile(np.arange(n, dtype=np.int64) * self.n_features,
+                           self.roots.shape[0])
+        idx = np.repeat(self.roots, n)
+        for _ in range(self.depth):
+            x = flat.take(row_base + self.feature.take(idx))
+            idx = self.child.take(2 * idx + (x < self.threshold.take(idx)))
+        return self.value.take(idx).reshape(self.roots.shape[0], n)
+
+
+def pack_trees(trees: list, n_features: int) -> PackedTrees:
+    """Validate ``trees`` and pack them for one walk; raises ValueError on a
+    tree whose arrays differ in length, whose child indices are out of range
+    or point backward, or whose features lie outside [0, n_features)."""
+    for k, tree in enumerate(trees):
+        shapes = [a.shape for a in (tree.feature, tree.threshold, tree.left,
+                                    tree.right, tree.value)]
+        if len(set(shapes)) != 1 or len(shapes[0]) != 1 or shapes[0][0] == 0:
+            raise ValueError(f"tree {k}: node arrays must be 1-D, non-empty and "
+                             f"of equal length, got shapes {shapes}")
+    if not trees:
+        empty = np.zeros(0, dtype=np.int64)
+        return PackedTrees(empty, np.zeros(0), empty, np.zeros(0), empty, 0, n_features)
+    sizes = np.array([t.feature.shape[0] for t in trees], dtype=np.int64)
+    roots = np.cumsum(sizes) - sizes
+    offset = np.repeat(roots, sizes)
+    feature = np.concatenate([t.feature for t in trees])
+    left = np.concatenate([t.left for t in trees]) + offset
+    right = np.concatenate([t.right for t in trees]) + offset
+    nodes = np.arange(feature.shape[0], dtype=np.int64)
+    internal = feature != _LEAF
+    end = offset + np.repeat(sizes, sizes)
+    checks = (("left child", left - offset, (left <= nodes) | (left >= end)),
+              ("right child", right - offset, (right <= nodes) | (right >= end)),
+              ("feature", feature, (feature < 0) | (feature >= n_features)))
+    for what, column, out in checks:
+        bad = np.flatnonzero(internal & out)
+        if bad.size:
+            i = bad[0]
+            k = int(np.searchsorted(roots, i, side="right")) - 1
+            node = i - roots[k]
+            allowed = (f"[0, {n_features})" if what == "feature"
+                       else f"({node}, {sizes[k]})")
+            raise ValueError(f"tree {k}: node {node} has {what} {column[i]}, "
+                             f"outside {allowed}")
+    child = np.stack([np.where(internal, right, nodes),
+                      np.where(internal, left, nodes)], axis=1).ravel()
+    # Children point forward, so the frontier's smallest index grows every
+    # level and the loop ends within the longest root-to-leaf path.
+    depth = 0
+    frontier = roots[internal[roots]]
+    while frontier.size:
+        depth += 1
+        frontier = np.unique(np.concatenate([left[frontier], right[frontier]]))
+        frontier = frontier[internal[frontier]]
+    return PackedTrees(
+        feature=np.where(internal, feature, 0),
+        threshold=np.concatenate([t.threshold for t in trees]),
+        child=child,
+        value=np.concatenate([t.value for t in trees]),
+        roots=roots,
+        depth=depth,
+        n_features=n_features,
+    )
 
 
 @dataclass
 class ForestParams:
     trees: list = field(default_factory=list)
     n_features: int = 0
+    packed: PackedTrees = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.packed = pack_trees(self.trees, self.n_features)
+        # predict_forest sums 0/1 votes, which is exact in any order.
+        if not np.isin(self.packed.value, (0.0, 1.0)).all():
+            raise ValueError("forest leaf values must be 0 or 1 votes")
 
 
 def _gini_split(X: np.ndarray, y: np.ndarray, cols: np.ndarray):
@@ -146,7 +238,5 @@ def fit_forest(X: np.ndarray, y: np.ndarray, n_trees: int, seed: int) -> ForestP
 
 def predict_forest(params: ForestParams, X: np.ndarray) -> np.ndarray:
     """Fraction of trees voting class 1, in [0, 1]."""
-    votes = np.zeros(X.shape[0], dtype=np.float64)
-    for tree in params.trees:
-        votes += tree.apply(X)
+    votes = params.packed.leaf_values(X).sum(axis=0)
     return votes / max(len(params.trees), 1)

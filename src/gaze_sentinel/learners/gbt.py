@@ -11,17 +11,11 @@ rates used here.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
-from .forest import TreeNodes, _LEAF
-
-
-@dataclass
-class GbtParams:
-    trees: list = field(default_factory=list)
-    learning_rate: float = 0.1
-    n_features: int = 0
+from .forest import PackedTrees, TreeNodes, _LEAF, pack_trees
 
 
 @dataclass
@@ -38,10 +32,18 @@ class ObliviousTree:
 
 
 @dataclass
-class ObliviousGbtParams:
+class GbtParams:
+    """Boosted trees: ``TreeNodes`` (gbt-a) or ``ObliviousTree`` (gbt-b)."""
+
     trees: list = field(default_factory=list)
     learning_rate: float = 0.1
     n_features: int = 0
+    packed: Optional[PackedTrees] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # Oblivious trees already route a whole level in one step.
+        self.packed = (pack_trees(self.trees, self.n_features)
+                       if all(isinstance(t, TreeNodes) for t in self.trees) else None)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -215,13 +217,17 @@ def fit_oblivious_gbt(X: np.ndarray, y: np.ndarray, rounds: int,
         trees.append(tree)
         F += learning_rate * values[leaf]
         losses.append(_logloss(F, y))
-    params = ObliviousGbtParams(trees=trees, learning_rate=learning_rate, n_features=d)
+    params = GbtParams(trees=trees, learning_rate=learning_rate, n_features=d)
     return params, losses
 
 
-def predict_gbt(params, X: np.ndarray) -> np.ndarray:
+def predict_gbt(params: GbtParams, X: np.ndarray) -> np.ndarray:
     """Logistic probability of class 1."""
+    if params.packed is not None:
+        leaves = params.packed.leaf_values(X)
+    else:
+        leaves = [tree.apply(X) for tree in params.trees]
     F = np.zeros(X.shape[0], dtype=np.float64)
-    for tree in params.trees:
-        F += params.learning_rate * tree.apply(X)
+    for leaf in leaves:
+        F += params.learning_rate * leaf
     return _sigmoid(F)

@@ -3,13 +3,15 @@
 Payloads round-trip bit-exactly (floats serialize via shortest-repr), so a
 reloaded model reproduces predictions exactly. The reader accepts any 1.x
 schema, warning when the minor version differs; other majors are refused.
+It fails closed: a tree whose child indices are out of range or point
+backward, a feature index outside [0, n_features), a vector or leaf table of
+the wrong length, or ``params.n_features`` unequal to ``n_features`` raises
+``ModelFormatError`` before any prediction can run.
 """
 
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 import warnings
 
 import numpy as np
@@ -18,8 +20,9 @@ from .errors import ModelFormatError, SchemaVersionError
 from .learners import ClassifierConfig, Standardizer, TrainedModel
 from .learners.adaboost import AdaParams
 from .learners.forest import ForestParams, TreeNodes
-from .learners.gbt import GbtParams, ObliviousGbtParams, ObliviousTree
+from .learners.gbt import GbtParams, ObliviousTree
 from .learners.svm import SvmParams
+from .storage import atomic_write_text
 
 MODEL_SCHEMA_VERSION = "1.1"
 
@@ -81,10 +84,13 @@ def _params_payload(kind: str, params) -> dict:
     raise ModelFormatError(f"unknown classifier kind {kind!r}")
 
 
-def _params_from(kind: str, payload: dict):
+def _params_from(kind: str, payload: dict, n_features: int):
+    if payload["n_features"] != n_features:
+        raise ModelFormatError(f"params.n_features {payload['n_features']!r} "
+                               f"differs from n_features {n_features}")
     if kind == "forest":
         return ForestParams(trees=[_tree_from(t) for t in payload["trees"]],
-                            n_features=payload["n_features"])
+                            n_features=n_features)
     if kind == "ada":
         return AdaParams(
             feature=np.array(payload["feature"], dtype=np.int64),
@@ -92,14 +98,14 @@ def _params_from(kind: str, payload: dict):
             low_value=np.array(payload["low_value"], dtype=np.int64),
             high_value=np.array(payload["high_value"], dtype=np.int64),
             alpha=np.array(payload["alpha"], dtype=np.float64),
-            n_features=payload["n_features"],
+            n_features=n_features,
         )
     if kind == "gbt-a":
         return GbtParams(trees=[_tree_from(t) for t in payload["trees"]],
-                         learning_rate=payload["learning_rate"],
-                         n_features=payload["n_features"])
+                         learning_rate=float(payload["learning_rate"]),
+                         n_features=n_features)
     if kind == "gbt-b":
-        return ObliviousGbtParams(
+        return GbtParams(
             trees=[
                 ObliviousTree(
                     features=np.array(t["features"], dtype=np.int64),
@@ -108,13 +114,50 @@ def _params_from(kind: str, payload: dict):
                 )
                 for t in payload["trees"]
             ],
-            learning_rate=payload["learning_rate"],
-            n_features=payload["n_features"],
+            learning_rate=float(payload["learning_rate"]),
+            n_features=n_features,
         )
     if kind == "svm":
         return SvmParams(w=np.array(payload["w"], dtype=np.float64),
-                         b=float(payload["b"]), n_features=payload["n_features"])
+                         b=float(payload["b"]), n_features=n_features)
     raise ModelFormatError(f"unknown classifier kind {kind!r}")
+
+
+def _require(ok: bool, message: str) -> None:
+    if not ok:
+        raise ModelFormatError(message)
+
+
+def _check_features(where: str, features: np.ndarray, n_features: int) -> None:
+    bad = features[(features < 0) | (features >= n_features)]
+    _require(bad.size == 0, f"{where}: feature {bad[:1].tolist()} outside "
+                            f"[0, {n_features})")
+
+
+def _check_vector(where: str, vector: np.ndarray, n_features: int) -> None:
+    _require(vector.shape == (n_features,),
+             f"{where} has shape {vector.shape}, expected ({n_features},)")
+
+
+def _check_params(kind: str, params, n_features: int) -> None:
+    """Checks that building forest and gbt-a params does not already make."""
+    if kind == "ada":
+        arrays = (params.feature, params.threshold, params.low_value,
+                  params.high_value, params.alpha)
+        _require(all(a.shape == params.feature.shape and a.ndim == 1 for a in arrays),
+                 f"ada arrays differ in shape: {[a.shape for a in arrays]}")
+        _check_features("ada", params.feature, n_features)
+    elif kind == "gbt-b":
+        for k, tree in enumerate(params.trees):
+            levels = tree.features.shape
+            _require(tree.features.ndim == 1 and tree.thresholds.shape == levels,
+                     f"gbt-b tree {k}: features and thresholds differ in shape")
+            _require(tree.leaf_values.shape == (2 ** levels[0],),
+                     f"gbt-b tree {k}: {tree.leaf_values.shape} leaf values for "
+                     f"{levels[0]} levels, expected {2 ** levels[0]}")
+            _check_features(f"gbt-b tree {k}", tree.features, n_features)
+    elif kind == "svm":
+        _check_vector("svm w", params.w, n_features)
 
 
 def model_payload(model: TrainedModel) -> dict:
@@ -157,6 +200,9 @@ def model_from_payload(payload: dict) -> TrainedModel:
                 f"model written under schema {version}; reading as {MODEL_SCHEMA_VERSION}"
             )
         config = ClassifierConfig(**payload["config"])
+        n_features = payload["n_features"]
+        _require(type(n_features) is int and n_features > 0,
+                 f"n_features must be a positive integer, got {n_features!r}")
         std = payload.get("standardizer")
         standardizer = None
         if std is not None:
@@ -164,11 +210,14 @@ def model_from_payload(payload: dict) -> TrainedModel:
                 mean=np.array(std["mean"], dtype=np.float64),
                 std=np.array(std["std"], dtype=np.float64),
             )
-        params = _params_from(config.kind, payload["params"])
+            _check_vector("standardizer mean", standardizer.mean, n_features)
+            _check_vector("standardizer std", standardizer.std, n_features)
+        params = _params_from(config.kind, payload["params"], n_features)
+        _check_params(config.kind, params, n_features)
         loss = payload.get("train_loss")
         return TrainedModel(
             config=config,
-            n_features=int(payload["n_features"]),
+            n_features=n_features,
             standardizer=standardizer,
             params=params,
             train_loss=tuple(loss) if loss else None,
@@ -180,18 +229,7 @@ def model_from_payload(payload: dict) -> TrainedModel:
 
 
 def save_model(model: TrainedModel, path) -> None:
-    text = json.dumps(model_payload(model), indent=1)
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    atomic_write_text(path, json.dumps(model_payload(model), indent=1))
 
 
 def load_model(path) -> TrainedModel:

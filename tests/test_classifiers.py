@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from gaze_sentinel.errors import DegenerateDataError, FeatureArityError, InvalidParameterError
 from gaze_sentinel.learners import (
@@ -14,8 +15,8 @@ from gaze_sentinel.learners import (
     train,
 )
 from gaze_sentinel.learners.adaboost import AdaParams
-from gaze_sentinel.learners.forest import ForestParams, TreeNodes
-from gaze_sentinel.learners.gbt import GbtParams, ObliviousTree
+from gaze_sentinel.learners.forest import ForestParams, TreeNodes, predict_forest
+from gaze_sentinel.learners.gbt import GbtParams, ObliviousTree, _sigmoid, predict_gbt
 from gaze_sentinel.learners.svm import SvmParams
 
 
@@ -195,6 +196,112 @@ class TestPredictSemantics:
         )
         X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
         np.testing.assert_array_equal(tree.apply(X), [0.0, 1.0, 2.0, 3.0])
+
+
+def reference_apply(tree: TreeNodes, X: np.ndarray) -> np.ndarray:
+    """The per-tree walk the packed kernel replaced, kept as its reference."""
+    idx = np.zeros(X.shape[0], dtype=np.int64)
+    while True:
+        feat = tree.feature[idx]
+        internal = feat != -1
+        if not internal.any():
+            break
+        rows = np.flatnonzero(internal)
+        node = idx[rows]
+        goes_left = X[rows, feat[rows]] < tree.threshold[node]
+        idx[rows] = np.where(goes_left, tree.left[node], tree.right[node])
+    return tree.value[idx]
+
+
+def reference_forest(params: ForestParams, X: np.ndarray) -> np.ndarray:
+    votes = np.zeros(X.shape[0], dtype=np.float64)
+    for tree in params.trees:
+        votes += reference_apply(tree, X)
+    return votes / max(len(params.trees), 1)
+
+
+def reference_gbt(params: GbtParams, X: np.ndarray) -> np.ndarray:
+    F = np.zeros(X.shape[0], dtype=np.float64)
+    for tree in params.trees:
+        F += params.learning_rate * reference_apply(tree, X)
+    return _sigmoid(F)
+
+
+def probe_with_ties(trees, d: int, n: int = 300, seed: int = 0) -> np.ndarray:
+    """Random rows, a third of whose cells sit exactly on a threshold of
+    their feature, with some NaN cells (NaN routes right)."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(0, 2, (n, d))
+    for f in range(d):
+        on_f = np.concatenate([t.threshold[t.feature == f] for t in trees] + [[]])
+        if on_f.size:
+            rows = rng.random(n) < 1 / 3
+            X[rows, f] = rng.choice(on_f, rows.sum())
+    X[rng.random((n, d)) < 0.05] = np.nan
+    return X
+
+
+@st.composite
+def random_trees(draw, n_features: int, votes: bool):
+    """A list of forward-pointing trees of uneven depth, single leaves included."""
+    grid = st.integers(-4, 4).map(lambda k: k / 2)
+    trees = []
+    for _ in range(draw(st.integers(1, 20))):
+        feature, threshold, left, right = [-1], [0.0], [0], [0]
+        pending = [0]
+        while pending and len(feature) + 2 <= 41:
+            i = pending.pop(draw(st.integers(0, len(pending) - 1)))
+            if not draw(st.booleans()):
+                continue
+            feature[i] = draw(st.integers(0, n_features - 1))
+            threshold[i] = draw(grid)
+            left[i], right[i] = len(feature), len(feature) + 1
+            feature += [-1, -1]
+            threshold += [0.0, 0.0]
+            left += [0, 0]
+            right += [0, 0]
+            pending += [left[i], right[i]]
+        leaf = st.sampled_from([0.0, 1.0]) if votes else st.floats(-3, 3)
+        value = [draw(leaf) for _ in feature]
+        trees.append(TreeNodes(np.array(feature), np.array(threshold), np.array(left),
+                               np.array(right), np.array(value)))
+    return trees
+
+
+class TestPackedWalk:
+    """``predict_forest`` and ``predict_gbt`` walk all trees at once; their
+    scores must be byte-equal to the per-tree walk summed in tree order."""
+
+    @pytest.mark.parametrize("kind", ["forest", "gbt-a"])
+    def test_fitted_models_match_reference(self, kind):
+        rng = np.random.default_rng(4)
+        X = np.vstack([rng.normal(-1, 1.5, (80, 4)), rng.normal(1, 1.5, (80, 4))])
+        y = np.array([0] * 80 + [1] * 80)
+        model = train(default_config(kind, seed=2), LabeledDataset(X, y, np.arange(160)))
+        params = model.params
+        probe = np.vstack([X, probe_with_ties(params.trees, 4)])
+        if kind == "forest":
+            got, want = predict_forest(params, probe), reference_forest(params, probe)
+        else:
+            got, want = predict_gbt(params, probe), reference_gbt(params, probe)
+        assert got.tobytes() == want.tobytes()
+        assert max(t.feature.shape[0] for t in params.trees) > 7  # deeper than a stump
+
+    @given(random_trees(n_features=3, votes=True), st.integers(0, 2 ** 31 - 1))
+    def test_random_forests_match_reference(self, trees, seed):
+        params = ForestParams(trees=trees, n_features=3)
+        X = probe_with_ties(trees, 3, n=40, seed=seed)
+        assert predict_forest(params, X).tobytes() == reference_forest(params, X).tobytes()
+        for tree in trees:
+            assert tree.apply(X).tobytes() == reference_apply(tree, X).tobytes()
+
+    @given(random_trees(n_features=3, votes=False), st.integers(0, 2 ** 31 - 1),
+           st.sampled_from([0.01, 0.1, 0.3]))
+    def test_random_boosters_match_reference(self, trees, seed, rate):
+        params = GbtParams(trees=trees, learning_rate=rate, n_features=3)
+        for n in (1, 40):
+            X = probe_with_ties(trees, 3, n=n, seed=seed)
+            assert predict_gbt(params, X).tobytes() == reference_gbt(params, X).tobytes()
 
 
 class TestAdaEdgeCases:

@@ -1,9 +1,12 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import gaze_sentinel
 from gaze_sentinel import storage
 from gaze_sentinel.cli import main
 from gaze_sentinel.evaluate import Corpus
@@ -228,6 +231,34 @@ class TestErrors:
         assert record["error"] == "MalformedStreamError"
         assert f"line {last_line}:" in record["message"]
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("fault", ["cyclic root", "feature 99", "params.n_features"])
+    def test_malformed_tree_model_is_json_error(self, features_csv, corpus_dir, tmp_path,
+                                                fault):
+        model_path = tmp_path / "model.json"
+        assert main(["train", "--features", str(features_csv), "--task", "nf-ef",
+                     "--classifier", "forest", "--seed", "3", "--out", str(model_path)]) == 0
+        payload = json.loads(model_path.read_text())
+        root = payload["params"]["trees"][0]
+        if fault == "cyclic root":  # a walk that followed it would never end
+            root["left"][0] = root["right"][0] = 0
+        elif fault == "feature 99":
+            root["feature"][0] = 99
+        else:
+            payload["params"]["n_features"] = 3
+        model_path.write_text(json.dumps(payload))
+        package_root = os.path.dirname(os.path.dirname(gaze_sentinel.__file__))
+        env = dict(os.environ, PYTHONPATH=package_root)
+        done = subprocess.run(
+            [sys.executable, "-m", "gaze_sentinel", "detect", "--model", str(model_path),
+             "--session", storage.corpus_paths(corpus_dir)[0], "--width", "5",
+             "--out", str(tmp_path / "d.jsonl")],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 1
+        record = json.loads(done.stderr.strip())
+        assert record["error"] == "ModelFormatError"
+        assert "Traceback" not in done.stderr
+        assert not (tmp_path / "d.jsonl").exists()
 
     @pytest.mark.parametrize("name, value, argv", [
         ("GAZE_SENTINEL_WIDTH", "abc", ["eval", "--corpus", "unread"]),

@@ -103,3 +103,82 @@ def test_current_schema_version_written(tmp_path):
     path = tmp_path / "model.json"
     save_model(model, path)
     assert json.loads(path.read_text())["schema_version"] == MODEL_SCHEMA_VERSION
+
+
+def _tree(params, k=0):
+    return params["trees"][k]
+
+
+def _set_root_children(value):
+    def mutate(payload):
+        _tree(payload["params"])["left"][0] = value
+        _tree(payload["params"])["right"][0] = value
+    return mutate
+
+
+def _set(path, value):
+    """A mutation that sets the item at ``path`` (keys and indices) to value."""
+    def mutate(payload):
+        node = payload
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    return mutate
+
+
+def _first_internal(payload, key, value):
+    tree = _tree(payload["params"])
+    i = next(i for i, f in enumerate(tree["feature"]) if f != -1)
+    tree[key][i] = value
+
+
+def _backward_child(payload, k=0):
+    tree = _tree(payload["params"], k)
+    i = next(i for i, f in enumerate(tree["feature"]) if f != -1 and i > 0)
+    tree["left"][i] = i - 1
+
+
+MALFORMED = [
+    ("forest", "cyclic root", _set_root_children(0)),
+    ("gbt-a", "cyclic root", _set_root_children(0)),
+    ("forest", "child out of range", _set_root_children(10 ** 6)),
+    ("forest", "backward child", _backward_child),
+    ("gbt-a", "backward child", _backward_child),
+    ("forest", "backward child in a later tree", lambda p: _backward_child(p, 5)),
+    ("forest", "array lengths differ", lambda p: _tree(p["params"])["value"].pop()),
+    ("gbt-a", "array lengths differ", lambda p: _tree(p["params"])["threshold"].pop()),
+    ("gbt-a", "scalar array", _set(["params", "trees", 0, "value"], 0.5)),
+    ("forest", "feature 99", lambda p: _first_internal(p, "feature", 99)),
+    ("gbt-a", "negative feature", lambda p: _first_internal(p, "feature", -2)),
+    ("forest", "non-vote leaf", _set(["params", "trees", 0, "value", -1], 0.5)),
+    ("gbt-b", "feature out of range", _set(["params", "trees", 0, "features", 0], 4)),
+    ("gbt-b", "leaf table length", lambda p: _tree(p["params"])["leaf_values"].pop()),
+    ("ada", "feature out of range", _set(["params", "feature", 0], 4)),
+    ("ada", "array lengths differ", lambda p: p["params"]["alpha"].pop()),
+    ("svm", "w length", lambda p: p["params"]["w"].append(0.0)),
+    ("svm", "standardizer mean length", lambda p: p["standardizer"]["mean"].pop()),
+    ("svm", "standardizer std length", lambda p: p["standardizer"]["std"].append(1.0)),
+    ("svm", "params.n_features", _set(["params", "n_features"], 3)),
+    ("forest", "params.n_features", _set(["params", "n_features"], 3)),
+    ("gbt-b", "n_features not an integer", _set(["n_features"], "4")),
+    ("gbt-a", "learning rate not a number", _set(["params", "learning_rate"], "fast")),
+]
+
+
+@pytest.fixture(scope="module")
+def fitted():
+    """Models of every kind fitted on shuffled labels, so trees grow deep."""
+    ds = training_set(7)
+    shuffled = LabeledDataset(ds.X, np.random.default_rng(0).permutation(ds.y), ds.groups)
+    return {kind: train(default_config(kind, seed=2), shuffled) for kind in KINDS}
+
+
+@pytest.mark.parametrize("kind, fault, mutate", MALFORMED,
+                         ids=[f"{k}-{f}" for k, f, _ in MALFORMED])
+def test_malformed_model_is_a_format_error(tmp_path, fitted, kind, fault, mutate):
+    payload = model_payload(fitted[kind])
+    mutate(payload)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ModelFormatError):
+        load_model(path)
