@@ -73,8 +73,10 @@ def default_config(kind: str, seed: int = 7) -> ClassifierConfig:
     raise InvalidParameterError(f"unknown classifier kind {kind!r}")
 
 
-def config_fingerprint(config: ClassifierConfig) -> str:
-    blob = json.dumps(asdict(config), sort_keys=True, separators=(",", ":"))
+def config_fingerprint(config: dict) -> str:
+    """First 16 hex digits of the sha256 of ``config`` as sorted, compact
+    JSON: the fingerprint of a model's config and of a run's provenance."""
+    blob = json.dumps(config, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
@@ -90,7 +92,7 @@ class TrainedModel:
 
     @property
     def fingerprint(self) -> str:
-        return config_fingerprint(self.config)
+        return config_fingerprint(asdict(self.config))
 
 
 def train(config: ClassifierConfig, dataset: LabeledDataset) -> TrainedModel:

@@ -5,8 +5,9 @@ reloaded model reproduces predictions exactly. The reader accepts any 1.x
 schema, warning when the minor version differs; other majors are refused.
 It fails closed: a tree whose child indices are out of range or point
 backward, a feature index outside [0, n_features), a vector or leaf table of
-the wrong length, or ``params.n_features`` unequal to ``n_features`` raises
-``ModelFormatError`` before any prediction can run.
+the wrong length, ``params.n_features`` unequal to ``n_features``, or a
+top-level ``kind`` or ``fingerprint`` that does not match the model's config
+raises ``ModelFormatError`` before any prediction can run.
 """
 
 from __future__ import annotations
@@ -215,13 +216,19 @@ def model_from_payload(payload: dict) -> TrainedModel:
         params = _params_from(config.kind, payload["params"], n_features)
         _check_params(config.kind, params, n_features)
         loss = payload.get("train_loss")
-        return TrainedModel(
+        model = TrainedModel(
             config=config,
             n_features=n_features,
             standardizer=standardizer,
             params=params,
             train_loss=tuple(loss) if loss else None,
         )
+        _require(payload["kind"] == config.kind,
+                 f"kind {payload['kind']!r} differs from config kind {config.kind!r}")
+        _require(payload["fingerprint"] == model.fingerprint,
+                 f"fingerprint {payload['fingerprint']!r} differs from "
+                 f"{model.fingerprint!r}, the fingerprint of its config")
+        return model
     except SchemaVersionError:
         raise
     except (KeyError, TypeError, ValueError) as exc:

@@ -8,9 +8,9 @@ is deterministic, so equal configurations produce byte-identical files.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
+import re
 import tempfile
 from typing import Optional
 
@@ -29,8 +29,24 @@ from .core import (
 from .errors import InvalidParameterError, MalformedStreamError
 from .evaluate import SegmentRow
 from .features import FEATURE_NAMES, FEATURE_SCHEMA_VERSION
+from .learners import config_fingerprint
 
 SESSION_SCHEMA_VERSION = 1
+
+# The writer's own sample line. A number is a strict subset of JSON's number
+# grammar (no exponent, no bare "1." or "01.5"), so a body made only of these
+# lines parses to exactly what ``json.loads`` would give it, line by line.
+_SAMPLE_FORMAT = '{"t":%.6f,"x":%.3f,"y":%.3f,"valid":%s}\n'
+_NUMBER = rb"-?(?:0|[1-9][0-9]*)\.[0-9]+"
+_SAMPLE_LINE = re.compile(
+    rb'\{"t":%s,"x":%s,"y":%s,"valid":(?:true|false)\}\n' % (_NUMBER, _NUMBER, _NUMBER))
+# Translating a body of such lines turns each into "t x y  ": separators
+# become spaces and every other byte that is not part of a number is deleted.
+# Deleting all but "u" and "s" leaves one byte a line, the "u" of "true" or
+# the "s" of "false": no key holds either letter.
+_SEPARATORS = bytes.maketrans(b",\n", b"  ")
+_NOT_NUMBERS = b'{}":txyvalidruefs'
+_NOT_FLAGS = bytes(b for b in range(256) if b not in b"us")
 
 
 def _fmt(value: float) -> str:
@@ -49,11 +65,6 @@ def atomic_write_text(path, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def config_fingerprint(config: dict) -> str:
-    blob = json.dumps(config, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
 def provenance_lines(config: Optional[dict]) -> list:
@@ -88,12 +99,12 @@ def write_session_jsonl(session: Session, path, config: Optional[dict] = None) -
             "config": config or {},
         },
     }
-    lines = [json.dumps(header, sort_keys=True, separators=(",", ":"))]
     g = session.gaze
-    for t, x, y, v in zip(g.t, g.x, g.y, g.valid):
-        flag = "true" if v else "false"
-        lines.append(f'{{"t":{t:.6f},"x":{x:.3f},"y":{y:.3f},"valid":{flag}}}')
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    flags = ["true" if v else "false" for v in g.valid.tolist()]
+    samples = map(_SAMPLE_FORMAT.__mod__,
+                  zip(g.t.tolist(), g.x.tolist(), g.y.tolist(), flags))
+    atomic_write_text(path, json.dumps(header, sort_keys=True, separators=(",", ":"))
+                      + "\n" + "".join(samples))
 
 
 def read_session_header(path) -> dict:
@@ -148,11 +159,56 @@ def session_from_header(header: dict, gaze: GazeStream) -> Session:
 def read_session_jsonl(path) -> Session:
     """Read a session file, failing closed.
 
+    A body made only of the writer's own sample lines is parsed in bulk;
+    any other body is read line by line (``_read_session_lines``), with the
+    same result, so that reader alone reports malformed lines.
+
     A sample line that does not parse or lacks one of ``t``, ``x``, ``y``,
     ``valid`` raises ``MalformedStreamError`` with the path and its 1-based
     line number. A last line cut mid-record (a file still being written) is
     such a line: a truncated session is an error, not a shorter session.
     """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    end = data.find(b"\n") + 1
+    head, body = data[:end], data[end:]
+    # Checked with sub, not fullmatch on a repeated group: fullmatch keeps
+    # backtracking state for every line, about 25 MB for a 1.9 MB session.
+    if body and b"\r" not in head and not _SAMPLE_LINE.sub(b"", body):
+        try:
+            header = _parse_session_header(head.decode("utf-8"), path)
+        except UnicodeDecodeError:
+            raise MalformedStreamError(f"{path} is not UTF-8 text") from None
+        columns = _parse_sample_lines(body)
+    else:
+        header, columns = _read_session_lines(path)
+    return _session(path, header, columns)
+
+
+def _session(path, header: dict, columns: tuple) -> Session:
+    t, x, y, valid = columns
+    try:
+        gaze = GazeStream(t=np.array(t, dtype=np.float64), x=np.array(x, dtype=np.float64),
+                          y=np.array(y, dtype=np.float64), valid=np.array(valid, dtype=bool))
+        return session_from_header(header, gaze)
+    except (ValueError, KeyError, TypeError) as exc:
+        raise MalformedStreamError(
+            f"malformed session {path} ({type(exc).__name__}: {exc})"
+        ) from None
+
+
+def _parse_sample_lines(body: bytes) -> tuple:
+    """Columns t, x, y, valid of a body of the writer's sample lines, all
+    numbers parsed by one numpy call."""
+    numbers = np.fromstring(body.translate(_SEPARATORS, _NOT_NUMBERS),
+                            dtype=np.float64, sep=" ").reshape(-1, 3)
+    flags = np.frombuffer(body.translate(None, _NOT_FLAGS), dtype=np.uint8)
+    return numbers[:, 0], numbers[:, 1], numbers[:, 2], flags == ord("u")
+
+
+def _read_session_lines(path) -> tuple:
+    """The header and the sample columns of a session file, one
+    ``json.loads`` per line."""
     try:
         with open(path, encoding="utf-8") as fh:
             header = _parse_session_header(fh.readline(), path)
@@ -177,14 +233,7 @@ def read_session_jsonl(path) -> Session:
                 ) from None
     except UnicodeDecodeError:
         raise MalformedStreamError(f"{path} is not UTF-8 text") from None
-    try:
-        gaze = GazeStream(t=np.array(t, dtype=np.float64), x=np.array(x, dtype=np.float64),
-                          y=np.array(y, dtype=np.float64), valid=np.array(valid, dtype=bool))
-        return session_from_header(header, gaze)
-    except (ValueError, KeyError, TypeError) as exc:
-        raise MalformedStreamError(
-            f"malformed session {path} ({type(exc).__name__}: {exc})"
-        ) from None
+    return header, (t, x, y, valid)
 
 
 def _line_number(path, failed: str) -> int:

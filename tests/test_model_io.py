@@ -162,6 +162,8 @@ MALFORMED = [
     ("forest", "params.n_features", _set(["params", "n_features"], 3)),
     ("gbt-b", "n_features not an integer", _set(["n_features"], "4")),
     ("gbt-a", "learning rate not a number", _set(["params", "learning_rate"], "fast")),
+    ("forest", "kind unlike its config", _set(["kind"], "svm")),
+    ("forest", "fingerprint unlike its config", _set(["fingerprint"], "0000")),
 ]
 
 

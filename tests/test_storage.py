@@ -1,9 +1,16 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gaze_sentinel import storage
 from gaze_sentinel.core import AoiLabel, AoiLayout, GazeStream, Rect, Session, Timeline
-from gaze_sentinel.errors import InvalidParameterError, MalformedStreamError
+from gaze_sentinel.errors import (
+    GazeSentinelError,
+    InvalidParameterError,
+    MalformedStreamError,
+)
 from gaze_sentinel.evaluate import SegmentRow
 from gaze_sentinel.features import FEATURE_NAMES
 
@@ -86,6 +93,151 @@ class TestSessionReader:
         path.write_bytes(b"\xff\xfe\x00garbage")
         with pytest.raises(MalformedStreamError):
             storage.read_session_jsonl(path)
+
+
+def varied_session(n=40):
+    """Samples with negative, zero and large coordinates and both flags."""
+    t = np.arange(n) / 120.0
+    x = np.linspace(-250.0, 1900.0, n) * np.where(np.arange(n) % 5 == 0, 0.0, 1.0)
+    y = np.cos(np.arange(n)) * 1e4
+    gaze = GazeStream(t=t, x=x, y=y, valid=np.arange(n) % 3 != 1)
+    return Session(participant_id=3, puzzle_id=4, gaze=gaze, layout=LAYOUT,
+                   timeline=Timeline(events=(), duration=1.0))
+
+
+def read_line_by_line(path):
+    """The per-line JSON reader, which every file not in the writer's exact
+    format goes through."""
+    return storage._session(path, *storage._read_session_lines(path))
+
+
+def outcome(read, path):
+    """What a reader makes of a file: its error, or its header fields and
+    the raw bits of every column."""
+    try:
+        session = read(path)
+    except GazeSentinelError as exc:
+        return type(exc).__name__, str(exc)
+    g = session.gaze
+    return ("session", session.participant_id, session.puzzle_id,
+            session.timeline.duration, g.valid.tolist(),
+            *(column.view(np.uint64).tolist() for column in (g.t, g.x, g.y)))
+
+
+# Numbers outside the writer's grammar, then numbers inside it that are long,
+# tie-breaking, subnormal or overflow to infinity.
+NUMBERS = [b"01.5", b"1.", b"1e3", b".5", b"+1.0", b"1.5E-2", b"00.0", b"1_0.0", b"NaN",
+           b"-Infinity", b"-0.000", b"-0.5", b"0.1" + b"0" * 30, b"9007199254740993.0",
+           b"0.30000000000000004440892098500626", b"0." + b"0" * 320 + b"5",
+           b"9" * 309 + b".0", b"-" + b"2" * 400 + b".5"]
+
+
+def mutate(data: bytes, kind: str, at: int, byte: int) -> bytes:
+    lines = data.splitlines(keepends=True) or [b""]
+    i = at % len(lines)  # any line, the header included
+    sample = 1 + at % (len(lines) - 1) if len(lines) > 1 else 0  # a sample line
+    pos = at % (len(data) + 1)
+    if kind == "flip":
+        return data[:pos] + bytes([byte]) + data[pos + 1:]
+    if kind == "cut":
+        return data[:pos]
+    if kind == "space":
+        return data[:pos] + b" " + data[pos:]
+    if kind == "non-utf8":
+        return data[:pos] + bytes([0x80 | byte]) + data[pos:]
+    if kind == "digit":
+        digits = [k for k, c in enumerate(data) if c in b"0123456789"] or [0]
+        pos = digits[at % len(digits)]
+        return data[:pos] + str(byte % 10).encode() + data[pos + 1:]
+    if kind == "crlf":
+        lines[i] = lines[i].replace(b"\n", b"\r\n")
+    elif kind == "cr":
+        lines[i] = lines[i].replace(b"\n", b"\r")
+    elif kind == "blank":
+        lines.insert(i + 1, b"  \n" if byte % 2 else b"\n")
+    elif kind == "reorder":
+        lines[sample] = re.sub(rb'^\{("t":[^,]*),("x":[^,]*),', rb"{\2,\1,", lines[sample])
+    elif kind == "number":
+        key = b"txy"[byte % 3:byte % 3 + 1]
+        lines[sample] = re.sub(rb'"%s":[^,}]*' % key,
+                               b'"%s":%s' % (key, NUMBERS[byte % len(NUMBERS)]),
+                               lines[sample])
+    elif kind == "no final newline":
+        return data.rstrip(b"\n")
+    return b"".join(lines)
+
+
+MUTATIONS = ["flip", "cut", "space", "non-utf8", "digit", "crlf", "cr", "blank",
+             "reorder", "number", "no final newline"]
+
+
+@pytest.fixture(scope="module")
+def varied_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("sessions") / "session.jsonl"
+    storage.write_session_jsonl(varied_session(), path)
+    return path
+
+
+class TestSessionReaderProperties:
+    def test_written_file_is_read_in_bulk(self, varied_file, monkeypatch):
+        def refuse(path):
+            raise AssertionError("the writer's own file was read line by line")
+        monkeypatch.setattr(storage, "_read_session_lines", refuse)
+        assert len(storage.read_session_jsonl(varied_file).gaze) == 40
+
+    # Most mutations leave the writer's format; the second set mostly keeps it,
+    # so the bulk parser meets edited numbers.
+    @pytest.mark.parametrize("kinds", [MUTATIONS, ["digit", "number"]],
+                             ids=["any", "numbers"])
+    @settings(max_examples=300, deadline=2000)
+    @given(st.data())
+    def test_mutated_file_reads_as_line_by_line(self, varied_file, kinds, draw):
+        mutations = draw.draw(st.lists(st.tuples(st.sampled_from(kinds),
+                                                 st.integers(0, 10 ** 6),
+                                                 st.integers(0, 255)),
+                                       min_size=1, max_size=3))
+        data = varied_file.read_bytes()
+        for kind, at, byte in mutations:
+            data = mutate(data, kind, at, byte)
+        path = varied_file.with_name("mutated.jsonl")
+        path.write_bytes(data)
+        assert outcome(storage.read_session_jsonl, path) == outcome(read_line_by_line, path)
+
+
+def per_sample_lines(session):
+    """The writer's sample lines as first written: one f-string a sample."""
+    g = session.gaze
+    lines = []
+    for t, x, y, v in zip(g.t, g.x, g.y, g.valid):
+        flag = "true" if v else "false"
+        lines.append(f'{{"t":{t:.6f},"x":{x:.3f},"y":{y:.3f},"valid":{flag}}}\n')
+    return lines
+
+
+# Binary-exact ties: (2k + 1) / 16 has four decimals and halves at three,
+# (2k + 1) / 128 has seven and halves at six.
+HALF_AT_3 = st.integers(-10 ** 9, 10 ** 9).map(lambda k: (2 * k + 1) / 16)
+HALF_AT_6 = st.integers(0, 10 ** 9).map(lambda k: (2 * k + 1) / 128)
+COORDINATES = st.one_of(st.floats(allow_nan=True, allow_infinity=True), HALF_AT_3,
+                        st.integers(-10 ** 6, 10 ** 6).map(lambda k: (k + 0.5) / 1000),
+                        st.sampled_from([0.0, -0.0, -1e-4, 1e300, -1e300, 5e-324]))
+TIMES = st.one_of(st.floats(0.0, 1e9), HALF_AT_6, st.sampled_from([0.0, 5e-7, 1e15]))
+
+
+class TestSessionWriterProperties:
+    @settings(max_examples=200)
+    @given(st.lists(st.tuples(TIMES, COORDINATES, COORDINATES, st.booleans()),
+                    max_size=40, unique_by=lambda s: s[0]))
+    def test_bytes_match_the_per_sample_formatter(self, tmp_path_factory, samples):
+        samples.sort()
+        t, x, y, valid = (np.array(c) for c in zip(*samples)) if samples else [[]] * 4
+        session = Session(participant_id=1, puzzle_id=1, layout=LAYOUT,
+                          timeline=Timeline(events=(), duration=1.0),
+                          gaze=GazeStream(t=t, x=x, y=y, valid=valid))
+        path = tmp_path_factory.mktemp("written") / "session.jsonl"
+        storage.write_session_jsonl(session, path)
+        header, *lines = path.read_text().splitlines(keepends=True)
+        assert lines == per_sample_lines(session)
 
 
 def feature_row(task="nf-ef", label="NF"):
