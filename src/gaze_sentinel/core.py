@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -72,9 +72,6 @@ class Rect:
         if not (self.x1 > self.x0 and self.y1 > self.y0):
             raise InvalidParameterError(f"degenerate rectangle {self}")
 
-    def contains(self, x: float, y: float) -> bool:
-        return self.x0 <= x < self.x1 and self.y0 <= y < self.y1
-
     @property
     def center(self) -> tuple[float, float]:
         return (0.5 * (self.x0 + self.x1), 0.5 * (self.y0 + self.y1))
@@ -108,12 +105,6 @@ class AoiLayout:
                 return rect
         return None
 
-    def label_point(self, x: float, y: float) -> AoiLabel:
-        for lbl, rect in self.entries:
-            if rect.contains(x, y):
-                return lbl
-        return AoiLabel.ELSEWHERE
-
     def label_points(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Vectorised first-wins labelling; returns int codes."""
         codes = np.full(len(x), int(AoiLabel.ELSEWHERE), dtype=np.int64)
@@ -122,26 +113,6 @@ class AoiLayout:
             inside = (x >= rect.x0) & (x < rect.x1) & (y >= rect.y0) & (y < rect.y1)
             codes[inside] = int(lbl)
         return codes
-
-
-def hit_test(point, layout: AoiLayout) -> AoiLabel:
-    """Map a scene point to the first containing rectangle's label.
-
-    Total function: points outside every rectangle (including non-finite
-    coordinates) map to ``ELSEWHERE``.
-    """
-    x, y = point
-    return layout.label_point(float(x), float(y))
-
-
-@dataclass(frozen=True)
-class GazeSample:
-    """One timestamped gaze point; ``valid`` mirrors tracker confidence."""
-
-    t: float
-    x: float
-    y: float
-    valid: bool = True
 
 
 @dataclass(eq=False)
@@ -170,22 +141,6 @@ class GazeStream:
 
     def __len__(self) -> int:
         return self.t.shape[0]
-
-    @classmethod
-    def from_samples(cls, samples: Iterable[GazeSample]) -> "GazeStream":
-        samples = list(samples)
-        return cls(
-            t=np.array([s.t for s in samples], dtype=np.float64),
-            x=np.array([s.x for s in samples], dtype=np.float64),
-            y=np.array([s.y for s in samples], dtype=np.float64),
-            valid=np.array([s.valid for s in samples], dtype=bool),
-        )
-
-    def samples(self) -> list[GazeSample]:
-        return [
-            GazeSample(float(t), float(x), float(y), bool(v))
-            for t, x, y, v in zip(self.t, self.x, self.y, self.valid)
-        ]
 
     def sample_period(self) -> float:
         if len(self) < 2:

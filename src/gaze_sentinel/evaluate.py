@@ -2,6 +2,8 @@
 truncated-prefix evaluation, sliding-window real-time detection, and the
 per-interval detection-percentage analysis.
 
+The three regimes share one fold loop and, on one dataset, one model per
+fold: each regime only featurizes the held-out participant's test set.
 Oversampling happens strictly inside training folds; held-out rows never
 touch training. Aggregate metrics pool predictions across folds rather than
 averaging fold metrics, since per-fold test sets are tiny.
@@ -78,13 +80,20 @@ class EvalReport:
         return (self.recall + 1.0 - self.fpr) / 2
 
 
-def _pooled_report(task: str, regime: str, folds, y_true, y_pred) -> EvalReport:
+def _pooled_report(task: str, regime: str, folds) -> EvalReport:
+    """Per-fold metrics of (participant, truth, labels, ...) folds, and the
+    pooled ones over their concatenated predictions."""
+    results, y_true, y_pred = [], [], []
+    for pid, truth, labels, *_ in folds:
+        results.append(FoldResult(pid, len(truth), *metrics(truth, labels)))
+        y_true.extend(truth.tolist())
+        y_pred.extend(labels.tolist())
     accuracy, recall = metrics(y_true, y_pred)
     y_true = np.asarray(y_true, dtype=np.int64)
     y_pred = np.asarray(y_pred, dtype=np.int64)
     neg = y_true == 0
     fpr = float(np.mean(y_pred[neg] == 1)) if neg.any() else None
-    return EvalReport(task=task, regime=regime, folds=tuple(folds),
+    return EvalReport(task=task, regime=regime, folds=tuple(results),
                       accuracy=accuracy, recall=recall, fpr=fpr)
 
 
@@ -105,8 +114,9 @@ class SegmentRow:
 
 
 class Corpus:
-    """Session collection with cached debouncing, segment features, and
-    per-window features (shared across classifiers and folds)."""
+    """Session collection with cached debouncing, segment features, task
+    datasets (and with them their fold models, see ``fit_fold``), and
+    per-window features, shared across classifiers, folds and regimes."""
 
     def __init__(self, sessions, min_dwell: float = DEFAULT_MIN_DWELL_S):
         self.sessions = sorted(sessions, key=lambda s: (s.participant_id, s.puzzle_id))
@@ -114,6 +124,7 @@ class Corpus:
         self._debouncers: dict = {}
         self._fixations: dict = {}
         self._task_rows: dict = {}
+        self._datasets: dict = {}
         self._window_cache: dict = {}
 
     def _key(self, session: Session):
@@ -172,8 +183,11 @@ class Corpus:
         return [row for task in TASKS for row in self.rows_for_task(task)]
 
     def dataset_for_task(self, task: str) -> tuple[LabeledDataset, list]:
+        """The task's dataset, the same object on every call, and its rows."""
         rows = self.rows_for_task(task)
-        return dataset_from_rows(rows), rows
+        if task not in self._datasets:
+            self._datasets[task] = dataset_from_rows(rows)
+        return self._datasets[task], rows
 
     @property
     def participants(self) -> list:
@@ -210,37 +224,63 @@ def _failure_type(task: str) -> str:
 def fit_fold(dataset: LabeledDataset, config: ClassifierConfig, held_out: int,
              smote_k: int = 2) -> TrainedModel:
     """Train on every participant except ``held_out``; SMOTE applies to the
-    training split only, seeded by (config seed, held-out participant)."""
-    train_split = dataset.subset(dataset.groups != held_out)
-    rng = np.random.default_rng(
-        np.random.SeedSequence(config.seed, spawn_key=(int(held_out),))
-    )
-    balanced = smote(train_split, k=smote_k, rng=rng)
-    return train(config, balanced)
+    training split only, seeded by (config seed, held-out participant).
+
+    These arguments determine the fit and the dataset's arrays are
+    read-only, so the model is fitted once and kept in
+    ``dataset.fold_models``: every regime run on one dataset shares it.
+    """
+    key = (config, int(held_out), smote_k)
+    if key not in dataset.fold_models:
+        train_split = dataset.subset(dataset.groups != held_out)
+        rng = np.random.default_rng(
+            np.random.SeedSequence(config.seed, spawn_key=(int(held_out),))
+        )
+        balanced = smote(train_split, k=smote_k, rng=rng)
+        dataset.fold_models[key] = train(config, balanced)
+    return dataset.fold_models[key]
+
+
+def _loo_folds(dataset: LabeledDataset, config: ClassifierConfig, smote_k: int,
+               test_sets, n_sets: int = 1) -> list:
+    """The participant leave-one-out loop of every regime.
+
+    ``test_sets(pid)`` gives the held-out participant's ``n_sets`` test sets
+    as (blocks, truth) pairs, and its fold model labels each block of rows
+    in one call. Returns, per test set, a (participant, truth, labels,
+    scores) tuple per fold. A participant whose first test set is empty is
+    skipped with a warning.
+
+    Blocks keep scores bit-identical to the detector's: the svm margin is a
+    BLAS product whose last bits depend on the rows beside a row, and
+    ``stream_detect`` labels one session's windows in one call.
+    """
+    pids = np.unique(dataset.groups)
+    if pids.size < 2:
+        raise InvalidParameterError("leave-one-out needs at least two participants")
+    folds: list = [[] for _ in range(n_sets)]
+    for pid in pids.tolist():
+        sets = test_sets(pid)
+        if len(sets[0][1]) == 0:
+            warnings.warn(f"participant {pid} has no test rows; fold skipped")
+            continue
+        model = fit_fold(dataset, config, pid, smote_k)
+        for out, (blocks, truth) in zip(folds, sets):
+            labels, scores = zip(*(predict_batch(model, X) for X in blocks))
+            out.append((pid, truth, np.concatenate(labels), np.concatenate(scores)))
+    return folds
 
 
 def loo_cv(dataset: LabeledDataset, config: ClassifierConfig, smote_k: int = 2,
            task: str = "", regime: str = "full-segment") -> EvalReport:
-    """One fold per participant; pooled metrics over the concatenated
-    held-out predictions."""
-    pids = np.unique(dataset.groups)
-    if pids.size < 2:
-        raise InvalidParameterError("leave-one-out needs at least two participants")
-    folds = []
-    pooled_true: list = []
-    pooled_pred: list = []
-    for pid in pids:
-        test = dataset.subset(dataset.groups == pid)
-        if len(test) == 0:
-            warnings.warn(f"participant {pid} has no rows; fold skipped")
-            continue
-        model = fit_fold(dataset, config, int(pid), smote_k)
-        labels, _ = predict_batch(model, test.X)
-        acc, rec = metrics(test.y, labels)
-        folds.append(FoldResult(int(pid), len(test), acc, rec))
-        pooled_true.extend(test.y.tolist())
-        pooled_pred.extend(labels.tolist())
-    return _pooled_report(task, regime, folds, pooled_true, pooled_pred)
+    """One fold per participant, tested on its full-segment rows."""
+
+    def test_set(pid):
+        mask = dataset.groups == pid
+        return [([dataset.X[mask]], dataset.y[mask])]
+
+    (folds,) = _loo_folds(dataset, config, smote_k, test_set)
+    return _pooled_report(task, regime, folds)
 
 
 def truncate_segment(segment: EpisodeSegment, n: float) -> tuple[float, float]:
@@ -260,35 +300,20 @@ def eval_first_n(corpus: Corpus, task: str, config: ClassifierConfig,
     if any(n <= 0 for n in n_values):
         raise InvalidParameterError("truncation lengths must be positive")
     dataset, rows = corpus.dataset_for_task(task)
-    pids = np.unique(dataset.groups)
-    if pids.size < 2:
-        raise InvalidParameterError("leave-one-out needs at least two participants")
 
-    pooled: dict = {n: ([], []) for n in n_values}
-    fold_results: dict = {n: [] for n in n_values}
-    for pid in pids:
-        model = fit_fold(dataset, config, int(pid), smote_k)
+    def first_n(row, n):
+        if row.label == "NF":
+            return row.features
+        fx = corpus.fixations(row.session)
+        return extract_features(fx, row.t0, min(row.t0 + n, row.t1)).as_array()
+
+    def test_sets(pid):
         test_rows = [r for r in rows if r.participant == pid]
         truth = np.array([0 if r.label == "NF" else 1 for r in test_rows], dtype=np.int64)
-        for n in n_values:
-            X = np.empty((len(test_rows), dataset.n_features))
-            for i, row in enumerate(test_rows):
-                if row.label == "NF":
-                    X[i] = row.features
-                else:
-                    t1 = min(row.t0 + n, row.t1)
-                    fx = corpus.fixations(row.session)
-                    X[i] = extract_features(fx, row.t0, t1).as_array()
-            labels, _ = predict_batch(model, X)
-            acc, rec = metrics(truth, labels)
-            fold_results[n].append(FoldResult(int(pid), len(test_rows), acc, rec))
-            pooled[n][0].extend(truth.tolist())
-            pooled[n][1].extend(labels.tolist())
+        return [([np.array([first_n(r, n) for r in test_rows])], truth) for n in n_values]
 
-    return {
-        n: _pooled_report(task, f"first-{n:g}", fold_results[n], *pooled[n])
-        for n in n_values
-    }
+    folds = _loo_folds(dataset, config, smote_k, test_sets, len(n_values))
+    return {n: _pooled_report(task, f"first-{n:g}", f) for n, f in zip(n_values, folds)}
 
 
 @dataclass(frozen=True)
@@ -375,35 +400,25 @@ def loo_stream_eval(corpus: Corpus, task: str, config: ClassifierConfig,
     participant's failure-type sessions window by window."""
     ftype = _failure_type(task)
     dataset, _ = corpus.dataset_for_task(task)
-    pids = np.unique(dataset.groups)
-    folds = []
+    sessions: dict = {}
+    for session in corpus.failure_sessions(ftype):
+        sessions.setdefault(session.participant_id, []).append(session)
+
+    def test_set(pid):
+        parts = [corpus.window_features(s, width, slide) for s in sessions.get(pid, ())]
+        truth = np.array([w.truth for windows, _ in parts for w in windows], dtype=np.int64)
+        return [([X for _, X in parts], truth)]
+
+    (folds,) = _loo_folds(dataset, config, smote_k, test_set)
     detections = []
-    pooled_true: list = []
-    pooled_pred: list = []
-    for pid in pids:
-        model = fit_fold(dataset, config, int(pid), smote_k)
-        fold_true: list = []
-        fold_pred: list = []
-        for session in corpus.failure_sessions(ftype):
-            if session.participant_id != pid:
-                continue
-            windows, X = corpus.window_features(session, width, slide)
-            labels, scores = predict_batch(model, X)
-            for w, l, s in zip(windows, labels, scores):
-                detections.append(
-                    DetectionEvent(session.participant_id, session.puzzle_id,
-                                   w.t0, w.t1, int(l), float(s))
-                )
-                fold_true.append(w.truth)
-                fold_pred.append(int(l))
-        if not fold_true:
-            warnings.warn(f"participant {pid} has no {ftype} sessions")
-            continue
-        acc, rec = metrics(fold_true, fold_pred)
-        folds.append(FoldResult(int(pid), len(fold_true), acc, rec))
-        pooled_true.extend(fold_true)
-        pooled_pred.extend(fold_pred)
-    report = _pooled_report(task, f"window-{width:g}", folds, pooled_true, pooled_pred)
+    for pid, _, labels, scores in folds:
+        located = [(s, w) for s in sessions[pid]
+                   for w in corpus.window_features(s, width, slide)[0]]
+        detections.extend(
+            DetectionEvent(s.participant_id, s.puzzle_id, w.t0, w.t1, int(l), float(p))
+            for (s, w), l, p in zip(located, labels, scores)
+        )
+    report = _pooled_report(task, f"window-{width:g}", folds)
     return StreamEvalResult(report=report, detections=tuple(detections))
 
 

@@ -7,11 +7,10 @@ from .api import (
     config_fingerprint,
     decision_scores,
     default_config,
-    predict,
     predict_batch,
     train,
 )
-from .data import LabeledDataset, Standardizer, apply_standardizer, fit_standardizer
+from .data import LabeledDataset, Standardizer, fit_standardizer
 from .smote import smote
 
 __all__ = [
@@ -20,12 +19,10 @@ __all__ = [
     "TrainedModel",
     "LabeledDataset",
     "Standardizer",
-    "apply_standardizer",
     "config_fingerprint",
     "decision_scores",
     "default_config",
     "fit_standardizer",
-    "predict",
     "predict_batch",
     "smote",
     "train",

@@ -162,8 +162,3 @@ def predict_batch(model: TrainedModel, X) -> tuple[np.ndarray, np.ndarray]:
     threshold = 0.0 if model.config.kind in _MARGIN_KINDS else 0.5
     labels = (scores > threshold).astype(np.int64)
     return labels, scores
-
-
-def predict(model: TrainedModel, vector) -> tuple[int, float]:
-    labels, scores = predict_batch(model, np.asarray(vector, dtype=np.float64))
-    return int(labels[0]), float(scores[0])

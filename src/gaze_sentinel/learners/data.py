@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -12,11 +12,16 @@ from ..errors import InvalidParameterError
 @dataclass(frozen=True)
 class LabeledDataset:
     """Feature rows with binary classes (0 = NF, 1 = failure) and the owning
-    participant id per row, needed for grouped cross-validation."""
+    participant id per row, needed for grouped cross-validation.
+
+    ``fold_models`` holds the models ``evaluate.fit_fold`` fitted on this
+    dataset's folds; the arrays are read-only, so they stay valid as long as
+    the dataset does."""
 
     X: np.ndarray
     y: np.ndarray
     groups: np.ndarray
+    fold_models: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         X = np.ascontiguousarray(self.X, dtype=np.float64)
@@ -76,7 +81,3 @@ def fit_standardizer(X: np.ndarray) -> Standardizer:
     if X.size == 0:
         raise InvalidParameterError("cannot standardize an empty matrix")
     return Standardizer(mean=X.mean(axis=0), std=X.std(axis=0))
-
-
-def apply_standardizer(params: Standardizer, vector) -> np.ndarray:
-    return params.apply(vector)

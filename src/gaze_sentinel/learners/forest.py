@@ -180,41 +180,25 @@ def _majority(y: np.ndarray) -> float:
     return 1.0 if 2 * int(y.sum()) > y.shape[0] else 0.0
 
 
-def grow_cart(X: np.ndarray, y: np.ndarray, rng: np.random.Generator,
-              max_features: int) -> TreeNodes:
-    feature, threshold, left, right, value = [], [], [], [], []
-
-    def new_node():
-        feature.append(_LEAF)
-        threshold.append(0.0)
-        left.append(0)
-        right.append(0)
-        value.append(0.0)
-        return len(feature) - 1
-
-    root = new_node()
-    stack = [(np.arange(X.shape[0]), root)]
+def grow_tree(X: np.ndarray, node) -> TreeNodes:
+    """A binary tree over the rows of ``X``, grown depth first, left subtree
+    first. ``node(rows, depth)`` gives the split (feature, threshold) of the
+    node holding ``rows``, or its leaf value."""
+    nodes = [[_LEAF, 0.0, 0, 0, 0.0]]  # feature, threshold, left, right, value
+    stack = [(np.arange(X.shape[0]), 0, 0)]
     while stack:
-        rows, slot = stack.pop()
-        ys = y[rows]
-        pos = int(ys.sum())
-        if pos == 0 or pos == rows.shape[0] or rows.shape[0] < 2:
-            value[slot] = _majority(ys)
+        rows, slot, depth = stack.pop()
+        split = node(rows, depth)
+        if not isinstance(split, tuple):
+            nodes[slot][4] = split
             continue
-        cols = rng.permutation(X.shape[1])[:max_features]
-        split = _gini_split(X[rows], ys, cols)
-        if split is None or split[2] >= _node_impurity(ys) - 1e-12:
-            value[slot] = _majority(ys)
-            continue
-        f, thr, _ = split
+        f, thr = split
         goes_left = X[rows, f] < thr
-        feature[slot] = f
-        threshold[slot] = thr
-        l_slot, r_slot = new_node(), new_node()
-        left[slot], right[slot] = l_slot, r_slot
-        stack.append((rows[~goes_left], r_slot))
-        stack.append((rows[goes_left], l_slot))
-
+        nodes[slot][:4] = [f, thr, len(nodes), len(nodes) + 1]
+        stack.append((rows[~goes_left], len(nodes) + 1, depth + 1))
+        stack.append((rows[goes_left], len(nodes), depth + 1))
+        nodes += [[_LEAF, 0.0, 0, 0, 0.0], [_LEAF, 0.0, 0, 0, 0.0]]
+    feature, threshold, left, right, value = zip(*nodes)
     return TreeNodes(
         feature=np.array(feature, dtype=np.int64),
         threshold=np.array(threshold, dtype=np.float64),
@@ -222,6 +206,22 @@ def grow_cart(X: np.ndarray, y: np.ndarray, rng: np.random.Generator,
         right=np.array(right, dtype=np.int64),
         value=np.array(value, dtype=np.float64),
     )
+
+
+def grow_cart(X: np.ndarray, y: np.ndarray, rng: np.random.Generator,
+              max_features: int) -> TreeNodes:
+    def node(rows, depth):
+        ys = y[rows]
+        pos = int(ys.sum())
+        if pos == 0 or pos == rows.shape[0] or rows.shape[0] < 2:
+            return _majority(ys)
+        cols = rng.permutation(X.shape[1])[:max_features]
+        split = _gini_split(X[rows], ys, cols)
+        if split is None or split[2] >= _node_impurity(ys) - 1e-12:
+            return _majority(ys)
+        return split[:2]
+
+    return grow_tree(X, node)
 
 
 def fit_forest(X: np.ndarray, y: np.ndarray, n_trees: int, seed: int) -> ForestParams:

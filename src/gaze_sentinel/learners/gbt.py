@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .forest import PackedTrees, TreeNodes, _LEAF, pack_trees
+from .forest import PackedTrees, TreeNodes, grow_tree, pack_trees
 
 
 @dataclass
@@ -81,42 +81,15 @@ def _newton_split(X: np.ndarray, g: np.ndarray, h: np.ndarray, lam: float):
 
 def _grow_newton(X: np.ndarray, g: np.ndarray, h: np.ndarray,
                  max_depth: int, lam: float) -> TreeNodes:
-    feature, threshold, left, right, value = [], [], [], [], []
-
-    def new_node():
-        feature.append(_LEAF)
-        threshold.append(0.0)
-        left.append(0)
-        right.append(0)
-        value.append(0.0)
-        return len(feature) - 1
-
-    root = new_node()
-    stack = [(np.arange(X.shape[0]), root, 0)]
-    while stack:
-        rows, slot, depth = stack.pop()
+    def node(rows, depth):
         gs, hs = g[rows], h[rows]
         split = _newton_split(X[rows], gs, hs, lam) if (
             depth < max_depth and rows.shape[0] >= 2) else None
         if split is None:
-            value[slot] = float(-gs.sum() / (hs.sum() + lam))
-            continue
-        f, thr, _ = split
-        goes_left = X[rows, f] < thr
-        feature[slot] = f
-        threshold[slot] = thr
-        l_slot, r_slot = new_node(), new_node()
-        left[slot], right[slot] = l_slot, r_slot
-        stack.append((rows[~goes_left], r_slot, depth + 1))
-        stack.append((rows[goes_left], l_slot, depth + 1))
+            return float(-gs.sum() / (hs.sum() + lam))
+        return split[:2]
 
-    return TreeNodes(
-        feature=np.array(feature, dtype=np.int64),
-        threshold=np.array(threshold, dtype=np.float64),
-        left=np.array(left, dtype=np.int64),
-        right=np.array(right, dtype=np.int64),
-        value=np.array(value, dtype=np.float64),
-    )
+    return grow_tree(X, node)
 
 
 def fit_gbt(X: np.ndarray, y: np.ndarray, rounds: int, learning_rate: float,

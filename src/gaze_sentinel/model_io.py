@@ -231,7 +231,7 @@ def model_from_payload(payload: dict) -> TrainedModel:
         return model
     except SchemaVersionError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ModelFormatError(f"malformed model payload: {exc}") from exc
 
 
@@ -245,7 +245,7 @@ def load_model(path) -> TrainedModel:
             payload = json.load(fh)
     except OSError:
         raise
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
         raise ModelFormatError(f"cannot parse model file {path}: {exc}") from exc
     if not isinstance(payload, dict):
         raise ModelFormatError(f"model file {path} does not hold an object")

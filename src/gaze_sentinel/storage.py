@@ -26,7 +26,7 @@ from .core import (
     Session,
     Timeline,
 )
-from .errors import InvalidParameterError, MalformedStreamError
+from .errors import GazeSentinelError, InvalidParameterError, MalformedStreamError
 from .evaluate import SegmentRow
 from .features import FEATURE_NAMES, FEATURE_SCHEMA_VERSION
 from .learners import config_fingerprint
@@ -186,12 +186,14 @@ def read_session_jsonl(path) -> Session:
 
 
 def _session(path, header: dict, columns: tuple) -> Session:
+    """The session of a parsed file; any fault in its samples, layout or
+    timeline raises ``MalformedStreamError`` naming the path."""
     t, x, y, valid = columns
     try:
         gaze = GazeStream(t=np.array(t, dtype=np.float64), x=np.array(x, dtype=np.float64),
                           y=np.array(y, dtype=np.float64), valid=np.array(valid, dtype=bool))
         return session_from_header(header, gaze)
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, GazeSentinelError) as exc:
         raise MalformedStreamError(
             f"malformed session {path} ({type(exc).__name__}: {exc})"
         ) from None
@@ -319,40 +321,45 @@ def write_feature_csv(rows, path, config: Optional[dict] = None) -> None:
 def read_feature_csv(path) -> list:
     """Rows of a feature table; a header other than the writer's, a row
     without exactly its fields or a number that does not parse raises
-    ``InvalidParameterError`` with the path and the 1-based line number."""
+    ``InvalidParameterError`` with the path and the 1-based line number, and
+    a file that is not UTF-8 text raises it with the path."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError:
+        raise InvalidParameterError(f"{path} is not UTF-8 text") from None
     rows = []
-    with open(path, encoding="utf-8") as fh:
-        header = None
-        for number, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            if header is None:
-                header = tuple(line.split(","))
-                if header != _FEATURE_CSV_HEADER:
-                    raise InvalidParameterError(f"unexpected feature CSV header in {path}")
-                continue
-            parts = line.split(",")
-            if len(parts) != len(_FEATURE_CSV_HEADER):
-                raise InvalidParameterError(
-                    f"{path}, line {number}: {len(parts)} fields, "
-                    f"expected {len(_FEATURE_CSV_HEADER)}"
+    header = None
+    for number, line in enumerate(lines, start=1):
+        line = line.rstrip("\n")
+        if not line or line.startswith("#"):
+            continue
+        if header is None:
+            header = tuple(line.split(","))
+            if header != _FEATURE_CSV_HEADER:
+                raise InvalidParameterError(f"unexpected feature CSV header in {path}")
+            continue
+        parts = line.split(",")
+        if len(parts) != len(_FEATURE_CSV_HEADER):
+            raise InvalidParameterError(
+                f"{path}, line {number}: {len(parts)} fields, "
+                f"expected {len(_FEATURE_CSV_HEADER)}"
+            )
+        try:
+            rows.append(
+                SegmentRow(
+                    task=parts[0],
+                    participant=int(parts[1]),
+                    puzzle=int(parts[2]),
+                    piece=int(parts[3]),
+                    label=parts[4],
+                    t0=float(parts[5]),
+                    t1=float(parts[6]),
+                    features=np.array([float(v) for v in parts[7:]]),
                 )
-            try:
-                rows.append(
-                    SegmentRow(
-                        task=parts[0],
-                        participant=int(parts[1]),
-                        puzzle=int(parts[2]),
-                        piece=int(parts[3]),
-                        label=parts[4],
-                        t0=float(parts[5]),
-                        t1=float(parts[6]),
-                        features=np.array([float(v) for v in parts[7:]]),
-                    )
-                )
-            except ValueError as exc:
-                raise InvalidParameterError(f"{path}, line {number}: {exc}") from None
+            )
+        except ValueError as exc:
+            raise InvalidParameterError(f"{path}, line {number}: {exc}") from None
     if not rows:
         raise InvalidParameterError(f"feature CSV {path} holds no rows")
     return rows

@@ -10,7 +10,6 @@ from gaze_sentinel.learners import (
     TrainedModel,
     decision_scores,
     default_config,
-    predict,
     predict_batch,
     train,
 )
@@ -127,6 +126,12 @@ class TestTraining:
         )
 
 
+def predict_one(model, vector):
+    """(label, score) ``predict_batch`` gives one feature vector."""
+    labels, scores = predict_batch(model, [vector])
+    return int(labels[0]), float(scores[0])
+
+
 class TestPredictSemantics:
     def test_forest_unanimous_vote(self):
         tree = TreeNodes(
@@ -135,7 +140,7 @@ class TestPredictSemantics:
         )
         model = TrainedModel(default_config("forest"), 2, None,
                              ForestParams(trees=[tree] * 10, n_features=2))
-        cls, score = predict(model, [0.0, 0.0])
+        cls, score = predict_one(model, [0.0, 0.0])
         assert (cls, score) == (1, 1.0)
 
     def test_forest_votes_in_unit_interval(self):
@@ -147,7 +152,7 @@ class TestPredictSemantics:
     def test_svm_zero_margin_breaks_toward_nf(self):
         model = TrainedModel(default_config("svm"), 2, None,
                              SvmParams(w=np.zeros(2), b=0.0, n_features=2))
-        cls, score = predict(model, [3.0, -1.0])
+        cls, score = predict_one(model, [3.0, -1.0])
         assert (cls, score) == (0, 0.0)
 
     def test_gbt_all_zero_leaves_scores_half(self):
@@ -157,7 +162,7 @@ class TestPredictSemantics:
         )
         model = TrainedModel(default_config("gbt-a"), 3, None,
                              GbtParams(trees=[tree] * 5, learning_rate=0.01, n_features=3))
-        cls, score = predict(model, [1.0, 2.0, 3.0])
+        cls, score = predict_one(model, [1.0, 2.0, 3.0])
         assert score == 0.5
         assert cls == 0  # exact threshold resolves to NF
 
@@ -169,13 +174,13 @@ class TestPredictSemantics:
                        np.array([0]), np.array([1.0]))
         model = TrainedModel(default_config("forest"), 1, None,
                              ForestParams(trees=[t0, t1], n_features=1))
-        cls, score = predict(model, [0.0])
+        cls, score = predict_one(model, [0.0])
         assert (cls, score) == (0, 0.5)
 
     def test_arity_mismatch_raises(self):
         model = train(default_config("ada"), separable_60())
         with pytest.raises(FeatureArityError):
-            predict(model, [1.0, 2.0, 3.0])
+            predict_one(model, [1.0, 2.0, 3.0])
         with pytest.raises(FeatureArityError):
             predict_batch(model, np.zeros((4, 5)))
 
@@ -186,7 +191,7 @@ class TestPredictSemantics:
             alpha=np.array([]), n_features=2,
         )
         model = TrainedModel(default_config("ada"), 2, None, params)
-        assert predict(model, [0.0, 0.0]) == (0, 0.0)
+        assert predict_one(model, [0.0, 0.0]) == (0, 0.0)
 
     def test_oblivious_tree_routing(self):
         tree = ObliviousTree(

@@ -7,14 +7,12 @@ from gaze_sentinel.core import (
     AoiLayout,
     Debouncer,
     EpisodeSegment,
-    GazeSample,
     GazeStream,
     Rect,
     RobotEvent,
     Session,
     Timeline,
     debounce,
-    hit_test,
     segment_session,
 )
 from gaze_sentinel.errors import (
@@ -37,6 +35,12 @@ TWO_ZONES = AoiLayout(
 )
 
 
+def label_of(point, layout):
+    """The label ``AoiLayout.label_points`` gives one point."""
+    x, y = point
+    return AoiLabel(layout.label_points(np.array([float(x)]), np.array([float(y)]))[0])
+
+
 def constant_stream(n, x, y, rate=RATE, valid=None):
     t = np.arange(n) / rate
     valid = np.ones(n, dtype=bool) if valid is None else np.asarray(valid)
@@ -45,18 +49,18 @@ def constant_stream(n, x, y, rate=RATE, valid=None):
 
 class TestHitTest:
     def test_empty_layout_maps_to_elsewhere(self):
-        assert hit_test((0, 0), AoiLayout(entries=())) is AoiLabel.ELSEWHERE
+        assert label_of((0, 0), AoiLayout(entries=())) is AoiLabel.ELSEWHERE
 
     def test_unique_containment(self):
         layout = AoiLayout(entries=((AoiLabel.END_EFFECTOR, Rect(0, 0, 5, 5)),))
-        assert hit_test((2, 3), layout) is AoiLabel.END_EFFECTOR
-        assert hit_test((7, 7), layout) is AoiLabel.ELSEWHERE
+        assert label_of((2, 3), layout) is AoiLabel.END_EFFECTOR
+        assert label_of((7, 7), layout) is AoiLabel.ELSEWHERE
 
     def test_edges_closed_low_open_high(self):
         layout = AoiLayout(entries=((AoiLabel.ROBOT_BODY, Rect(0, 0, 10, 10)),))
-        assert hit_test((0, 0), layout) is AoiLabel.ROBOT_BODY
-        assert hit_test((10, 5), layout) is AoiLabel.ELSEWHERE
-        assert hit_test((5, 10), layout) is AoiLabel.ELSEWHERE
+        assert label_of((0, 0), layout) is AoiLabel.ROBOT_BODY
+        assert label_of((10, 5), layout) is AoiLabel.ELSEWHERE
+        assert label_of((5, 10), layout) is AoiLabel.ELSEWHERE
 
     def test_first_wins_exhaustive_grid(self):
         # Three overlapping rectangles; compare against a direct scalar scan
@@ -77,7 +81,7 @@ class TestHitTest:
         xs = np.arange(-1.0, 13.5, 0.5)
         for x in xs:
             for y in xs:
-                assert hit_test((x, y), layout) is oracle(x, y)
+                assert label_of((x, y), layout) is oracle(x, y)
 
     def test_vectorised_labelling_matches_scalar(self):
         rng = np.random.default_rng(5)
@@ -86,10 +90,12 @@ class TestHitTest:
         y = rng.uniform(-5, 35, 500)
         codes = layout.label_points(x, y)
         for xi, yi, c in zip(x, y, codes):
-            assert hit_test((xi, yi), layout) is AoiLabel(c)
+            inside = [lbl for lbl, r in layout.entries
+                      if r.x0 <= xi < r.x1 and r.y0 <= yi < r.y1]
+            assert (inside or [AoiLabel.ELSEWHERE])[0] is AoiLabel(c)
 
     def test_non_finite_point_is_elsewhere(self):
-        assert hit_test((float("nan"), 1.0), BOARD_ONLY) is AoiLabel.ELSEWHERE
+        assert label_of((float("nan"), 1.0), BOARD_ONLY) is AoiLabel.ELSEWHERE
 
     def test_layout_rejects_elsewhere_and_duplicates(self):
         with pytest.raises(InvalidParameterError):
@@ -119,9 +125,11 @@ class TestGazeStream:
                        valid=np.ones(2, dtype=bool))
 
     def test_sample_roundtrip(self):
-        samples = [GazeSample(0.0, 1.0, 2.0, True), GazeSample(0.005, 3.0, 4.0, False)]
-        stream = GazeStream.from_samples(samples)
-        assert stream.samples() == samples
+        columns = ([0.0, 0.005], [1.0, 3.0], [2.0, 4.0], [True, False])
+        stream = GazeStream(*columns)
+        assert [c.dtype for c in (stream.t, stream.x, stream.y, stream.valid)] == [
+            np.float64, np.float64, np.float64, bool]
+        assert tuple(c.tolist() for c in (stream.t, stream.x, stream.y, stream.valid)) == columns
 
     def test_arrays_are_frozen(self):
         s = constant_stream(10, 1, 1)

@@ -11,6 +11,7 @@ from gaze_sentinel.core import (
     Session,
     Timeline,
 )
+from gaze_sentinel import evaluate
 from gaze_sentinel.errors import InvalidParameterError
 from gaze_sentinel.evaluate import (
     Corpus,
@@ -325,3 +326,33 @@ class TestFirstN:
     def test_unknown_task_rejected(self, mini_corpus):
         with pytest.raises(InvalidParameterError):
             mini_corpus.dataset_for_task("nf-xx")
+
+
+class TestFoldSharing:
+    def test_each_fold_is_fitted_once_per_corpus(self, mini_corpus, monkeypatch):
+        fits = []
+        real_train = evaluate.train
+
+        def counting_train(config, dataset):
+            fits.append(config)
+            return real_train(config, dataset)
+
+        monkeypatch.setattr(evaluate, "train", counting_train)
+        config = default_config("ada", seed=6)
+        regimes = [
+            lambda corpus: loo_cv(corpus.dataset_for_task("nf-ef")[0], config, task="nf-ef"),
+            lambda corpus: eval_first_n(corpus, "nf-ef", config, [2.0, 5.0]),
+            lambda corpus: loo_stream_eval(corpus, "nf-ef", config, 5.0),
+        ]
+        folds = len(mini_corpus.participants)
+
+        shared = Corpus(mini_corpus.sessions)
+        assert shared.dataset_for_task("nf-ef")[0] is shared.dataset_for_task("nf-ef")[0]
+        results = [regime(shared) for regime in regimes]
+        assert len(fits) == folds
+
+        # A fresh Corpus per call refits every fold and reports the same.
+        for regime, result in zip(regimes, results):
+            assert regime(Corpus(mini_corpus.sessions)) == result
+        assert len(fits) == folds * (1 + len(regimes))
+

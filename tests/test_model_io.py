@@ -3,8 +3,9 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from gaze_sentinel.errors import ModelFormatError, SchemaVersionError
+from gaze_sentinel.errors import GazeSentinelError, ModelFormatError, SchemaVersionError
 from gaze_sentinel.learners import (
     KINDS,
     LabeledDataset,
@@ -66,6 +67,14 @@ def test_truncated_file_is_a_format_error(tmp_path):
 def test_non_object_payload_rejected(tmp_path):
     path = tmp_path / "model.json"
     path.write_text("[1, 2, 3]")
+    with pytest.raises(ModelFormatError):
+        load_model(path)
+
+
+@pytest.mark.parametrize("opening", ["[", '{"a":'], ids=["array", "object"])
+def test_too_deeply_nested_file_is_a_format_error(tmp_path, opening):
+    path = tmp_path / "model.json"
+    path.write_text(opening * 100000)
     with pytest.raises(ModelFormatError):
         load_model(path)
 
@@ -162,6 +171,8 @@ MALFORMED = [
     ("forest", "params.n_features", _set(["params", "n_features"], 3)),
     ("gbt-b", "n_features not an integer", _set(["n_features"], "4")),
     ("gbt-a", "learning rate not a number", _set(["params", "learning_rate"], "fast")),
+    ("gbt-a", "learning rate beyond float", _set(["params", "learning_rate"], 10 ** 400)),
+    ("forest", "feature beyond int64", lambda p: _first_internal(p, "feature", 2 ** 63)),
     ("forest", "kind unlike its config", _set(["kind"], "svm")),
     ("forest", "fingerprint unlike its config", _set(["fingerprint"], "0000")),
 ]
@@ -184,3 +195,68 @@ def test_malformed_model_is_a_format_error(tmp_path, fitted, kind, fault, mutate
     path.write_text(json.dumps(payload))
     with pytest.raises(ModelFormatError):
         load_model(path)
+
+
+# Values a payload item is replaced by or grown with: in and out of every
+# field's type, overflowing int64 and float, and non-finite.
+JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 12),
+    st.sampled_from([2 ** 63, -2 ** 63 - 1, 10 ** 400, -10 ** 400]),
+    st.floats(), st.text(max_size=4), st.lists(st.integers(-3, 12), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(-3, 12), max_size=2),
+)
+
+
+def edit_payload(payload, steps, op, value):
+    """Descend by ``steps`` (each picks one key or item of a container) and
+    set, delete or grow the item reached."""
+    parent, key, node = None, None, payload
+    for step in steps:
+        keys = sorted(node) if isinstance(node, dict) else range(len(node)) \
+            if isinstance(node, list) else ()
+        if not keys:
+            break
+        parent, key = node, keys[step % len(keys)]
+        node = node[key]
+    if op == "set" and parent is not None:
+        parent[key] = value
+    elif op == "delete" and parent is not None:
+        del parent[key]
+    elif op == "grow" and isinstance(node, list):
+        node.append(value)
+
+
+def edit_digit(text, at, digit):
+    digits = [k for k, c in enumerate(text) if c.isdigit()]
+    pos = digits[at % len(digits)]
+    return text[:pos] + str(digit) + text[pos + 1:]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.filterwarnings("ignore:model written under schema")
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_mutated_model_fails_closed_or_round_trips(tmp_path_factory, fitted, kind, data):
+    """A mutated model file either raises a toolkit error, or loads a model
+    that predicts and saves back to a file that loads unchanged."""
+    payload = model_payload(fitted[kind])
+    for op, steps, value in data.draw(st.lists(
+            st.tuples(st.sampled_from(["set", "delete", "grow"]),
+                      st.lists(st.integers(0, 10 ** 6), min_size=1, max_size=6),
+                      JSON_VALUES), max_size=3)):
+        edit_payload(payload, steps, op, value)
+    text = json.dumps(payload)
+    for at, digit in data.draw(st.lists(st.tuples(st.integers(0, 10 ** 6),
+                                                  st.integers(0, 9)), max_size=2)):
+        text = edit_digit(text, at, digit)
+    path = tmp_path_factory.mktemp("mutated") / "model.json"
+    path.write_text(text)
+    try:
+        model = load_model(path)
+    except GazeSentinelError:
+        return
+    predict_batch(model, np.random.default_rng(0).normal(0, 2, (20, model.n_features)))
+    again = path.with_name("again.json")
+    save_model(model, again)
+    save_model(load_model(again), path)
+    assert path.read_bytes() == again.read_bytes()

@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 from gaze_sentinel.errors import InsufficientMinorityError, InvalidParameterError
 from gaze_sentinel.learners import (
     LabeledDataset,
-    apply_standardizer,
     fit_standardizer,
     smote,
 )
@@ -146,7 +145,7 @@ class TestStandardizer:
 
     def test_apply_standardizer_on_single_vector(self):
         params = fit_standardizer(np.array([[0.0, 1.0], [2.0, 1.0]]))
-        out = apply_standardizer(params, np.array([1.0, 1.0]))
+        out = params.apply(np.array([1.0, 1.0]))
         np.testing.assert_allclose(out, [0.0, 0.0])
 
     def test_empty_matrix_rejected(self):

@@ -37,6 +37,17 @@ def lines_of(path):
     return path.read_text().splitlines(keepends=True)
 
 
+def header_edit(old, new):
+    def edit(lines):
+        assert old in lines[0]
+        lines[0] = lines[0].replace(old, new)
+    return edit
+
+
+def swap_samples(lines):
+    lines[4], lines[5] = lines[5], lines[4]
+
+
 class TestSessionReader:
     def test_roundtrip(self, session_file):
         session = storage.read_session_jsonl(session_file)
@@ -87,6 +98,20 @@ class TestSessionReader:
         session_file.write_text("".join(lines))
         with pytest.raises(MalformedStreamError):
             storage.read_session_jsonl(session_file)
+
+    @pytest.mark.parametrize("edit", [
+        header_edit('"puzzle_board"', '"puzzle_bored"'),  # unknown AOI token
+        header_edit('"timeline":[]', '"timeline":[["explode",1,0.5,null]]'),  # bad event
+        swap_samples,  # non-increasing timestamps
+    ], ids=["aoi-token", "timeline-event", "timestamps"])
+    def test_bad_header_or_sample_order_names_the_file(self, session_file, edit):
+        lines = lines_of(session_file)
+        edit(lines)
+        session_file.write_text("".join(lines))
+        for read in (storage.read_session_jsonl, read_line_by_line):
+            with pytest.raises(MalformedStreamError) as err:
+                read(session_file)
+            assert str(session_file) in str(err.value)
 
     def test_binary_file(self, tmp_path):
         path = tmp_path / "session.jsonl"
@@ -271,3 +296,48 @@ class TestFeatureCsvReader:
         with pytest.raises(InvalidParameterError) as err:
             storage.read_feature_csv(csv_file)
         assert f"{csv_file}, line {len(lines)}:" in str(err.value)
+
+
+def csv_rows(rows):
+    """A feature table's rows, every float as its raw bits."""
+    bits = lambda values: np.asarray(values, dtype=np.float64).view(np.uint64).tolist()  # noqa: E731
+    return [(r.task, r.participant, r.puzzle, r.piece, r.label, *bits([r.t0, r.t1]),
+             *bits(r.features)) for r in rows]
+
+
+@pytest.fixture(scope="module")
+def varied_csv(tmp_path_factory):
+    rows = [feature_row(), feature_row(label="EF"), feature_row("nf-df", "DF")]
+    rows[1].features = np.array([-0.0, 1e-300, 12345.678, 0.1, 1e16, 2.5, -7.25,
+                                 3.0, 0.0, 0.5, 9.75])
+    path = tmp_path_factory.mktemp("features") / "features.csv"
+    storage.write_feature_csv(rows, path, {"seed": 7})
+    return path
+
+
+CSV_MUTATIONS = ["flip", "cut", "space", "non-utf8", "digit", "crlf", "cr", "blank",
+                 "no final newline"]
+
+
+class TestFeatureCsvReaderProperties:
+    @settings(max_examples=300, deadline=2000)
+    @given(st.data())
+    def test_mutated_file_fails_closed_or_round_trips(self, varied_csv, draw):
+        """A mutated table either raises a toolkit error or loads rows that
+        the writer writes back and the reader loads again unchanged."""
+        mutations = draw.draw(st.lists(st.tuples(st.sampled_from(CSV_MUTATIONS),
+                                                 st.integers(0, 10 ** 6),
+                                                 st.integers(0, 255)),
+                                       min_size=1, max_size=3))
+        data = varied_csv.read_bytes()
+        for kind, at, byte in mutations:
+            data = mutate(data, kind, at, byte)
+        path = varied_csv.with_name("mutated.csv")
+        path.write_bytes(data)
+        try:
+            rows = storage.read_feature_csv(path)
+        except GazeSentinelError:
+            return
+        again = varied_csv.with_name("rewritten.csv")
+        storage.write_feature_csv(rows, again)
+        assert csv_rows(storage.read_feature_csv(again)) == csv_rows(rows)
