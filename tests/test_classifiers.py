@@ -15,7 +15,14 @@ from gaze_sentinel.learners import (
 )
 from gaze_sentinel.learners.adaboost import AdaParams
 from gaze_sentinel.learners.forest import ForestParams, TreeNodes, predict_forest
-from gaze_sentinel.learners.gbt import GbtParams, ObliviousTree, _sigmoid, predict_gbt
+from gaze_sentinel.learners.gbt import (
+    GbtParams,
+    ObliviousTree,
+    _bin_groups,
+    _oblivious_level,
+    _sigmoid,
+    predict_gbt,
+)
 from gaze_sentinel.learners.svm import SvmParams
 
 
@@ -326,3 +333,42 @@ class TestAdaEdgeCases:
         labels, scores = predict_batch(model, X)
         assert np.all(labels == 0)
         assert np.all(scores == 0.0)
+
+
+def per_feature_level(codes, n_bins, g, h, leaf, n_leaves, lam):
+    """The oblivious level scored one feature at a time: the reference the
+    grouped scorer must match bit for bit."""
+    best = None
+    for j, code in enumerate(codes):
+        bins = n_bins[j]
+        if bins < 2:
+            continue
+        flat = leaf * bins + code
+        Gh = np.bincount(flat, weights=g, minlength=n_leaves * bins).reshape(n_leaves, bins)
+        Hh = np.bincount(flat, weights=h, minlength=n_leaves * bins).reshape(n_leaves, bins)
+        GL = np.cumsum(Gh, axis=1)[:, :-1]
+        HL = np.cumsum(Hh, axis=1)[:, :-1]
+        Gt = Gh.sum(axis=1, keepdims=True)
+        Ht = Hh.sum(axis=1, keepdims=True)
+        GR, HR = Gt - GL, Ht - HL
+        gain = (0.5 * (GL * GL / (HL + lam) + GR * GR / (HR + lam)
+                       - Gt * Gt / (Ht + lam))).sum(axis=0)
+        b = int(np.argmax(gain))
+        if best is None or gain[b] > best[2]:
+            best = (j, b, float(gain[b]))
+    return best
+
+
+class TestObliviousLevel:
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 200), st.integers(1, 8),
+           st.sampled_from([1, 2, 4, 8, 32]))
+    def test_grouped_scoring_matches_per_feature(self, seed, n, d, n_leaves):
+        rng = np.random.default_rng(seed)
+        n_bins = rng.choice([1, 2, 3, 9, 64], size=d).tolist()
+        codes = [rng.integers(0, bins, n) for bins in n_bins]
+        p = rng.uniform(0.01, 0.99, n)
+        g, h = p - rng.integers(0, 2, n), p * (1.0 - p)
+        leaf = rng.integers(0, n_leaves, n)
+        assert _oblivious_level(_bin_groups(codes, n_bins), g, h, leaf, n_leaves, 1.0) \
+            == per_feature_level(codes, n_bins, g, h, leaf, n_leaves, 1.0)
+
