@@ -371,4 +371,3 @@ class TestObliviousLevel:
         leaf = rng.integers(0, n_leaves, n)
         assert _oblivious_level(_bin_groups(codes, n_bins), g, h, leaf, n_leaves, 1.0) \
             == per_feature_level(codes, n_bins, g, h, leaf, n_leaves, 1.0)
-

@@ -355,4 +355,3 @@ class TestFoldSharing:
         for regime, result in zip(regimes, results):
             assert regime(Corpus(mini_corpus.sessions)) == result
         assert len(fits) == folds * (1 + len(regimes))
-
