@@ -20,6 +20,7 @@ from . import __version__
 from .errors import GazeSentinelError, InvalidParameterError
 from .evaluate import (
     Corpus,
+    SMOTE_K,
     TASKS,
     dataset_from_rows,
     eval_first_n,
@@ -70,7 +71,7 @@ def _resolve(args: argparse.Namespace, keys) -> dict:
         with open(config_path, encoding="utf-8") as fh:
             try:
                 file_cfg = json.load(fh)
-            except ValueError as exc:
+            except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
                 raise InvalidParameterError(
                     f"config file {config_path} is not JSON: {exc}") from None
         if not isinstance(file_cfg, dict):
@@ -168,7 +169,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         raise InvalidParameterError(f"{args.features} holds no {cfg['task']} rows")
     dataset = dataset_from_rows(rows)
     rng = np.random.default_rng(np.random.SeedSequence(cfg["seed"], spawn_key=(0,)))
-    balanced = smote(dataset, k=2, rng=rng)
+    balanced = smote(dataset, k=SMOTE_K, rng=rng)
     model = train(default_config(kinds[0], seed=cfg["seed"]), balanced)
     save_model(model, args.out)
     print(f"trained {kinds[0]} on {len(balanced)} rows -> {args.out}")

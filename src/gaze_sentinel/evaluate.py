@@ -18,7 +18,6 @@ from typing import Optional
 import numpy as np
 
 from .core import (
-    DEFAULT_MIN_DWELL_S,
     Debouncer,
     EpisodeSegment,
     FAILURE_DURATIONS,
@@ -37,6 +36,7 @@ from .learners import (
 )
 
 TASKS = {"nf-ef": "EF", "nf-df": "DF"}
+SMOTE_K = 2  # neighbours SMOTE interpolates between
 
 
 def metrics(y_true, y_pred) -> tuple[float, Optional[float]]:
@@ -118,9 +118,8 @@ class Corpus:
     datasets (and with them their fold models, see ``fit_fold``), and
     per-window features, shared across classifiers, folds and regimes."""
 
-    def __init__(self, sessions, min_dwell: float = DEFAULT_MIN_DWELL_S):
+    def __init__(self, sessions):
         self.sessions = sorted(sessions, key=lambda s: (s.participant_id, s.puzzle_id))
-        self.min_dwell = min_dwell
         self._debouncers: dict = {}
         self._fixations: dict = {}
         self._task_rows: dict = {}
@@ -133,7 +132,7 @@ class Corpus:
     def debouncer(self, session: Session) -> Debouncer:
         key = self._key(session)
         if key not in self._debouncers:
-            self._debouncers[key] = Debouncer(session.gaze, session.layout, self.min_dwell)
+            self._debouncers[key] = Debouncer(session.gaze, session.layout)
         return self._debouncers[key]
 
     def fixations(self, session: Session):
@@ -221,8 +220,8 @@ def _failure_type(task: str) -> str:
     return TASKS[task]
 
 
-def fit_fold(dataset: LabeledDataset, config: ClassifierConfig, held_out: int,
-             smote_k: int = 2) -> TrainedModel:
+def fit_fold(dataset: LabeledDataset, config: ClassifierConfig,
+             held_out: int) -> TrainedModel:
     """Train on every participant except ``held_out``; SMOTE applies to the
     training split only, seeded by (config seed, held-out participant).
 
@@ -230,19 +229,19 @@ def fit_fold(dataset: LabeledDataset, config: ClassifierConfig, held_out: int,
     read-only, so the model is fitted once and kept in
     ``dataset.fold_models``: every regime run on one dataset shares it.
     """
-    key = (config, int(held_out), smote_k)
+    key = (config, int(held_out))
     if key not in dataset.fold_models:
         train_split = dataset.subset(dataset.groups != held_out)
         rng = np.random.default_rng(
             np.random.SeedSequence(config.seed, spawn_key=(int(held_out),))
         )
-        balanced = smote(train_split, k=smote_k, rng=rng)
+        balanced = smote(train_split, k=SMOTE_K, rng=rng)
         dataset.fold_models[key] = train(config, balanced)
     return dataset.fold_models[key]
 
 
-def _loo_folds(dataset: LabeledDataset, config: ClassifierConfig, smote_k: int,
-               test_sets, n_sets: int = 1) -> list:
+def _loo_folds(dataset: LabeledDataset, config: ClassifierConfig, test_sets,
+               n_sets: int = 1) -> list:
     """The participant leave-one-out loop of every regime.
 
     ``test_sets(pid)`` gives the held-out participant's ``n_sets`` test sets
@@ -264,23 +263,23 @@ def _loo_folds(dataset: LabeledDataset, config: ClassifierConfig, smote_k: int,
         if len(sets[0][1]) == 0:
             warnings.warn(f"participant {pid} has no test rows; fold skipped")
             continue
-        model = fit_fold(dataset, config, pid, smote_k)
+        model = fit_fold(dataset, config, pid)
         for out, (blocks, truth) in zip(folds, sets):
             labels, scores = zip(*(predict_batch(model, X) for X in blocks))
             out.append((pid, truth, np.concatenate(labels), np.concatenate(scores)))
     return folds
 
 
-def loo_cv(dataset: LabeledDataset, config: ClassifierConfig, smote_k: int = 2,
-           task: str = "", regime: str = "full-segment") -> EvalReport:
+def loo_cv(dataset: LabeledDataset, config: ClassifierConfig,
+           task: str = "") -> EvalReport:
     """One fold per participant, tested on its full-segment rows."""
 
     def test_set(pid):
         mask = dataset.groups == pid
         return [([dataset.X[mask]], dataset.y[mask])]
 
-    (folds,) = _loo_folds(dataset, config, smote_k, test_set)
-    return _pooled_report(task, regime, folds)
+    (folds,) = _loo_folds(dataset, config, test_set)
+    return _pooled_report(task, "full-segment", folds)
 
 
 def truncate_segment(segment: EpisodeSegment, n: float) -> tuple[float, float]:
@@ -293,7 +292,7 @@ def truncate_segment(segment: EpisodeSegment, n: float) -> tuple[float, float]:
 
 
 def eval_first_n(corpus: Corpus, task: str, config: ClassifierConfig,
-                 n_values, smote_k: int = 2) -> dict:
+                 n_values) -> dict:
     """Fig.-2-style evaluation: models fitted on full-duration segments, then
     failure test rows re-featurized from their first n seconds."""
     n_values = [float(n) for n in n_values]
@@ -312,7 +311,7 @@ def eval_first_n(corpus: Corpus, task: str, config: ClassifierConfig,
         truth = np.array([0 if r.label == "NF" else 1 for r in test_rows], dtype=np.int64)
         return [([np.array([first_n(r, n) for r in test_rows])], truth) for n in n_values]
 
-    folds = _loo_folds(dataset, config, smote_k, test_sets, len(n_values))
+    folds = _loo_folds(dataset, config, test_sets, len(n_values))
     return {n: _pooled_report(task, f"first-{n:g}", f) for n, f in zip(n_values, folds)}
 
 
@@ -371,11 +370,10 @@ def causal_window_matrix(debouncer: Debouncer, windows) -> np.ndarray:
 
 
 def stream_detect(model: TrainedModel, session: Session, width: float,
-                  slide: float = 1.0, debouncer: Optional[Debouncer] = None,
-                  min_dwell: float = DEFAULT_MIN_DWELL_S) -> list:
+                  slide: float = 1.0, debouncer: Optional[Debouncer] = None) -> list:
     """Classify every sliding window causally: window k's features use only
     samples with t <= its end."""
-    deb = debouncer or Debouncer(session.gaze, session.layout, min_dwell)
+    deb = debouncer or Debouncer(session.gaze, session.layout)
     windows = sliding_windows(session, width, slide)
     if not windows:
         return []
@@ -394,8 +392,7 @@ class StreamEvalResult:
 
 
 def loo_stream_eval(corpus: Corpus, task: str, config: ClassifierConfig,
-                    width: float, slide: float = 1.0,
-                    smote_k: int = 2) -> StreamEvalResult:
+                    width: float, slide: float = 1.0) -> StreamEvalResult:
     """Train per-fold on full segments, then classify the held-out
     participant's failure-type sessions window by window."""
     ftype = _failure_type(task)
@@ -409,7 +406,7 @@ def loo_stream_eval(corpus: Corpus, task: str, config: ClassifierConfig,
         truth = np.array([w.truth for windows, _ in parts for w in windows], dtype=np.int64)
         return [([X for _, X in parts], truth)]
 
-    (folds,) = _loo_folds(dataset, config, smote_k, test_set)
+    (folds,) = _loo_folds(dataset, config, test_set)
     detections = []
     for pid, _, labels, scores in folds:
         located = [(s, w) for s in sessions[pid]

@@ -179,13 +179,13 @@ def transition_entropy(model: TransitionModel) -> float:
     return float(_transition_entropies(model.counts, model.visit_dist))
 
 
-def feature_matrix(win, code, start, duration, t0, t1, *, clipped: bool = False) -> np.ndarray:
+def feature_matrix(win, code, start, duration, t0, t1) -> np.ndarray:
     """The (slices, 11) feature matrix of the slices [t0[i], t1[i]].
 
     The events are columns (slice index, AOI code, start, duration), slice
     by slice and in time order within a slice; they are clipped to their
-    slice unless ``clipped``. Every sum adds its terms in event order, as
-    one slice at a time would, so a row does not depend on the other slices.
+    slice. Every sum adds its terms in event order, as one slice at a time
+    would, so a row does not depend on the other slices.
     """
     t0 = np.asarray(t0, dtype=np.float64)
     t1 = np.asarray(t1, dtype=np.float64)
@@ -193,9 +193,8 @@ def feature_matrix(win, code, start, duration, t0, t1, *, clipped: bool = False)
     code = np.asarray(code, dtype=np.int64)
     start = np.asarray(start, dtype=np.float64)
     duration = np.asarray(duration, dtype=np.float64)
-    if not clipped:
-        keep, start, duration = _clip(win, start, duration, t0, t1)
-        win, code = win[keep], code[keep]
+    keep, start, duration = _clip(win, start, duration, t0, t1)
+    win, code = win[keep], code[keep]
     n_slices = len(t0)
     span = t1 - t0
     out = np.empty((n_slices, N_FEATURES))
@@ -225,16 +224,14 @@ def feature_matrix(win, code, start, duration, t0, t1, *, clipped: bool = False)
     return out
 
 
-def extract_features(fixations, t0: float, t1: float, *, clipped: bool = False) -> FeatureVector:
-    """Compute the feature vector for the slice [t0, t1].
-
-    ``fixations`` may be an unclipped session sequence (default) or a
-    pre-clipped one (``clipped=True``). Elsewhere occupancy absorbs off-AOI
+def extract_features(fixations, t0: float, t1: float) -> FeatureVector:
+    """Compute the feature vector for the slice [t0, t1] of a fixation
+    sequence, clipping it to the slice. Elsewhere occupancy absorbs off-AOI
     and invalid time so the six probabilities always sum to 1.
     """
     if not t1 > t0:
         raise InvalidSliceError(f"slice [{t0}, {t1}] is empty")
     code, start, duration = _columns(fixations)
     row = feature_matrix(np.zeros(len(code), dtype=np.int64), code, start, duration,
-                         [t0], [t1], clipped=clipped)
+                         [t0], [t1])
     return FeatureVector.from_array(row[0])

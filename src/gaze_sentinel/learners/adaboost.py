@@ -6,19 +6,39 @@ stump left) or hits 0 (a perfect stump, kept with unit weight).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
+from .data import check_features
+
 
 @dataclass
 class AdaParams:
+    """One stump per round: its arrays are 1-D and of equal length, and its
+    features lie in [0, n_features); construction raises ValueError
+    otherwise."""
+
     feature: np.ndarray
     threshold: np.ndarray
     low_value: np.ndarray  # class predicted when x[feature] < threshold
     high_value: np.ndarray
     alpha: np.ndarray
     n_features: int = 0
+
+    def __post_init__(self):
+        self.feature = np.asarray(self.feature, dtype=np.int64)
+        self.threshold = np.asarray(self.threshold, dtype=np.float64)
+        self.low_value = np.asarray(self.low_value, dtype=np.int64)
+        self.high_value = np.asarray(self.high_value, dtype=np.int64)
+        self.alpha = np.asarray(self.alpha, dtype=np.float64)
+        self.n_features = operator.index(self.n_features)
+        shapes = [a.shape for a in (self.feature, self.threshold, self.low_value,
+                                    self.high_value, self.alpha)]
+        if len(set(shapes)) != 1 or len(shapes[0]) != 1:
+            raise ValueError(f"ada arrays must be 1-D and of equal length, got shapes {shapes}")
+        check_features("ada", self.feature, self.n_features)
 
 
 def _fit_stump(X: np.ndarray, y: np.ndarray, w: np.ndarray):

@@ -4,6 +4,7 @@ depth, bootstrap per tree, majority-vote aggregation."""
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,9 +19,10 @@ class TreeNodes:
     """Flat array representation of one binary tree.
 
     ``feature`` is -1 at leaves; ``value`` holds the leaf prediction. Rows
-    route left when x[feature] < threshold. An internal node's children come
-    after it (``i < left[i], right[i] < len(feature)``); ``pack_trees``
-    refuses a tree that breaks this.
+    route left when x[feature] < threshold. The arrays are 1-D, non-empty
+    and of equal length, or construction raises ValueError. An internal
+    node's children come after it (``i < left[i], right[i] < len(feature)``);
+    ``pack_trees`` refuses a tree that breaks this.
     """
 
     feature: np.ndarray
@@ -28,6 +30,18 @@ class TreeNodes:
     left: np.ndarray
     right: np.ndarray
     value: np.ndarray
+
+    def __post_init__(self):
+        self.feature = np.asarray(self.feature, dtype=np.int64)
+        self.threshold = np.asarray(self.threshold, dtype=np.float64)
+        self.left = np.asarray(self.left, dtype=np.int64)
+        self.right = np.asarray(self.right, dtype=np.int64)
+        self.value = np.asarray(self.value, dtype=np.float64)
+        shapes = [a.shape for a in (self.feature, self.threshold, self.left,
+                                    self.right, self.value)]
+        if len(set(shapes)) != 1 or len(shapes[0]) != 1 or shapes[0][0] == 0:
+            raise ValueError(f"tree node arrays must be 1-D, non-empty and of "
+                             f"equal length, got shapes {shapes}")
 
     def apply(self, X: np.ndarray) -> np.ndarray:
         return pack_trees([self], X.shape[1]).leaf_values(X)[0]
@@ -70,14 +84,8 @@ class PackedTrees:
 
 def pack_trees(trees: list, n_features: int) -> PackedTrees:
     """Validate ``trees`` and pack them for one walk; raises ValueError on a
-    tree whose arrays differ in length, whose child indices are out of range
-    or point backward, or whose features lie outside [0, n_features)."""
-    for k, tree in enumerate(trees):
-        shapes = [a.shape for a in (tree.feature, tree.threshold, tree.left,
-                                    tree.right, tree.value)]
-        if len(set(shapes)) != 1 or len(shapes[0]) != 1 or shapes[0][0] == 0:
-            raise ValueError(f"tree {k}: node arrays must be 1-D, non-empty and "
-                             f"of equal length, got shapes {shapes}")
+    tree whose child indices are out of range or point backward, or whose
+    features lie outside [0, n_features)."""
     if not trees:
         empty = np.zeros(0, dtype=np.int64)
         return PackedTrees(empty, np.zeros(0), empty, np.zeros(0), empty, 0, n_features)
@@ -131,6 +139,7 @@ class ForestParams:
     packed: PackedTrees = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        self.n_features = operator.index(self.n_features)
         self.packed = pack_trees(self.trees, self.n_features)
         # predict_forest sums 0/1 votes, which is exact in any order.
         if not np.isin(self.packed.value, (0.0, 1.0)).all():

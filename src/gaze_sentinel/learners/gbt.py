@@ -10,19 +10,36 @@ rates used here.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
+from .data import check_features
 from .forest import PackedTrees, TreeNodes, grow_tree, pack_trees
 
 
 @dataclass
 class ObliviousTree:
+    """One (feature, threshold) per level and 2^levels leaf values;
+    construction raises ValueError otherwise."""
+
     features: np.ndarray  # one feature index per level
     thresholds: np.ndarray
     leaf_values: np.ndarray  # 2^levels; level 0 is the most significant bit
+
+    def __post_init__(self):
+        self.features = np.asarray(self.features, dtype=np.int64)
+        self.thresholds = np.asarray(self.thresholds, dtype=np.float64)
+        self.leaf_values = np.asarray(self.leaf_values, dtype=np.float64)
+        if self.features.ndim != 1 or self.thresholds.shape != self.features.shape:
+            raise ValueError(f"oblivious tree: features {self.features.shape} and "
+                             f"thresholds {self.thresholds.shape} differ in shape")
+        levels = self.features.shape[0]
+        if self.leaf_values.shape != (2 ** levels,):
+            raise ValueError(f"oblivious tree: {self.leaf_values.shape} leaf values "
+                             f"for {levels} levels, expected {2 ** levels}")
 
     def apply(self, X: np.ndarray) -> np.ndarray:
         idx = np.zeros(X.shape[0], dtype=np.int64)
@@ -33,7 +50,9 @@ class ObliviousTree:
 
 @dataclass
 class GbtParams:
-    """Boosted trees: ``TreeNodes`` (gbt-a) or ``ObliviousTree`` (gbt-b)."""
+    """Boosted trees: ``TreeNodes`` (gbt-a) or ``ObliviousTree`` (gbt-b),
+    their features in [0, n_features); construction raises ValueError
+    otherwise."""
 
     trees: list = field(default_factory=list)
     learning_rate: float = 0.1
@@ -41,9 +60,14 @@ class GbtParams:
     packed: Optional[PackedTrees] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # Oblivious trees already route a whole level in one step.
-        self.packed = (pack_trees(self.trees, self.n_features)
-                       if all(isinstance(t, TreeNodes) for t in self.trees) else None)
+        self.learning_rate = float(self.learning_rate)
+        self.n_features = operator.index(self.n_features)
+        self.packed = None
+        if all(isinstance(t, TreeNodes) for t in self.trees):
+            self.packed = pack_trees(self.trees, self.n_features)
+        else:  # oblivious trees already route a whole level in one step
+            for k, tree in enumerate(self.trees):
+                check_features(f"tree {k}", tree.features, self.n_features)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:

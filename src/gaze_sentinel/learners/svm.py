@@ -11,6 +11,7 @@ making training a deterministic function of (data, seed).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,9 +19,20 @@ import numpy as np
 
 @dataclass
 class SvmParams:
+    """Weights of shape (n_features,) and a bias; construction raises
+    ValueError otherwise."""
+
     w: np.ndarray
     b: float
     n_features: int = 0
+
+    def __post_init__(self):
+        self.w = np.asarray(self.w, dtype=np.float64)
+        self.b = float(self.b)
+        self.n_features = operator.index(self.n_features)
+        if self.w.shape != (self.n_features,):
+            raise ValueError(f"svm w has shape {self.w.shape}, "
+                             f"expected ({self.n_features},)")
 
 
 def fit_svm(X: np.ndarray, y: np.ndarray, c: float = 1.0,

@@ -27,7 +27,7 @@ from .core import (
     Timeline,
 )
 from .errors import GazeSentinelError, InvalidParameterError, MalformedStreamError
-from .evaluate import SegmentRow
+from .evaluate import TASKS, SegmentRow
 from .features import FEATURE_NAMES, FEATURE_SCHEMA_VERSION
 from .learners import config_fingerprint
 
@@ -118,7 +118,7 @@ def read_session_header(path) -> dict:
 def _parse_session_header(line: str, path) -> dict:
     try:
         header = json.loads(line)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
         raise MalformedStreamError(
             f"{path}, line 1: cannot parse session header: {exc}") from None
     if not isinstance(header, dict) or header.get("kind") != "session":
@@ -228,7 +228,7 @@ def _read_session_lines(path) -> tuple:
                     valid.append(rec["valid"])
             except UnicodeDecodeError:
                 raise
-            except (ValueError, KeyError, TypeError, IndexError) as exc:
+            except (ValueError, KeyError, TypeError, IndexError, RecursionError) as exc:
                 raise MalformedStreamError(
                     f"{path}, line {_line_number(path, line)}: malformed gaze sample "
                     f"({type(exc).__name__}: {exc})"
@@ -280,11 +280,23 @@ def write_corpus(sessions, out_dir, config: Optional[dict] = None) -> list:
 
 
 def corpus_paths(corpus_dir) -> list:
+    """The session files ``manifest.json`` lists, or without one every
+    ``.jsonl`` file. A manifest that does not parse, or is not an object
+    with a ``sessions`` list of file names, raises ``MalformedStreamError``
+    naming it."""
     manifest_path = os.path.join(corpus_dir, "manifest.json")
     if os.path.exists(manifest_path):
-        with open(manifest_path, encoding="utf-8") as fh:
-            manifest = json.load(fh)
-        return [os.path.join(corpus_dir, name) for name in manifest["sessions"]]
+        try:
+            with open(manifest_path, encoding="utf-8") as fh:
+                manifest = json.load(fh)
+        except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
+            raise MalformedStreamError(
+                f"cannot parse corpus manifest {manifest_path}: {exc}") from None
+        names = manifest.get("sessions") if isinstance(manifest, dict) else None
+        if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+            raise MalformedStreamError(
+                f"corpus manifest {manifest_path} holds no sessions list of file names")
+        return [os.path.join(corpus_dir, name) for name in names]
     return sorted(
         os.path.join(corpus_dir, name)
         for name in os.listdir(corpus_dir)
@@ -320,9 +332,11 @@ def write_feature_csv(rows, path, config: Optional[dict] = None) -> None:
 
 def read_feature_csv(path) -> list:
     """Rows of a feature table; a header other than the writer's, a row
-    without exactly its fields or a number that does not parse raises
-    ``InvalidParameterError`` with the path and the 1-based line number, and
-    a file that is not UTF-8 text raises it with the path."""
+    without exactly its fields, a number that does not parse, a task not in
+    ``TASKS``, a label other than ``NF`` and its task's failure type, or
+    ``t1 <= t0`` raises ``InvalidParameterError`` with the path and the
+    1-based line number, and a file that is not UTF-8 text raises it with
+    the path."""
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
@@ -346,20 +360,25 @@ def read_feature_csv(path) -> list:
                 f"expected {len(_FEATURE_CSV_HEADER)}"
             )
         try:
-            rows.append(
-                SegmentRow(
-                    task=parts[0],
-                    participant=int(parts[1]),
-                    puzzle=int(parts[2]),
-                    piece=int(parts[3]),
-                    label=parts[4],
-                    t0=float(parts[5]),
-                    t1=float(parts[6]),
-                    features=np.array([float(v) for v in parts[7:]]),
-                )
+            row = SegmentRow(
+                task=parts[0],
+                participant=int(parts[1]),
+                puzzle=int(parts[2]),
+                piece=int(parts[3]),
+                label=parts[4],
+                t0=float(parts[5]),
+                t1=float(parts[6]),
+                features=np.array([float(v) for v in parts[7:]]),
             )
+            if row.task not in TASKS:
+                raise ValueError(f"unknown task {row.task!r}")
+            if row.label not in ("NF", TASKS[row.task]):
+                raise ValueError(f"label {row.label!r} is neither NF nor {TASKS[row.task]}")
+            if not row.t1 > row.t0:
+                raise ValueError(f"slice [{row.t0}, {row.t1}] is empty")
         except ValueError as exc:
             raise InvalidParameterError(f"{path}, line {number}: {exc}") from None
+        rows.append(row)
     if not rows:
         raise InvalidParameterError(f"feature CSV {path} holds no rows")
     return rows

@@ -210,6 +210,57 @@ class TestPredictSemantics:
         np.testing.assert_array_equal(tree.apply(X), [0.0, 1.0, 2.0, 3.0])
 
 
+class TestParamsChecks:
+    """Params check their invariants when built, whether fitted, loaded or
+    built by hand."""
+
+    def ada(self, **changes):
+        fields = dict(feature=[0, 1], threshold=[0.0, 0.5], low_value=[1, 0],
+                      high_value=[0, 1], alpha=[0.7, 0.3], n_features=2)
+        return AdaParams(**{**fields, **changes})
+
+    def test_valid_params_build(self):
+        assert self.ada().feature.dtype == np.int64
+        assert SvmParams(w=[1, 2], b=0, n_features=2).w.dtype == np.float64
+        assert ObliviousTree([1], [0.5], [0, 1]).leaf_values.dtype == np.float64
+
+    @pytest.mark.parametrize("changes", [
+        {"feature": [0, 7]},  # feature 7 of 2
+        {"feature": [-1, 0]},
+        {"alpha": [0.7]},  # arrays differ in length
+        {"threshold": 0.5},  # not 1-D
+        {"n_features": 2.0},  # not an integer
+    ])
+    def test_invalid_ada_raises_at_construction(self, changes):
+        with pytest.raises((ValueError, TypeError)):
+            self.ada(**changes)
+
+    @pytest.mark.parametrize("features, thresholds, leaves", [
+        ([0, 1], [0.5], [0, 1, 2, 3]),  # a level without a threshold
+        ([0, 1], [0.5, 0.5], [0, 1, 2]),  # 3 leaves for 2 levels
+        ([[0]], [[0.5]], [0, 1]),  # not 1-D
+    ])
+    def test_invalid_oblivious_tree_raises_at_construction(self, features, thresholds,
+                                                            leaves):
+        with pytest.raises(ValueError):
+            ObliviousTree(features, thresholds, leaves)
+
+    def test_oblivious_feature_out_of_range_raises_in_params(self):
+        tree = ObliviousTree([2], [0.5], [0.0, 1.0])
+        with pytest.raises(ValueError):
+            GbtParams(trees=[tree], learning_rate=0.1, n_features=2)
+
+    @pytest.mark.parametrize("w, n_features", [([1.0, 2.0, 3.0], 2), ([[1.0, 2.0]], 2),
+                                               ([1.0, 2.0], 0)])
+    def test_invalid_svm_raises_at_construction(self, w, n_features):
+        with pytest.raises(ValueError):
+            SvmParams(w=w, b=0.0, n_features=n_features)
+
+    def test_tree_arrays_of_unequal_length_raise_at_construction(self):
+        with pytest.raises(ValueError):
+            TreeNodes([-1], [0.0], [0], [0], [0.0, 1.0])
+
+
 def reference_apply(tree: TreeNodes, X: np.ndarray) -> np.ndarray:
     """The per-tree walk the packed kernel replaced, kept as its reference."""
     idx = np.zeros(X.shape[0], dtype=np.int64)

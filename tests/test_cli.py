@@ -274,7 +274,8 @@ class TestErrors:
         assert name in record["message"]
 
     @pytest.mark.parametrize("text", ['{"participants": "many"}', '{"participants": 1',
-                                      '{"seed": [1]}'])
+                                      '{"seed": [1]}',
+                                      pytest.param("[" * 100000, id="nested too deep")])
     def test_bad_config_file_is_json_error(self, tmp_path, capsys, text):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(text)
@@ -283,6 +284,32 @@ class TestErrors:
         record = json.loads(capsys.readouterr().err.strip())
         assert record["error"] == "InvalidParameterError"
         assert str(cfg) in record["message"]
+
+    @pytest.mark.parametrize("text", ['{"sessions": [', '["session_p001_z1.jsonl"]',
+                                      '{"kind": "corpus"}'],
+                             ids=["cut", "not an object", "no sessions list"])
+    def test_bad_manifest_is_json_error(self, tmp_path, capsys, text):
+        corpus = tmp_path / "corpus"
+        assert main(["simulate", "--participants", "1", "--out", str(corpus)]) == 0
+        (corpus / "manifest.json").write_text(text)
+        capsys.readouterr()
+        code = main(["extract", "--corpus", str(corpus), "--out", str(tmp_path / "f.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        record = json.loads(err.strip())
+        assert record["error"] == "MalformedStreamError"
+        assert str(corpus / "manifest.json") in record["message"]
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("name", ["manifest.json", "session.jsonl"])
+    def test_too_deeply_nested_corpus_file_is_json_error(self, tmp_path, capsys, name):
+        path = tmp_path / name
+        path.write_text("[" * 100000 + "\n")
+        code = main(["extract", "--corpus", str(tmp_path), "--out", str(tmp_path / "f.csv")])
+        assert code == 1
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "MalformedStreamError"
+        assert str(path) in record["message"]
 
     def test_usage_error_exits_2(self):
         with pytest.raises(SystemExit) as err:

@@ -97,6 +97,17 @@ def test_older_minor_version_accepted_with_warning():
     assert labels.shape == (2,)
 
 
+@pytest.mark.parametrize("kind", KINDS)
+def test_committed_model_saves_back_to_identical_bytes(tmp_path, kind):
+    """Files written by an earlier release pin the format: each loads and
+    saves back byte for byte, without refitting."""
+    path = os.path.join(FIXTURES, f"model_{kind}.json")
+    again = tmp_path / "again.json"
+    save_model(load_model(path), again)
+    with open(path, "rb") as fh:
+        assert again.read_bytes() == fh.read()
+
+
 def test_other_major_version_refused(tmp_path):
     model = train(default_config("svm", seed=1), training_set(5))
     payload = model_payload(model)
@@ -175,6 +186,8 @@ MALFORMED = [
     ("forest", "feature beyond int64", lambda p: _first_internal(p, "feature", 2 ** 63)),
     ("forest", "kind unlike its config", _set(["kind"], "svm")),
     ("forest", "fingerprint unlike its config", _set(["fingerprint"], "0000")),
+    ("svm", "unknown params key", _set(["params", "scale"], 1.0)),
+    ("gbt-b", "unknown tree key", _set(["params", "trees", 0, "depth"], 6)),
 ]
 
 

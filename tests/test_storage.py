@@ -48,6 +48,13 @@ def swap_samples(lines):
     lines[4], lines[5] = lines[5], lines[4]
 
 
+def nested_too_deep(k):
+    """An edit making line k JSON nested too deep for the parser."""
+    def edit(lines):
+        lines[k] = "[" * 100000 + "\n"
+    return edit
+
+
 class TestSessionReader:
     def test_roundtrip(self, session_file):
         session = storage.read_session_jsonl(session_file)
@@ -103,7 +110,9 @@ class TestSessionReader:
         header_edit('"puzzle_board"', '"puzzle_bored"'),  # unknown AOI token
         header_edit('"timeline":[]', '"timeline":[["explode",1,0.5,null]]'),  # bad event
         swap_samples,  # non-increasing timestamps
-    ], ids=["aoi-token", "timeline-event", "timestamps"])
+        nested_too_deep(0),
+        nested_too_deep(1),
+    ], ids=["aoi-token", "timeline-event", "timestamps", "nested-header", "nested-sample"])
     def test_bad_header_or_sample_order_names_the_file(self, session_file, edit):
         lines = lines_of(session_file)
         edit(lines)
@@ -118,6 +127,20 @@ class TestSessionReader:
         path.write_bytes(b"\xff\xfe\x00garbage")
         with pytest.raises(MalformedStreamError):
             storage.read_session_jsonl(path)
+
+
+class TestCorpusManifest:
+    @pytest.mark.parametrize("text", ['{"sessions": [', "[" * 100000, '["a.jsonl"]',
+                                      '{"kind": "corpus"}', '{"sessions": "a.jsonl"}',
+                                      '{"sessions": [1]}'],
+                             ids=["cut", "nested too deep", "not an object",
+                                  "no sessions", "sessions not a list", "name not text"])
+    def test_bad_manifest_names_the_file(self, tmp_path, text):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(text)
+        with pytest.raises(MalformedStreamError) as err:
+            storage.corpus_paths(tmp_path)
+        assert str(manifest) in str(err.value)
 
 
 def varied_session(n=40):
@@ -292,6 +315,24 @@ class TestFeatureCsvReader:
     def test_bad_row_names_its_line(self, csv_file, edit):
         lines = csv_file.read_text().splitlines()
         lines[-1] = edit(lines[-1])
+        csv_file.write_text("\n".join(lines) + "\n")
+        with pytest.raises(InvalidParameterError) as err:
+            storage.read_feature_csv(csv_file)
+        assert f"{csv_file}, line {len(lines)}:" in str(err.value)
+
+    @pytest.mark.parametrize("task, label, t0, t1", [
+        ("nf-xf", "NF", "1.0", "16.0"),  # unknown task
+        ("nf-ef", "NG", "1.0", "16.0"),  # an NF label one letter off
+        ("nf-ef", "DF", "1.0", "16.0"),  # another task's failure type
+        ("nf-df", "EF", "1.0", "16.0"),
+        ("nf-ef", "EF", "16.0", "16.0"),  # empty slice
+        ("nf-ef", "EF", "16.0", "1.0"),  # reversed slice
+    ])
+    def test_row_outside_its_task_names_its_line(self, csv_file, task, label, t0, t1):
+        lines = csv_file.read_text().splitlines()
+        parts = lines[-1].split(",")
+        parts[0], parts[4], parts[5], parts[6] = task, label, t0, t1
+        lines[-1] = ",".join(parts)
         csv_file.write_text("\n".join(lines) + "\n")
         with pytest.raises(InvalidParameterError) as err:
             storage.read_feature_csv(csv_file)
