@@ -164,7 +164,7 @@ class FixationEvent:
 
 class Debouncer:
     """Run table and fixation-event table over a labelled stream, for
-    whole-stream and causal (prefix-limited) fixation extraction.
+    slices of the whole recording and causal (prefix-limited) windows.
 
     Invalid samples are skipped; a run interrupted by less than
     ``INVALID_BRIDGE_S`` of missing data is treated as continuous. Runs
@@ -280,11 +280,8 @@ class Debouncer:
         # Final events lo..n_final-1: the ones before lo end by t0 (their
         # running maximum end does).
         lo = np.minimum(np.searchsorted(self._ev_reach, t0, side="right"), n_final)
-        counts = n_final - lo
-        offsets = np.cumsum(counts) - counts
-        idx = np.arange(int(counts.sum())) + np.repeat(lo - offsets, counts)
-        win = np.concatenate([np.repeat(np.arange(len(t0)), counts),
-                              live[has_last], live[appended]])
+        win, idx = _expand_ranges(lo, n_final)
+        win = np.concatenate([win, live[has_last], live[appended]])
         order = np.argsort(win, kind="stable")
         return (
             win[order],
@@ -295,19 +292,33 @@ class Debouncer:
             np.concatenate([self._ev_dur[idx], last_dur, dur[appended]])[order],
         )
 
+    def slice_events(self, t0, t1):
+        """The final events that may overlap each slice [t0[i], t1[i]] of the
+        whole recording, unclipped: the same (slice index, code, start,
+        duration) columns as ``window_events``, slice by slice and in time
+        order within one. They are the events that reach past t0 and start
+        before t1, two binary searches per slice.
+        """
+        lo = np.searchsorted(self._ev_reach, np.asarray(t0, dtype=np.float64), side="right")
+        hi = np.searchsorted(self._ev_start, np.asarray(t1, dtype=np.float64), side="left")
+        win, idx = _expand_ranges(lo, hi)
+        return win, self._ev_code[idx], self._ev_start[idx], self._ev_dur[idx]
+
+
+def _expand_ranges(lo, hi):
+    """(slice index, event index) of the event index ranges lo[i]..hi[i]-1,
+    slice by slice."""
+    counts = hi - lo
+    offsets = np.cumsum(counts) - counts
+    idx = np.arange(int(counts.sum())) + np.repeat(lo - offsets, counts)
+    return np.repeat(np.arange(len(lo)), counts), idx
+
 
 def _events(code, start, duration) -> list[FixationEvent]:
     return [
         FixationEvent(AoiLabel(c), s, d)
         for c, s, d in zip(code.tolist(), start.tolist(), duration.tolist())
     ]
-
-
-def debounce(stream: GazeStream, layout: AoiLayout,
-             min_dwell: float = DEFAULT_MIN_DWELL_S) -> list[FixationEvent]:
-    """Label valid samples, merge runs, drop sub-threshold dwells, and merge
-    adjacent surviving runs with equal labels."""
-    return Debouncer(stream, layout, min_dwell).fixations()
 
 
 EVENT_KINDS = ("pickup_start", "placement_done", "failure_start", "failure_end")

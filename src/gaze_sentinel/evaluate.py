@@ -19,13 +19,12 @@ import numpy as np
 
 from .core import (
     Debouncer,
-    EpisodeSegment,
     FAILURE_DURATIONS,
     Session,
     segment_session,
 )
 from .errors import InvalidParameterError
-from .features import extract_features, feature_matrix
+from .features import feature_matrix
 from .learners import (
     ClassifierConfig,
     LabeledDataset,
@@ -116,12 +115,16 @@ class SegmentRow:
 class Corpus:
     """Session collection with cached debouncing, segment features, task
     datasets (and with them their fold models, see ``fit_fold``), and
-    per-window features, shared across classifiers, folds and regimes."""
+    per-window features, shared across classifiers, folds and regimes.
+
+    Segment, first-n and window rows all come from one kernel,
+    ``feature_matrix``, over columns of a session's event table: whole-
+    recording slices for segments and first-n rows, causal ones for
+    windows."""
 
     def __init__(self, sessions):
         self.sessions = sorted(sessions, key=lambda s: (s.participant_id, s.puzzle_id))
         self._debouncers: dict = {}
-        self._fixations: dict = {}
         self._task_rows: dict = {}
         self._datasets: dict = {}
         self._window_cache: dict = {}
@@ -135,11 +138,10 @@ class Corpus:
             self._debouncers[key] = Debouncer(session.gaze, session.layout)
         return self._debouncers[key]
 
-    def fixations(self, session: Session):
-        key = self._key(session)
-        if key not in self._fixations:
-            self._fixations[key] = self.debouncer(session).fixations()
-        return self._fixations[key]
+    def slice_matrix(self, session: Session, t0, t1) -> np.ndarray:
+        """The (slices, 11) feature matrix of the session's slices
+        [t0[i], t1[i]] of the whole recording."""
+        return feature_matrix(*self.debouncer(session).slice_events(t0, t1), t0, t1)
 
     def rows_for_task(self, task: str) -> list:
         """The task's rows: its failure segments and every NF segment, each
@@ -156,24 +158,23 @@ class Corpus:
             duration = FAILURE_DURATIONS[ftype]
             rows = []
             for session in self.sessions:
-                fixations = self.fixations(session)
-                for seg in segment_session(session):
-                    if seg.label not in ("NF", ftype):
-                        continue
-                    t1 = seg.t_start + duration
-                    rows.append(
-                        SegmentRow(
-                            task=task,
-                            participant=seg.participant_id,
-                            puzzle=seg.puzzle_id,
-                            piece=seg.piece_index,
-                            label=seg.label,
-                            t0=seg.t_start,
-                            t1=t1,
-                            features=extract_features(fixations, seg.t_start, t1).as_array(),
-                            session=session,
-                        )
+                segs = [s for s in segment_session(session) if s.label in ("NF", ftype)]
+                t0 = np.array([seg.t_start for seg in segs])
+                X = self.slice_matrix(session, t0, t0 + duration)
+                rows.extend(
+                    SegmentRow(
+                        task=task,
+                        participant=seg.participant_id,
+                        puzzle=seg.puzzle_id,
+                        piece=seg.piece_index,
+                        label=seg.label,
+                        t0=seg.t_start,
+                        t1=seg.t_start + duration,
+                        features=features,
+                        session=session,
                     )
+                    for seg, features in zip(segs, X)
+                )
             self._task_rows[task] = rows
         return self._task_rows[task]
 
@@ -282,13 +283,24 @@ def loo_cv(dataset: LabeledDataset, config: ClassifierConfig,
     return _pooled_report(task, "full-segment", folds)
 
 
-def truncate_segment(segment: EpisodeSegment, n: float) -> tuple[float, float]:
-    """First-n-seconds bounds for failure segments; NF passes through."""
-    if n <= 0:
-        raise InvalidParameterError("truncation length must be positive")
-    if segment.label == "NF":
-        return (segment.t_start, segment.t_end)
-    return (segment.t_start, min(segment.t_start + n, segment.t_end))
+def first_n_blocks(corpus: Corpus, rows, n_values) -> list:
+    """Per n of ``n_values``, the (rows, 11) features of ``rows`` with each
+    failure row measured over its first n seconds, [t0, min(t0 + n, t1)];
+    NF rows keep their features. One ``slice_matrix`` call per session
+    covers every n."""
+    blocks = [np.array([r.features for r in rows]) for _ in n_values]
+    failures: dict = {}
+    for i, r in enumerate(rows):
+        if r.label != "NF":
+            failures.setdefault(id(r.session), []).append(i)
+    for at in failures.values():
+        t0 = np.tile([rows[i].t0 for i in at], len(n_values))
+        t1 = np.minimum(t0 + np.repeat(n_values, len(at)),
+                        np.tile([rows[i].t1 for i in at], len(n_values)))
+        X = corpus.slice_matrix(rows[at[0]].session, t0, t1)
+        for block, part in zip(blocks, np.split(X, len(n_values))):
+            block[at] = part
+    return blocks
 
 
 def eval_first_n(corpus: Corpus, task: str, config: ClassifierConfig,
@@ -300,16 +312,10 @@ def eval_first_n(corpus: Corpus, task: str, config: ClassifierConfig,
         raise InvalidParameterError("truncation lengths must be positive")
     dataset, rows = corpus.dataset_for_task(task)
 
-    def first_n(row, n):
-        if row.label == "NF":
-            return row.features
-        fx = corpus.fixations(row.session)
-        return extract_features(fx, row.t0, min(row.t0 + n, row.t1)).as_array()
-
     def test_sets(pid):
         test_rows = [r for r in rows if r.participant == pid]
         truth = np.array([0 if r.label == "NF" else 1 for r in test_rows], dtype=np.int64)
-        return [([np.array([first_n(r, n) for r in test_rows])], truth) for n in n_values]
+        return [([block], truth) for block in first_n_blocks(corpus, test_rows, n_values)]
 
     folds = _loo_folds(dataset, config, test_sets, len(n_values))
     return {n: _pooled_report(task, f"first-{n:g}", f) for n, f in zip(n_values, folds)}

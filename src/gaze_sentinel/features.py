@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AoiLabel, FixationEvent, N_AOI
+from .core import AoiLabel, N_AOI
 from .errors import InvalidSliceError
 
 FEATURE_SCHEMA_VERSION = 1
@@ -73,32 +73,6 @@ class FeatureVector:
         )
 
 
-@dataclass(frozen=True)
-class TransitionModel:
-    """Fixation-to-fixation transition counts plus the empirical visit
-    distribution over AOIs."""
-
-    counts: np.ndarray  # (6, 6) int64
-    visit_dist: np.ndarray  # (6,) float64; all-zero when no fixations exist
-
-    def __post_init__(self):
-        counts = np.ascontiguousarray(self.counts, dtype=np.int64)
-        pi = np.ascontiguousarray(self.visit_dist, dtype=np.float64)
-        counts.flags.writeable = False
-        pi.flags.writeable = False
-        object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "visit_dist", pi)
-
-
-def clip_fixations(fixations, t0: float, t1: float) -> list[FixationEvent]:
-    """Truncate fixations at slice edges, dropping zero-overlap events."""
-    code, start, duration = _columns(fixations)
-    keep, start, duration = _clip(np.zeros(len(code), dtype=np.int64), start, duration,
-                                  np.array([t0]), np.array([t1]))
-    return [FixationEvent(AoiLabel(c), s, d) for c, s, d in
-            zip(code[keep].tolist(), start.tolist(), duration.tolist())]
-
-
 def _columns(fixations):
     fx = list(fixations)
     return (np.array([int(f.aoi) for f in fx], dtype=np.int64),
@@ -115,10 +89,6 @@ def _clip(win, start, duration, t0, t1):
     return keep, s[keep], d[keep]
 
 
-def _codes(fixations) -> list[int]:
-    return [int(f.aoi) if isinstance(f, FixationEvent) else int(f) for f in fixations]
-
-
 def _tally(win, code, n_slices: int):
     """Per slice: visit counts (n_slices, 6) and counts of consecutive
     fixation pairs (n_slices, 6, 6)."""
@@ -128,17 +98,6 @@ def _tally(win, code, n_slices: int):
     counts = np.bincount(pairs[same], minlength=n_slices * N_AOI * N_AOI)
     return (visits.reshape(n_slices, N_AOI),
             counts.reshape(n_slices, N_AOI, N_AOI))
-
-
-def build_transition_model(fixations) -> TransitionModel:
-    """Tally consecutive fixation pairs and visit frequencies.
-
-    Accepts FixationEvents or bare AOI labels. With no fixations, the visit
-    distribution is the all-zero flag and downstream entropies are 0.
-    """
-    codes = np.array(_codes(fixations), dtype=np.int64)
-    visits, counts = _tally(np.zeros(len(codes), dtype=np.int64), codes, 1)
-    return TransitionModel(counts[0], visits[0] / max(len(codes), 1))
 
 
 def _plogp_sum(p: np.ndarray) -> np.ndarray:
@@ -164,19 +123,6 @@ def _transition_entropies(counts: np.ndarray, visit_dist: np.ndarray) -> np.ndar
         used = (row_sums[..., i] > 0) & (visit_dist[..., i] > 0)
         total = total + np.where(used, visit_dist[..., i] * row_entropy[..., i], 0.0)
     return total
-
-
-def stationary_entropy(visit_dist) -> float:
-    """Shannon entropy of the visit distribution, in bits (0*log0 := 0)."""
-    return float(_stationary_entropies(np.asarray(visit_dist, dtype=np.float64)))
-
-
-def transition_entropy(model: TransitionModel) -> float:
-    """Visit-weighted expected entropy of per-AOI transition rows, in bits.
-
-    Rows with zero outgoing transitions contribute nothing.
-    """
-    return float(_transition_entropies(model.counts, model.visit_dist))
 
 
 def feature_matrix(win, code, start, duration, t0, t1) -> np.ndarray:

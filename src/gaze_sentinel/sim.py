@@ -20,8 +20,7 @@ import numpy as np
 from .core import (
     AoiLabel,
     AoiLayout,
-    DF_DURATION_S,
-    EF_DURATION_S,
+    FAILURE_DURATIONS,
     GazeStream,
     N_AOI,
     Rect,
@@ -98,8 +97,6 @@ class TimingParams:
     participant_turn_sd: float = 4.0
     participant_turn_range: tuple = (16.0, 38.0)
     lead_out: tuple = (3.0, 6.0)
-    ef_pause: float = EF_DURATION_S
-    df_extra: float = DF_DURATION_S
 
 
 @dataclass(frozen=True)
@@ -186,7 +183,6 @@ class BehaviorParams:
     # One log-normal distortion per participant, applied to BOTH regime
     # matrices, so regime contrasts stay untouched by participant noise.
     participant_transition_sigma: float = 0.3
-    distract_participant_turns: bool = False
 
     @classmethod
     def default(cls) -> "BehaviorParams":
@@ -200,8 +196,20 @@ class BehaviorParams:
 
     @classmethod
     def from_file(cls, path) -> "BehaviorParams":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        """The profile in a JSON file. A file that does not parse, is nested
+        too deep, is not an object or lacks a key or value a profile needs
+        raises ``InvalidParameterError`` naming it; unknown keys are
+        ignored."""
+        try:
+            with open(path, encoding="utf-8") as fh:
+                data = json.load(fh)
+            if not isinstance(data, dict):
+                raise TypeError("not a JSON object")
+            return cls.from_dict(data)
+        except (ValueError, KeyError, TypeError, AttributeError, RecursionError,
+                InvalidParameterError) as exc:  # RecursionError: nested too deep
+            raise InvalidParameterError(
+                f"bad profile {path} ({type(exc).__name__}: {exc})") from None
 
     @classmethod
     def from_dict(cls, data: dict) -> "BehaviorParams":
@@ -246,7 +254,6 @@ class BehaviorParams:
             invalid_rate=data["invalid_rate"],
             participant_dwell_sigma=data["participant_dwell_sigma"],
             participant_transition_sigma=data["participant_transition_sigma"],
-            distract_participant_turns=data.get("distract_participant_turns", False),
         )
 
     def to_dict(self) -> dict:
@@ -274,7 +281,6 @@ class BehaviorParams:
             "invalid_rate": self.invalid_rate,
             "participant_dwell_sigma": self.participant_dwell_sigma,
             "participant_transition_sigma": self.participant_transition_sigma,
-            "distract_participant_turns": self.distract_participant_turns,
             "baseline": regime(self.baseline),
             "failure_scan": regime(self.failure_scan),
             "failure_stare": regime(self.failure_stare),
@@ -359,7 +365,7 @@ def build_timeline(condition: ScenarioCondition, timing: TimingParams,
         place_t = t + action
         if piece == condition.piece:
             fail_t = t + grasp
-            extra = timing.ef_pause if condition.failure_type == "EF" else timing.df_extra
+            extra = FAILURE_DURATIONS[condition.failure_type]
             events.append(RobotEvent("failure_start", piece, fail_t,
                                      failure_type=condition.failure_type))
             events.append(RobotEvent("failure_end", piece, fail_t + extra,

@@ -67,12 +67,20 @@ def atomic_write_text(path, text: str) -> None:
         raise
 
 
-def provenance_lines(config: Optional[dict]) -> list:
+def provenance(config: Optional[dict]) -> dict:
+    """The tool version, the run configuration and its fingerprint, as every
+    output records them."""
     config = config or {}
+    return {"tool_version": __version__, "fingerprint": config_fingerprint(config),
+            "config": config}
+
+
+def provenance_lines(config: Optional[dict]) -> list:
+    p = provenance(config)
     return [
-        f"# gaze-sentinel {__version__}",
-        f"# fingerprint={config_fingerprint(config)}",
-        f"# config={json.dumps(config, sort_keys=True, separators=(',', ':'))}",
+        f"# gaze-sentinel {p['tool_version']}",
+        f"# fingerprint={p['fingerprint']}",
+        f"# config={json.dumps(p['config'], sort_keys=True, separators=(',', ':'))}",
     ]
 
 
@@ -93,11 +101,7 @@ def write_session_jsonl(session: Session, path, config: Optional[dict] = None) -
             [e.kind, e.piece, e.t, e.failure_type]
             for e in session.timeline.events
         ],
-        "provenance": {
-            "tool_version": __version__,
-            "fingerprint": config_fingerprint(config or {}),
-            "config": config or {},
-        },
+        "provenance": provenance(config),
     }
     g = session.gaze
     flags = ["true" if v else "false" for v in g.valid.tolist()]
@@ -266,11 +270,7 @@ def write_corpus(sessions, out_dir, config: Optional[dict] = None) -> list:
         "kind": "corpus",
         "schema": SESSION_SCHEMA_VERSION,
         "sessions": [os.path.basename(p) for p in paths],
-        "provenance": {
-            "tool_version": __version__,
-            "fingerprint": config_fingerprint(config or {}),
-            "config": config or {},
-        },
+        "provenance": provenance(config),
     }
     atomic_write_text(
         os.path.join(out_dir, "manifest.json"),
@@ -384,10 +384,13 @@ def read_feature_csv(path) -> list:
     return rows
 
 
+_REPORT_CSV_HEADER = "task,classifier,n_or_width,fold,accuracy,recall"
+
+
 def write_report_csv(path, entries, config: Optional[dict] = None) -> None:
     """entries: iterable of (task, classifier, n_or_width, EvalReport)."""
     lines = provenance_lines(config)
-    lines.append("task,classifier,n_or_width,fold,accuracy,recall")
+    lines.append(_REPORT_CSV_HEADER)
 
     def fmt_recall(value) -> str:
         return "" if value is None else _fmt(value)
@@ -406,27 +409,43 @@ def write_report_csv(path, entries, config: Optional[dict] = None) -> None:
 
 
 def read_report_csv(path) -> list:
+    """Rows of a report table; a header other than the writer's, a row
+    without exactly its six fields, or an accuracy or recall that is not a
+    number raises ``InvalidParameterError`` with the path and the 1-based
+    line number, and a file that is not UTF-8 text raises it with the
+    path."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError:
+        raise InvalidParameterError(f"{path} is not UTF-8 text") from None
     rows = []
-    with open(path, encoding="utf-8") as fh:
-        header = None
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            if header is None:
-                header = line.split(",")
-                continue
-            task, classifier, n_or_width, fold, accuracy, recall = line.split(",")
-            rows.append(
-                {
-                    "task": task,
-                    "classifier": classifier,
-                    "n_or_width": n_or_width,
-                    "fold": fold,
-                    "accuracy": float(accuracy),
-                    "recall": float(recall) if recall else None,
-                }
-            )
+    header = None
+    for number, line in enumerate(lines, start=1):
+        line = line.rstrip("\n")
+        if not line or line.startswith("#"):
+            continue
+        if header is None:
+            header = line
+            if header != _REPORT_CSV_HEADER:
+                raise InvalidParameterError(f"unexpected report CSV header in {path}")
+            continue
+        parts = line.split(",")
+        if len(parts) != 6:
+            raise InvalidParameterError(
+                f"{path}, line {number}: {len(parts)} fields, expected 6")
+        task, classifier, n_or_width, fold, accuracy, recall = parts
+        try:
+            rows.append({
+                "task": task,
+                "classifier": classifier,
+                "n_or_width": n_or_width,
+                "fold": fold,
+                "accuracy": float(accuracy),
+                "recall": float(recall) if recall else None,
+            })
+        except ValueError as exc:
+            raise InvalidParameterError(f"{path}, line {number}: {exc}") from None
     return rows
 
 
@@ -443,11 +462,7 @@ def write_detections_jsonl(path, detections, config: Optional[dict] = None) -> N
     header = {
         "kind": "detections",
         "schema": 1,
-        "provenance": {
-            "tool_version": __version__,
-            "fingerprint": config_fingerprint(config or {}),
-            "config": config or {},
-        },
+        "provenance": provenance(config),
     }
     lines = [json.dumps(header, sort_keys=True, separators=(",", ":"))]
     for d in detections:

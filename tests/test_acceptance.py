@@ -26,7 +26,7 @@ from gaze_sentinel.evaluate import (
     loo_stream_eval,
     stream_detect,
 )
-from gaze_sentinel.features import build_transition_model, stationary_entropy, transition_entropy
+from gaze_sentinel.features import feature_matrix
 from gaze_sentinel.learners import (
     KINDS,
     LabeledDataset,
@@ -124,30 +124,26 @@ def test_criterion_02_entropy_oracle():
         return total
 
     labels3 = [AoiLabel.ROBOT_BODY, AoiLabel.END_EFFECTOR, AoiLabel.ROBOT_PIECES]
-    checked = 0
-    worst = 0.0
-    for length in range(1, 9):
-        for seq in itertools.product(labels3, repeat=length):
-            model = build_transition_model(list(seq))
-            worst = max(
-                worst,
-                abs(stationary_entropy(model.visit_dist) - brute_stationary(seq)),
-                abs(transition_entropy(model) - brute_transition(seq)),
-            )
-            checked += 1
-
+    seqs = [seq for length in range(1, 9)
+            for seq in itertools.product(labels3, repeat=length)]
     rng = np.random.default_rng(SEED)
     labels6 = list(AoiLabel)
     for _ in range(10_000):
         n = int(rng.integers(1, 25))
-        seq = tuple(labels6[i] for i in rng.integers(0, 6, n))
-        model = build_transition_model(list(seq))
-        worst = max(
-            worst,
-            abs(stationary_entropy(model.visit_dist) - brute_stationary(seq)),
-            abs(transition_entropy(model) - brute_transition(seq)),
-        )
-        checked += 1
+        seqs.append(tuple(labels6[i] for i in rng.integers(0, 6, n)))
+
+    # Each sequence is one slice [0, len] of back-to-back 1 s fixations; the
+    # kernel's columns 9 and 10 are its transition and stationary entropy.
+    lengths = np.array([len(seq) for seq in seqs])
+    codes = np.array([int(a) for seq in seqs for a in seq])
+    starts = np.concatenate([np.arange(n, dtype=np.float64) for n in lengths])
+    rows = feature_matrix(np.repeat(np.arange(len(seqs)), lengths), codes, starts,
+                          np.ones(len(codes)), np.zeros(len(seqs)), lengths)
+    worst = 0.0
+    for seq, row in zip(seqs, rows):
+        worst = max(worst, abs(row[9] - brute_transition(seq)),
+                    abs(row[10] - brute_stationary(seq)))
+    checked = len(seqs)
 
     _check(2, "entropies match brute-force oracle",
            worst <= 1e-12, f"({checked} sequences, worst |err|={worst:.2e})")

@@ -311,6 +311,43 @@ class TestErrors:
         assert record["error"] == "MalformedStreamError"
         assert str(path) in record["message"]
 
+    @pytest.mark.parametrize("via", ["--profile", "GAZE_SENTINEL_PROFILE"])
+    @pytest.mark.parametrize("text", ['{"schema": 1, ', '{"schema": 1}', '[1, 2]',
+                                      '{"schema": 1, "reaction": {}, "baseline": 3}',
+                                      "[" * 100000],
+                             ids=["cut", "incomplete", "not an object", "bad block",
+                                  "nested too deep"])
+    def test_bad_profile_is_json_error(self, tmp_path, monkeypatch, capsys, via, text):
+        profile = tmp_path / "profile.json"
+        profile.write_text(text)
+        argv = ["simulate", "--participants", "1", "--out", str(tmp_path / "c")]
+        if via == "--profile":
+            argv += ["--profile", str(profile)]
+        else:
+            monkeypatch.setenv(via, str(profile))
+        code = main(argv)
+        assert code == 1
+        err = capsys.readouterr().err
+        record = json.loads(err.strip())
+        assert record["error"] == "InvalidParameterError"
+        assert str(profile) in record["message"]
+        assert "Traceback" not in err
+        assert not (tmp_path / "c").exists()
+
+    def test_bad_report_row_is_json_error(self, tmp_path, capsys):
+        reports = tmp_path / "reports"
+        reports.mkdir()
+        path = reports / "report_full_nf-ef.csv"
+        path.write_text("task,classifier,n_or_width,fold,accuracy,recall\n"
+                        "nf-ef,ada,full,pooled,0.5\n")
+        code = main(["report", "--reports", str(reports), "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        record = json.loads(err.strip())
+        assert record["error"] == "InvalidParameterError"
+        assert f"{path}, line 2:" in record["message"]
+        assert "Traceback" not in err
+
     def test_usage_error_exits_2(self):
         with pytest.raises(SystemExit) as err:
             main(["eval", "--corpus", "x", "--out", "y", "--mode", "bogus"])

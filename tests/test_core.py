@@ -12,7 +12,6 @@ from gaze_sentinel.core import (
     RobotEvent,
     Session,
     Timeline,
-    debounce,
     segment_session,
 )
 from gaze_sentinel.errors import (
@@ -21,7 +20,7 @@ from gaze_sentinel.errors import (
     MalformedTimelineError,
 )
 from gaze_sentinel.evaluate import Window, causal_window_matrix
-from gaze_sentinel.features import FEATURE_NAMES, extract_features
+from gaze_sentinel.features import FEATURE_NAMES, extract_features, feature_matrix
 
 RATE = 200.0
 PERIOD = 1.0 / RATE
@@ -33,6 +32,11 @@ TWO_ZONES = AoiLayout(
         (AoiLabel.PUZZLE_BOARD, Rect(20, 20, 30, 30)),
     )
 )
+
+
+def debounce(stream, layout, min_dwell=0.1):
+    """The fixations of the whole recording."""
+    return Debouncer(stream, layout, min_dwell).fixations()
 
 
 def label_of(point, layout):
@@ -277,9 +281,14 @@ class TestCausalDebouncer:
             assert deb.fixations_until(cut) == expected
 
     def test_full_equals_plain_debounce(self):
-        stream = constant_stream(500, 50, 50)
-        deb = Debouncer(stream, BOARD_ONLY, 0.1)
-        assert deb.fixations() == debounce(stream, BOARD_ONLY, 0.1)
+        rng = np.random.default_rng(5)
+        n = 2000
+        x = np.repeat(np.where(rng.random(60) < 0.5, 5.0, 25.0), 40)[:n]
+        stream = GazeStream(t=np.arange(n) / RATE, x=x, y=x, valid=rng.random(n) > 0.05)
+        deb = Debouncer(stream, TWO_ZONES, 0.1)
+        # The prefix that ends at the last sample is the whole recording.
+        assert deb.fixations() == deb.fixations_until(float(stream.t[-1]))
+        assert len(deb.fixations()) > 10
 
 
 
@@ -366,6 +375,49 @@ class TestCausalWindows:
     def test_no_valid_samples(self):
         stream = piecewise_stream([("invalid", 50)])
         assert_windows_match_truncation(stream, [(0.0, 0.1), (-1.0, 0.3)])
+
+
+class TestSliceEvents:
+    """Each slice's row over the events ``slice_events`` picks equals the
+    row over the whole fixation list, which the kernel clips itself."""
+
+    @given(
+        pieces=st.lists(st.tuples(st.sampled_from(sorted(ZONE_X)), RUN_SAMPLES),
+                        min_size=1, max_size=25),
+        slices=st.lists(st.tuples(st.integers(0, 10 ** 6), st.booleans(),
+                                  st.sampled_from([0.004, 0.05, 0.3, 1.0, 3.0])),
+                        min_size=1, max_size=12),
+    )
+    def test_rows_match_the_whole_fixation_list(self, pieces, slices):
+        stream = piecewise_stream(pieces)
+        t = stream.t
+        deb = Debouncer(stream, TWO_ZONES, 0.1)
+        fixations = deb.fixations()
+        # Slices start on an event's end, on a sample or between two.
+        edges = [f.end for f in fixations] + t.tolist()
+        t0 = np.array([edges[k % len(edges)] + (0.0 if exact else 0.4 * PERIOD)
+                       for k, exact, _ in slices])
+        t1 = t0 + np.array([width for *_, width in slices])
+        rows = feature_matrix(*deb.slice_events(t0, t1), t0, t1)
+        for a, b, row in zip(t0, t1, rows):
+            expected = extract_features(fixations, float(a), float(b)).as_array()
+            assert row.tobytes() == expected.tobytes(), (a, b)
+
+    def test_events_are_those_that_overlap(self):
+        pieces = [("body", 40), ("board", 30), ("elsewhere", 25), ("body", 40)]
+        deb = Debouncer(piecewise_stream(pieces), TWO_ZONES, 0.1)
+        fixations = deb.fixations()
+        assert [f.aoi for f in fixations] == [AoiLabel.ROBOT_BODY, AoiLabel.PUZZLE_BOARD,
+                                              AoiLabel.ELSEWHERE, AoiLabel.ROBOT_BODY]
+        # Slice 0 ends where the second event starts; slice 1 spans the end
+        # of the first to the start of the last; slice 2 holds the whole
+        # recording.
+        win, code, start, _ = deb.slice_events(
+            [0.0, fixations[0].end, -1.0], [fixations[1].start, fixations[3].start, 10.0])
+        assert win.tolist() == [0, 1, 1, 2, 2, 2, 2]
+        assert code.tolist() == [0, 4, 5, 0, 4, 5, 0]
+        assert start.tolist() == [f.start for f in fixations[:1] + fixations[1:3]
+                                  + fixations]
 
 
 def make_timeline(failure_piece=1, failure_type="EF"):

@@ -3,7 +3,7 @@ import pytest
 
 from gaze_sentinel.core import (
     AoiLabel,
-    EpisodeSegment,
+    Debouncer,
     GazeStream,
     Rect,
     AoiLayout,
@@ -18,6 +18,7 @@ from gaze_sentinel.evaluate import (
     DetectionEvent,
     EvalReport,
     eval_first_n,
+    first_n_blocks,
     fit_fold,
     interval_detection_rate,
     loo_cv,
@@ -25,10 +26,11 @@ from gaze_sentinel.evaluate import (
     metrics,
     sliding_windows,
     stream_detect,
-    truncate_segment,
 )
+from gaze_sentinel.features import extract_features
 from gaze_sentinel.learners import LabeledDataset, default_config
 from gaze_sentinel.model_io import model_payload
+from gaze_sentinel.sim import CorpusSpec, generate_corpus
 
 
 class TestMetrics:
@@ -119,25 +121,70 @@ class TestLooCv:
         assert model_payload(model_a) == model_payload(model_b)
 
 
+def reference_row(row, t1):
+    """The row's features over [row.t0, t1], from the session's whole
+    fixation list."""
+    fixations = Debouncer(row.session.gaze, row.session.layout).fixations()
+    return extract_features(fixations, row.t0, t1).as_array()
+
+
 class TestTruncateSegment:
-    def seg(self, label, dur):
-        return EpisodeSegment(1, 1, 1, label, 100.0, 100.0 + dur)
+    """First-n rows: failure rows measured over [t0, min(t0 + n, t1)]."""
 
-    def test_failure_truncated(self):
-        assert truncate_segment(self.seg("EF", 15.0), 5) == (100.0, 105.0)
+    def blocks(self, corpus, task, n_values):
+        _, rows = corpus.dataset_for_task(task)
+        return rows, dict(zip(n_values, first_n_blocks(corpus, rows, n_values)))
 
-    def test_clamped_to_segment_end(self):
-        assert truncate_segment(self.seg("EF", 15.0), 20) == (100.0, 115.0)
+    def test_failure_truncated(self, mini_corpus):
+        rows, blocks = self.blocks(mini_corpus, "nf-ef", [5.0])
+        failures = [i for i, r in enumerate(rows) if r.label == "EF"]
+        assert failures
+        for i in failures:
+            expected = reference_row(rows[i], rows[i].t0 + 5.0)
+            assert blocks[5.0][i].tobytes() == expected.tobytes()
+            assert not np.array_equal(blocks[5.0][i], rows[i].features)
 
-    def test_df_full_duration_identity(self):
-        assert truncate_segment(self.seg("DF", 16.5), 16.5) == (100.0, 116.5)
+    def test_clamped_to_segment_end(self, mini_corpus):
+        rows, blocks = self.blocks(mini_corpus, "nf-ef", [20.0])
+        assert blocks[20.0].tobytes() == np.array([r.features for r in rows]).tobytes()
 
-    def test_nf_passes_through(self):
-        assert truncate_segment(self.seg("NF", 12.0), 5) == (100.0, 112.0)
+    def test_df_full_duration_identity(self, mini_corpus):
+        rows, blocks = self.blocks(mini_corpus, "nf-df", [16.5])
+        assert blocks[16.5].tobytes() == np.array([r.features for r in rows]).tobytes()
 
-    def test_rejects_nonpositive(self):
-        with pytest.raises(InvalidParameterError):
-            truncate_segment(self.seg("EF", 15.0), 0)
+    def test_nf_passes_through(self, mini_corpus):
+        rows, blocks = self.blocks(mini_corpus, "nf-ef", [1.0, 5.0])
+        for n in (1.0, 5.0):
+            for row, x in zip(rows, blocks[n]):
+                if row.label == "NF":
+                    assert x.tobytes() == row.features.tobytes()
+
+    def test_rejects_nonpositive(self, mini_corpus):
+        for n in (0.0, -5.0):
+            with pytest.raises(InvalidParameterError):
+                eval_first_n(mini_corpus, "nf-ef", default_config("ada"), [1.0, n])
+
+
+class TestBatchFeaturizer:
+    """Segment and first-n rows, featurized as batches of slices, equal the
+    per-row reference ``extract_features`` bit for bit."""
+
+    @pytest.mark.parametrize("seed", [651, 7])
+    def test_rows_match_extract_features(self, seed):
+        corpus = Corpus(generate_corpus(CorpusSpec(participants=2, master_seed=seed)))
+        n_values = [0.5, 1.0, 3.0, 5.0, 15.0, 20.0]
+        for task in ("nf-ef", "nf-df"):
+            rows = corpus.rows_for_task(task)
+            for row in rows:
+                assert row.features.tobytes() == reference_row(row, row.t1).tobytes()
+            checked = 0
+            for n, block in zip(n_values, first_n_blocks(corpus, rows, n_values)):
+                for row, x in zip(rows, block):
+                    if row.label != "NF":
+                        expected = reference_row(row, min(row.t0 + n, row.t1))
+                        assert x.tobytes() == expected.tobytes(), (task, n, row.t0)
+                        checked += 1
+            assert checked == 4 * len(n_values)
 
 
 def make_session(duration, failure=None, participant=1, puzzle=1, n_pieces=2):

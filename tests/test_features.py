@@ -10,12 +10,9 @@ from gaze_sentinel.errors import InvalidSliceError
 from gaze_sentinel.features import (
     FEATURE_NAMES,
     FeatureVector,
-    build_transition_model,
-    clip_fixations,
+    _tally,
     extract_features,
     feature_matrix,
-    stationary_entropy,
-    transition_entropy,
 )
 
 A, B, C = AoiLabel.ROBOT_BODY, AoiLabel.END_EFFECTOR, AoiLabel.ROBOT_PIECES
@@ -56,65 +53,80 @@ def brute_transition(labels):
     return total
 
 
+def entropies(seq):
+    """(transition, stationary) entropy of a label sequence: columns 9 and 10
+    of the feature row of back-to-back 1 s fixations."""
+    v = extract_features(seq_to_fixations(seq), 0.0, float(max(len(seq), 1)))
+    return v.transition_entropy, v.stationary_entropy
+
+
+def tally(seq):
+    """Visit counts (6,) and consecutive-pair counts (6, 6) of one slice."""
+    visits, counts = _tally(np.zeros(len(seq), dtype=np.int64),
+                            np.array([int(a) for a in seq], dtype=np.int64), 1)
+    return visits[0], counts[0]
+
+
 class TestTransitionModel:
     def test_empty_sequence(self):
-        model = build_transition_model([])
-        assert model.counts.sum() == 0
-        assert model.visit_dist.sum() == 0.0
-        assert transition_entropy(model) == 0.0
-        assert stationary_entropy(model.visit_dist) == 0.0
+        visits, counts = tally([])
+        assert counts.sum() == 0
+        assert visits.sum() == 0
+        assert entropies([]) == (0.0, 0.0)
 
     def test_direct_tally(self):
-        model = build_transition_model([A, B, C])
-        assert model.counts[int(A), int(B)] == 1
-        assert model.counts[int(B), int(C)] == 1
-        assert model.counts.sum() == 2
-        np.testing.assert_allclose(model.visit_dist[[int(A), int(B), int(C)]], 1 / 3)
+        visits, counts = tally([A, B, C])
+        assert counts[int(A), int(B)] == 1
+        assert counts[int(B), int(C)] == 1
+        assert counts.sum() == 2
+        np.testing.assert_array_equal(visits[[int(A), int(B), int(C)]], 1)
 
     def test_counts_match_pairwise_oracle_on_random_sequences(self):
         rng = np.random.default_rng(0)
         labels6 = list(AoiLabel)
         for _ in range(200):
             seq = [labels6[i] for i in rng.integers(0, 6, size=8)]
-            model = build_transition_model(seq)
             expected = np.zeros((N_AOI, N_AOI), dtype=int)
             for a, b in zip(seq, seq[1:]):
                 expected[int(a), int(b)] += 1
-            np.testing.assert_array_equal(model.counts, expected)
+            np.testing.assert_array_equal(tally(seq)[1], expected)
 
     def test_debounced_input_has_zero_diagonal(self):
-        seq = [A, B, A, C, B, C, A]
-        model = build_transition_model(seq)
-        assert np.all(np.diag(model.counts) == 0)
+        _, counts = tally([A, B, A, C, B, C, A])
+        assert np.all(np.diag(counts) == 0)
 
     def test_visit_dist_sums_to_one(self):
-        model = build_transition_model([A, B, A])
-        assert model.visit_dist.sum() == pytest.approx(1.0, abs=1e-12)
+        # The occupancy shares of back-to-back fixations are the visit
+        # distribution.
+        v = extract_features(seq_to_fixations([A, B, A]), 0.0, 3.0)
+        assert sum(v.p_aoi) == pytest.approx(1.0, abs=1e-12)
+        assert v.p_aoi[int(A)] == pytest.approx(2 / 3, abs=1e-12)
 
 
 class TestEntropies:
     def test_degenerate_distribution(self):
-        assert stationary_entropy([1, 0, 0, 0, 0, 0]) == 0.0
+        assert entropies([A]) == (0.0, 0.0)
 
     def test_uniform_maximum(self):
-        assert stationary_entropy([1 / 6] * 6) == pytest.approx(math.log2(6), abs=1e-12)
+        ht, hs = entropies(list(AoiLabel))
+        assert hs == pytest.approx(math.log2(6), abs=1e-12)
+        assert ht == 0.0
 
     def test_hand_derived_mixed_sequence(self):
         # [A,B,A,C,A,B]: visits (1/2, 1/3, 1/6); outgoing from A: B twice, C
         # once; rows B and C are deterministic. Evaluating the double sum by
         # hand: H_t = 1/2 * H(2/3, 1/3) = 0.45914791702724..., and
         # H_s = H(1/2, 1/3, 1/6).
-        model = build_transition_model([A, B, A, C, A, B])
+        ht, hs = entropies([A, B, A, C, A, B])
         h_a = -(2 / 3) * math.log2(2 / 3) - (1 / 3) * math.log2(1 / 3)
-        assert transition_entropy(model) == pytest.approx(0.5 * h_a, abs=1e-12)
-        assert transition_entropy(model) == pytest.approx(0.4591479170272448, abs=1e-12)
-        expected_hs = brute_stationary([A, B, A, C, A, B])
-        assert stationary_entropy(model.visit_dist) == pytest.approx(expected_hs, abs=1e-12)
+        assert ht == pytest.approx(0.5 * h_a, abs=1e-12)
+        assert ht == pytest.approx(0.4591479170272448, abs=1e-12)
+        assert hs == pytest.approx(brute_stationary([A, B, A, C, A, B]), abs=1e-12)
 
     def test_alternating_chain_is_deterministic(self):
-        model = build_transition_model([A, B, A, B])
-        assert stationary_entropy(model.visit_dist) == pytest.approx(1.0, abs=1e-12)
-        assert transition_entropy(model) == pytest.approx(0.0, abs=1e-12)
+        ht, hs = entropies([A, B, A, B])
+        assert hs == pytest.approx(1.0, abs=1e-12)
+        assert ht == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_oracle_on_random_six_label_sequences(self):
         rng = np.random.default_rng(42)
@@ -122,34 +134,40 @@ class TestEntropies:
         for _ in range(300):
             n = int(rng.integers(1, 20))
             seq = [labels6[i] for i in rng.integers(0, 6, size=n)]
-            model = build_transition_model(seq)
-            assert transition_entropy(model) == pytest.approx(brute_transition(seq), abs=1e-12)
-            assert stationary_entropy(model.visit_dist) == pytest.approx(
-                brute_stationary(seq), abs=1e-12)
+            ht, hs = entropies(seq)
+            assert ht == pytest.approx(brute_transition(seq), abs=1e-12)
+            assert hs == pytest.approx(brute_stationary(seq), abs=1e-12)
 
     @given(st.lists(st.integers(0, 5), min_size=0, max_size=15))
     def test_bounds(self, codes):
-        seq = [AoiLabel(c) for c in codes]
-        model = build_transition_model(seq)
-        hs = stationary_entropy(model.visit_dist)
-        ht = transition_entropy(model)
+        ht, hs = entropies([AoiLabel(c) for c in codes])
         assert 0.0 <= hs <= math.log2(6) + 1e-12
         assert 0.0 <= ht <= math.log2(6) + 1e-12
 
     def test_hs_zero_iff_single_aoi(self):
-        assert stationary_entropy(build_transition_model([A, A, A]).visit_dist) == 0.0
-        assert stationary_entropy(build_transition_model([A, B, A]).visit_dist) > 0.0
+        assert entropies([A, A, A])[1] == 0.0
+        assert entropies([A, B, A])[1] > 0.0
 
 
 class TestClipFixations:
+    """The kernel clips each event to its slice before measuring it."""
+
     def test_truncates_edges(self):
         fx = [FixationEvent(A, 0.0, 4.0), FixationEvent(B, 4.0, 4.0)]
-        clipped = clip_fixations(fx, 2.0, 6.0)
-        assert clipped == [FixationEvent(A, 2.0, 2.0), FixationEvent(B, 4.0, 2.0)]
+        v = extract_features(fx, 2.0, 6.0)
+        # A clipped to [2, 4], B to [4, 6]; A starts at the slice start, so
+        # it is a visit, not an entry.
+        assert v.p_aoi[int(A)] == 0.5 and v.p_aoi[int(B)] == 0.5
+        assert v.mean_ee_dwell == 2.0
+        assert v.shift_rate_all == 0.25
+        assert v.shift_rate_robot_body == 0.0
 
     def test_drops_zero_overlap(self):
         fx = [FixationEvent(A, 0.0, 2.0), FixationEvent(B, 2.0, 2.0)]
-        assert clip_fixations(fx, 2.0, 4.0) == [FixationEvent(B, 2.0, 2.0)]
+        v = extract_features(fx, 2.0, 4.0)
+        assert v.p_aoi[int(A)] == 0.0 and v.p_aoi[int(B)] == 1.0
+        assert v.shift_rate_all == 0.0
+        assert (v.transition_entropy, v.stationary_entropy) == (0.0, 0.0)
 
 
 class TestExtractFeatures:

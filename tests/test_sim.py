@@ -1,9 +1,10 @@
+import json
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from gaze_sentinel.core import FAILURE_DURATIONS, AoiLabel, debounce, segment_session
+from gaze_sentinel.core import FAILURE_DURATIONS, AoiLabel, Debouncer, segment_session
 from gaze_sentinel.errors import InvalidParameterError
 from gaze_sentinel.sim import (
     BehaviorParams,
@@ -150,7 +151,7 @@ class TestGazeSynthesis:
     def test_dwells_survive_debouncing(self):
         behavior = BehaviorParams.default()
         s = build_session(5, 1, cond("EF", "early"), behavior, TimingParams(), 7)
-        fx = debounce(s.gaze, s.layout)
+        fx = Debouncer(s.gaze, s.layout).fixations()
         assert len(fx) > 50
         assert all(f.duration >= 0.1 - 1e-9 for f in fx)
 
@@ -236,12 +237,18 @@ class TestBehaviorProfile:
         assert params.failure_stare == params.baseline
 
     def test_profile_file_loading(self, tmp_path):
-        import json
-
         params = BehaviorParams.default()
         path = tmp_path / "profile.json"
         path.write_text(json.dumps(params.to_dict()))
         assert BehaviorParams.from_file(path).to_dict() == params.to_dict()
+
+    def test_unknown_keys_are_ignored(self, tmp_path):
+        data = BehaviorParams.default().to_dict()
+        data["distract_participant_turns"] = True
+        data["note"] = {"any": "thing"}
+        path = tmp_path / "profile.json"
+        path.write_text(json.dumps(data))
+        assert BehaviorParams.from_file(path) == BehaviorParams.default()
 
     def test_unknown_schema_rejected(self):
         with pytest.raises(InvalidParameterError):

@@ -339,6 +339,44 @@ class TestFeatureCsvReader:
         assert f"{csv_file}, line {len(lines)}:" in str(err.value)
 
 
+class TestReportCsvReader:
+    @pytest.fixture
+    def report_file(self, tmp_path):
+        path = tmp_path / "report_full_nf-ef.csv"
+        path.write_text("# gaze-sentinel\ntask,classifier,n_or_width,fold,accuracy,recall\n"
+                        "nf-ef,ada,full,1,0.75,\nnf-ef,ada,full,pooled,0.5,0.25\n")
+        return path
+
+    def test_roundtrip(self, report_file):
+        rows = storage.read_report_csv(report_file)
+        assert [(r["fold"], r["accuracy"], r["recall"]) for r in rows] == [
+            ("1", 0.75, None), ("pooled", 0.5, 0.25)]
+
+    @pytest.mark.parametrize("edit", [
+        lambda line: line.rsplit(",", 1)[0],  # five fields
+        lambda line: line + ",0.5",  # seven fields
+        lambda line: line.replace(",0.5,", ",half,"),  # accuracy not a number
+        lambda line: line.rsplit(",", 1)[0] + ",x",  # recall not a number
+    ], ids=["5 fields", "7 fields", "accuracy", "recall"])
+    def test_bad_row_names_its_line(self, report_file, edit):
+        lines = report_file.read_text().splitlines()
+        lines[-1] = edit(lines[-1])
+        report_file.write_text("\n".join(lines) + "\n")
+        with pytest.raises(InvalidParameterError) as err:
+            storage.read_report_csv(report_file)
+        assert f"{report_file}, line {len(lines)}:" in str(err.value)
+
+    @pytest.mark.parametrize("header", ["task,classifier,n_or_width,fold,accuracy",
+                                        "task,classifier,width,fold,accuracy,recall"])
+    def test_wrong_header_names_the_file(self, report_file, header):
+        lines = report_file.read_text().splitlines()
+        lines[1] = header
+        report_file.write_text("\n".join(lines) + "\n")
+        with pytest.raises(InvalidParameterError, match="header") as err:
+            storage.read_report_csv(report_file)
+        assert str(report_file) in str(err.value)
+
+
 def csv_rows(rows):
     """A feature table's rows, every float as its raw bits."""
     bits = lambda values: np.asarray(values, dtype=np.float64).view(np.uint64).tolist()  # noqa: E731
