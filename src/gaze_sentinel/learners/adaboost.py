@@ -41,19 +41,28 @@ class AdaParams:
         check_features("ada", self.feature, self.n_features)
 
 
-def _fit_stump(X: np.ndarray, y: np.ndarray, w: np.ndarray):
-    """Minimum weighted-error stump over all features and both polarities.
+def _presort(X: np.ndarray, y: np.ndarray):
+    """X's stable column argsort, X and y and 1 - y in that order, and the
+    mask of sorted positions whose next value ties. X is the same in every
+    round, so a fit computes these once."""
+    order = np.argsort(X, axis=0, kind="stable")
+    xs = np.take_along_axis(X, order, axis=0)
+    ys = y[order]
+    return order, xs, ys, 1 - ys, xs[1:] <= xs[:-1]
+
+
+def _fit_stump(presorted, w: np.ndarray):
+    """Minimum weighted-error stump over all features and both polarities,
+    from ``_presort``'s arrays and the row weights ``w``.
 
     Returns (feature, threshold, low_class, high_class, error) or None when
     every feature is constant.
     """
-    m, d = X.shape
-    order = np.argsort(X, axis=0, kind="stable")
-    xs = np.take_along_axis(X, order, axis=0)
-    ys = y[order]
+    order, xs, ys, not_ys, invalid = presorted
+    d = xs.shape[1]
     ws = w[order]
     w_pos = np.cumsum(ws * ys, axis=0)
-    w_neg = np.cumsum(ws * (1 - ys), axis=0)
+    w_neg = np.cumsum(ws * not_ys, axis=0)
     total_pos = w_pos[-1]
     total_neg = w_neg[-1]
 
@@ -61,7 +70,6 @@ def _fit_stump(X: np.ndarray, y: np.ndarray, w: np.ndarray):
     err_a = w_neg[:-1] + (total_pos[None, :] - w_pos[:-1])
     # Polarity B: predict 0 below the threshold, 1 at or above it.
     err_b = w_pos[:-1] + (total_neg[None, :] - w_neg[:-1])
-    invalid = xs[1:] <= xs[:-1]
     err_a = np.where(invalid, np.inf, err_a)
     err_b = np.where(invalid, np.inf, err_b)
 
@@ -79,10 +87,11 @@ def _fit_stump(X: np.ndarray, y: np.ndarray, w: np.ndarray):
 
 def fit_ada(X: np.ndarray, y: np.ndarray, rounds: int) -> AdaParams:
     n, d = X.shape
+    presorted = _presort(X, y)
     w = np.full(n, 1.0 / n)
     feats, thrs, lows, highs, alphas = [], [], [], [], []
     for _ in range(rounds):
-        stump = _fit_stump(X, y, w)
+        stump = _fit_stump(presorted, w)
         if stump is None:
             break
         f, thr, low, high, _ = stump

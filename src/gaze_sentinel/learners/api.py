@@ -96,10 +96,15 @@ class TrainedModel:
 
 
 def train(config: ClassifierConfig, dataset: LabeledDataset) -> TrainedModel:
+    """Fit ``config`` on ``dataset``; one class only raises
+    ``DegenerateDataError``, and a NaN or infinite feature raises
+    ``InvalidParameterError``."""
     n0, n1 = dataset.class_counts()
     if n0 == 0 or n1 == 0:
         raise DegenerateDataError("training data must contain both classes")
     X, y = dataset.X, dataset.y
+    if not np.isfinite(X).all():  # the split searches rank rows by value
+        raise InvalidParameterError("training features must be finite numbers")
     standardizer = None
     loss = None
     if config.kind == "forest":

@@ -10,6 +10,7 @@ rates used here.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass, field
 from typing import Optional
@@ -17,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .data import check_features
-from .forest import PackedTrees, TreeNodes, grow_tree, pack_trees
+from .forest import DfsTree, PackedTrees, TreeNodes, pack_trees
 
 
 @dataclass
@@ -83,43 +84,76 @@ def _logloss(F: np.ndarray, y: np.ndarray) -> float:
     return float(np.mean(np.logaddexp(0.0, F) - y * F))
 
 
-def _newton_split(X: np.ndarray, g: np.ndarray, h: np.ndarray, lam: float):
-    """Best split by second-order gain over all features, or None."""
-    order = np.argsort(X, axis=0, kind="stable")
-    xs = np.take_along_axis(X, order, axis=0)
-    GL = np.cumsum(g[order], axis=0)
-    HL = np.cumsum(h[order], axis=0)
-    G, H = GL[-1], HL[-1]
-    gl, hl = GL[:-1], HL[:-1]
-    gr, hr = G[None, :] - gl, H[None, :] - hl
-    gain = 0.5 * (gl * gl / (hl + lam) + gr * gr / (hr + lam)
-                  - (G * G / (H + lam))[None, :])
-    gain[xs[1:] <= xs[:-1]] = -np.inf
-    flat = int(np.argmax(gain))
-    i, j = divmod(flat, gain.shape[1])
-    best = gain[i, j]
-    if not np.isfinite(best) or best <= 1e-12:
+def _presorted_split(order, xs, g, h, lam):
+    """Best split by second-order gain over all features of one node, as
+    (feature, threshold), or None.
+
+    ``order[j]`` lists the node's rows stably sorted by feature j and
+    ``xs[j]`` their values, so the prefix sums run in the order a stable
+    argsort of the node's columns gives; the first maximum is taken in
+    (left size, feature) order.
+    """
+    GL = np.add.accumulate(g[order], axis=1)
+    HL = np.add.accumulate(h[order], axis=1)
+    G, H = GL[:, -1:], HL[:, -1:]
+    gl, hl = GL[:, :-1], HL[:, :-1]
+    gr, hr = G - gl, H - hl
+    gain = 0.5 * (gl * gl / (hl + lam) + gr * gr / (hr + lam) - G * G / (H + lam))
+    gain[xs[:, 1:] <= xs[:, :-1]] = -np.inf
+    i, j = divmod(int(gain.T.argmax()), gain.shape[0])
+    best = float(gain[j, i])
+    if not math.isfinite(best) or best <= 1e-12:
         return None
-    return int(j), 0.5 * float(xs[i, j] + xs[i + 1, j]), float(best)
+    return j, 0.5 * float(xs[j, i] + xs[j, i + 1])
 
 
-def _grow_newton(X: np.ndarray, g: np.ndarray, h: np.ndarray,
-                 max_depth: int, lam: float) -> TreeNodes:
-    def node(rows, depth):
-        gs, hs = g[rows], h[rows]
-        split = _newton_split(X[rows], gs, hs, lam) if (
-            depth < max_depth and rows.shape[0] >= 2) else None
+def _grow_presorted(X, order, xs, g, h, max_depth, lam):
+    """One Newton tree over all rows, grown depth first from X's presorted
+    ``order`` and values ``xs`` (both (features, rows)); returns the tree
+    and each row's leaf value.
+
+    A node carries its rows in ascending order, and below the last split
+    level its per-feature sorted rows and values, which a split partitions
+    stably; leaf values sum g and h in row order.
+    """
+    n = X.shape[0]
+    leaf_value = np.empty(n)
+    tree = DfsTree((np.arange(n), order, xs))
+    while (popped := tree.pop()) is not None:
+        (rows, order, xs), slot, depth = popped
+        split = None
+        if depth < max_depth and rows.shape[0] >= 2:
+            split = _presorted_split(order, xs, g, h, lam)
         if split is None:
-            return float(-gs.sum() / (hs.sum() + lam))
-        return split[:2]
-
-    return grow_tree(X, node)
+            value = float(-g[rows].sum() / (h[rows].sum() + lam))
+            tree.leaf(slot, value)
+            leaf_value[rows] = value
+            continue
+        f, thr = split
+        goes_left = X[rows, f] < thr
+        left, right = rows[goes_left], rows[~goes_left]
+        if depth + 1 < max_depth:
+            mark = np.zeros(n, dtype=bool)
+            mark[left] = True
+            on_left = mark[order]
+            d = order.shape[0]
+            left = (left, order[on_left].reshape(d, -1), xs[on_left].reshape(d, -1))
+            right = (right, order[~on_left].reshape(d, -1), xs[~on_left].reshape(d, -1))
+        else:
+            left, right = (left, None, None), (right, None, None)
+        tree.split(slot, depth, f, thr, left, right)
+    return tree.tree(), leaf_value
 
 
 def fit_gbt(X: np.ndarray, y: np.ndarray, rounds: int, learning_rate: float,
             max_depth: int, lam: float = 1.0):
-    """Greedy-tree booster; returns (params, per-round training loss)."""
+    """Greedy-tree booster; returns (params, per-round training loss).
+
+    X is the same in every round, so it is sorted once per fit.
+    """
     y = y.astype(np.float64)
+    order = np.ascontiguousarray(np.argsort(X, axis=0, kind="stable").T)
+    xs = np.take_along_axis(X.T, order, axis=1)
     F = np.zeros(X.shape[0], dtype=np.float64)
     losses = [_logloss(F, y)]
     trees = []
@@ -127,9 +161,9 @@ def fit_gbt(X: np.ndarray, y: np.ndarray, rounds: int, learning_rate: float,
         p = _sigmoid(F)
         g = p - y
         h = p * (1.0 - p)
-        tree = _grow_newton(X, g, h, max_depth, lam)
+        tree, leaf_value = _grow_presorted(X, order, xs, g, h, max_depth, lam)
         trees.append(tree)
-        F += learning_rate * tree.apply(X)
+        F += learning_rate * leaf_value
         losses.append(_logloss(F, y))
     params = GbtParams(trees=trees, learning_rate=learning_rate, n_features=X.shape[1])
     return params, losses
@@ -148,19 +182,23 @@ def _bin_groups(codes, n_bins) -> dict:
 def _oblivious_level(groups, g, h, leaf, n_leaves, lam):
     """Best shared (feature, bin) for one level; returns (f, bin, gain).
 
-    ``groups`` maps a bin count to its features and their stacked bin codes.
-    A group is scored at once: one bincount per statistic fills its
-    (feature, leaf, bin) histograms, each bucket adding its rows in row
-    order, and every later sum runs along the axis it would for one
-    feature, so gains are bit-identical to scoring features one by one.
+    ``groups`` maps a bin count to its features and their stacked bin codes;
+    ``g`` and ``h`` hold the round's statistics tiled once per round, as
+    many copies as the largest group has features. A group is scored at
+    once: one bincount per statistic fills its (feature, leaf, bin)
+    histograms, each bucket adding its rows in row order, and every later
+    sum runs along the axis it would for one feature, so gains are
+    bit-identical to scoring features one by one. The best gain wins, the
+    lowest feature among equals.
     """
-    picks = {}
+    n = leaf.shape[0]
+    best = None
     for bins, (feats, codes) in groups.items():
         k = len(feats)
         flat = ((np.arange(k)[:, None] * n_leaves + leaf) * bins + codes).ravel()
         size = k * n_leaves * bins
-        Gh = np.bincount(flat, weights=np.tile(g, k), minlength=size).reshape(k, n_leaves, bins)
-        Hh = np.bincount(flat, weights=np.tile(h, k), minlength=size).reshape(k, n_leaves, bins)
+        Gh = np.bincount(flat, weights=g[:k * n], minlength=size).reshape(k, n_leaves, bins)
+        Hh = np.bincount(flat, weights=h[:k * n], minlength=size).reshape(k, n_leaves, bins)
         GL = np.cumsum(Gh, axis=2)[:, :, :-1]
         HL = np.cumsum(Hh, axis=2)[:, :, :-1]
         Gt = Gh.sum(axis=2, keepdims=True)
@@ -168,14 +206,31 @@ def _oblivious_level(groups, g, h, leaf, n_leaves, lam):
         GR, HR = Gt - GL, Ht - HL
         gain = (0.5 * (GL * GL / (HL + lam) + GR * GR / (HR + lam)
                        - Gt * Gt / (Ht + lam))).sum(axis=1)
-        for j, row in zip(feats, gain):
-            b = int(np.argmax(row))
-            picks[j] = (j, b, float(row[b]))
-    best = None
-    for j in sorted(picks):
-        if best is None or picks[j][2] > best[2]:
-            best = picks[j]
+        b = gain.argmax(axis=1)
+        top = gain[np.arange(k), b]
+        for j, bj, gj in zip(feats, b.tolist(), top.tolist()):
+            if best is None or gj > best[2] or (gj == best[2] and j < best[0]):
+                best = (j, bj, gj)
     return best
+
+
+def _quantize(X: np.ndarray, max_bins: int):
+    """Per feature: each row's bin code, the bin count, and the candidate
+    threshold after each bin but the last."""
+    codes, n_bins, midpoints = [], [], []
+    for j in range(X.shape[1]):
+        uniq = np.unique(X[:, j])
+        if uniq.size <= max_bins:
+            borders = uniq
+        else:
+            pos = np.unique(np.linspace(0, uniq.size - 1, max_bins).round().astype(int))
+            borders = uniq[pos]
+        # bin b holds values in (borders[b-1], borders[b]]
+        codes.append(np.searchsorted(borders, X[:, j], side="left").astype(np.int64))
+        n_bins.append(borders.size)
+        next_above = uniq[np.searchsorted(uniq, borders[:-1], side="right")]
+        midpoints.append(0.5 * (borders[:-1] + next_above))
+    return codes, n_bins, midpoints
 
 
 def fit_oblivious_gbt(X: np.ndarray, y: np.ndarray, rounds: int,
@@ -190,21 +245,9 @@ def fit_oblivious_gbt(X: np.ndarray, y: np.ndarray, rounds: int,
     """
     y = y.astype(np.float64)
     n, d = X.shape
-    codes, n_bins, midpoints = [], [], []
-    for j in range(d):
-        uniq = np.unique(X[:, j])
-        if uniq.size <= max_bins:
-            borders = uniq
-        else:
-            pos = np.unique(np.linspace(0, uniq.size - 1, max_bins).round().astype(int))
-            borders = uniq[pos]
-        # bin b holds values in (borders[b-1], borders[b]]
-        codes.append(np.searchsorted(borders, X[:, j], side="left").astype(np.int64))
-        n_bins.append(borders.size)
-        next_above = uniq[np.searchsorted(uniq, borders[:-1], side="right")]
-        midpoints.append(0.5 * (borders[:-1] + next_above))
-
+    codes, n_bins, midpoints = _quantize(X, max_bins)
     groups = _bin_groups(codes, n_bins)
+    widest = max((len(feats) for feats, _ in groups.values()), default=0)
     F = np.zeros(n, dtype=np.float64)
     losses = [_logloss(F, y)]
     trees = []
@@ -212,11 +255,12 @@ def fit_oblivious_gbt(X: np.ndarray, y: np.ndarray, rounds: int,
         p = _sigmoid(F)
         g = p - y
         h = p * (1.0 - p)
+        gt, ht = np.tile(g, widest), np.tile(h, widest)
         leaf = np.zeros(n, dtype=np.int64)
         n_leaves = 1
         feats, thrs = [], []
         for _level in range(depth):
-            pick = _oblivious_level(groups, g, h, leaf, n_leaves, lam)
+            pick = _oblivious_level(groups, gt, ht, leaf, n_leaves, lam)
             if pick is None or pick[2] <= 1e-12:
                 break
             j, b, _ = pick

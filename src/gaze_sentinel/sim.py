@@ -11,6 +11,8 @@ order-independent.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import dataclass, replace
 from importlib import resources
 from typing import Optional
@@ -108,8 +110,8 @@ class RegimeParams:
 
     def __post_init__(self):
         dw = tuple(float(v) for v in self.dwell_means)
-        if len(dw) != N_AOI or any(v <= 0 for v in dw):
-            raise InvalidParameterError("need six positive dwell means")
+        if len(dw) != N_AOI or not all(0 < v < math.inf for v in dw):
+            raise InvalidParameterError("need six positive, finite dwell means")
         rows = []
         for i, row in enumerate(self.transitions):
             r = np.asarray(row, dtype=np.float64)
@@ -128,6 +130,27 @@ class RegimeParams:
 
     def matrix(self) -> np.ndarray:
         return np.array(self.transitions, dtype=np.float64)
+
+
+_RULES = {"> 0": lambda v: v > 0, ">= 0": lambda v: v >= 0,
+          "in [0, 1]": lambda v: 0 <= v <= 1}
+
+
+def _checked(params, name: str, rule: str, pair: bool = False) -> None:
+    """Coerce field ``name`` of frozen ``params`` to a finite float meeting
+    ``rule`` (a key of ``_RULES``), or with ``pair`` to an ascending pair of
+    them; anything else raises ``InvalidParameterError``."""
+    value = getattr(params, name)
+    items = list(value) if pair and isinstance(value, (list, tuple)) else [value]
+    if (len(items) != (2 if pair else 1)
+            or not all(isinstance(v, numbers.Real) and not isinstance(v, bool)
+                       and math.isfinite(v) and _RULES[rule](v) for v in items)
+            or items != sorted(items)):
+        what = f"an ascending pair of numbers {rule}" if pair else f"a number {rule}"
+        raise InvalidParameterError(
+            f"{type(params).__name__}.{name} must be {what}, got {value!r}")
+    items = tuple(float(v) for v in items)
+    object.__setattr__(params, name, items if pair else items[0])
 
 
 @dataclass(frozen=True)
@@ -157,6 +180,17 @@ class ReactionParams:
     # participants toward one style or the other.
     style_beta: float = 0.4
 
+    def __post_init__(self):
+        for name in ("ef_delay", "ef_hold", "df_delay", "df_hold"):
+            _checked(self, name, ">= 0")
+        for name in ("ef_strength", "df_strength", "tail_strength", "slow_reactor_prob"):
+            _checked(self, name, "in [0, 1]")
+        _checked(self, "style_beta", "> 0")
+        for name in ("slow_extra_delay", "fast_extra_delay"):
+            _checked(self, name, ">= 0", pair=True)
+        for name in ("slow_strength", "instance_strength"):
+            _checked(self, name, "in [0, 1]", pair=True)
+
 
 @dataclass(frozen=True)
 class BehaviorParams:
@@ -183,6 +217,14 @@ class BehaviorParams:
     # One log-normal distortion per participant, applied to BOTH regime
     # matrices, so regime contrasts stay untouched by participant noise.
     participant_transition_sigma: float = 0.3
+
+    def __post_init__(self):
+        for name in ("sample_rate_hz", "dwell_shape"):
+            _checked(self, name, "> 0")
+        for name in ("dwell_floor_s", "position_jitter_mm", "participant_dwell_sigma",
+                     "participant_transition_sigma"):
+            _checked(self, name, ">= 0")
+        _checked(self, "invalid_rate", "in [0, 1]")
 
     @classmethod
     def default(cls) -> "BehaviorParams":

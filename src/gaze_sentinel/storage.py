@@ -332,11 +332,11 @@ def write_feature_csv(rows, path, config: Optional[dict] = None) -> None:
 
 def read_feature_csv(path) -> list:
     """Rows of a feature table; a header other than the writer's, a row
-    without exactly its fields, a number that does not parse, a task not in
-    ``TASKS``, a label other than ``NF`` and its task's failure type, or
-    ``t1 <= t0`` raises ``InvalidParameterError`` with the path and the
-    1-based line number, and a file that is not UTF-8 text raises it with
-    the path."""
+    without exactly its fields, a number that does not parse or is not
+    finite, a task not in ``TASKS``, a label other than ``NF`` and its
+    task's failure type, or ``t1 <= t0`` raises ``InvalidParameterError``
+    with the path and the 1-based line number, and a file that is not UTF-8
+    text raises it with the path."""
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
@@ -370,6 +370,11 @@ def read_feature_csv(path) -> list:
                 t1=float(parts[6]),
                 features=np.array([float(v) for v in parts[7:]]),
             )
+            finite = np.isfinite([row.t0, row.t1, *row.features])
+            if not finite.all():
+                field = 5 + int(np.argmin(finite))
+                raise ValueError(f"{_FEATURE_CSV_HEADER[field]} is {parts[field]}, "
+                                 f"not a finite number")
             if row.task not in TASKS:
                 raise ValueError(f"unknown task {row.task!r}")
             if row.label not in ("NF", TASKS[row.task]):

@@ -1,3 +1,7 @@
+import json
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -10,20 +14,30 @@ from gaze_sentinel.learners import (
     TrainedModel,
     decision_scores,
     default_config,
+    forest,
     predict_batch,
     train,
 )
 from gaze_sentinel.learners.adaboost import AdaParams
-from gaze_sentinel.learners.forest import ForestParams, TreeNodes, predict_forest
+from gaze_sentinel.learners.forest import (
+    DfsTree,
+    ForestParams,
+    TreeNodes,
+    pack_trees,
+    predict_forest,
+)
 from gaze_sentinel.learners.gbt import (
     GbtParams,
     ObliviousTree,
     _bin_groups,
+    _logloss,
     _oblivious_level,
+    _quantize,
     _sigmoid,
     predict_gbt,
 )
 from gaze_sentinel.learners.svm import SvmParams
+from gaze_sentinel.model_io import model_payload
 
 
 def separable_60():
@@ -118,6 +132,15 @@ class TestTraining:
         for kind in KINDS:
             with pytest.raises(DegenerateDataError):
                 train(default_config(kind), ds)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_features_rejected(self, kind, bad):
+        ds = separable_60()
+        X = ds.X.copy()
+        X[7, 1] = bad
+        with pytest.raises(InvalidParameterError, match="finite"):
+            train(default_config(kind), LabeledDataset(X, ds.y, ds.groups))
 
     def test_svm_decision_invariant_to_feature_permutation(self):
         rng = np.random.default_rng(7)
@@ -356,7 +379,8 @@ class TestPackedWalk:
         X = probe_with_ties(trees, 3, n=40, seed=seed)
         assert predict_forest(params, X).tobytes() == reference_forest(params, X).tobytes()
         for tree in trees:
-            assert tree.apply(X).tobytes() == reference_apply(tree, X).tobytes()
+            one = pack_trees([tree], 3).leaf_values(X)[0]
+            assert one.tobytes() == reference_apply(tree, X).tobytes()
 
     @given(random_trees(n_features=3, votes=False), st.integers(0, 2 ** 31 - 1),
            st.sampled_from([0.01, 0.1, 0.3]))
@@ -420,5 +444,287 @@ class TestObliviousLevel:
         p = rng.uniform(0.01, 0.99, n)
         g, h = p - rng.integers(0, 2, n), p * (1.0 - p)
         leaf = rng.integers(0, n_leaves, n)
-        assert _oblivious_level(_bin_groups(codes, n_bins), g, h, leaf, n_leaves, 1.0) \
+        assert _oblivious_level(_bin_groups(codes, n_bins), np.tile(g, d), np.tile(h, d),
+                                leaf, n_leaves, 1.0) \
             == per_feature_level(codes, n_bins, g, h, leaf, n_leaves, 1.0)
+
+
+# The per-node learners the batched and presorted fits replaced, kept as
+# their references: every fitted model must equal theirs byte for byte.
+
+def grow_tree(X: np.ndarray, node) -> TreeNodes:
+    """A binary tree over the rows of ``X``, grown depth first, left subtree
+    first. ``node(rows, depth)`` gives the split (feature, threshold) of the
+    node holding ``rows``, or its leaf value."""
+    nodes = [[-1, 0.0, 0, 0, 0.0]]  # feature, threshold, left, right, value
+    stack = [(np.arange(X.shape[0]), 0, 0)]
+    while stack:
+        rows, slot, depth = stack.pop()
+        split = node(rows, depth)
+        if not isinstance(split, tuple):
+            nodes[slot][4] = split
+            continue
+        f, thr = split
+        goes_left = X[rows, f] < thr
+        nodes[slot][:4] = [f, thr, len(nodes), len(nodes) + 1]
+        stack.append((rows[~goes_left], len(nodes) + 1, depth + 1))
+        stack.append((rows[goes_left], len(nodes), depth + 1))
+        nodes += [[-1, 0.0, 0, 0, 0.0], [-1, 0.0, 0, 0, 0.0]]
+    return TreeNodes(*(np.array(column) for column in zip(*nodes)))
+
+
+def gini_split(X: np.ndarray, y: np.ndarray, cols: np.ndarray):
+    """Best (feature, threshold, cost) over candidate columns, or None: a
+    scan of every midpoint between distinct consecutive sorted values, ties
+    resolving to the first minimum in scan order."""
+    m = y.shape[0]
+    sub = X[:, cols]
+    order = np.argsort(sub, axis=0, kind="stable")
+    xs = np.take_along_axis(sub, order, axis=0)
+    pos = np.cumsum(y[order], axis=0, dtype=np.float64)
+    n_left = np.arange(1, m, dtype=np.float64)[:, None]
+    pos_left = pos[:-1]
+    n_right = m - n_left
+    pos_right = pos[-1][None, :] - pos_left
+    pl = pos_left / n_left
+    pr = pos_right / n_right
+    cost = (n_left * (1.0 - pl * pl - (1.0 - pl) ** 2)
+            + n_right * (1.0 - pr * pr - (1.0 - pr) ** 2)) / m
+    cost[xs[1:] <= xs[:-1]] = np.inf
+    i, j = divmod(int(np.argmin(cost)), cost.shape[1])
+    if not np.isfinite(cost[i, j]):
+        return None
+    return int(cols[j]), float(0.5 * (xs[i, j] + xs[i + 1, j])), float(cost[i, j])
+
+
+def grow_cart(X: np.ndarray, y: np.ndarray, rng, max_features: int) -> TreeNodes:
+    def node(rows, depth):
+        ys = y[rows]
+        pos, m = int(ys.sum()), rows.shape[0]
+        majority = 1.0 if 2 * pos > m else 0.0
+        if pos == 0 or pos == m or m < 2:
+            return majority
+        split = gini_split(X[rows], ys, rng.permutation(X.shape[1])[:max_features])
+        p = float(np.mean(ys))
+        if split is None or split[2] >= 1.0 - p * p - (1.0 - p) ** 2 - 1e-12:
+            return majority
+        return split[:2]
+
+    return grow_tree(X, node)
+
+
+def reference_fit_forest(X, y, n_trees, seed):
+    n, d = X.shape
+    max_features = min(d, math.ceil(math.sqrt(d)))
+    trees = []
+    for child in np.random.SeedSequence(seed).spawn(n_trees):
+        rng = np.random.default_rng(child)
+        boot = rng.integers(0, n, size=n)
+        trees.append(grow_cart(X[boot], y[boot], rng, max_features))
+    return ForestParams(trees=trees, n_features=d)
+
+
+def newton_split(X: np.ndarray, g: np.ndarray, h: np.ndarray, lam: float):
+    """Best (feature, threshold) by second-order gain, or None."""
+    order = np.argsort(X, axis=0, kind="stable")
+    xs = np.take_along_axis(X, order, axis=0)
+    GL = np.cumsum(g[order], axis=0)
+    HL = np.cumsum(h[order], axis=0)
+    G, H = GL[-1], HL[-1]
+    gl, hl = GL[:-1], HL[:-1]
+    gr, hr = G[None, :] - gl, H[None, :] - hl
+    gain = 0.5 * (gl * gl / (hl + lam) + gr * gr / (hr + lam)
+                  - (G * G / (H + lam))[None, :])
+    gain[xs[1:] <= xs[:-1]] = -np.inf
+    i, j = divmod(int(np.argmax(gain)), gain.shape[1])
+    if not np.isfinite(gain[i, j]) or gain[i, j] <= 1e-12:
+        return None
+    return int(j), 0.5 * float(xs[i, j] + xs[i + 1, j])
+
+
+def grow_newton(X, g, h, max_depth, lam) -> TreeNodes:
+    def node(rows, depth):
+        gs, hs = g[rows], h[rows]
+        split = newton_split(X[rows], gs, hs, lam) if (
+            depth < max_depth and rows.shape[0] >= 2) else None
+        return float(-gs.sum() / (hs.sum() + lam)) if split is None else split
+
+    return grow_tree(X, node)
+
+
+def reference_fit_gbt(X, y, rounds, learning_rate, max_depth, lam=1.0):
+    y = y.astype(np.float64)
+    F = np.zeros(X.shape[0])
+    losses = [_logloss(F, y)]
+    trees = []
+    for _ in range(rounds):
+        p = _sigmoid(F)
+        trees.append(grow_newton(X, p - y, p * (1.0 - p), max_depth, lam))
+        F += learning_rate * reference_apply(trees[-1], X)
+        losses.append(_logloss(F, y))
+    return GbtParams(trees=trees, learning_rate=learning_rate,
+                     n_features=X.shape[1]), losses
+
+
+def reference_fit_oblivious_gbt(X, y, rounds, learning_rate, depth, lam=1.0,
+                                max_bins=64):
+    y = y.astype(np.float64)
+    codes, n_bins, midpoints = _quantize(X, max_bins)
+    F = np.zeros(X.shape[0])
+    losses = [_logloss(F, y)]
+    trees = []
+    for _ in range(rounds):
+        p = _sigmoid(F)
+        g, h = p - y, p * (1.0 - p)
+        leaf = np.zeros(X.shape[0], dtype=np.int64)
+        feats, thrs = [], []
+        for _level in range(depth):
+            pick = per_feature_level(codes, n_bins, g, h, leaf, 2 ** len(feats), lam)
+            if pick is None or pick[2] <= 1e-12:
+                break
+            j, b, _ = pick
+            feats.append(j)
+            thrs.append(float(midpoints[j][b]))
+            leaf = 2 * leaf + (codes[j] > b)
+        n_leaves = 2 ** len(feats)
+        values = -np.bincount(leaf, weights=g, minlength=n_leaves) / (
+            np.bincount(leaf, weights=h, minlength=n_leaves) + lam)
+        trees.append(ObliviousTree(feats, thrs, values))
+        F += learning_rate * values[leaf]
+        losses.append(_logloss(F, y))
+    return GbtParams(trees=trees, learning_rate=learning_rate,
+                     n_features=X.shape[1]), losses
+
+
+def argsort_stump(X: np.ndarray, y: np.ndarray, w: np.ndarray):
+    """The stump search sorting X afresh in every round."""
+    d = X.shape[1]
+    order = np.argsort(X, axis=0, kind="stable")
+    xs = np.take_along_axis(X, order, axis=0)
+    ys = y[order]
+    ws = w[order]
+    w_pos = np.cumsum(ws * ys, axis=0)
+    w_neg = np.cumsum(ws * (1 - ys), axis=0)
+    invalid = xs[1:] <= xs[:-1]
+    err_a = np.where(invalid, np.inf, w_neg[:-1] + (w_pos[-1][None, :] - w_pos[:-1]))
+    err_b = np.where(invalid, np.inf, w_pos[:-1] + (w_neg[-1][None, :] - w_neg[:-1]))
+    stacked = np.stack([err_a, err_b])
+    polarity, rest = divmod(int(np.argmin(stacked)), err_a.size)
+    i, j = divmod(rest, d)
+    if not np.isfinite(stacked[polarity].flat[rest]):
+        return None
+    low, high = (1, 0) if polarity == 0 else (0, 1)
+    return j, float(0.5 * (xs[i, j] + xs[i + 1, j])), low, high
+
+
+def reference_fit_ada(X, y, rounds):
+    w = np.full(X.shape[0], 1.0 / X.shape[0])
+    stumps, alphas = [], []
+    for _ in range(rounds):
+        stump = argsort_stump(X, y, w)
+        if stump is None:
+            break
+        f, thr, low, high = stump
+        miss = np.where(X[:, f] < thr, low, high) != y
+        err = float(w[miss].sum())
+        if err >= 0.5 - 1e-12:
+            break
+        stumps.append(stump)
+        if err < 1e-12:
+            alphas.append(1.0)
+            break
+        alphas.append(float(np.log((1.0 - err) / err)))
+        w = w * np.exp(alphas[-1] * miss)
+        w /= w.sum()
+    feature, threshold, low, high = (list(c) for c in zip(*stumps)) if stumps else ([],) * 4
+    return AdaParams(feature, threshold, low, high, alphas, n_features=X.shape[1])
+
+
+def reference_train(config: ClassifierConfig, ds: LabeledDataset) -> TrainedModel:
+    X, y = ds.X, ds.y
+    loss = None
+    if config.kind == "forest":
+        params = reference_fit_forest(X, y, config.n_trees, config.seed)
+    elif config.kind == "ada":
+        params = reference_fit_ada(X, y, config.n_rounds)
+    elif config.kind == "gbt-a":
+        params, loss = reference_fit_gbt(X, y, config.n_rounds, config.learning_rate,
+                                         config.tree_depth)
+    else:
+        params, loss = reference_fit_oblivious_gbt(X, y, config.n_rounds,
+                                                   config.learning_rate, config.tree_depth)
+    return TrainedModel(config, ds.n_features, None, params,
+                        tuple(loss) if loss else None)
+
+
+def payload_bytes(model: TrainedModel) -> bytes:
+    return json.dumps(model_payload(model), indent=1).encode()
+
+
+@st.composite
+def tie_heavy_sets(draw):
+    """Rows on a small value grid, maybe a constant column and duplicated
+    rows, from 2 rows up, with classes as unbalanced as 1 to n - 1."""
+    n = draw(st.integers(2, 40))
+    d = draw(st.integers(1, 5))
+    grid = draw(st.integers(0, 3))
+    X = np.array(draw(st.lists(st.integers(-grid, grid), min_size=n * d,
+                               max_size=n * d)), dtype=np.float64).reshape(n, d) / 2
+    if draw(st.booleans()):
+        X[:, draw(st.integers(0, d - 1))] = 0.5
+    copies = draw(st.integers(0, n // 2))
+    X[n - copies:] = X[:copies]
+    ones = draw(st.integers(1, n - 1))
+    y = np.zeros(n, dtype=np.int64)
+    y[np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))).choice(n, ones,
+                                                                       replace=False)] = 1
+    return LabeledDataset(X, y, np.arange(n))
+
+
+REFERENCE_KINDS = ("forest", "ada", "gbt-a", "gbt-b")
+
+
+class TestFitsMatchReference:
+    """The lockstep forest, the presorted gbt-a and ada and the tiled gbt-b
+    levels fit the models the per-node learners fit, byte for byte."""
+
+    @pytest.mark.parametrize("kind", REFERENCE_KINDS)
+    @given(ds=tie_heavy_sets(), seed=st.integers(0, 2 ** 16))
+    def test_tie_heavy_sets(self, kind, ds, seed):
+        # fewer trees and rounds than published keep the references quick
+        config = replace(default_config(kind, seed=seed), n_trees=10, n_rounds=10)
+        assert payload_bytes(train(config, ds)) == payload_bytes(reference_train(config, ds))
+
+    @pytest.mark.parametrize("kind", REFERENCE_KINDS)
+    def test_published_configs(self, kind):
+        rng = np.random.default_rng(11)
+        X = np.vstack([rng.normal(-0.5, 1.0, (90, 4)), rng.normal(0.5, 1.0, (60, 4))])
+        X[:, 3] = np.round(X[:, 3])  # a column of heavy ties
+        ds = LabeledDataset(X, np.array([0] * 90 + [1] * 60), np.arange(150))
+        config = default_config(kind, seed=5)
+        assert payload_bytes(train(config, ds)) == payload_bytes(reference_train(config, ds))
+
+    def test_forest_searched_in_small_batches(self, monkeypatch):
+        # a budget below one root node's keys: every batch boundary, and
+        # nodes alone over budget, in every step
+        monkeypatch.setattr(forest, "_BATCH_KEYS", 64)
+        rng = np.random.default_rng(12)
+        X = np.round(rng.normal(0, 1.5, (120, 5)), 1)
+        ds = LabeledDataset(X, (X[:, 0] + rng.normal(0, 1, 120) > 0).astype(int),
+                            np.arange(120))
+        config = default_config("forest", seed=4)
+        assert payload_bytes(train(config, ds)) == payload_bytes(reference_train(config, ds))
+
+    def test_dfs_tree_numbers_children_after_parent(self):
+        tree = DfsTree("root")
+        data, slot, depth = tree.pop()
+        tree.split(slot, depth, 1, 0.5, "left", "right")
+        assert tree.pop() == ("left", 1, 1)
+        tree.leaf(1, 1.0)
+        assert tree.pop() == ("right", 2, 1)
+        tree.leaf(2, 0.0)
+        assert tree.pop() is None
+        built = tree.tree()
+        assert built.feature.tolist() == [1, -1, -1]
+        assert (built.left.tolist(), built.right.tolist()) == ([1, 0, 0], [2, 0, 0])
+        assert built.value.tolist() == [0.0, 1.0, 0.0]

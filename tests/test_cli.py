@@ -12,7 +12,7 @@ from gaze_sentinel.cli import main
 from gaze_sentinel.evaluate import Corpus
 from gaze_sentinel.learners import default_config, predict_batch, smote, train
 from gaze_sentinel.model_io import load_model, save_model
-from gaze_sentinel.sim import CorpusSpec, generate_corpus
+from gaze_sentinel.sim import BehaviorParams, CorpusSpec, generate_corpus
 
 
 @pytest.fixture(scope="module")
@@ -333,6 +333,42 @@ class TestErrors:
         assert str(profile) in record["message"]
         assert "Traceback" not in err
         assert not (tmp_path / "c").exists()
+
+    @pytest.mark.parametrize("key, value", [("sample_rate_hz", "fast"),
+                                            ("dwell_floor_s", -0.05),
+                                            ("invalid_rate", None)])
+    def test_bad_profile_value_is_json_error(self, tmp_path, capsys, key, value):
+        profile = tmp_path / "profile.json"
+        data = BehaviorParams.default().to_dict()
+        data[key] = value
+        profile.write_text(json.dumps(data))
+        code = main(["simulate", "--participants", "1", "--profile", str(profile),
+                     "--out", str(tmp_path / "c")])
+        assert code == 1
+        err = capsys.readouterr().err
+        record = json.loads(err.strip())
+        assert record["error"] == "InvalidParameterError"
+        assert str(profile) in record["message"] and key in record["message"]
+        assert "Traceback" not in err
+        assert not (tmp_path / "c").exists()
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    def test_non_finite_feature_csv_is_json_error(self, features_csv, tmp_path, capsys,
+                                                  token):
+        lines = features_csv.read_text().splitlines()
+        parts = lines[-1].split(",")
+        parts[-1] = token
+        lines[-1] = ",".join(parts)
+        bad = tmp_path / "features.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        model_path = tmp_path / "model.json"
+        code = main(["train", "--features", str(bad), "--task", parts[0],
+                     "--classifier", "forest", "--out", str(model_path)])
+        assert code == 1
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "InvalidParameterError"
+        assert f"{bad}, line {len(lines)}:" in record["message"]
+        assert not model_path.exists()
 
     def test_bad_report_row_is_json_error(self, tmp_path, capsys):
         reports = tmp_path / "reports"

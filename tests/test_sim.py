@@ -250,6 +250,42 @@ class TestBehaviorProfile:
         path.write_text(json.dumps(data))
         assert BehaviorParams.from_file(path) == BehaviorParams.default()
 
+    @pytest.mark.parametrize("key, value", [
+        ("sample_rate_hz", "fast"), ("sample_rate_hz", 0.0), ("sample_rate_hz", None),
+        ("sample_rate_hz", True), ("dwell_floor_s", -0.01), ("dwell_shape", 0.0),
+        ("position_jitter_mm", float("inf")), ("invalid_rate", 1.5),
+        ("invalid_rate", float("nan")), ("participant_dwell_sigma", -1.0),
+        ("participant_transition_sigma", [0.3]),
+        ("reaction.ef_delay_s", -2.5), ("reaction.df_hold_s", "long"),
+        ("reaction.ef_strength", 1.2), ("reaction.tail_strength", -0.1),
+        ("reaction.slow_reactor_prob", 2.0), ("reaction.style_beta", 0.0),
+        ("reaction.slow_extra_delay_s", [3.0, 2.0]), ("reaction.fast_extra_delay_s", [-1.0, 0.4]),
+        ("reaction.slow_strength", [0.35]), ("reaction.instance_strength", [0.85, 1.5]),
+        ("reaction.instance_strength", [None, 1.0]),
+    ])
+    def test_bad_value_rejected(self, key, value):
+        data = BehaviorParams.default().to_dict()
+        block, _, name = key.rpartition(".")
+        (data[block] if block else data)[name] = value
+        with pytest.raises(InvalidParameterError, match=name.removesuffix("_s")):
+            BehaviorParams.from_dict(data)
+
+    @pytest.mark.parametrize("dwell", [float("nan"), float("inf"), 0.0])
+    def test_bad_dwell_mean_rejected(self, dwell):
+        data = BehaviorParams.default().to_dict()
+        data["failure_scan"]["dwell_mean_s"]["robot_body"] = dwell
+        with pytest.raises(InvalidParameterError, match="dwell means"):
+            BehaviorParams.from_dict(data)
+
+    def test_numbers_are_coerced_to_float(self):
+        data = BehaviorParams.default().to_dict()
+        data["sample_rate_hz"] = 200
+        data["reaction"]["slow_extra_delay_s"] = [2, 3]
+        params = BehaviorParams.from_dict(data)
+        assert type(params.sample_rate_hz) is float
+        assert params.reaction.slow_extra_delay == (2.0, 3.0)
+        assert params == BehaviorParams.default()
+
     def test_unknown_schema_rejected(self):
         with pytest.raises(InvalidParameterError):
             BehaviorParams.from_dict({"schema": 99})

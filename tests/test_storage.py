@@ -180,6 +180,9 @@ NUMBERS = [b"01.5", b"1.", b"1e3", b".5", b"+1.0", b"1.5E-2", b"00.0", b"1_0.0",
            b"9" * 309 + b".0", b"-" + b"2" * 400 + b".5"]
 
 
+NON_FINITE = [b"nan", b"inf", b"-inf"]
+
+
 def mutate(data: bytes, kind: str, at: int, byte: int) -> bytes:
     lines = data.splitlines(keepends=True) or [b""]
     i = at % len(lines)  # any line, the header included
@@ -210,6 +213,10 @@ def mutate(data: bytes, kind: str, at: int, byte: int) -> bytes:
         lines[sample] = re.sub(rb'"%s":[^,}]*' % key,
                                b'"%s":%s' % (key, NUMBERS[byte % len(NUMBERS)]),
                                lines[sample])
+    elif kind == "non-finite":
+        fields = lines[i].split(b",")
+        fields[byte % len(fields)] = NON_FINITE[at % len(NON_FINITE)]
+        lines[i] = b",".join(fields)
     elif kind == "no final newline":
         return data.rstrip(b"\n")
     return b"".join(lines)
@@ -320,6 +327,18 @@ class TestFeatureCsvReader:
             storage.read_feature_csv(csv_file)
         assert f"{csv_file}, line {len(lines)}:" in str(err.value)
 
+    @pytest.mark.parametrize("field", [5, 6, 7, 17], ids=["t0", "t1", "first", "last"])
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "NaN", "Infinity"])
+    def test_non_finite_number_names_its_line(self, csv_file, field, token):
+        lines = csv_file.read_text().splitlines()
+        parts = lines[-1].split(",")
+        parts[field] = token
+        lines[-1] = ",".join(parts)
+        csv_file.write_text("\n".join(lines) + "\n")
+        with pytest.raises(InvalidParameterError, match="not a finite number") as err:
+            storage.read_feature_csv(csv_file)
+        assert f"{csv_file}, line {len(lines)}:" in str(err.value)
+
     @pytest.mark.parametrize("task, label, t0, t1", [
         ("nf-xf", "NF", "1.0", "16.0"),  # unknown task
         ("nf-ef", "NG", "1.0", "16.0"),  # an NF label one letter off
@@ -395,15 +414,15 @@ def varied_csv(tmp_path_factory):
 
 
 CSV_MUTATIONS = ["flip", "cut", "space", "non-utf8", "digit", "crlf", "cr", "blank",
-                 "no final newline"]
+                 "non-finite", "no final newline"]
 
 
 class TestFeatureCsvReaderProperties:
     @settings(max_examples=300, deadline=2000)
     @given(st.data())
     def test_mutated_file_fails_closed_or_round_trips(self, varied_csv, draw):
-        """A mutated table either raises a toolkit error or loads rows that
-        the writer writes back and the reader loads again unchanged."""
+        """A mutated table either raises a toolkit error or loads finite rows
+        that the writer writes back and the reader loads again unchanged."""
         mutations = draw.draw(st.lists(st.tuples(st.sampled_from(CSV_MUTATIONS),
                                                  st.integers(0, 10 ** 6),
                                                  st.integers(0, 255)),
@@ -417,6 +436,7 @@ class TestFeatureCsvReaderProperties:
             rows = storage.read_feature_csv(path)
         except GazeSentinelError:
             return
+        assert all(np.isfinite([r.t0, r.t1, *r.features]).all() for r in rows)
         again = varied_csv.with_name("rewritten.csv")
         storage.write_feature_csv(rows, again)
         assert csv_rows(storage.read_feature_csv(again)) == csv_rows(rows)
