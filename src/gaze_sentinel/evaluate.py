@@ -11,7 +11,11 @@ averaging fold metrics, since per-fold test sets are tiny.
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import pickle
 import warnings
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -221,10 +225,24 @@ def _failure_type(task: str) -> str:
     return TASKS[task]
 
 
+def _fit_split(X, y, groups, config: ClassifierConfig, held_out: int) -> TrainedModel:
+    """The fold model: train on every participant except ``held_out``, with
+    SMOTE on the training split only, seeded by (config seed, held-out
+    participant)."""
+    train_split = LabeledDataset(X, y, groups).subset(groups != held_out)
+    rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(held_out,)))
+    return train(config, smote(train_split, k=SMOTE_K, rng=rng))
+
+
+def _fit_pickled(X, y, groups, config: ClassifierConfig, held_out: int) -> bytes:
+    """``_fit_split`` in a worker. The model goes back pickled, so the
+    parent's main thread, not the pool's result thread, allocates it."""
+    return pickle.dumps(_fit_split(X, y, groups, config, held_out))
+
+
 def fit_fold(dataset: LabeledDataset, config: ClassifierConfig,
              held_out: int) -> TrainedModel:
-    """Train on every participant except ``held_out``; SMOTE applies to the
-    training split only, seeded by (config seed, held-out participant).
+    """The fold model of ``held_out`` (see ``_fit_split``).
 
     These arguments determine the fit and the dataset's arrays are
     read-only, so the model is fitted once and kept in
@@ -232,13 +250,49 @@ def fit_fold(dataset: LabeledDataset, config: ClassifierConfig,
     """
     key = (config, int(held_out))
     if key not in dataset.fold_models:
-        train_split = dataset.subset(dataset.groups != held_out)
-        rng = np.random.default_rng(
-            np.random.SeedSequence(config.seed, spawn_key=(int(held_out),))
-        )
-        balanced = smote(train_split, k=SMOTE_K, rng=rng)
-        dataset.fold_models[key] = train(config, balanced)
+        dataset.fold_models[key] = _fit_split(dataset.X, dataset.y, dataset.groups,
+                                              config, int(held_out))
     return dataset.fold_models[key]
+
+
+def _usable_cpus() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def fit_folds(dataset: LabeledDataset, config: ClassifierConfig, held_out) -> list:
+    """The fold models of the ``held_out`` participants, each as
+    ``fit_fold`` gives it.
+
+    The folds not yet in ``dataset.fold_models`` are fitted in worker
+    processes, one per CPU this process may use, and kept there; with one
+    CPU or at most one such fold, ``fit_fold`` fits in-process. A fold is a
+    function of the arrays, the config and the held-out id alone, so the
+    models are byte-identical either way. The first failing fold in
+    ``held_out`` order raises its own error, as it would in-process, and
+    the folds not yet started are cancelled.
+
+    Workers are forked. The pool lives for one call, and two forked
+    workers start in about 10 ms with numpy and this package imported;
+    spawned or forkserver ones import both anew, 0.3-0.5 s per pool on a
+    2-vCPU VM, and re-run the caller's main module, which fails in scripts
+    without a ``__main__`` guard. The executor forks its workers before it
+    starts its own threads; the only other threads are OpenBLAS's, which
+    it stops around a fork.
+    """
+    held_out = [int(p) for p in held_out]
+    missing = [p for p in held_out if (config, p) not in dataset.fold_models]
+    workers = min(_usable_cpus(), len(missing))
+    if workers > 1:
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+            futures = [pool.submit(_fit_pickled, dataset.X, dataset.y, dataset.groups,
+                                   config, p) for p in missing]
+            try:
+                for p, future in zip(missing, futures):
+                    dataset.fold_models[(config, p)] = pickle.loads(future.result())
+            except BaseException:
+                pool.shutdown(cancel_futures=True)
+                raise
+    return [fit_fold(dataset, config, p) for p in held_out]
 
 
 def _loo_folds(dataset: LabeledDataset, config: ClassifierConfig, test_sets,
@@ -249,7 +303,8 @@ def _loo_folds(dataset: LabeledDataset, config: ClassifierConfig, test_sets,
     as (blocks, truth) pairs, and its fold model labels each block of rows
     in one call. Returns, per test set, a (participant, truth, labels,
     scores) tuple per fold. A participant whose first test set is empty is
-    skipped with a warning.
+    skipped with a warning. Every test set is built before ``fit_folds``
+    fits the folds.
 
     Blocks keep scores bit-identical to the detector's: the svm margin is a
     BLAS product whose last bits depend on the rows beside a row, and
@@ -258,13 +313,16 @@ def _loo_folds(dataset: LabeledDataset, config: ClassifierConfig, test_sets,
     pids = np.unique(dataset.groups)
     if pids.size < 2:
         raise InvalidParameterError("leave-one-out needs at least two participants")
-    folds: list = [[] for _ in range(n_sets)]
+    tested = []
     for pid in pids.tolist():
         sets = test_sets(pid)
         if len(sets[0][1]) == 0:
             warnings.warn(f"participant {pid} has no test rows; fold skipped")
             continue
-        model = fit_fold(dataset, config, pid)
+        tested.append((pid, sets))
+    models = fit_folds(dataset, config, [pid for pid, _ in tested])
+    folds: list = [[] for _ in range(n_sets)]
+    for (pid, sets), model in zip(tested, models):
         for out, (blocks, truth) in zip(folds, sets):
             labels, scores = zip(*(predict_batch(model, X) for X in blocks))
             out.append((pid, truth, np.concatenate(labels), np.concatenate(scores)))

@@ -384,6 +384,26 @@ class TestErrors:
         assert f"{path}, line 2:" in record["message"]
         assert "Traceback" not in err
 
+    def test_fold_error_in_worker_is_json_error(self, tmp_path):
+        # With two participants each training split keeps the other's two
+        # EF rows, too few for SMOTE's k = 2; both folds go to workers when
+        # the process may use two CPUs.
+        corpus = tmp_path / "corpus"
+        assert main(["simulate", "--participants", "2", "--seed", "11",
+                     "--out", str(corpus)]) == 0
+        package_root = os.path.dirname(os.path.dirname(gaze_sentinel.__file__))
+        env = dict(os.environ, PYTHONPATH=package_root)
+        done = subprocess.run(
+            [sys.executable, "-m", "gaze_sentinel", "eval", "--corpus", str(corpus),
+             "--task", "nf-ef", "--classifier", "forest", "--mode", "full",
+             "--out", str(tmp_path / "eval")],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 1
+        assert "Traceback" not in done.stderr
+        assert json.loads(done.stderr) == {
+            "error": "InsufficientMinorityError",
+            "message": "minority class has 2 rows; need more than k=2"}
+
     def test_usage_error_exits_2(self):
         with pytest.raises(SystemExit) as err:
             main(["eval", "--corpus", "x", "--out", "y", "--mode", "bogus"])

@@ -1,3 +1,8 @@
+import json
+import multiprocessing
+import pickle
+from concurrent.futures import ProcessPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -11,8 +16,8 @@ from gaze_sentinel.core import (
     Session,
     Timeline,
 )
-from gaze_sentinel import evaluate
-from gaze_sentinel.errors import InvalidParameterError
+from gaze_sentinel import errors, evaluate
+from gaze_sentinel.errors import InsufficientMinorityError, InvalidParameterError
 from gaze_sentinel.evaluate import (
     Corpus,
     DetectionEvent,
@@ -20,6 +25,7 @@ from gaze_sentinel.evaluate import (
     eval_first_n,
     first_n_blocks,
     fit_fold,
+    fit_folds,
     interval_detection_rate,
     loo_cv,
     loo_stream_eval,
@@ -375,16 +381,31 @@ class TestFirstN:
             mini_corpus.dataset_for_task("nf-xx")
 
 
+def count_fits(monkeypatch):
+    """The list that gets one entry per fold fitted from here on: a config
+    per ``train`` call in this process and per fold sent to a worker."""
+    fits = []
+    real_train, real_submit = evaluate.train, ProcessPoolExecutor.submit
+
+    def counting_train(config, dataset):
+        fits.append(config)
+        return real_train(config, dataset)
+
+    def counting_submit(pool, fn, *args):
+        if fn is evaluate._fit_pickled:
+            fits.append(args[3])
+        return real_submit(pool, fn, *args)
+
+    monkeypatch.setattr(evaluate, "train", counting_train)
+    monkeypatch.setattr(ProcessPoolExecutor, "submit", counting_submit)
+    return fits
+
+
 class TestFoldSharing:
     def test_each_fold_is_fitted_once_per_corpus(self, mini_corpus, monkeypatch):
-        fits = []
-        real_train = evaluate.train
-
-        def counting_train(config, dataset):
-            fits.append(config)
-            return real_train(config, dataset)
-
-        monkeypatch.setattr(evaluate, "train", counting_train)
+        # Workers fit in child processes, so fits are counted where this
+        # process sees them: in-process ``train`` calls plus folds sent out.
+        fits = count_fits(monkeypatch)
         config = default_config("ada", seed=6)
         regimes = [
             lambda corpus: loo_cv(corpus.dataset_for_task("nf-ef")[0], config, task="nf-ef"),
@@ -402,3 +423,102 @@ class TestFoldSharing:
         for regime, result in zip(regimes, results):
             assert regime(Corpus(mini_corpus.sessions)) == result
         assert len(fits) == folds * (1 + len(regimes))
+
+
+def minority_dataset(failures):
+    """Six NF rows per participant plus ``failures[i]`` failure rows for
+    participant i + 1."""
+    rng = np.random.default_rng(5)
+    X, y, g = [], [], []
+    for pid, n_fail in enumerate(failures, start=1):
+        for label in [0] * 6 + [1] * n_fail:
+            X.append(rng.normal(3.0 * label, 1, 4)); y.append(label); g.append(pid)
+    return LabeledDataset(np.array(X), np.array(y), np.array(g))
+
+
+class TestParallelFolds:
+    """Folds fitted in worker processes (``_usable_cpus`` patched to 2, so
+    the pool runs on any machine) against folds fitted in this process."""
+
+    @pytest.fixture
+    def workers(self, monkeypatch):
+        monkeypatch.setattr(evaluate, "_usable_cpus", lambda: 2)
+        return count_fits(monkeypatch)
+
+    @pytest.mark.parametrize("kind", ["forest", "ada", "gbt-a", "svm", "gbt-b"])
+    def test_batch_matches_one_by_one(self, mini_corpus, workers, kind):
+        ds, _ = mini_corpus.dataset_for_task("nf-ef")
+        config = default_config(kind, seed=3)
+        pids = mini_corpus.participants
+        batch = fit_folds(LabeledDataset(ds.X, ds.y, ds.groups), config, pids)
+        assert len(workers) == len(pids)
+        one_by_one = LabeledDataset(ds.X, ds.y, ds.groups)
+        for pid, model in zip(pids, batch):
+            expected = fit_fold(one_by_one, config, pid)
+            assert json.dumps(model_payload(model)) == json.dumps(model_payload(expected))
+
+    def test_one_cpu_fits_in_process(self, mini_corpus, workers, monkeypatch):
+        monkeypatch.setattr(evaluate, "_usable_cpus", lambda: 1)
+        ds, _ = mini_corpus.dataset_for_task("nf-ef")
+        fit_folds(LabeledDataset(ds.X, ds.y, ds.groups), default_config("ada"),
+                  mini_corpus.participants)
+        assert multiprocessing.active_children() == []
+        assert len(workers) == len(mini_corpus.participants)
+
+    def test_no_worker_outlives_a_regime(self, mini_corpus, workers):
+        corpus = Corpus(mini_corpus.sessions)
+        dataset, _ = corpus.dataset_for_task("nf-ef")
+        loo_cv(dataset, default_config("ada", seed=8), task="nf-ef")
+        assert multiprocessing.active_children() == []
+        eval_first_n(corpus, "nf-ef", default_config("gbt-b", seed=8), [3.0])
+        assert multiprocessing.active_children() == []
+        loo_stream_eval(corpus, "nf-ef", default_config("svm", seed=8), 5.0)
+        assert multiprocessing.active_children() == []
+        assert len(workers) == 3 * len(mini_corpus.participants)
+
+    def test_participant_without_test_rows_is_warned_and_not_fitted(
+            self, mini_corpus, workers):
+        sessions = [s for s in mini_corpus.sessions
+                    if not (s.participant_id == 2 and s.timeline.failure_type == "EF")]
+        corpus = Corpus(sessions)
+        config = default_config("ada", seed=8)
+        with pytest.warns(UserWarning, match="participant 2 has no test rows"):
+            result = loo_stream_eval(corpus, "nf-ef", config, 5.0)
+        assert [f.participant for f in result.report.folds] == [1, 3, 4]
+        dataset, _ = corpus.dataset_for_task("nf-ef")
+        assert sorted(held for _, held in dataset.fold_models) == [1, 3, 4]
+        assert len(workers) == 3
+
+    @pytest.mark.parametrize("failures, error, message", [
+        # Held out, participant 2 leaves one failure row and 3 leaves two.
+        ([0, 2, 1, 0, 0, 0], InsufficientMinorityError,
+         "minority class has 1 rows; need more than k=2"),
+        (None, InvalidParameterError, "training features must be finite numbers"),
+    ])
+    def test_worker_error_is_raised_as_in_process(self, monkeypatch, workers,
+                                                  failures, error, message):
+        if failures is None:
+            # A NaN in participant 1's rows fails every fold but 1's.
+            ds = synthetic_dataset(6)
+            X = ds.X.copy()
+            X[0, 0] = np.nan
+            ds = LabeledDataset(X, ds.y, ds.groups)
+        else:
+            ds = minority_dataset(failures)
+        config = default_config("forest", seed=2)
+        for cpus in (2, 1):
+            monkeypatch.setattr(evaluate, "_usable_cpus", lambda: cpus)
+            with pytest.raises(error) as raised:
+                loo_cv(LabeledDataset(ds.X, ds.y, ds.groups), config)
+            assert type(raised.value) is error
+            assert str(raised.value) == message
+            assert multiprocessing.active_children() == []
+            if cpus == 2:
+                assert len(workers) == 6  # every fold was sent to a worker
+
+    @pytest.mark.parametrize("cls", [
+        c for c in vars(errors).values()
+        if isinstance(c, type) and issubclass(c, errors.GazeSentinelError)])
+    def test_errors_cross_the_process_boundary(self, cls):
+        back = pickle.loads(pickle.dumps(cls("a message")))
+        assert type(back) is cls and str(back) == "a message"
