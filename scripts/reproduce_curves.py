@@ -4,7 +4,8 @@
 Generates the committed 26-participant corpus, evaluates all five
 classifiers on both binary tasks (full segments, first-n truncation sweep,
 and width-5 sliding windows), and writes the report CSVs plus detection
-streams into the output directory.
+streams into the output directory through ``gaze_sentinel.cli.write_eval``,
+the writer behind ``gaze-sentinel eval``.
 
 Usage:
     python scripts/reproduce_curves.py [--out outputs] [--seed 7]
@@ -19,15 +20,15 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from gaze_sentinel import storage
-from gaze_sentinel.evaluate import (
-    Corpus,
-    eval_first_n,
-    interval_detection_rate,
-    loo_cv,
-    loo_stream_eval,
-)
-from gaze_sentinel.learners import KINDS, default_config
+from gaze_sentinel.cli import write_eval
+from gaze_sentinel.evaluate import Corpus
+from gaze_sentinel.learners import KINDS
 from gaze_sentinel.sim import CorpusSpec, generate_corpus
+
+
+def _progress(entries, label: str) -> None:
+    for task, kind, _, report in entries:
+        print(f"{task} {kind:7s} {label}: acc={report.accuracy:.3f} rec={report.recall:.3f}")
 
 
 def main() -> int:
@@ -52,45 +53,16 @@ def main() -> int:
     storage.write_feature_csv(corpus.segment_rows(), out / "features.csv", run_cfg)
 
     for task in ("nf-ef", "nf-df"):
-        entries = []
-        dataset, _ = corpus.dataset_for_task(task)
-        for kind in KINDS:
-            report = loo_cv(dataset, default_config(kind, seed=args.seed), task=task)
-            entries.append((task, kind, "full", report))
-            print(f"{task} {kind:7s} full: acc={report.accuracy:.3f} "
-                  f"rec={report.recall:.3f}")
-        storage.write_report_csv(out / f"report_full_{task}.csv", entries, run_cfg)
-
+        _progress(write_eval(corpus, out, task, "full", KINDS, args.seed, run_cfg), "full")
         if not args.skip_first_n:
-            n_values = list(range(1, 16)) if task == "nf-ef" else list(range(1, 17)) + [16.5]
-            entries = []
-            for kind in ("forest", "ada", "gbt-a"):
-                reports = eval_first_n(corpus, task,
-                                       default_config(kind, seed=args.seed), n_values)
-                for n in n_values:
-                    entries.append((task, kind, f"{n:g}", reports[n]))
+            kinds = ("forest", "ada", "gbt-a")
+            write_eval(corpus, out, task, "first-n", kinds, args.seed, run_cfg)
+            for kind in kinds:
                 print(f"{task} {kind:7s} first-n done")
-            storage.write_report_csv(out / f"report_first_n_{task}.csv", entries, run_cfg)
-
         for width in args.widths:
-            entries = []
-            offset_rows = []
-            for kind in KINDS:
-                result = loo_stream_eval(corpus, task,
-                                         default_config(kind, seed=args.seed), width)
-                entries.append((task, kind, f"{width:g}", result.report))
-                for offset, pct in interval_detection_rate(result.detections,
-                                                           corpus, width):
-                    offset_rows.append((task, kind, width, offset, pct))
-                storage.write_detections_jsonl(
-                    out / f"detections_{task}_w{width:g}_{kind}.jsonl",
-                    result.detections, run_cfg)
-                print(f"{task} {kind:7s} w={width:g}: "
-                      f"acc={result.report.accuracy:.3f} rec={result.report.recall:.3f}")
-            storage.write_report_csv(out / f"report_stream_{task}_w{width:g}.csv",
-                                     entries, run_cfg)
-            storage.write_offsets_csv(out / f"offsets_{task}_w{width:g}.csv",
-                                      offset_rows, run_cfg)
+            entries = write_eval(corpus, out, task, "stream", KINDS, args.seed, run_cfg,
+                                 width=width)
+            _progress(entries, f"w={width:g}")
     print(f"all outputs in {out} ({time.monotonic()-t0:.0f}s total)")
     return 0
 

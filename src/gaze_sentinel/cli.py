@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from typing import Optional
@@ -88,6 +89,8 @@ def _resolve(args: argparse.Namespace, keys) -> dict:
         if flag is not None:
             value = flag
         resolved[key] = value
+    if resolved.get("seed", 0) < 0:
+        raise InvalidParameterError(f"seed must be non-negative, not {resolved['seed']}")
     return resolved
 
 
@@ -100,22 +103,22 @@ def _cast(key: str, value, source: str):
 
 
 def _parse_n_range(spec: str) -> list:
-    """'a..b' -> [a, a+1, ..., b]; a single number stands alone."""
+    """'a..b' -> [a, a+1, ..., b]; a single number stands alone. Bounds
+    must be finite."""
     try:
-        if ".." in spec:
-            lo, hi = spec.split("..")
-            lo_v, hi_v = float(lo), float(hi)
-            if hi_v < lo_v:
-                raise ValueError
-            values = []
-            v = lo_v
-            while v <= hi_v + 1e-9:
-                values.append(round(v, 6))
-                v += 1.0
-            return values
-        return [float(spec)]
+        bounds = [float(b) for b in spec.split("..")]
+        if len(bounds) > 2 or not all(map(math.isfinite, bounds)) or bounds[-1] < bounds[0]:
+            raise ValueError
     except ValueError:
         raise InvalidParameterError(f"cannot parse n range {spec!r}") from None
+    if len(bounds) == 1:
+        return bounds
+    values = []
+    v, hi = bounds
+    while v <= hi + 1e-9:
+        values.append(round(v, 6))
+        v += 1.0
+    return values
 
 
 def _classifiers(choice: str) -> list:
@@ -176,69 +179,74 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
+# The paper's first-n sweeps: whole seconds up to each failure's duration
+# (15 s for EF, 16.5 s for DF).
+FIRST_N_SWEEP = {
+    "nf-ef": [float(n) for n in range(1, 16)],
+    "nf-df": [float(n) for n in range(1, 17)] + [16.5],
+}
+EVAL_MODES = ("full", "first-n", "stream")
+
+
+def _tag(task: str, mode: str, width: float) -> str:
+    return f"{task}_w{width:g}" if mode == "stream" else task
+
+
+def _report_path(out, task: str, mode: str, width: float) -> str:
+    return os.path.join(out, f"report_{mode.replace('-', '_')}_{_tag(task, mode, width)}.csv")
+
+
+def write_eval(corpus: Corpus, out, task: str, mode: str, kinds, seed: int, run_cfg: dict,
+               n_values=None, width: float = 5.0, slide: float = 1.0) -> list:
+    """Run one evaluation regime for each learner of ``kinds``, then write
+    its files into ``out`` and return the report entries (task, kind,
+    n_or_width, EvalReport).
+
+    Files: ``report_{full|first_n}_{task}.csv``; for ``stream``, with tag
+    ``{task}_w{width:g}``, ``report_stream_{tag}.csv``, ``offsets_{tag}.csv``
+    and ``detections_{tag}_{kind}.jsonl``. ``first-n`` sweeps ``n_values``,
+    by default ``FIRST_N_SWEEP[task]``."""
+    if task not in TASKS:
+        raise InvalidParameterError(f"unknown task {task!r}")
+    if mode not in EVAL_MODES:
+        raise InvalidParameterError(f"unknown mode {mode!r}")
+    os.makedirs(out, exist_ok=True)
+    configs = [(kind, default_config(kind, seed=seed)) for kind in kinds]
+    entries, offset_rows, detections = [], [], {}
+    if mode == "full":
+        dataset, _ = corpus.dataset_for_task(task)
+        entries = [(task, kind, "full", loo_cv(dataset, config, task=task))
+                   for kind, config in configs]
+    elif mode == "first-n":
+        n_values = FIRST_N_SWEEP[task] if n_values is None else n_values
+        for kind, config in configs:
+            reports = eval_first_n(corpus, task, config, n_values)
+            entries.extend((task, kind, f"{n:g}", reports[n]) for n in n_values)
+    else:
+        for kind, config in configs:
+            result = loo_stream_eval(corpus, task, config, width, slide)
+            entries.append((task, kind, f"{width:g}", result.report))
+            detections[kind] = result.detections
+            offset_rows.extend((task, kind, width, offset, pct) for offset, pct
+                               in interval_detection_rate(result.detections, corpus, width))
+    storage.write_report_csv(_report_path(out, task, mode, width), entries, run_cfg)
+    if mode == "stream":
+        tag = _tag(task, mode, width)
+        storage.write_offsets_csv(os.path.join(out, f"offsets_{tag}.csv"), offset_rows, run_cfg)
+        for kind, events in detections.items():
+            storage.write_detections_jsonl(
+                os.path.join(out, f"detections_{tag}_{kind}.jsonl"), events, run_cfg)
+    return entries
+
+
 def cmd_eval(args: argparse.Namespace) -> int:
     cfg = _resolve(args, ("seed", "task", "classifier", "mode", "n", "width", "slide"))
-    if cfg["task"] not in TASKS:
-        raise InvalidParameterError(f"unknown task {cfg['task']!r}")
-    if cfg["mode"] not in ("full", "first-n", "stream"):
-        raise InvalidParameterError(f"unknown mode {cfg['mode']!r}")
     kinds = _classifiers(cfg["classifier"])
-    sessions = storage.read_corpus(args.corpus)
-    corpus = Corpus(sessions)
-    os.makedirs(args.out, exist_ok=True)
-    run_cfg = {"command": "eval", **cfg}
-    task = cfg["task"]
-
-    if cfg["mode"] == "full":
-        entries = []
-        for kind in kinds:
-            dataset, _ = corpus.dataset_for_task(task)
-            report = loo_cv(dataset, default_config(kind, seed=cfg["seed"]), task=task)
-            entries.append((task, kind, "full", report))
-        path = os.path.join(args.out, f"report_full_{task}.csv")
-        storage.write_report_csv(path, entries, run_cfg)
-        print(f"wrote {path}")
-        return 0
-
-    if cfg["mode"] == "first-n":
-        if cfg["n"]:
-            n_values = _parse_n_range(cfg["n"])
-        elif task == "nf-ef":
-            n_values = [float(n) for n in range(1, 16)]
-        else:
-            n_values = [float(n) for n in range(1, 17)] + [16.5]
-        entries = []
-        for kind in kinds:
-            reports = eval_first_n(corpus, task, default_config(kind, seed=cfg["seed"]),
-                                   n_values)
-            for n in n_values:
-                entries.append((task, kind, f"{n:g}", reports[n]))
-        path = os.path.join(args.out, f"report_first_n_{task}.csv")
-        storage.write_report_csv(path, entries, run_cfg)
-        print(f"wrote {path}")
-        return 0
-
-    width, slide = cfg["width"], cfg["slide"]
-    entries = []
-    offset_rows = []
-    all_detections = {}
-    for kind in kinds:
-        result = loo_stream_eval(corpus, task, default_config(kind, seed=cfg["seed"]),
-                                 width, slide)
-        entries.append((task, kind, f"{width:g}", result.report))
-        all_detections[kind] = result.detections
-        for offset, pct in interval_detection_rate(result.detections, corpus, width):
-            offset_rows.append((task, kind, width, offset, pct))
-    tag = f"{task}_w{width:g}"
-    report_path = os.path.join(args.out, f"report_stream_{tag}.csv")
-    storage.write_report_csv(report_path, entries, run_cfg)
-    storage.write_offsets_csv(os.path.join(args.out, f"offsets_{tag}.csv"),
-                              offset_rows, run_cfg)
-    for kind, detections in all_detections.items():
-        storage.write_detections_jsonl(
-            os.path.join(args.out, f"detections_{tag}_{kind}.jsonl"),
-            detections, run_cfg)
-    print(f"wrote {report_path}")
+    n_values = _parse_n_range(cfg["n"]) if cfg["mode"] == "first-n" and cfg["n"] else None
+    corpus = Corpus(storage.read_corpus(args.corpus))
+    write_eval(corpus, args.out, cfg["task"], cfg["mode"], kinds, cfg["seed"],
+               {"command": "eval", **cfg}, n_values, cfg["width"], cfg["slide"])
+    print(f"wrote {_report_path(args.out, cfg['task'], cfg['mode'], cfg['width'])}")
     return 0
 
 
@@ -319,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="run leave-one-out evaluation")
     p.add_argument("--corpus", required=True)
-    p.add_argument("--mode", choices=("full", "first-n", "stream"))
+    p.add_argument("--mode", choices=EVAL_MODES)
     p.add_argument("--task", choices=sorted(TASKS))
     p.add_argument("--classifier", choices=KINDS + ("all",))
     p.add_argument("--n", help="truncation sweep, e.g. 1..15 (default: full per-task sweep)")

@@ -11,6 +11,7 @@ averaging fold metrics, since per-fold test sets are tiny.
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import os
 import pickle
@@ -366,8 +367,8 @@ def eval_first_n(corpus: Corpus, task: str, config: ClassifierConfig,
     """Fig.-2-style evaluation: models fitted on full-duration segments, then
     failure test rows re-featurized from their first n seconds."""
     n_values = [float(n) for n in n_values]
-    if any(n <= 0 for n in n_values):
-        raise InvalidParameterError("truncation lengths must be positive")
+    if not all(0 < n < math.inf for n in n_values):
+        raise InvalidParameterError("truncation lengths must be positive and finite")
     dataset, rows = corpus.dataset_for_task(task)
 
     def test_sets(pid):
@@ -403,8 +404,8 @@ class DetectionEvent:
 
 def sliding_windows(session: Session, width: float, slide: float = 1.0) -> list:
     """Windows [k*slide, k*slide + width] for k = 0..floor((T-width)/slide)."""
-    if width <= 0 or slide <= 0:
-        raise InvalidParameterError("width and slide must be positive")
+    if not (0 < width < math.inf and 0 < slide < math.inf):
+        raise InvalidParameterError("width and slide must be positive and finite")
     duration = session.timeline.duration
     if duration < width:
         warnings.warn("session shorter than the window width; no windows")

@@ -14,6 +14,8 @@ from gaze_sentinel.learners import default_config, predict_batch, smote, train
 from gaze_sentinel.model_io import load_model, save_model
 from gaze_sentinel.sim import BehaviorParams, CorpusSpec, generate_corpus
 
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
 
 @pytest.fixture(scope="module")
 def corpus_dir(tmp_path_factory):
@@ -28,6 +30,23 @@ def features_csv(corpus_dir, tmp_path_factory):
     path = tmp_path_factory.mktemp("features") / "features.csv"
     assert main(["extract", "--corpus", str(corpus_dir), "--out", str(path)]) == 0
     return path
+
+
+@pytest.fixture(scope="module")
+def ada_model(features_csv, tmp_path_factory):
+    path = tmp_path_factory.mktemp("model") / "model.json"
+    assert main(["train", "--features", str(features_csv), "--task", "nf-ef",
+                 "--classifier", "ada", "--seed", "3", "--out", str(path)]) == 0
+    return path
+
+
+def data_lines(path) -> list:
+    """A CSV's lines without its ``#`` provenance lines, or a JSONL file's
+    records without its header line."""
+    lines = path.read_text().splitlines()
+    if path.suffix == ".jsonl":
+        return lines[1:]
+    return [line for line in lines if not line.startswith("#")]
 
 
 class TestSimulate:
@@ -150,6 +169,39 @@ class TestEvalCommand:
         data = [line for line in offsets if line and not line.startswith("#")]
         assert data[0] == "task,classifier,width,offset_s,pct_detected"
         assert len(data) == 1 + 12  # offsets 0..11 for the 16.5s DF period
+
+    @pytest.mark.parametrize("task, expected", [
+        ("nf-ef", [str(n) for n in range(1, 16)]),
+        ("nf-df", [str(n) for n in range(1, 17)] + ["16.5"]),
+    ])
+    def test_first_n_default_sweep(self, corpus_dir, tmp_path, task, expected):
+        assert main(["eval", "--corpus", str(corpus_dir), "--mode", "first-n",
+                     "--task", task, "--classifier", "ada", "--seed", "3",
+                     "--out", str(tmp_path)]) == 0
+        rows = storage.read_report_csv(tmp_path / f"report_first_n_{task}.csv")
+        assert [r["n_or_width"] for r in rows if r["fold"] == "pooled"] == expected
+
+    def test_reproduce_curves_matches_cli_chain(self, corpus_dir, features_csv, tmp_path):
+        # The script evaluates a corpus it generates in memory; the CLI reads
+        # the same corpus back from the files simulate wrote.
+        script_out = tmp_path / "script"
+        done = subprocess.run(
+            [sys.executable, os.path.join(REPO_ROOT, "scripts", "reproduce_curves.py"),
+             "--participants", "3", "--seed", "11", "--skip-first-n",
+             "--out", str(script_out)],
+            capture_output=True, text=True, timeout=600)
+        assert done.returncode == 0, done.stderr
+        cli_out = tmp_path / "cli"
+        for task in ("nf-ef", "nf-df"):
+            for mode in (["full"], ["stream", "--width", "5"]):
+                assert main(["eval", "--corpus", str(corpus_dir), "--task", task,
+                             "--seed", "11", "--mode", *mode, "--out", str(cli_out)]) == 0
+        names = sorted(os.listdir(cli_out))
+        assert sorted(os.listdir(script_out)) == sorted(names + ["features.csv"])
+        assert len(names) == 2 * (2 + 1 + 5)  # per task: 2 reports, offsets, detections
+        for name in names:
+            assert data_lines(cli_out / name) == data_lines(script_out / name), name
+        assert data_lines(features_csv) == data_lines(script_out / "features.csv")
 
     def test_report_aggregates_pooled_rows(self, corpus_dir, tmp_path):
         main(["eval", "--corpus", str(corpus_dir), "--mode", "full",
@@ -403,6 +455,79 @@ class TestErrors:
         assert json.loads(done.stderr) == {
             "error": "InsufficientMinorityError",
             "message": "minority class has 2 rows; need more than k=2"}
+
+    @pytest.mark.parametrize("n", ["nan", "inf", "1..inf", "-inf..3", "nan..2", "1..nan"])
+    def test_non_finite_first_n_is_json_error(self, tmp_path, capsys, n):
+        # the range is refused before the corpus is opened
+        out = tmp_path / "out"
+        code = main(["eval", "--corpus", str(tmp_path / "unread"), "--mode", "first-n",
+                     f"--n={n}", "--out", str(out)])
+        assert code == 1
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "InvalidParameterError"
+        assert repr(n) in record["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["detect", "eval"])
+    @pytest.mark.parametrize("key, value, via", [
+        ("slide", "nan", "flag"), ("slide", "inf", "flag"),
+        ("width", "nan", "env"), ("width", "inf", "env"), ("slide", "nan", "env"),
+        ("width", float("nan"), "config"), ("slide", float("inf"), "config"),
+    ])
+    def test_non_finite_width_or_slide_is_json_error(self, corpus_dir, ada_model, tmp_path,
+                                                     monkeypatch, capsys, command, key,
+                                                     value, via):
+        out = tmp_path / "out"
+        if command == "detect":
+            argv = ["detect", "--model", str(ada_model),
+                    "--session", storage.corpus_paths(corpus_dir)[0], "--out", str(out)]
+        else:
+            argv = ["eval", "--corpus", str(corpus_dir), "--mode", "stream",
+                    "--classifier", "ada", "--out", str(out)]
+        if via == "flag":
+            argv += [f"--{key}", value]
+        elif via == "env":
+            monkeypatch.setenv(f"GAZE_SENTINEL_{key.upper()}", value)
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({key: value}))  # NaN / Infinity tokens
+            argv += ["--config", str(cfg)]
+        code = main(argv)
+        assert code == 1
+        err = capsys.readouterr().err
+        record = json.loads(err.strip())
+        assert record["error"] == "InvalidParameterError"
+        assert "finite" in record["message"]
+        assert "Traceback" not in err
+        assert not out.exists() or not os.listdir(out)
+
+    @pytest.mark.parametrize("via", ["flag", "env", "config"])
+    @pytest.mark.parametrize("command", ["simulate", "train", "eval"])
+    def test_negative_seed_is_json_error(self, corpus_dir, features_csv, tmp_path,
+                                         monkeypatch, capsys, command, via):
+        out = tmp_path / "out"
+        argv = {
+            "simulate": ["simulate", "--participants", "1"],
+            "train": ["train", "--features", str(features_csv), "--task", "nf-ef",
+                      "--classifier", "ada"],
+            "eval": ["eval", "--corpus", str(corpus_dir), "--classifier", "ada"],
+        }[command] + ["--out", str(out)]
+        if via == "flag":
+            argv += ["--seed", "-1"]
+        elif via == "env":
+            monkeypatch.setenv("GAZE_SENTINEL_SEED", "-1")
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"seed": -1}))
+            argv += ["--config", str(cfg)]
+        code = main(argv)
+        assert code == 1
+        err = capsys.readouterr().err
+        record = json.loads(err.strip())
+        assert record["error"] == "InvalidParameterError"
+        assert "seed" in record["message"]
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_usage_error_exits_2(self):
         with pytest.raises(SystemExit) as err:

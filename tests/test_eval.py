@@ -166,7 +166,7 @@ class TestTruncateSegment:
                     assert x.tobytes() == row.features.tobytes()
 
     def test_rejects_nonpositive(self, mini_corpus):
-        for n in (0.0, -5.0):
+        for n in (0.0, -5.0, float("nan"), float("inf")):
             with pytest.raises(InvalidParameterError):
                 eval_first_n(mini_corpus, "nf-ef", default_config("ada"), [1.0, n])
 
@@ -258,6 +258,10 @@ class TestSlidingWindows:
             sliding_windows(session, 0.0, 1.0)
         with pytest.raises(InvalidParameterError):
             sliding_windows(session, 5.0, -1.0)
+        for width, slide in ((float("nan"), 1.0), (float("inf"), 1.0),
+                             (5.0, float("nan")), (5.0, float("inf"))):
+            with pytest.raises(InvalidParameterError, match="finite"):
+                sliding_windows(session, width, slide)
 
 
 class TestStreamDetect:
