@@ -37,27 +37,19 @@ from . import storage
 
 ENV_PREFIX = "GAZE_SENTINEL_"
 
-_DEFAULTS = {
-    "seed": DEFAULT_MASTER_SEED,
-    "participants": 26,
-    "task": "nf-ef",
-    "classifier": "all",
-    "mode": "full",
-    "n": "",
-    "width": 5.0,
-    "slide": 1.0,
+# Each option's type and built-in default.
+_OPTIONS = {
+    "seed": (int, DEFAULT_MASTER_SEED),
+    "participants": (int, 26),
+    "task": (str, "nf-ef"),
+    "classifier": (str, "all"),
+    "mode": (str, "full"),
+    "n": (str, ""),
+    "width": (float, 5.0),
+    "slide": (float, 1.0),
 }
-
-_CASTS = {
-    "seed": int,
-    "participants": int,
-    "task": str,
-    "classifier": str,
-    "mode": str,
-    "n": str,
-    "width": float,
-    "slide": float,
-}
+# A first-n range may hold at most this many values.
+_MAX_N_VALUES = 10_000
 
 
 def _resolve(args: argparse.Namespace, keys) -> dict:
@@ -79,7 +71,7 @@ def _resolve(args: argparse.Namespace, keys) -> dict:
             raise InvalidParameterError(f"config file {config_path} must hold a JSON object")
     resolved = {}
     for key in keys:
-        value = _DEFAULTS[key]
+        value = _OPTIONS[key][1]
         if key in file_cfg:
             value = _cast(key, file_cfg[key], f"config file {config_path}")
         env = os.environ.get(ENV_PREFIX + key.upper())
@@ -95,16 +87,22 @@ def _resolve(args: argparse.Namespace, keys) -> dict:
 
 
 def _cast(key: str, value, source: str):
+    """``value`` as option ``key``'s type. A numeric option refuses a bool,
+    and an int option a number that is not whole."""
+    kind = _OPTIONS[key][0]
     try:
-        return _CASTS[key](value)
-    except (TypeError, ValueError):
+        if kind is not str and isinstance(value, bool) or (
+                kind is int and isinstance(value, float) and not value.is_integer()):
+            raise ValueError
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):  # OverflowError: float(10 ** 400)
         raise InvalidParameterError(
             f"{source}: {key} cannot be {value!r}") from None
 
 
 def _parse_n_range(spec: str) -> list:
     """'a..b' -> [a, a+1, ..., b]; a single number stands alone. Bounds
-    must be finite."""
+    must be finite, and a range must give at most ``_MAX_N_VALUES`` values."""
     try:
         bounds = [float(b) for b in spec.split("..")]
         if len(bounds) > 2 or not all(map(math.isfinite, bounds)) or bounds[-1] < bounds[0]:
@@ -113,8 +111,13 @@ def _parse_n_range(spec: str) -> list:
         raise InvalidParameterError(f"cannot parse n range {spec!r}") from None
     if len(bounds) == 1:
         return bounds
-    values = []
     v, hi = bounds
+    # The loop gives about hi - v + 1 values; it would never end where a
+    # step of 1.0 is below float precision (v + 1.0 == v).
+    if hi - v >= _MAX_N_VALUES or v + 1.0 == v or hi + 1.0 == hi:
+        raise InvalidParameterError(
+            f"n range {spec!r} must give at most {_MAX_N_VALUES} values one second apart")
+    values = []
     while v <= hi + 1e-9:
         values.append(round(v, 6))
         v += 1.0

@@ -11,9 +11,9 @@ order-independent.
 from __future__ import annotations
 
 import json
-import math
 import numbers
-from dataclasses import dataclass, replace
+import sys
+from dataclasses import MISSING, dataclass, field, fields, replace
 from importlib import resources
 from typing import Optional
 
@@ -109,14 +109,14 @@ class RegimeParams:
     transitions: tuple  # six rows of six probabilities, zero diagonal
 
     def __post_init__(self):
-        dw = tuple(float(v) for v in self.dwell_means)
-        if len(dw) != N_AOI or not all(0 < v < math.inf for v in dw):
+        dw = tuple(self.dwell_means)
+        if len(dw) != N_AOI or not all(_is_number(v) and v > 0 for v in dw):
             raise InvalidParameterError("need six positive, finite dwell means")
         rows = []
         for i, row in enumerate(self.transitions):
-            r = np.asarray(row, dtype=np.float64)
-            if r.shape != (N_AOI,) or (r < 0).any():
+            if len(row) != N_AOI or not all(_is_number(v) and v >= 0 for v in row):
                 raise InvalidParameterError("transition rows need six non-negative entries")
+            r = np.asarray(row, dtype=np.float64)
             if r[i] != 0:
                 raise InvalidParameterError("transition diagonal must be zero")
             total = r.sum()
@@ -125,15 +125,34 @@ class RegimeParams:
             if abs(total - 1.0) > 1e-12:
                 r = r / total
             rows.append(tuple(float(v) for v in r))
-        object.__setattr__(self, "dwell_means", dw)
+        object.__setattr__(self, "dwell_means", tuple(float(v) for v in dw))
         object.__setattr__(self, "transitions", tuple(rows))
 
     def matrix(self) -> np.ndarray:
         return np.array(self.transitions, dtype=np.float64)
 
+    @classmethod
+    def _read(cls, block: dict) -> "RegimeParams":
+        labels = [a.token for a in AoiLabel]
+        return cls(dwell_means=tuple(block["dwell_mean_s"][lbl] for lbl in labels),
+                   transitions=tuple(tuple(block["transitions"][src].get(dst, 0.0)
+                                           for dst in labels) for src in labels))
+
+    def _written(self) -> dict:
+        labels = [a.token for a in AoiLabel]
+        return {"dwell_mean_s": dict(zip(labels, self.dwell_means)),
+                "transitions": {src: {dst: p for dst, p in zip(labels, row) if p > 0}
+                                for src, row in zip(labels, self.transitions)}}
+
 
 _RULES = {"> 0": lambda v: v > 0, ">= 0": lambda v: v >= 0,
           "in [0, 1]": lambda v: 0 <= v <= 1}
+
+
+def _is_number(v) -> bool:
+    """A real, non-bool number in float range, so neither nan nor infinite."""
+    return (isinstance(v, numbers.Real) and not isinstance(v, bool)
+            and abs(v) <= sys.float_info.max)
 
 
 def _checked(params, name: str, rule: str, pair: bool = False) -> None:
@@ -143,8 +162,7 @@ def _checked(params, name: str, rule: str, pair: bool = False) -> None:
     value = getattr(params, name)
     items = list(value) if pair and isinstance(value, (list, tuple)) else [value]
     if (len(items) != (2 if pair else 1)
-            or not all(isinstance(v, numbers.Real) and not isinstance(v, bool)
-                       and math.isfinite(v) and _RULES[rule](v) for v in items)
+            or not all(_is_number(v) and _RULES[rule](v) for v in items)
             or items != sorted(items)):
         what = f"an ascending pair of numbers {rule}" if pair else f"a number {rule}"
         raise InvalidParameterError(
@@ -153,78 +171,99 @@ def _checked(params, name: str, rule: str, pair: bool = False) -> None:
     object.__setattr__(params, name, items if pair else items[0])
 
 
+def _key(key: str, rule, pair: bool = False, **default):
+    """A profile field: its key in the profile JSON, and either the block
+    class that reads its value or the rule (a key of ``_RULES``) that its
+    number, or with ``pair`` each number of its ascending pair, must meet."""
+    return field(metadata={"key": key, "rule": rule, "pair": pair}, **default)
+
+
+class _ProfileBlock:
+    """A profile block whose dataclass fields are all declared with ``_key``:
+    one reader, one checker and one writer serve every field."""
+
+    def __post_init__(self):
+        for f in fields(self):
+            if isinstance(f.metadata["rule"], str):
+                _checked(self, f.name, f.metadata["rule"], f.metadata["pair"])
+
+    @classmethod
+    def _read(cls, block: dict):
+        values = {}
+        for f in fields(cls):
+            key, rule, pair = f.metadata["key"], f.metadata["rule"], f.metadata["pair"]
+            value = block[key] if f.default is MISSING else block.get(key, f.default)
+            if not isinstance(rule, str):
+                value = rule._read(value)
+            elif pair and isinstance(value, list):
+                value = tuple(value)
+            values[f.name] = value
+        return cls(**values)
+
+    def _written(self) -> dict:
+        out = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not isinstance(f.metadata["rule"], str):
+                value = value._written()
+            out[f.metadata["key"]] = list(value) if f.metadata["pair"] else value
+        return out
+
+
 @dataclass(frozen=True)
-class ReactionParams:
+class ReactionParams(_ProfileBlock):
     """When and how strongly the failure regime applies within the failure
     period. After ``hold`` seconds the effect fades to ``tail_strength`` of
     its per-type strength. ``slow_reactor_prob`` participants add a large
     extra latency before responding, on every failure they see."""
 
-    ef_delay: float = 2.0
-    ef_hold: float = 7.0
-    ef_strength: float = 1.0
-    df_delay: float = 0.4
-    df_hold: float = 7.0
-    df_strength: float = 0.75
-    tail_strength: float = 0.35
-    slow_reactor_prob: float = 0.13
-    slow_extra_delay: tuple = (2.0, 3.0)
-    fast_extra_delay: tuple = (0.0, 0.4)
+    ef_delay: float = _key("ef_delay_s", ">= 0")
+    ef_hold: float = _key("ef_hold_s", ">= 0")
+    ef_strength: float = _key("ef_strength", "in [0, 1]")
+    df_delay: float = _key("df_delay_s", ">= 0")
+    df_hold: float = _key("df_hold_s", ">= 0")
+    df_strength: float = _key("df_strength", "in [0, 1]")
+    tail_strength: float = _key("tail_strength", "in [0, 1]")
+    slow_reactor_prob: float = _key("slow_reactor_prob", "in [0, 1]")
+    slow_extra_delay: tuple = _key("slow_extra_delay_s", ">= 0", pair=True)
+    fast_extra_delay: tuple = _key("fast_extra_delay_s", ">= 0", pair=True)
     # Slow reactors also react weakly: their envelope scales by a draw from
     # this range, giving a coherent subgroup of faint failure responses.
-    slow_strength: tuple = (0.25, 0.5)
+    slow_strength: tuple = _key("slow_strength", "in [0, 1]", pair=True)
     # Per failure instance, the whole envelope scales by a uniform draw from
     # this range: some failures barely register with some participants.
-    instance_strength: tuple = (0.6, 1.0)
+    instance_strength: tuple = _key("instance_strength", "in [0, 1]", pair=True)
     # Beta(a, a) mixing of the stare/scan archetypes; a < 1 polarises
     # participants toward one style or the other.
-    style_beta: float = 0.4
-
-    def __post_init__(self):
-        for name in ("ef_delay", "ef_hold", "df_delay", "df_hold"):
-            _checked(self, name, ">= 0")
-        for name in ("ef_strength", "df_strength", "tail_strength", "slow_reactor_prob"):
-            _checked(self, name, "in [0, 1]")
-        _checked(self, "style_beta", "> 0")
-        for name in ("slow_extra_delay", "fast_extra_delay"):
-            _checked(self, name, ">= 0", pair=True)
-        for name in ("slow_strength", "instance_strength"):
-            _checked(self, name, "in [0, 1]", pair=True)
+    style_beta: float = _key("style_beta", "> 0")
 
 
 @dataclass(frozen=True)
-class BehaviorParams:
-    """Full gaze-behaviour profile for the generator.
+class BehaviorParams(_ProfileBlock):
+    """Full gaze-behaviour profile for the generator. Its values come from a
+    profile JSON only; the committed one is ``profiles/default.json``.
 
     Failure-period behaviour mixes two reaction archetypes per participant:
     ``failure_scan`` (rapid gaze shifting with a robot bias) and
     ``failure_stare`` (long locked dwells on the robot body/end effector).
     """
 
-    baseline: RegimeParams
-    failure_scan: RegimeParams
-    failure_stare: RegimeParams
-    reaction: ReactionParams = ReactionParams()
-    sample_rate_hz: float = 200.0
-    dwell_floor_s: float = 0.12
-    # Dwells are floor + Gamma(shape, mean_excess/shape); shape 1 is the
-    # standard truncated-exponential process, larger values suppress dwell
-    # variability for near-noise-free probe sessions.
-    dwell_shape: float = 1.0
-    position_jitter_mm: float = 6.0
-    invalid_rate: float = 0.02
-    participant_dwell_sigma: float = 0.12
+    baseline: RegimeParams = _key("baseline", RegimeParams)
+    failure_scan: RegimeParams = _key("failure_scan", RegimeParams)
+    failure_stare: RegimeParams = _key("failure_stare", RegimeParams)
+    reaction: ReactionParams = _key("reaction", ReactionParams)
+    sample_rate_hz: float = _key("sample_rate_hz", "> 0")
+    dwell_floor_s: float = _key("dwell_floor_s", ">= 0")
+    position_jitter_mm: float = _key("position_jitter_mm", ">= 0")
+    invalid_rate: float = _key("invalid_rate", "in [0, 1]")
+    participant_dwell_sigma: float = _key("participant_dwell_sigma", ">= 0")
     # One log-normal distortion per participant, applied to BOTH regime
     # matrices, so regime contrasts stay untouched by participant noise.
-    participant_transition_sigma: float = 0.3
-
-    def __post_init__(self):
-        for name in ("sample_rate_hz", "dwell_shape"):
-            _checked(self, name, "> 0")
-        for name in ("dwell_floor_s", "position_jitter_mm", "participant_dwell_sigma",
-                     "participant_transition_sigma"):
-            _checked(self, name, ">= 0")
-        _checked(self, "invalid_rate", "in [0, 1]")
+    participant_transition_sigma: float = _key("participant_transition_sigma", ">= 0")
+    # Dwells are floor + Gamma(shape, mean_excess/shape); shape 1 is the
+    # standard truncated-exponential process, larger values suppress dwell
+    # variability. The one optional key.
+    dwell_shape: float = _key("dwell_shape", "> 0", default=1.0)
 
     @classmethod
     def default(cls) -> "BehaviorParams":
@@ -255,93 +294,13 @@ class BehaviorParams:
 
     @classmethod
     def from_dict(cls, data: dict) -> "BehaviorParams":
-        if data.get("schema") != PROFILE_SCHEMA_VERSION:
-            raise InvalidParameterError(
-                f"unsupported profile schema {data.get('schema')!r}"
-            )
-
-        def regime(block: dict) -> RegimeParams:
-            labels = [a.token for a in AoiLabel]
-            dwells = tuple(block["dwell_mean_s"][lbl] for lbl in labels)
-            rows = []
-            for src in labels:
-                row = [block["transitions"][src].get(dst, 0.0) for dst in labels]
-                rows.append(tuple(row))
-            return RegimeParams(dwell_means=dwells, transitions=tuple(rows))
-
-        r = data["reaction"]
-        return cls(
-            baseline=regime(data["baseline"]),
-            failure_scan=regime(data["failure_scan"]),
-            failure_stare=regime(data["failure_stare"]),
-            reaction=ReactionParams(
-                ef_delay=r["ef_delay_s"],
-                ef_hold=r["ef_hold_s"],
-                ef_strength=r["ef_strength"],
-                df_delay=r["df_delay_s"],
-                df_hold=r["df_hold_s"],
-                df_strength=r["df_strength"],
-                tail_strength=r["tail_strength"],
-                slow_reactor_prob=r["slow_reactor_prob"],
-                slow_extra_delay=tuple(r["slow_extra_delay_s"]),
-                fast_extra_delay=tuple(r["fast_extra_delay_s"]),
-                slow_strength=tuple(r["slow_strength"]),
-                instance_strength=tuple(r["instance_strength"]),
-                style_beta=r["style_beta"],
-            ),
-            sample_rate_hz=data["sample_rate_hz"],
-            dwell_floor_s=data["dwell_floor_s"],
-            dwell_shape=data.get("dwell_shape", 1.0),
-            position_jitter_mm=data["position_jitter_mm"],
-            invalid_rate=data["invalid_rate"],
-            participant_dwell_sigma=data["participant_dwell_sigma"],
-            participant_transition_sigma=data["participant_transition_sigma"],
-        )
+        schema = data.get("schema")
+        if schema != PROFILE_SCHEMA_VERSION or isinstance(schema, bool):
+            raise InvalidParameterError(f"unsupported profile schema {schema!r}")
+        return cls._read(data)
 
     def to_dict(self) -> dict:
-        labels = [a.token for a in AoiLabel]
-
-        def regime(r: RegimeParams) -> dict:
-            return {
-                "dwell_mean_s": dict(zip(labels, r.dwell_means)),
-                "transitions": {
-                    src: {
-                        dst: row[j]
-                        for j, dst in enumerate(labels)
-                        if row[j] > 0
-                    }
-                    for src, row in zip(labels, r.transitions)
-                },
-            }
-
-        return {
-            "schema": PROFILE_SCHEMA_VERSION,
-            "sample_rate_hz": self.sample_rate_hz,
-            "dwell_floor_s": self.dwell_floor_s,
-            "dwell_shape": self.dwell_shape,
-            "position_jitter_mm": self.position_jitter_mm,
-            "invalid_rate": self.invalid_rate,
-            "participant_dwell_sigma": self.participant_dwell_sigma,
-            "participant_transition_sigma": self.participant_transition_sigma,
-            "baseline": regime(self.baseline),
-            "failure_scan": regime(self.failure_scan),
-            "failure_stare": regime(self.failure_stare),
-            "reaction": {
-                "ef_delay_s": self.reaction.ef_delay,
-                "ef_hold_s": self.reaction.ef_hold,
-                "ef_strength": self.reaction.ef_strength,
-                "df_delay_s": self.reaction.df_delay,
-                "df_hold_s": self.reaction.df_hold,
-                "df_strength": self.reaction.df_strength,
-                "tail_strength": self.reaction.tail_strength,
-                "slow_reactor_prob": self.reaction.slow_reactor_prob,
-                "slow_extra_delay_s": list(self.reaction.slow_extra_delay),
-                "fast_extra_delay_s": list(self.reaction.fast_extra_delay),
-                "slow_strength": list(self.reaction.slow_strength),
-                "instance_strength": list(self.reaction.instance_strength),
-                "style_beta": self.reaction.style_beta,
-            },
-        }
+        return {"schema": PROFILE_SCHEMA_VERSION, **self._written()}
 
     def zero_failure_deltas(self) -> "BehaviorParams":
         """Null profile: failure periods behave exactly like baseline."""
@@ -353,12 +312,11 @@ _DEFAULT_CACHE: Optional[BehaviorParams] = None
 
 @dataclass(frozen=True)
 class CorpusSpec:
-    """What to generate: participant count, master seed, behaviour/timing."""
+    """What to generate: participant count, master seed, behaviour."""
 
     participants: int = DEFAULT_PARTICIPANTS
     master_seed: int = DEFAULT_MASTER_SEED
     behavior: Optional[BehaviorParams] = None
-    timing: TimingParams = TimingParams()
 
     def resolved_behavior(self) -> BehaviorParams:
         return self.behavior if self.behavior is not None else BehaviorParams.default()
@@ -638,39 +596,14 @@ def generate_corpus(spec: CorpusSpec) -> list:
     if spec.participants < 1:
         raise InvalidParameterError("need at least one participant")
     behavior = spec.resolved_behavior()
+    timing = TimingParams()
     sessions = []
     for pid in range(1, spec.participants + 1):
         schedule = latin_square_schedule(pid)
         for puzzle in range(1, 5):
             sessions.append(
                 build_session(pid, puzzle, schedule[puzzle - 1], behavior,
-                              spec.timing, spec.master_seed)
+                              timing, spec.master_seed)
             )
     return sessions
 
-
-def nf_probe_session(seed: int = 1, behavior: Optional[BehaviorParams] = None) -> Session:
-    """A failure-free, low-noise session for detector smoke checks."""
-    behavior = behavior or BehaviorParams.default()
-    quiet = replace(
-        behavior,
-        invalid_rate=0.0,
-        participant_dwell_sigma=0.0,
-        participant_transition_sigma=0.0,
-        dwell_shape=60.0,
-    )
-    timing = TimingParams()
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(99, 1)))
-    events = []
-    t = 5.0
-    for piece in range(1, 5):
-        events.append(RobotEvent("pickup_start", piece, t))
-        events.append(RobotEvent("placement_done", piece, t + 14.0))
-        t += 14.0 + 2.0
-        if piece < 4:
-            t += 27.0
-    timeline = Timeline(events=tuple(events), duration=t + 4.0)
-    traits = draw_traits(quiet, np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(99, 0))))
-    gaze = synthesize_gaze(timeline, quiet, traits, rng)
-    return Session(participant_id=99, puzzle_id=1, gaze=gaze,
-                   layout=DEFAULT_LAYOUT, timeline=timeline)

@@ -8,7 +8,7 @@ import pytest
 
 import gaze_sentinel
 from gaze_sentinel import storage
-from gaze_sentinel.cli import main
+from gaze_sentinel.cli import _parse_n_range, main
 from gaze_sentinel.evaluate import Corpus
 from gaze_sentinel.learners import default_config, predict_batch, smote, train
 from gaze_sentinel.model_io import load_model, save_model
@@ -180,6 +180,13 @@ class TestEvalCommand:
                      "--out", str(tmp_path)]) == 0
         rows = storage.read_report_csv(tmp_path / f"report_first_n_{task}.csv")
         assert [r["n_or_width"] for r in rows if r["fold"] == "pooled"] == expected
+
+    @pytest.mark.parametrize("spec, expected", [
+        ("1..15", [float(n) for n in range(1, 16)]), ("0.5..3.5", [0.5, 1.5, 2.5, 3.5]),
+        ("2..2", [2.0]),
+    ])
+    def test_n_range_values(self, spec, expected):
+        assert _parse_n_range(spec) == expected
 
     def test_reproduce_curves_matches_cli_chain(self, corpus_dir, features_csv, tmp_path):
         # The script evaluates a corpus it generates in memory; the CLI reads
@@ -466,6 +473,44 @@ class TestErrors:
         record = json.loads(capsys.readouterr().err.strip())
         assert record["error"] == "InvalidParameterError"
         assert repr(n) in record["message"]
+        assert not out.exists()
+
+    # Each range used to run without end, or to build a list of 10**12 values,
+    # so each runs in its own process with a time limit.
+    @pytest.mark.parametrize("n", ["1e17..1e17", "-1e17..-1e17", f"{2 ** 53}..{2 ** 53}",
+                                   "1..1e12", "-1e308..1e308"])
+    def test_unending_first_n_range_is_json_error(self, tmp_path, n):
+        package_root = os.path.dirname(os.path.dirname(gaze_sentinel.__file__))
+        out = tmp_path / "out"
+        done = subprocess.run(
+            [sys.executable, "-m", "gaze_sentinel", "eval", "--corpus", str(tmp_path / "unread"),
+             "--mode", "first-n", f"--n={n}", "--out", str(out)],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=package_root),
+            timeout=60)
+        assert done.returncode == 1
+        record = json.loads(done.stderr)
+        assert record["error"] == "InvalidParameterError"
+        assert repr(n) in record["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, key, value", [
+        ("simulate", "seed", 1.5), ("simulate", "participants", 2.9),
+        ("simulate", "seed", True), ("simulate", "participants", False),
+        ("simulate", "seed", float("inf")), ("eval", "slide", True), ("eval", "width", False),
+        pytest.param("eval", "width", 10 ** 400, id="eval-width-10**400"),
+    ])
+    def test_config_value_of_wrong_kind_is_json_error(self, tmp_path, capsys, command, key,
+                                                      value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        out = tmp_path / "out"
+        argv = ["eval", "--corpus", str(tmp_path / "unread")] if command == "eval" \
+            else ["simulate", "--participants", "1"]
+        code = main(argv + ["--config", str(cfg), "--out", str(out)])
+        assert code == 1
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "InvalidParameterError"
+        assert str(cfg) in record["message"] and key in record["message"]
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["detect", "eval"])

@@ -1,8 +1,10 @@
 import json
+import numbers
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from gaze_sentinel.core import FAILURE_DURATIONS, AoiLabel, Debouncer, segment_session
 from gaze_sentinel.errors import InvalidParameterError
@@ -18,7 +20,6 @@ from gaze_sentinel.sim import (
     draw_traits,
     generate_corpus,
     latin_square_schedule,
-    nf_probe_session,
 )
 
 
@@ -270,11 +271,19 @@ class TestBehaviorProfile:
         with pytest.raises(InvalidParameterError, match=name.removesuffix("_s")):
             BehaviorParams.from_dict(data)
 
-    @pytest.mark.parametrize("dwell", [float("nan"), float("inf"), 0.0])
+    @pytest.mark.parametrize("dwell", [float("nan"), float("inf"), 0.0, "0.55", True,
+                                       pytest.param(10 ** 400, id="10**400")])
     def test_bad_dwell_mean_rejected(self, dwell):
         data = BehaviorParams.default().to_dict()
         data["failure_scan"]["dwell_mean_s"]["robot_body"] = dwell
         with pytest.raises(InvalidParameterError, match="dwell means"):
+            BehaviorParams.from_dict(data)
+
+    @pytest.mark.parametrize("entry", ["0.4", True, None])
+    def test_bad_transition_entry_rejected(self, entry):
+        data = BehaviorParams.default().to_dict()
+        data["baseline"]["transitions"]["robot_body"]["end_effector"] = entry
+        with pytest.raises(InvalidParameterError, match="non-negative entries"):
             BehaviorParams.from_dict(data)
 
     def test_numbers_are_coerced_to_float(self):
@@ -296,7 +305,57 @@ class TestBehaviorProfile:
         b = draw_traits(behavior, np.random.default_rng(3))
         assert a == b
 
-    def test_probe_session_has_no_failure(self):
-        probe = nf_probe_session(seed=2)
-        assert probe.timeline.failure_window() is None
-        assert [s.label for s in segment_session(probe)] == ["NF"] * 4
+
+def profile_leaves(data: dict) -> list:
+    """Paths to every number of a profile dict: top-level and reaction
+    fields (each number of a pair), dwell means and transition entries."""
+    paths = []
+    for key, value in data.items():
+        if key == "reaction":
+            for name, v in value.items():
+                paths += [(key, name, i) for i in range(len(v))] if isinstance(v, list) \
+                    else [(key, name)]
+        elif isinstance(value, dict):
+            paths += [(key, "dwell_mean_s", aoi) for aoi in value["dwell_mean_s"]]
+            paths += [(key, "transitions", src, dst)
+                      for src, row in value["transitions"].items() for dst in row]
+        else:
+            paths.append((key,))
+    return paths
+
+
+PROFILE_LEAVES = profile_leaves(BehaviorParams.default().to_dict())
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+    | st.sampled_from([10 ** 400, "0.55", 0, 1, 0.5]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                 max_size=3),
+    max_leaves=6)
+
+
+@pytest.fixture(scope="module")
+def profile_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("profile") / "profile.json"
+
+
+@settings(max_examples=300)
+@given(path=st.sampled_from(PROFILE_LEAVES), value=JSON_VALUES)
+@example(path=("baseline", "dwell_mean_s", "robot_body"), value=True)
+@example(path=("failure_scan", "transitions", "robot_body", "end_effector"), value="0.4")
+@example(path=("sample_rate_hz",), value=10 ** 400)
+@example(path=("schema",), value=True)
+def test_profile_leaf_loads_only_as_a_number(profile_path, path, value):
+    """A profile with one number replaced by any JSON value either fails to
+    load, naming its file, or the value was a real, non-bool number."""
+    data = BehaviorParams.default().to_dict()
+    block = data
+    for key in path[:-1]:
+        block = block[key]
+    block[path[-1]] = value
+    profile_path.write_text(json.dumps(data))
+    try:
+        BehaviorParams.from_file(profile_path)
+    except InvalidParameterError as exc:
+        assert str(profile_path) in str(exc)
+    else:
+        assert isinstance(value, numbers.Real) and not isinstance(value, bool)
