@@ -37,7 +37,7 @@ from . import storage
 
 ENV_PREFIX = "GAZE_SENTINEL_"
 
-# Each option's type and built-in default.
+# Each option's type, built-in default and, for width, the values it may take.
 _OPTIONS = {
     "seed": (int, DEFAULT_MASTER_SEED),
     "participants": (int, 26),
@@ -45,7 +45,7 @@ _OPTIONS = {
     "classifier": (str, "all"),
     "mode": (str, "full"),
     "n": (str, ""),
-    "width": (float, 5.0),
+    "width": (float, 5.0, (3.0, 5.0, 10.0)),
     "slide": (float, 1.0),
 }
 # A first-n range may hold at most this many values.
@@ -88,16 +88,21 @@ def _resolve(args: argparse.Namespace, keys) -> dict:
 
 def _cast(key: str, value, source: str):
     """``value`` as option ``key``'s type. A numeric option refuses a bool,
-    and an int option a number that is not whole."""
-    kind = _OPTIONS[key][0]
+    an int option a number that is not whole, and width a value not among
+    its choices."""
+    kind, _, *choices = _OPTIONS[key]
     try:
         if kind is not str and isinstance(value, bool) or (
                 kind is int and isinstance(value, float) and not value.is_integer()):
             raise ValueError
-        return kind(value)
+        value = kind(value)
     except (TypeError, ValueError, OverflowError):  # OverflowError: float(10 ** 400)
         raise InvalidParameterError(
             f"{source}: {key} cannot be {value!r}") from None
+    if choices and value not in choices[0]:
+        raise InvalidParameterError(
+            f"{source}: {key} must be one of the finite values {choices[0]}, not {value!r}")
+    return value
 
 
 def _parse_n_range(spec: str) -> list:
@@ -334,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--task", choices=sorted(TASKS))
     p.add_argument("--classifier", choices=KINDS + ("all",))
     p.add_argument("--n", help="truncation sweep, e.g. 1..15 (default: full per-task sweep)")
-    p.add_argument("--width", type=float, choices=(3.0, 5.0, 10.0))
+    p.add_argument("--width", type=float, choices=_OPTIONS["width"][2])
     p.add_argument("--slide", type=float)
     p.add_argument("--out", required=True)
     common(p, "seed", "config")
@@ -343,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("detect", help="stream-classify one session with a saved model")
     p.add_argument("--model", required=True)
     p.add_argument("--session", required=True)
-    p.add_argument("--width", type=float, choices=(3.0, 5.0, 10.0))
+    p.add_argument("--width", type=float, choices=_OPTIONS["width"][2])
     p.add_argument("--slide", type=float)
     p.add_argument("--out", required=True)
     common(p, "config")

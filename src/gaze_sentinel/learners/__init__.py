@@ -2,6 +2,7 @@
 
 from .api import (
     KINDS,
+    LEARNERS,
     ClassifierConfig,
     TrainedModel,
     config_fingerprint,
@@ -15,6 +16,7 @@ from .smote import smote
 
 __all__ = [
     "KINDS",
+    "LEARNERS",
     "ClassifierConfig",
     "TrainedModel",
     "LabeledDataset",

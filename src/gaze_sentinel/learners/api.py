@@ -1,19 +1,12 @@
-"""Classifier configurations, the training dispatcher, and prediction.
+"""Classifier configurations, the learner table, training and prediction.
 
-Five configurations are supported, each trained in-repo:
-
-* ``forest`` — 100 bagged CART trees, Gini splits, ceil(sqrt(d)) candidate
-  features per node, unlimited depth, majority vote.
-* ``ada``    — 100 rounds of depth-1 stumps with SAMME updates.
-* ``gbt-a``  — 100 Newton-boosted depth-6 trees, shrinkage 0.01.
-* ``svm``    — linear hinge/L2 (C=1) via stochastic subgradient descent on
-  standardized features.
-* ``gbt-b``  — as gbt-a but shrinkage 0.1 and oblivious (level-shared
-  split) trees.
-
-All trainers are deterministic functions of (data, seed). Scores are
-probability-like for forest/gbt (class threshold 0.5) and signed margins for
-ada/svm (class threshold 0); exact threshold ties resolve to NF.
+``LEARNERS`` holds one row per configuration (the paper's Random Forest,
+AdaBoost, XGBoost, SVM and CatBoost, each trained in-repo): its fit, its
+score function, its class threshold, the params type a model file decodes
+into and the type of each of its trees. Scores are probability-like for the
+forest and the gbts (threshold 0.5) and signed margins for ada and svm
+(threshold 0); exact threshold ties resolve to NF. All fits are
+deterministic functions of (data, seed).
 """
 
 from __future__ import annotations
@@ -21,19 +14,54 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from ..errors import DegenerateDataError, FeatureArityError, InvalidParameterError
-from .adaboost import fit_ada, predict_ada
+from .adaboost import AdaParams, fit_ada, predict_ada
 from .data import LabeledDataset, Standardizer, fit_standardizer
-from .forest import fit_forest, predict_forest
-from .gbt import fit_gbt, fit_oblivious_gbt, predict_gbt
-from .svm import fit_svm, predict_svm
+from .forest import ForestParams, TreeNodes, fit_forest, predict_forest
+from .gbt import GbtParams, ObliviousTree, fit_gbt, fit_oblivious_gbt, predict_gbt
+from .svm import SvmParams, fit_svm, predict_svm
 
-KINDS = ("forest", "ada", "gbt-a", "svm", "gbt-b")
-_MARGIN_KINDS = ("ada", "svm")
+
+class Learner(NamedTuple):
+    fit: Callable  # (X, y, config) -> (params, training loss or None)
+    score: Callable  # (params, X) -> scores
+    threshold: float  # a score above it labels a row 1
+    params_type: type
+    tree_type: Optional[type]  # each item of ``params.trees``; None without trees
+
+
+def _boosted(fit_fn) -> Callable:
+    def fit(X, y, config):
+        params, curve = fit_fn(X, y, config.n_rounds, config.learning_rate,
+                               config.tree_depth)
+        return params, tuple(curve)
+    return fit
+
+
+LEARNERS = {
+    # 100 bagged CART trees, Gini splits, ceil(sqrt(d)) candidate features
+    # per node, unlimited depth; the score is the vote fraction.
+    "forest": Learner(lambda X, y, c: (fit_forest(X, y, c.n_trees, c.seed), None),
+                      predict_forest, 0.5, ForestParams, TreeNodes),
+    # 100 rounds of depth-1 stumps with SAMME updates; the score is a margin.
+    "ada": Learner(lambda X, y, c: (fit_ada(X, y, c.n_rounds), None),
+                   predict_ada, 0.0, AdaParams, None),
+    # 100 Newton-boosted depth-6 trees, shrinkage 0.01; the score is a
+    # logistic probability.
+    "gbt-a": Learner(_boosted(fit_gbt), predict_gbt, 0.5, GbtParams, TreeNodes),
+    # Linear hinge/L2 (C=1) by stochastic subgradient descent on
+    # standardized features; the score is a margin.
+    "svm": Learner(lambda X, y, c: (fit_svm(X, y, c.svm_c, c.svm_epochs, c.seed), None),
+                   predict_svm, 0.0, SvmParams, None),
+    # As gbt-a, but shrinkage 0.1 and oblivious (level-shared split) trees.
+    "gbt-b": Learner(_boosted(fit_oblivious_gbt), predict_gbt, 0.5, GbtParams,
+                     ObliviousTree),
+}
+KINDS = tuple(LEARNERS)
 
 
 @dataclass(frozen=True)
@@ -49,28 +77,16 @@ class ClassifierConfig:
     svm_epochs: int = 100
 
     def __post_init__(self):
-        if self.kind not in KINDS:
+        if self.kind not in KINDS:  # a tuple test: an unhashable kind is refused too
             raise InvalidParameterError(f"unknown classifier kind {self.kind!r}")
 
 
 def default_config(kind: str, seed: int = 7) -> ClassifierConfig:
-    """The published hyperparameters for each configuration."""
-    if kind == "forest":
-        return ClassifierConfig(kind=kind, seed=seed, n_trees=100)
-    if kind == "ada":
-        return ClassifierConfig(kind=kind, seed=seed, n_rounds=100)
-    if kind == "gbt-a":
-        return ClassifierConfig(
-            kind=kind, seed=seed, n_rounds=100, learning_rate=0.01, tree_depth=6
-        )
-    if kind == "svm":
-        return ClassifierConfig(kind=kind, seed=seed, svm_c=1.0, svm_epochs=100)
+    """The published hyperparameters: the field defaults, except that gbt-b
+    shrinks by 0.1 and grows oblivious trees."""
     if kind == "gbt-b":
-        return ClassifierConfig(
-            kind=kind, seed=seed, n_rounds=100, learning_rate=0.1,
-            tree_depth=6, oblivious=True,
-        )
-    raise InvalidParameterError(f"unknown classifier kind {kind!r}")
+        return ClassifierConfig(kind, seed, learning_rate=0.1, oblivious=True)
+    return ClassifierConfig(kind, seed)
 
 
 def config_fingerprint(config: dict) -> str:
@@ -105,33 +121,10 @@ def train(config: ClassifierConfig, dataset: LabeledDataset) -> TrainedModel:
     X, y = dataset.X, dataset.y
     if not np.isfinite(X).all():  # the split searches rank rows by value
         raise InvalidParameterError("training features must be finite numbers")
-    standardizer = None
-    loss = None
-    if config.kind == "forest":
-        params = fit_forest(X, y, config.n_trees, config.seed)
-    elif config.kind == "ada":
-        params = fit_ada(X, y, config.n_rounds)
-    elif config.kind == "gbt-a":
-        params, curve = fit_gbt(X, y, config.n_rounds, config.learning_rate,
-                                config.tree_depth)
-        loss = tuple(curve)
-    elif config.kind == "gbt-b":
-        params, curve = fit_oblivious_gbt(X, y, config.n_rounds,
-                                          config.learning_rate, config.tree_depth)
-        loss = tuple(curve)
-    elif config.kind == "svm":
-        standardizer = fit_standardizer(X)
-        params = fit_svm(standardizer.apply(X), y, c=config.svm_c,
-                         epochs=config.svm_epochs, seed=config.seed)
-    else:  # pragma: no cover - guarded by ClassifierConfig
-        raise InvalidParameterError(f"unknown classifier kind {config.kind!r}")
-    return TrainedModel(
-        config=config,
-        n_features=dataset.n_features,
-        standardizer=standardizer,
-        params=params,
-        train_loss=loss,
-    )
+    standardizer = fit_standardizer(X) if config.kind == "svm" else None
+    params, loss = LEARNERS[config.kind].fit(
+        X if standardizer is None else standardizer.apply(X), y, config)
+    return TrainedModel(config, dataset.n_features, standardizer, params, loss)
 
 
 def _as_matrix(model: TrainedModel, X) -> np.ndarray:
@@ -150,20 +143,10 @@ def decision_scores(model: TrainedModel, X) -> np.ndarray:
     X = _as_matrix(model, X)
     if model.standardizer is not None:
         X = model.standardizer.apply(X)
-    kind = model.config.kind
-    if kind == "forest":
-        return predict_forest(model.params, X)
-    if kind == "ada":
-        return predict_ada(model.params, X)
-    if kind in ("gbt-a", "gbt-b"):
-        return predict_gbt(model.params, X)
-    if kind == "svm":
-        return predict_svm(model.params, X)
-    raise InvalidParameterError(f"unknown classifier kind {kind!r}")  # pragma: no cover
+    return LEARNERS[model.config.kind].score(model.params, X)
 
 
 def predict_batch(model: TrainedModel, X) -> tuple[np.ndarray, np.ndarray]:
     scores = decision_scores(model, X)
-    threshold = 0.0 if model.config.kind in _MARGIN_KINDS else 0.5
-    labels = (scores > threshold).astype(np.int64)
+    labels = (scores > LEARNERS[model.config.kind].threshold).astype(np.int64)
     return labels, scores

@@ -5,14 +5,15 @@ reloaded model reproduces predictions exactly. The reader accepts any 1.x
 schema, warning when the minor version differs; other majors are refused.
 
 A kind's params payload is its params type's fields in declaration order,
-arrays as lists and trees the same way (``_FORMATS`` names the types). The
-params types check their own invariants when built, so a loaded model meets
-the same checks as a fitted one. This module checks the envelope: a
-``params`` object with other keys than its type's fields, ``n_features``
-that is not a positive integer or differs from ``params.n_features``, a
-standardizer of the wrong length, or a top-level ``kind`` or
-``fingerprint`` that does not match the model's config raises
-``ModelFormatError`` before any prediction can run.
+arrays as lists and trees the same way (the kind's ``LEARNERS`` row names
+its params type and its tree type). The params types check their own
+invariants when built, so a loaded model meets the same checks as a fitted
+one. This module checks the envelope: a config that ``ClassifierConfig``
+refuses (an unknown kind, say), a ``params`` object with other keys than
+its type's fields, ``n_features`` that is not a positive integer or differs
+from ``params.n_features``, a standardizer of the wrong length, or a
+top-level ``kind`` or ``fingerprint`` that does not match the model's config
+raises ``ModelFormatError`` before any prediction can run.
 """
 
 from __future__ import annotations
@@ -23,24 +24,11 @@ from dataclasses import asdict, fields, is_dataclass
 
 import numpy as np
 
-from .errors import ModelFormatError, SchemaVersionError
-from .learners import ClassifierConfig, Standardizer, TrainedModel
-from .learners.adaboost import AdaParams
-from .learners.forest import ForestParams, TreeNodes
-from .learners.gbt import GbtParams, ObliviousTree
-from .learners.svm import SvmParams
+from .errors import InvalidParameterError, ModelFormatError, SchemaVersionError
+from .learners import LEARNERS, ClassifierConfig, Standardizer, TrainedModel
 from .storage import atomic_write_text
 
 MODEL_SCHEMA_VERSION = "1.1"
-
-# kind -> (params type, type of each item of its ``trees``)
-_FORMATS = {
-    "forest": (ForestParams, TreeNodes),
-    "ada": (AdaParams, None),
-    "gbt-a": (GbtParams, TreeNodes),
-    "svm": (SvmParams, None),
-    "gbt-b": (GbtParams, ObliviousTree),
-}
 
 
 def _encode(value):
@@ -109,8 +97,8 @@ def model_from_payload(payload: dict) -> TrainedModel:
                 shape = getattr(standardizer, name).shape
                 _require(shape == (n_features,), f"standardizer {name} has shape "
                                                  f"{shape}, expected ({n_features},)")
-        params_cls, tree_cls = _FORMATS[config.kind]
-        params = _decode(params_cls, payload["params"], tree_cls)
+        learner = LEARNERS[config.kind]
+        params = _decode(learner.params_type, payload["params"], learner.tree_type)
         _require(params.n_features == n_features,
                  f"params.n_features {params.n_features} differs from n_features {n_features}")
         loss = payload.get("train_loss")
@@ -129,7 +117,7 @@ def model_from_payload(payload: dict) -> TrainedModel:
         return model
     except SchemaVersionError:
         raise
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, InvalidParameterError) as exc:
         raise ModelFormatError(f"malformed model payload: {exc}") from exc
 
 

@@ -330,6 +330,33 @@ def write_feature_csv(rows, path, config: Optional[dict] = None) -> None:
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
+def _csv_rows(path, header: tuple, what: str):
+    """(1-based line number, fields) of each row of a CSV table under
+    ``header``, skipping blank and ``#`` lines. A file that is not UTF-8
+    text, another header, or a row without exactly the header's fields
+    raises ``InvalidParameterError`` with the path (and the line number)."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError:
+        raise InvalidParameterError(f"{path} is not UTF-8 text") from None
+    seen_header = False
+    for number, line in enumerate(lines, start=1):
+        line = line.rstrip("\n")
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split(",")
+        if not seen_header:
+            if tuple(parts) != header:
+                raise InvalidParameterError(f"unexpected {what} CSV header in {path}")
+            seen_header = True
+        elif len(parts) != len(header):
+            raise InvalidParameterError(
+                f"{path}, line {number}: {len(parts)} fields, expected {len(header)}")
+        else:
+            yield number, parts
+
+
 def read_feature_csv(path) -> list:
     """Rows of a feature table; a header other than the writer's, a row
     without exactly its fields, a number that does not parse or is not
@@ -337,28 +364,8 @@ def read_feature_csv(path) -> list:
     task's failure type, or ``t1 <= t0`` raises ``InvalidParameterError``
     with the path and the 1-based line number, and a file that is not UTF-8
     text raises it with the path."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except UnicodeDecodeError:
-        raise InvalidParameterError(f"{path} is not UTF-8 text") from None
     rows = []
-    header = None
-    for number, line in enumerate(lines, start=1):
-        line = line.rstrip("\n")
-        if not line or line.startswith("#"):
-            continue
-        if header is None:
-            header = tuple(line.split(","))
-            if header != _FEATURE_CSV_HEADER:
-                raise InvalidParameterError(f"unexpected feature CSV header in {path}")
-            continue
-        parts = line.split(",")
-        if len(parts) != len(_FEATURE_CSV_HEADER):
-            raise InvalidParameterError(
-                f"{path}, line {number}: {len(parts)} fields, "
-                f"expected {len(_FEATURE_CSV_HEADER)}"
-            )
+    for number, parts in _csv_rows(path, _FEATURE_CSV_HEADER, "feature"):
         try:
             row = SegmentRow(
                 task=parts[0],
@@ -419,26 +426,8 @@ def read_report_csv(path) -> list:
     number raises ``InvalidParameterError`` with the path and the 1-based
     line number, and a file that is not UTF-8 text raises it with the
     path."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except UnicodeDecodeError:
-        raise InvalidParameterError(f"{path} is not UTF-8 text") from None
     rows = []
-    header = None
-    for number, line in enumerate(lines, start=1):
-        line = line.rstrip("\n")
-        if not line or line.startswith("#"):
-            continue
-        if header is None:
-            header = line
-            if header != _REPORT_CSV_HEADER:
-                raise InvalidParameterError(f"unexpected report CSV header in {path}")
-            continue
-        parts = line.split(",")
-        if len(parts) != 6:
-            raise InvalidParameterError(
-                f"{path}, line {number}: {len(parts)} fields, expected 6")
+    for number, parts in _csv_rows(path, tuple(_REPORT_CSV_HEADER.split(",")), "report"):
         task, classifier, n_or_width, fold, accuracy, recall = parts
         try:
             rows.append({

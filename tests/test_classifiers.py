@@ -1,6 +1,6 @@
 import json
 import math
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -73,6 +73,13 @@ class TestConfigs:
         gbt_b = default_config("gbt-b")
         assert (gbt_b.n_rounds, gbt_b.learning_rate, gbt_b.tree_depth,
                 gbt_b.oblivious) == (100, 0.1, 6, True)
+        # Every field goes into the fingerprint, so compare as JSON: 1 and 1.0 differ there.
+        shared = {"seed": 7, "n_trees": 100, "n_rounds": 100, "learning_rate": 0.01,
+                  "tree_depth": 6, "oblivious": False, "svm_c": 1.0, "svm_epochs": 100}
+        changed = {"gbt-b": {"learning_rate": 0.1, "oblivious": True}}
+        for kind in KINDS:
+            expected = {"kind": kind, **shared, **changed.get(kind, {})}
+            assert json.dumps(asdict(default_config(kind, seed=7))) == json.dumps(expected)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(InvalidParameterError):

@@ -322,6 +322,7 @@ class TestErrors:
     @pytest.mark.parametrize("name, value, argv", [
         ("GAZE_SENTINEL_WIDTH", "abc", ["eval", "--corpus", "unread"]),
         ("GAZE_SENTINEL_SEED", "1.5", ["simulate", "--participants", "1"]),
+        ("GAZE_SENTINEL_WIDTH", "7", ["eval", "--corpus", "unread"]),
     ])
     def test_uncastable_env_value_is_json_error(self, tmp_path, monkeypatch, capsys,
                                                 name, value, argv):
@@ -498,6 +499,7 @@ class TestErrors:
         ("simulate", "seed", True), ("simulate", "participants", False),
         ("simulate", "seed", float("inf")), ("eval", "slide", True), ("eval", "width", False),
         pytest.param("eval", "width", 10 ** 400, id="eval-width-10**400"),
+        ("eval", "width", 7),
     ])
     def test_config_value_of_wrong_kind_is_json_error(self, tmp_path, capsys, command, key,
                                                       value):

@@ -188,6 +188,7 @@ MALFORMED = [
     ("forest", "fingerprint unlike its config", _set(["fingerprint"], "0000")),
     ("svm", "unknown params key", _set(["params", "scale"], 1.0)),
     ("gbt-b", "unknown tree key", _set(["params", "trees", 0, "depth"], 6)),
+    ("forest", "unknown config kind", _set(["config", "kind"], "mlp")),
 ]
 
 
