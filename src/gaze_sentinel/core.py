@@ -235,10 +235,6 @@ class Debouncer:
         # sample), so windows search their running maximum.
         self._ev_reach = np.maximum.accumulate(self._ev_start + self._ev_dur)
 
-    @property
-    def period(self) -> float:
-        return self._period
-
     def fixations(self) -> list[FixationEvent]:
         return _events(self._ev_code, self._ev_start, self._ev_dur)
 

@@ -1,19 +1,20 @@
 """Classifier configurations, the learner table, training and prediction.
 
 ``LEARNERS`` holds one row per configuration (the paper's Random Forest,
-AdaBoost, XGBoost, SVM and CatBoost, each trained in-repo): its fit, its
-score function, its class threshold, the params type a model file decodes
-into and the type of each of its trees. Scores are probability-like for the
-forest and the gbts (threshold 0.5) and signed margins for ada and svm
-(threshold 0); exact threshold ties resolve to NF. All fits are
-deterministic functions of (data, seed).
+AdaBoost, XGBoost, SVM and CatBoost, each trained in-repo): its fit and the
+config fields it takes, its score function, its class threshold, the params
+type a model file decodes into, the type of each of its trees, its published
+overrides of the config defaults and whether it standardizes. Scores are
+probability-like for the forest and the gbts (threshold 0.5) and signed
+margins for ada and svm (threshold 0); exact threshold ties resolve to NF.
+All fits are deterministic functions of (data, seed).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -27,45 +28,49 @@ from .svm import SvmParams, fit_svm, predict_svm
 
 
 class Learner(NamedTuple):
-    fit: Callable  # (X, y, config) -> (params, training loss or None)
+    fit: Callable  # (X, y, *fields) -> params, or (params, training loss)
+    fields: tuple  # the config fields ``fit`` takes, in its argument order
     score: Callable  # (params, X) -> scores
     threshold: float  # a score above it labels a row 1
     params_type: type
     tree_type: Optional[type]  # each item of ``params.trees``; None without trees
+    published: dict = {}  # overrides of the config field defaults
+    standardizes: bool = False  # fit and score on z-scored features
 
 
-def _boosted(fit_fn) -> Callable:
-    def fit(X, y, config):
-        params, curve = fit_fn(X, y, config.n_rounds, config.learning_rate,
-                               config.tree_depth)
-        return params, tuple(curve)
-    return fit
-
-
+_BOOSTED = ("n_rounds", "learning_rate", "tree_depth")
 LEARNERS = {
     # 100 bagged CART trees, Gini splits, ceil(sqrt(d)) candidate features
     # per node, unlimited depth; the score is the vote fraction.
-    "forest": Learner(lambda X, y, c: (fit_forest(X, y, c.n_trees, c.seed), None),
-                      predict_forest, 0.5, ForestParams, TreeNodes),
+    "forest": Learner(fit_forest, ("n_trees", "seed"), predict_forest, 0.5,
+                      ForestParams, TreeNodes),
     # 100 rounds of depth-1 stumps with SAMME updates; the score is a margin.
-    "ada": Learner(lambda X, y, c: (fit_ada(X, y, c.n_rounds), None),
-                   predict_ada, 0.0, AdaParams, None),
+    "ada": Learner(fit_ada, ("n_rounds",), predict_ada, 0.0, AdaParams, None),
     # 100 Newton-boosted depth-6 trees, shrinkage 0.01; the score is a
     # logistic probability.
-    "gbt-a": Learner(_boosted(fit_gbt), predict_gbt, 0.5, GbtParams, TreeNodes),
+    "gbt-a": Learner(fit_gbt, _BOOSTED, predict_gbt, 0.5, GbtParams, TreeNodes),
     # Linear hinge/L2 (C=1) by stochastic subgradient descent on
     # standardized features; the score is a margin.
-    "svm": Learner(lambda X, y, c: (fit_svm(X, y, c.svm_c, c.svm_epochs, c.seed), None),
-                   predict_svm, 0.0, SvmParams, None),
+    "svm": Learner(fit_svm, ("svm_c", "svm_epochs", "seed"), predict_svm, 0.0,
+                   SvmParams, None, standardizes=True),
     # As gbt-a, but shrinkage 0.1 and oblivious (level-shared split) trees.
-    "gbt-b": Learner(_boosted(fit_oblivious_gbt), predict_gbt, 0.5, GbtParams,
-                     ObliviousTree),
+    "gbt-b": Learner(fit_oblivious_gbt, _BOOSTED, predict_gbt, 0.5, GbtParams,
+                     ObliviousTree, published={"learning_rate": 0.1, "oblivious": True}),
 }
 KINDS = tuple(LEARNERS)
 
 
+def _learner(kind) -> Learner:
+    if kind not in KINDS:  # a tuple test: an unhashable kind is refused too
+        raise InvalidParameterError(f"unknown classifier kind {kind!r}")
+    return LEARNERS[kind]
+
+
 @dataclass(frozen=True)
 class ClassifierConfig:
+    """``seed`` reaches every kind through SMOTE; any other field its fit
+    does not take must hold the kind's published value, of the same type."""
+
     kind: str
     seed: int = 7
     n_trees: int = 100
@@ -77,16 +82,18 @@ class ClassifierConfig:
     svm_epochs: int = 100
 
     def __post_init__(self):
-        if self.kind not in KINDS:  # a tuple test: an unhashable kind is refused too
-            raise InvalidParameterError(f"unknown classifier kind {self.kind!r}")
+        learner = _learner(self.kind)
+        for f in fields(self)[2:]:  # every field after kind and seed
+            value, want = getattr(self, f.name), learner.published.get(f.name, f.default)
+            if f.name not in learner.fields and (type(value), value) != (type(want), want):
+                raise InvalidParameterError(f"{self.kind} does not read {f.name}: it must "
+                                            f"be {want!r}, got {value!r}")
 
 
 def default_config(kind: str, seed: int = 7) -> ClassifierConfig:
-    """The published hyperparameters: the field defaults, except that gbt-b
-    shrinks by 0.1 and grows oblivious trees."""
-    if kind == "gbt-b":
-        return ClassifierConfig(kind, seed, learning_rate=0.1, oblivious=True)
-    return ClassifierConfig(kind, seed)
+    """The published hyperparameters: the field defaults and the kind's
+    overrides (gbt-b shrinks by 0.1 and grows oblivious trees)."""
+    return ClassifierConfig(kind, seed, **_learner(kind).published)
 
 
 def config_fingerprint(config: dict) -> str:
@@ -121,10 +128,13 @@ def train(config: ClassifierConfig, dataset: LabeledDataset) -> TrainedModel:
     X, y = dataset.X, dataset.y
     if not np.isfinite(X).all():  # the split searches rank rows by value
         raise InvalidParameterError("training features must be finite numbers")
-    standardizer = fit_standardizer(X) if config.kind == "svm" else None
-    params, loss = LEARNERS[config.kind].fit(
-        X if standardizer is None else standardizer.apply(X), y, config)
-    return TrainedModel(config, dataset.n_features, standardizer, params, loss)
+    learner = LEARNERS[config.kind]
+    standardizer = fit_standardizer(X) if learner.standardizes else None
+    fitted = learner.fit(X if standardizer is None else standardizer.apply(X), y,
+                         *(getattr(config, name) for name in learner.fields))
+    params, loss = fitted if isinstance(fitted, tuple) else (fitted, None)
+    return TrainedModel(config, dataset.n_features, standardizer, params,
+                        None if loss is None else tuple(loss))
 
 
 def _as_matrix(model: TrainedModel, X) -> np.ndarray:

@@ -9,9 +9,11 @@ arrays as lists and trees the same way (the kind's ``LEARNERS`` row names
 its params type and its tree type). The params types check their own
 invariants when built, so a loaded model meets the same checks as a fitted
 one. This module checks the envelope: a config that ``ClassifierConfig``
-refuses (an unknown kind, say), a ``params`` object with other keys than
-its type's fields, ``n_features`` that is not a positive integer or differs
-from ``params.n_features``, a standardizer of the wrong length, or a
+refuses (an unknown kind, or a hyperparameter the kind's fit does not take
+set to other than its published value), a standardizer where the kind's row
+does not standardize or none where it does, a ``params`` object with other
+keys than its type's fields, ``n_features`` that is not a positive integer or
+differs from ``params.n_features``, a standardizer of the wrong length, or a
 top-level ``kind`` or ``fingerprint`` that does not match the model's config
 raises ``ModelFormatError`` before any prediction can run.
 """
@@ -89,7 +91,10 @@ def model_from_payload(payload: dict) -> TrainedModel:
         n_features = payload["n_features"]
         _require(type(n_features) is int and n_features > 0,
                  f"n_features must be a positive integer, got {n_features!r}")
+        learner = LEARNERS[config.kind]
         std = payload.get("standardizer")
+        _require((std is not None) == learner.standardizes, f"a {config.kind} model "
+                 f"{'needs' if learner.standardizes else 'takes no'} standardizer")
         standardizer = None
         if std is not None:
             standardizer = _decode(Standardizer, std)
@@ -97,7 +102,6 @@ def model_from_payload(payload: dict) -> TrainedModel:
                 shape = getattr(standardizer, name).shape
                 _require(shape == (n_features,), f"standardizer {name} has shape "
                                                  f"{shape}, expected ({n_features},)")
-        learner = LEARNERS[config.kind]
         params = _decode(learner.params_type, payload["params"], learner.tree_type)
         _require(params.n_features == n_features,
                  f"params.n_features {params.n_features} differs from n_features {n_features}")

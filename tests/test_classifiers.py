@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 from gaze_sentinel.errors import DegenerateDataError, FeatureArityError, InvalidParameterError
 from gaze_sentinel.learners import (
     KINDS,
+    LEARNERS,
     ClassifierConfig,
     LabeledDataset,
     TrainedModel,
@@ -699,7 +700,8 @@ class TestFitsMatchReference:
     @given(ds=tie_heavy_sets(), seed=st.integers(0, 2 ** 16))
     def test_tie_heavy_sets(self, kind, ds, seed):
         # fewer trees and rounds than published keep the references quick
-        config = replace(default_config(kind, seed=seed), n_trees=10, n_rounds=10)
+        config = replace(default_config(kind, seed=seed),
+                         **{f: 10 for f in ("n_trees", "n_rounds") if f in LEARNERS[kind].fields})
         assert payload_bytes(train(config, ds)) == payload_bytes(reference_train(config, ds))
 
     @pytest.mark.parametrize("kind", REFERENCE_KINDS)

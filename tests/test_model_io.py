@@ -1,14 +1,23 @@
 import json
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gaze_sentinel.errors import GazeSentinelError, ModelFormatError, SchemaVersionError
+from gaze_sentinel.errors import (
+    GazeSentinelError,
+    InvalidParameterError,
+    ModelFormatError,
+    SchemaVersionError,
+)
 from gaze_sentinel.learners import (
     KINDS,
+    LEARNERS,
+    ClassifierConfig,
     LabeledDataset,
+    config_fingerprint,
     default_config,
     predict_batch,
     train,
@@ -189,6 +198,9 @@ MALFORMED = [
     ("svm", "unknown params key", _set(["params", "scale"], 1.0)),
     ("gbt-b", "unknown tree key", _set(["params", "trees", 0, "depth"], 6)),
     ("forest", "unknown config kind", _set(["config", "kind"], "mlp")),
+    ("forest", "standardizer on a kind that takes none",
+     _set(["standardizer"], {"mean": [0.0] * 4, "std": [1.0] * 4})),
+    ("svm", "no standardizer", _set(["standardizer"], None)),
 ]
 
 
@@ -274,3 +286,27 @@ def test_mutated_model_fails_closed_or_round_trips(tmp_path_factory, fitted, kin
     save_model(model, again)
     save_model(load_model(again), path)
     assert path.read_bytes() == again.read_bytes()
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_unread_hyperparameter_is_refused(tmp_path_factory, fitted, kind, data):
+    """A field the kind's fit does not take (``seed`` aside) refuses any
+    value other than the published one, in value or in type: as a config,
+    and inside a model file whose fingerprint matches the edited config."""
+    payload = model_payload(fitted[kind])  # the kind's published config
+    name = data.draw(st.sampled_from(
+        [f.name for f in fields(ClassifierConfig)[2:] if f.name not in LEARNERS[kind].fields]))
+    good = payload["config"][name]
+    value = data.draw(st.one_of(JSON_VALUES, st.sampled_from(
+        [float(good), int(good), bool(good), str(good), -good])).filter(
+        lambda v: (type(v), v) != (type(good), good)))
+    config = {**payload["config"], name: value}
+    with pytest.raises(InvalidParameterError):
+        ClassifierConfig(**config)
+    payload.update(config=config, fingerprint=config_fingerprint(config))
+    path = tmp_path_factory.mktemp("unread") / "model.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ModelFormatError):
+        load_model(path)
