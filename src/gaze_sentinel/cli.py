@@ -13,7 +13,6 @@ import json
 import math
 import os
 import sys
-from typing import Optional
 
 import numpy as np
 
@@ -32,34 +31,64 @@ from .evaluate import (
 )
 from .learners import KINDS, default_config, smote, train
 from .model_io import load_model, save_model
-from .sim import BehaviorParams, CorpusSpec, DEFAULT_MASTER_SEED, generate_corpus
+from .sim import (BehaviorParams, CorpusSpec, DEFAULT_MASTER_SEED, DEFAULT_PARTICIPANTS,
+                  generate_corpus)
 from . import storage
 
 ENV_PREFIX = "GAZE_SENTINEL_"
 
-# Each option's type, built-in default and, for width, the values it may take.
-_OPTIONS = {
-    "seed": (int, DEFAULT_MASTER_SEED),
-    "participants": (int, 26),
-    "task": (str, "nf-ef"),
-    "classifier": (str, "all"),
-    "mode": (str, "full"),
-    "n": (str, ""),
-    "width": (float, 5.0, (3.0, 5.0, 10.0)),
-    "slide": (float, 1.0),
+# The paper's first-n sweeps: whole seconds up to each failure's duration
+# (15 s for EF, 16.5 s for DF).
+FIRST_N_SWEEP = {
+    "nf-ef": [float(n) for n in range(1, 16)],
+    "nf-df": [float(n) for n in range(1, 17)] + [16.5],
 }
+EVAL_MODES = ("full", "first-n", "stream")
+
+
+# Every option a command resolves (its flag, GAZE_SENTINEL_<KEY> variable
+# and config-file key): its type, built-in default, the values it may take
+# (None: any of its type) and its help.
+_OPTIONS = {
+    "seed": (int, DEFAULT_MASTER_SEED, None, "master seed, at least 0"),
+    "participants": (int, DEFAULT_PARTICIPANTS, None, "participants to simulate"),
+    "task": (str, "nf-ef", tuple(sorted(TASKS)), "NF against EF or against DF"),
+    "classifier": (str, "all", KINDS + ("all",), "one learner, or all of them"),
+    "mode": (str, "full", EVAL_MODES, "evaluation regime"),
+    "n": (str, "", None, "truncation sweep, e.g. 1..15 (default: full per-task sweep)"),
+    "width": (float, 5.0, (3.0, 5.0, 10.0), "window width, seconds"),
+    "slide": (float, 1.0, None, "window slide, seconds"),
+}
+# Each command's help, its path flags and the options it resolves. Every
+# path flag is required but these, which every command (config) or one
+# (profile) takes.
+_COMMANDS = {
+    "simulate": ("generate a synthetic session corpus", ("out", "profile"),
+                 ("seed", "participants")),
+    "extract": ("compute the per-segment feature table", ("corpus", "out"), ()),
+    "train": ("fit one classifier on a feature table", ("features", "out"),
+              ("seed", "task", "classifier")),
+    "eval": ("run leave-one-out evaluation", ("corpus", "out"),
+             ("seed", "task", "classifier", "mode", "n", "width", "slide")),
+    "detect": ("stream-classify one session with a saved model", ("model", "session", "out"),
+               ("width", "slide")),
+    "report": ("aggregate report CSVs into one table", ("reports", "out"), ()),
+}
+_OPTIONAL_PATHS = {"config": "JSON file with default options",
+                   "profile": "behaviour profile JSON (default: built-in)"}
 # A first-n range may hold at most this many values.
 _MAX_N_VALUES = 10_000
 
 
-def _resolve(args: argparse.Namespace, keys) -> dict:
-    """Merge defaults <- config file <- environment <- explicit flags.
+def _resolve(args: argparse.Namespace) -> dict:
+    """Merge defaults <- config file <- environment <- explicit flags for the
+    options of the parsed command.
 
     A config file that is not a JSON object, or a config or environment
     value its option cannot take, raises ``InvalidParameterError`` naming
     where the value came from."""
     file_cfg = {}
-    config_path = getattr(args, "config", None) or os.environ.get(ENV_PREFIX + "CONFIG")
+    config_path = args.config or os.environ.get(ENV_PREFIX + "CONFIG")
     if config_path:
         with open(config_path, encoding="utf-8") as fh:
             try:
@@ -70,14 +99,14 @@ def _resolve(args: argparse.Namespace, keys) -> dict:
         if not isinstance(file_cfg, dict):
             raise InvalidParameterError(f"config file {config_path} must hold a JSON object")
     resolved = {}
-    for key in keys:
+    for key in args.options:
         value = _OPTIONS[key][1]
         if key in file_cfg:
             value = _cast(key, file_cfg[key], f"config file {config_path}")
         env = os.environ.get(ENV_PREFIX + key.upper())
         if env is not None:
             value = _cast(key, env, ENV_PREFIX + key.upper())
-        flag = getattr(args, key, None)
+        flag = getattr(args, key)
         if flag is not None:
             value = flag
         resolved[key] = value
@@ -88,9 +117,9 @@ def _resolve(args: argparse.Namespace, keys) -> dict:
 
 def _cast(key: str, value, source: str):
     """``value`` as option ``key``'s type. A numeric option refuses a bool,
-    an int option a number that is not whole, and width a value not among
-    its choices."""
-    kind, _, *choices = _OPTIONS[key]
+    an int option a number that is not whole, and an option with choices a
+    value not among them."""
+    kind, _, choices, _ = _OPTIONS[key]
     try:
         if kind is not str and isinstance(value, bool) or (
                 kind is int and isinstance(value, float) and not value.is_integer()):
@@ -99,9 +128,10 @@ def _cast(key: str, value, source: str):
     except (TypeError, ValueError, OverflowError):  # OverflowError: float(10 ** 400)
         raise InvalidParameterError(
             f"{source}: {key} cannot be {value!r}") from None
-    if choices and value not in choices[0]:
+    if choices is not None and value not in choices:
+        finite = "finite " if kind is float else ""
         raise InvalidParameterError(
-            f"{source}: {key} must be one of the finite values {choices[0]}, not {value!r}")
+            f"{source}: {key} must be one of the {finite}values {choices}, not {value!r}")
     return value
 
 
@@ -129,36 +159,20 @@ def _parse_n_range(spec: str) -> list:
     return values
 
 
-def _classifiers(choice: str) -> list:
-    if choice == "all":
-        return list(KINDS)
-    if choice not in KINDS:
-        raise InvalidParameterError(f"unknown classifier {choice!r}")
-    return [choice]
-
-
-def _behavior(args: argparse.Namespace) -> Optional[BehaviorParams]:
-    profile = getattr(args, "profile", None) or os.environ.get(ENV_PREFIX + "PROFILE")
-    if profile:
-        return BehaviorParams.from_file(profile)
-    return None
-
-
 def cmd_simulate(args: argparse.Namespace) -> int:
-    cfg = _resolve(args, ("seed", "participants"))
-    behavior = _behavior(args)
+    cfg = _resolve(args)
+    profile = args.profile or os.environ.get(ENV_PREFIX + "PROFILE")
     spec = CorpusSpec(participants=cfg["participants"], master_seed=cfg["seed"],
-                      behavior=behavior)
+                      behavior=BehaviorParams.from_file(profile) if profile else None)
     sessions = generate_corpus(spec)
-    run_cfg = {"command": "simulate", **cfg,
-               "profile": getattr(args, "profile", None) or "default"}
+    run_cfg = {"command": "simulate", **cfg, "profile": args.profile or "default"}
     storage.write_corpus(sessions, args.out, run_cfg)
     print(f"wrote {len(sessions)} sessions to {args.out}")
     return 0
 
 
 def cmd_extract(args: argparse.Namespace) -> int:
-    cfg = _resolve(args, ())
+    cfg = _resolve(args)
     sessions = storage.read_corpus(args.corpus)
     corpus = Corpus(sessions)
     rows = corpus.segment_rows()
@@ -169,11 +183,9 @@ def cmd_extract(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    cfg = _resolve(args, ("seed", "task", "classifier"))
-    if cfg["task"] not in TASKS:
-        raise InvalidParameterError(f"unknown task {cfg['task']!r}")
-    kinds = _classifiers(cfg["classifier"])
-    if len(kinds) != 1:
+    cfg = _resolve(args)
+    kind = cfg["classifier"]
+    if kind == "all":
         raise InvalidParameterError("train expects a single classifier, not 'all'")
     rows = [r for r in storage.read_feature_csv(args.features) if r.task == cfg["task"]]
     if not rows:
@@ -181,19 +193,10 @@ def cmd_train(args: argparse.Namespace) -> int:
     dataset = dataset_from_rows(rows)
     rng = np.random.default_rng(np.random.SeedSequence(cfg["seed"], spawn_key=(0,)))
     balanced = smote(dataset, k=SMOTE_K, rng=rng)
-    model = train(default_config(kinds[0], seed=cfg["seed"]), balanced)
+    model = train(default_config(kind, seed=cfg["seed"]), balanced)
     save_model(model, args.out)
-    print(f"trained {kinds[0]} on {len(balanced)} rows -> {args.out}")
+    print(f"trained {kind} on {len(balanced)} rows -> {args.out}")
     return 0
-
-
-# The paper's first-n sweeps: whole seconds up to each failure's duration
-# (15 s for EF, 16.5 s for DF).
-FIRST_N_SWEEP = {
-    "nf-ef": [float(n) for n in range(1, 16)],
-    "nf-df": [float(n) for n in range(1, 17)] + [16.5],
-}
-EVAL_MODES = ("full", "first-n", "stream")
 
 
 def _tag(task: str, mode: str, width: float) -> str:
@@ -248,8 +251,8 @@ def write_eval(corpus: Corpus, out, task: str, mode: str, kinds, seed: int, run_
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    cfg = _resolve(args, ("seed", "task", "classifier", "mode", "n", "width", "slide"))
-    kinds = _classifiers(cfg["classifier"])
+    cfg = _resolve(args)
+    kinds = list(KINDS) if cfg["classifier"] == "all" else [cfg["classifier"]]
     n_values = _parse_n_range(cfg["n"]) if cfg["mode"] == "first-n" and cfg["n"] else None
     corpus = Corpus(storage.read_corpus(args.corpus))
     write_eval(corpus, args.out, cfg["task"], cfg["mode"], kinds, cfg["seed"],
@@ -259,7 +262,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_detect(args: argparse.Namespace) -> int:
-    cfg = _resolve(args, ("width", "slide"))
+    cfg = _resolve(args)
     model = load_model(args.model)
     session = storage.read_session_jsonl(args.session)
     events = stream_detect(model, session, cfg["width"], cfg["slide"])
@@ -271,7 +274,7 @@ def cmd_detect(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    cfg = _resolve(args, ())
+    cfg = _resolve(args)
     names = sorted(
         name for name in os.listdir(args.reports)
         if name.startswith("report_") and name.endswith(".csv")
@@ -305,61 +308,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, *names):
-        if "seed" in names:
-            p.add_argument("--seed", type=int)
-        if "config" in names:
-            p.add_argument("--config", help="JSON file with default options")
-
-    p = sub.add_parser("simulate", help="generate a synthetic session corpus")
-    p.add_argument("--participants", type=int)
-    p.add_argument("--profile", help="behaviour profile JSON (default: built-in)")
-    p.add_argument("--out", required=True)
-    common(p, "seed", "config")
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("extract", help="compute the per-segment feature table")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--out", required=True)
-    common(p, "config")
-    p.set_defaults(func=cmd_extract)
-
-    p = sub.add_parser("train", help="fit one classifier on a feature table")
-    p.add_argument("--features", required=True)
-    p.add_argument("--task", choices=sorted(TASKS))
-    p.add_argument("--classifier", choices=KINDS)
-    p.add_argument("--out", required=True)
-    common(p, "seed", "config")
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("eval", help="run leave-one-out evaluation")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--mode", choices=EVAL_MODES)
-    p.add_argument("--task", choices=sorted(TASKS))
-    p.add_argument("--classifier", choices=KINDS + ("all",))
-    p.add_argument("--n", help="truncation sweep, e.g. 1..15 (default: full per-task sweep)")
-    p.add_argument("--width", type=float, choices=_OPTIONS["width"][2])
-    p.add_argument("--slide", type=float)
-    p.add_argument("--out", required=True)
-    common(p, "seed", "config")
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("detect", help="stream-classify one session with a saved model")
-    p.add_argument("--model", required=True)
-    p.add_argument("--session", required=True)
-    p.add_argument("--width", type=float, choices=_OPTIONS["width"][2])
-    p.add_argument("--slide", type=float)
-    p.add_argument("--out", required=True)
-    common(p, "config")
-    p.set_defaults(func=cmd_detect)
-
-    p = sub.add_parser("report", help="aggregate report CSVs into one table")
-    p.add_argument("--reports", required=True)
-    p.add_argument("--out", required=True)
-    common(p, "config")
-    p.set_defaults(func=cmd_report)
-
+    for name, (help_text, paths, keys) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for path in paths + ("config",):
+            p.add_argument(f"--{path}", required=path not in _OPTIONAL_PATHS,
+                           help=_OPTIONAL_PATHS.get(path))
+        for key in keys:
+            kind, _, choices, about = _OPTIONS[key]
+            p.add_argument(f"--{key}", type=kind, choices=choices, help=about)
+        # cmd_<name> is looked up on each call, so a wrapper installed over
+        # it after import is the one that runs.
+        p.set_defaults(func=globals()[f"cmd_{name}"], options=keys)
     return parser
 
 

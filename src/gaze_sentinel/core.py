@@ -23,7 +23,7 @@ DF_DURATION_S = 16.5
 FAILURE_DURATIONS = {"EF": EF_DURATION_S, "DF": DF_DURATION_S}
 SEGMENT_LABELS = ("NF", "EF", "DF")
 
-DEFAULT_MIN_DWELL_S = 0.1
+MIN_DWELL_S = 0.1  # a run shorter than this is not a fixation
 DEFAULT_SAMPLE_RATE_HZ = 200.0
 # A run interrupted by less than this much missing/invalid data stays one run.
 INVALID_BRIDGE_S = 0.05
@@ -168,7 +168,7 @@ class Debouncer:
 
     Invalid samples are skipped; a run interrupted by less than
     ``INVALID_BRIDGE_S`` of missing data is treated as continuous. Runs
-    shorter than ``min_dwell`` are dropped and adjacent surviving runs with
+    shorter than ``MIN_DWELL_S`` are dropped and adjacent surviving runs with
     equal labels are merged (duration sums, gap time is not counted).
 
     The event table is built once, in one forward pass over the runs. In a
@@ -178,13 +178,9 @@ class Debouncer:
     by then, plus the provisional run.
     """
 
-    def __init__(self, stream: GazeStream, layout: AoiLayout,
-                 min_dwell: float = DEFAULT_MIN_DWELL_S):
-        if min_dwell <= 0:
-            raise InvalidParameterError("min_dwell must be positive")
+    def __init__(self, stream: GazeStream, layout: AoiLayout):
         if len(stream) > 1 and not np.all(np.diff(stream.t) > 0):
             raise MalformedStreamError("timestamps must be strictly increasing")
-        self.min_dwell = float(min_dwell)
         self._period = stream.sample_period()
 
         mask = np.asarray(stream.valid, dtype=bool)
@@ -208,7 +204,7 @@ class Debouncer:
         run_events = np.zeros(n_runs, dtype=np.int64)
         run_last_dur = np.zeros(n_runs, dtype=np.float64)
         durations = (self._run_t1 - self._run_t0) + self._period
-        threshold = self.min_dwell - 1e-12
+        threshold = MIN_DWELL_S - 1e-12
         out_code: list[int] = []
         out_t0: list[float] = []
         out_dur: list[float] = []
@@ -264,7 +260,7 @@ class Debouncer:
         n_final[live] = np.maximum(begun - 1, 0)
 
         dur = (self._t[p[live] - 1] - self._run_t0[q]) + self._period
-        kept = dur >= self.min_dwell - 1e-12
+        kept = dur >= MIN_DWELL_S - 1e-12
         code = self._run_code[q]
         has_last = begun > 0
         last = begun[has_last] - 1

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, fields
 from typing import Callable, NamedTuple, Optional
 
@@ -66,10 +67,18 @@ def _learner(kind) -> Learner:
     return LEARNERS[kind]
 
 
+# The values a fit can use: each of these fields a whole number at least
+# its bound, and each rate a finite number above 0.
+_LEAST = {"seed": 0, "n_trees": 1, "n_rounds": 1, "tree_depth": 1, "svm_epochs": 1}
+_RATES = ("learning_rate", "svm_c")
+
+
 @dataclass(frozen=True)
 class ClassifierConfig:
     """``seed`` reaches every kind through SMOTE; any other field its fit
-    does not take must hold the kind's published value, of the same type."""
+    does not take must hold the kind's published value, of the same type.
+    A count or seed that is not a whole number, or a rate that is not a
+    finite number, or either below its bound, is refused for every kind."""
 
     kind: str
     seed: int = 7
@@ -83,6 +92,17 @@ class ClassifierConfig:
 
     def __post_init__(self):
         learner = _learner(self.kind)
+        for name, least in _LEAST.items():
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < least:
+                raise InvalidParameterError(
+                    f"{name} must be a whole number >= {least}, got {value!r}")
+        for name in _RATES:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)) \
+                    or not 0 < value < math.inf:
+                raise InvalidParameterError(
+                    f"{name} must be a finite number > 0, got {value!r}")
         for f in fields(self)[2:]:  # every field after kind and seed
             value, want = getattr(self, f.name), learner.published.get(f.name, f.default)
             if f.name not in learner.fields and (type(value), value) != (type(want), want):

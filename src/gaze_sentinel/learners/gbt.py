@@ -1,11 +1,11 @@
 """Gradient-boosted trees on logistic loss with Newton leaf values.
 
-Two tree shapes share the boosting loop: a greedy depth-limited variant
-(independent splits per node) and an oblivious variant where every node of a
-level shares one (feature, threshold) pair, giving 2^depth leaves. Leaf
-values are -G / (H + lambda); splits are kept only when their second-order
-gain is positive, which keeps training loss non-increasing at the shrinkage
-rates used here.
+Two tree shapes share the boosting loop (``_boost``): a greedy
+depth-limited variant (independent splits per node) and an oblivious variant
+where every node of a level shares one (feature, threshold) pair, giving
+2^depth leaves. Leaf values are -G / (H + LAMBDA); splits are kept only when
+their second-order gain is positive, which keeps training loss
+non-increasing at the shrinkage rates used here.
 """
 
 from __future__ import annotations
@@ -19,6 +19,9 @@ import numpy as np
 
 from .data import check_features
 from .forest import DfsTree, PackedTrees, TreeNodes, pack_trees
+
+LAMBDA = 1.0  # L2 penalty on leaf values
+MAX_BINS = 64  # gbt-b's candidate thresholds per feature
 
 
 @dataclass
@@ -84,7 +87,7 @@ def _logloss(F: np.ndarray, y: np.ndarray) -> float:
     return float(np.mean(np.logaddexp(0.0, F) - y * F))
 
 
-def _presorted_split(order, xs, g, h, lam):
+def _presorted_split(order, xs, g, h):
     """Best split by second-order gain over all features of one node, as
     (feature, threshold), or None.
 
@@ -98,7 +101,7 @@ def _presorted_split(order, xs, g, h, lam):
     G, H = GL[:, -1:], HL[:, -1:]
     gl, hl = GL[:, :-1], HL[:, :-1]
     gr, hr = G - gl, H - hl
-    gain = 0.5 * (gl * gl / (hl + lam) + gr * gr / (hr + lam) - G * G / (H + lam))
+    gain = 0.5 * (gl * gl / (hl + LAMBDA) + gr * gr / (hr + LAMBDA) - G * G / (H + LAMBDA))
     gain[xs[:, 1:] <= xs[:, :-1]] = -np.inf
     i, j = divmod(int(gain.T.argmax()), gain.shape[0])
     best = float(gain[j, i])
@@ -107,7 +110,7 @@ def _presorted_split(order, xs, g, h, lam):
     return j, 0.5 * float(xs[j, i] + xs[j, i + 1])
 
 
-def _grow_presorted(X, order, xs, g, h, max_depth, lam):
+def _grow_presorted(X, order, xs, g, h, max_depth):
     """One Newton tree over all rows, grown depth first from X's presorted
     ``order`` and values ``xs`` (both (features, rows)); returns the tree
     and each row's leaf value.
@@ -123,9 +126,9 @@ def _grow_presorted(X, order, xs, g, h, max_depth, lam):
         (rows, order, xs), slot, depth = popped
         split = None
         if depth < max_depth and rows.shape[0] >= 2:
-            split = _presorted_split(order, xs, g, h, lam)
+            split = _presorted_split(order, xs, g, h)
         if split is None:
-            value = float(-g[rows].sum() / (h[rows].sum() + lam))
+            value = float(-g[rows].sum() / (h[rows].sum() + LAMBDA))
             tree.leaf(slot, value)
             leaf_value[rows] = value
             continue
@@ -145,28 +148,34 @@ def _grow_presorted(X, order, xs, g, h, max_depth, lam):
     return tree.tree(), leaf_value
 
 
-def fit_gbt(X: np.ndarray, y: np.ndarray, rounds: int, learning_rate: float,
-            max_depth: int, lam: float = 1.0):
-    """Greedy-tree booster; returns (params, per-round training loss).
-
-    X is the same in every round, so it is sorted once per fit.
-    """
+def _boost(X: np.ndarray, y: np.ndarray, rounds: int, learning_rate: float, grow):
+    """The boosting loop of both tree shapes; returns (params, per-round
+    training loss). ``grow(g, h)`` fits one round's tree to the gradients
+    and Hessians and returns it with each row's leaf value."""
     y = y.astype(np.float64)
-    order = np.ascontiguousarray(np.argsort(X, axis=0, kind="stable").T)
-    xs = np.take_along_axis(X.T, order, axis=1)
     F = np.zeros(X.shape[0], dtype=np.float64)
     losses = [_logloss(F, y)]
     trees = []
     for _ in range(rounds):
         p = _sigmoid(F)
-        g = p - y
-        h = p * (1.0 - p)
-        tree, leaf_value = _grow_presorted(X, order, xs, g, h, max_depth, lam)
+        tree, leaf_value = grow(p - y, p * (1.0 - p))
         trees.append(tree)
         F += learning_rate * leaf_value
         losses.append(_logloss(F, y))
     params = GbtParams(trees=trees, learning_rate=learning_rate, n_features=X.shape[1])
     return params, losses
+
+
+def fit_gbt(X: np.ndarray, y: np.ndarray, rounds: int, learning_rate: float,
+            max_depth: int):
+    """Greedy-tree booster; returns (params, per-round training loss).
+
+    X is the same in every round, so it is sorted once per fit.
+    """
+    order = np.ascontiguousarray(np.argsort(X, axis=0, kind="stable").T)
+    xs = np.take_along_axis(X.T, order, axis=1)
+    return _boost(X, y, rounds, learning_rate,
+                  lambda g, h: _grow_presorted(X, order, xs, g, h, max_depth))
 
 
 def _bin_groups(codes, n_bins) -> dict:
@@ -179,7 +188,7 @@ def _bin_groups(codes, n_bins) -> dict:
     return {bins: (js, np.array([codes[j] for j in js])) for bins, js in feats.items()}
 
 
-def _oblivious_level(groups, g, h, leaf, n_leaves, lam):
+def _oblivious_level(groups, g, h, leaf, n_leaves):
     """Best shared (feature, bin) for one level; returns (f, bin, gain).
 
     ``groups`` maps a bin count to its features and their stacked bin codes;
@@ -204,8 +213,8 @@ def _oblivious_level(groups, g, h, leaf, n_leaves, lam):
         Gt = Gh.sum(axis=2, keepdims=True)
         Ht = Hh.sum(axis=2, keepdims=True)
         GR, HR = Gt - GL, Ht - HL
-        gain = (0.5 * (GL * GL / (HL + lam) + GR * GR / (HR + lam)
-                       - Gt * Gt / (Ht + lam))).sum(axis=1)
+        gain = (0.5 * (GL * GL / (HL + LAMBDA) + GR * GR / (HR + LAMBDA)
+                       - Gt * Gt / (Ht + LAMBDA))).sum(axis=1)
         b = gain.argmax(axis=1)
         top = gain[np.arange(k), b]
         for j, bj, gj in zip(feats, b.tolist(), top.tolist()):
@@ -214,16 +223,16 @@ def _oblivious_level(groups, g, h, leaf, n_leaves, lam):
     return best
 
 
-def _quantize(X: np.ndarray, max_bins: int):
-    """Per feature: each row's bin code, the bin count, and the candidate
-    threshold after each bin but the last."""
+def _quantize(X: np.ndarray):
+    """Per feature: each row's bin code, the bin count (at most
+    ``MAX_BINS``), and the candidate threshold after each bin but the last."""
     codes, n_bins, midpoints = [], [], []
     for j in range(X.shape[1]):
         uniq = np.unique(X[:, j])
-        if uniq.size <= max_bins:
+        if uniq.size <= MAX_BINS:
             borders = uniq
         else:
-            pos = np.unique(np.linspace(0, uniq.size - 1, max_bins).round().astype(int))
+            pos = np.unique(np.linspace(0, uniq.size - 1, MAX_BINS).round().astype(int))
             borders = uniq[pos]
         # bin b holds values in (borders[b-1], borders[b]]
         codes.append(np.searchsorted(borders, X[:, j], side="left").astype(np.int64))
@@ -233,54 +242,44 @@ def _quantize(X: np.ndarray, max_bins: int):
     return codes, n_bins, midpoints
 
 
+def _grow_oblivious(codes, midpoints, groups, widest, g, h, depth):
+    """One oblivious tree of at most ``depth`` levels; returns the tree and
+    each row's leaf value."""
+    gt, ht = np.tile(g, widest), np.tile(h, widest)
+    leaf = np.zeros(g.shape[0], dtype=np.int64)
+    n_leaves = 1
+    feats, thrs = [], []
+    for _level in range(depth):
+        pick = _oblivious_level(groups, gt, ht, leaf, n_leaves)
+        if pick is None or pick[2] <= 1e-12:
+            break
+        j, b, _ = pick
+        feats.append(j)
+        thrs.append(float(midpoints[j][b]))
+        leaf = 2 * leaf + (codes[j] > b)
+        n_leaves *= 2
+    Gs = np.bincount(leaf, weights=g, minlength=n_leaves)
+    Hs = np.bincount(leaf, weights=h, minlength=n_leaves)
+    values = -Gs / (Hs + LAMBDA)
+    tree = ObliviousTree(features=np.array(feats, dtype=np.int64),
+                         thresholds=np.array(thrs, dtype=np.float64), leaf_values=values)
+    return tree, values[leaf]
+
+
 def fit_oblivious_gbt(X: np.ndarray, y: np.ndarray, rounds: int,
-                      learning_rate: float, depth: int, lam: float = 1.0,
-                      max_bins: int = 64):
+                      learning_rate: float, depth: int):
     """Oblivious-tree booster; returns (params, per-round training loss).
 
-    Features are quantized once into at most ``max_bins`` border values
+    Features are quantized once into at most ``MAX_BINS`` border values
     (exact distinct values when there are few enough); candidate thresholds
     are midpoints between a border and the next observed value above it,
     evaluated through per-leaf histograms.
     """
-    y = y.astype(np.float64)
-    n, d = X.shape
-    codes, n_bins, midpoints = _quantize(X, max_bins)
+    codes, n_bins, midpoints = _quantize(X)
     groups = _bin_groups(codes, n_bins)
     widest = max((len(feats) for feats, _ in groups.values()), default=0)
-    F = np.zeros(n, dtype=np.float64)
-    losses = [_logloss(F, y)]
-    trees = []
-    for _ in range(rounds):
-        p = _sigmoid(F)
-        g = p - y
-        h = p * (1.0 - p)
-        gt, ht = np.tile(g, widest), np.tile(h, widest)
-        leaf = np.zeros(n, dtype=np.int64)
-        n_leaves = 1
-        feats, thrs = [], []
-        for _level in range(depth):
-            pick = _oblivious_level(groups, gt, ht, leaf, n_leaves, lam)
-            if pick is None or pick[2] <= 1e-12:
-                break
-            j, b, _ = pick
-            feats.append(j)
-            thrs.append(float(midpoints[j][b]))
-            leaf = 2 * leaf + (codes[j] > b)
-            n_leaves *= 2
-        Gs = np.bincount(leaf, weights=g, minlength=n_leaves)
-        Hs = np.bincount(leaf, weights=h, minlength=n_leaves)
-        values = -Gs / (Hs + lam)
-        tree = ObliviousTree(
-            features=np.array(feats, dtype=np.int64),
-            thresholds=np.array(thrs, dtype=np.float64),
-            leaf_values=values,
-        )
-        trees.append(tree)
-        F += learning_rate * values[leaf]
-        losses.append(_logloss(F, y))
-    params = GbtParams(trees=trees, learning_rate=learning_rate, n_features=d)
-    return params, losses
+    return _boost(X, y, rounds, learning_rate,
+                  lambda g, h: _grow_oblivious(codes, midpoints, groups, widest, g, h, depth))
 
 
 def predict_gbt(params: GbtParams, X: np.ndarray) -> np.ndarray:

@@ -75,30 +75,19 @@ def latin_square_schedule(participant_id: int) -> tuple:
     return LATIN_SQUARE[(participant_id - 1) % 4]
 
 
-@dataclass(frozen=True)
-class TimingParams:
-    """Durations (seconds) shaping the robot/participant turn structure."""
-
-    # Slice length carries no class signal because every row of a task,
-    # NF included, is measured over that task's failure duration (15.0 /
-    # 16.5 s; ``Corpus.rows_for_task``). Robot actions in a band around those
-    # durations would not suffice: count-over-span features such as the
-    # shift rates would sit on the lattice k/15 or k/16.5 for failure rows
-    # only.
-    lead_in: tuple = (4.0, 7.0)
-    robot_action_mean: float = 15.7
-    robot_action_sd: float = 0.7
-    robot_action_range: tuple = (14.5, 17.0)
-    grasp_offset_mean: float = 3.5
-    grasp_offset_sd: float = 0.6
-    grasp_offset_range: tuple = (2.0, 5.0)
-    handover_mean: float = 1.6
-    handover_sd: float = 0.4
-    handover_range: tuple = (0.8, 3.0)
-    participant_turn_mean: float = 27.0
-    participant_turn_sd: float = 4.0
-    participant_turn_range: tuple = (16.0, 38.0)
-    lead_out: tuple = (3.0, 6.0)
+# The robot/participant turn structure (seconds): a uniform draw from
+# (low, high), or a normal (mean, sd) clipped to (low, high).
+# Slice length carries no class signal because every row of a task, NF
+# included, is measured over that task's failure duration (15.0 / 16.5 s;
+# ``Corpus.rows_for_task``). Robot actions in a band around those durations
+# would not suffice: count-over-span features such as the shift rates would
+# sit on the lattice k/15 or k/16.5 for failure rows only.
+LEAD_IN_S = (4.0, 7.0)
+ROBOT_ACTION_S = (15.7, 0.7, (14.5, 17.0))
+GRASP_OFFSET_S = (3.5, 0.6, (2.0, 5.0))
+HANDOVER_S = (1.6, 0.4, (0.8, 3.0))
+PARTICIPANT_TURN_S = (27.0, 4.0, (16.0, 38.0))
+LEAD_OUT_S = (3.0, 6.0)
 
 
 @dataclass(frozen=True)
@@ -350,17 +339,14 @@ def _clipped_normal(rng, mean, sd, bounds) -> float:
     return float(np.clip(rng.normal(mean, sd), bounds[0], bounds[1]))
 
 
-def build_timeline(condition: ScenarioCondition, timing: TimingParams,
-                   rng: np.random.Generator) -> Timeline:
+def build_timeline(condition: ScenarioCondition, rng: np.random.Generator) -> Timeline:
     """Four robot pick-and-place episodes interleaved with participant turns;
     the failure is injected at piece 1 (early) or piece 3 (late)."""
     events = []
-    t = float(rng.uniform(*timing.lead_in))
+    t = float(rng.uniform(*LEAD_IN_S))
     for piece in range(1, 5):
-        action = _clipped_normal(rng, timing.robot_action_mean,
-                                 timing.robot_action_sd, timing.robot_action_range)
-        grasp = _clipped_normal(rng, timing.grasp_offset_mean,
-                                timing.grasp_offset_sd, timing.grasp_offset_range)
+        action = _clipped_normal(rng, *ROBOT_ACTION_S)
+        grasp = _clipped_normal(rng, *GRASP_OFFSET_S)
         events.append(RobotEvent("pickup_start", piece, t))
         place_t = t + action
         if piece == condition.piece:
@@ -372,13 +358,10 @@ def build_timeline(condition: ScenarioCondition, timing: TimingParams,
                                      failure_type=condition.failure_type))
             place_t += extra
         events.append(RobotEvent("placement_done", piece, place_t))
-        t = place_t + _clipped_normal(rng, timing.handover_mean, timing.handover_sd,
-                                      timing.handover_range)
+        t = place_t + _clipped_normal(rng, *HANDOVER_S)
         if piece < 4:
-            t += _clipped_normal(rng, timing.participant_turn_mean,
-                                 timing.participant_turn_sd,
-                                 timing.participant_turn_range)
-    duration = t + float(rng.uniform(*timing.lead_out))
+            t += _clipped_normal(rng, *PARTICIPANT_TURN_S)
+    duration = t + float(rng.uniform(*LEAD_OUT_S))
     return Timeline(
         events=tuple(events),
         duration=duration,
@@ -572,14 +555,13 @@ def session_seed(master_seed: int, participant_id: int, puzzle_id: int) -> np.ra
 
 
 def build_session(participant_id: int, puzzle_id: int, condition: ScenarioCondition,
-                  behavior: BehaviorParams, timing: TimingParams,
-                  master_seed: int) -> Session:
+                  behavior: BehaviorParams, master_seed: int) -> Session:
     traits_rng = np.random.default_rng(
         np.random.SeedSequence(master_seed, spawn_key=(participant_id, 0))
     )
     traits = draw_traits(behavior, traits_rng)
     rng = np.random.default_rng(session_seed(master_seed, participant_id, puzzle_id))
-    timeline = build_timeline(condition, timing, rng)
+    timeline = build_timeline(condition, rng)
     gaze = synthesize_gaze(timeline, behavior, traits, rng)
     return Session(
         participant_id=participant_id,
@@ -596,14 +578,12 @@ def generate_corpus(spec: CorpusSpec) -> list:
     if spec.participants < 1:
         raise InvalidParameterError("need at least one participant")
     behavior = spec.resolved_behavior()
-    timing = TimingParams()
     sessions = []
     for pid in range(1, spec.participants + 1):
         schedule = latin_square_schedule(pid)
         for puzzle in range(1, 5):
             sessions.append(
-                build_session(pid, puzzle, schedule[puzzle - 1], behavior,
-                              timing, spec.master_seed)
+                build_session(pid, puzzle, schedule[puzzle - 1], behavior, spec.master_seed)
             )
     return sessions
 

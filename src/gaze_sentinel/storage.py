@@ -8,6 +8,7 @@ is deterministic, so equal configurations produce byte-identical files.
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import re
@@ -185,7 +186,7 @@ def read_session_jsonl(path) -> Session:
             raise MalformedStreamError(f"{path} is not UTF-8 text") from None
         columns = _parse_sample_lines(body)
     else:
-        header, columns = _read_session_lines(path)
+        header, columns = _read_session_lines(data, path)
     return _session(path, header, columns)
 
 
@@ -212,45 +213,32 @@ def _parse_sample_lines(body: bytes) -> tuple:
     return numbers[:, 0], numbers[:, 1], numbers[:, 2], flags == ord("u")
 
 
-def _read_session_lines(path) -> tuple:
-    """The header and the sample columns of a session file, one
+def _read_session_lines(data: bytes, path) -> tuple:
+    """The header and the sample columns of a session file's bytes ``data``,
+    read as text mode reads the file (UTF-8, universal newlines), one
     ``json.loads`` per line."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8") as fh:
             header = _parse_session_header(fh.readline(), path)
             t, x, y, valid = [], [], [], []
-            line = ""
-            try:
-                for line in fh:
-                    line = line.strip()
-                    if not line:
-                        continue
+            for number, line in enumerate(fh, start=2):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
                     rec = json.loads(line)
                     t.append(rec["t"])
                     x.append(rec["x"])
                     y.append(rec["y"])
                     valid.append(rec["valid"])
-            except UnicodeDecodeError:
-                raise
-            except (ValueError, KeyError, TypeError, IndexError, RecursionError) as exc:
-                raise MalformedStreamError(
-                    f"{path}, line {_line_number(path, line)}: malformed gaze sample "
-                    f"({type(exc).__name__}: {exc})"
-                ) from None
+                except (ValueError, KeyError, TypeError, IndexError, RecursionError) as exc:
+                    raise MalformedStreamError(
+                        f"{path}, line {number}: malformed gaze sample "
+                        f"({type(exc).__name__}: {exc})"
+                    ) from None
     except UnicodeDecodeError:
         raise MalformedStreamError(f"{path} is not UTF-8 text") from None
     return header, (t, x, y, valid)
-
-
-def _line_number(path, failed: str) -> int:
-    """1-based number of the first sample line reading ``failed``: any
-    earlier copy of it would have failed first. Looked up only on error, so
-    reading costs nothing per line."""
-    with open(path, encoding="utf-8") as fh:
-        for number, line in enumerate(fh, start=1):
-            if number > 1 and line.strip() == failed:
-                return number
-    return 1
 
 
 def session_filename(participant: int, puzzle: int) -> str:

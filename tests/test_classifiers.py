@@ -28,6 +28,7 @@ from gaze_sentinel.learners.forest import (
     predict_forest,
 )
 from gaze_sentinel.learners.gbt import (
+    LAMBDA,
     GbtParams,
     ObliviousTree,
     _bin_groups,
@@ -453,7 +454,7 @@ class TestObliviousLevel:
         g, h = p - rng.integers(0, 2, n), p * (1.0 - p)
         leaf = rng.integers(0, n_leaves, n)
         assert _oblivious_level(_bin_groups(codes, n_bins), np.tile(g, d), np.tile(h, d),
-                                leaf, n_leaves, 1.0) \
+                                leaf, n_leaves) \
             == per_feature_level(codes, n_bins, g, h, leaf, n_leaves, 1.0)
 
 
@@ -560,24 +561,23 @@ def grow_newton(X, g, h, max_depth, lam) -> TreeNodes:
     return grow_tree(X, node)
 
 
-def reference_fit_gbt(X, y, rounds, learning_rate, max_depth, lam=1.0):
+def reference_fit_gbt(X, y, rounds, learning_rate, max_depth):
     y = y.astype(np.float64)
     F = np.zeros(X.shape[0])
     losses = [_logloss(F, y)]
     trees = []
     for _ in range(rounds):
         p = _sigmoid(F)
-        trees.append(grow_newton(X, p - y, p * (1.0 - p), max_depth, lam))
+        trees.append(grow_newton(X, p - y, p * (1.0 - p), max_depth, LAMBDA))
         F += learning_rate * reference_apply(trees[-1], X)
         losses.append(_logloss(F, y))
     return GbtParams(trees=trees, learning_rate=learning_rate,
                      n_features=X.shape[1]), losses
 
 
-def reference_fit_oblivious_gbt(X, y, rounds, learning_rate, depth, lam=1.0,
-                                max_bins=64):
+def reference_fit_oblivious_gbt(X, y, rounds, learning_rate, depth):
     y = y.astype(np.float64)
-    codes, n_bins, midpoints = _quantize(X, max_bins)
+    codes, n_bins, midpoints = _quantize(X)
     F = np.zeros(X.shape[0])
     losses = [_logloss(F, y)]
     trees = []
@@ -587,7 +587,7 @@ def reference_fit_oblivious_gbt(X, y, rounds, learning_rate, depth, lam=1.0,
         leaf = np.zeros(X.shape[0], dtype=np.int64)
         feats, thrs = [], []
         for _level in range(depth):
-            pick = per_feature_level(codes, n_bins, g, h, leaf, 2 ** len(feats), lam)
+            pick = per_feature_level(codes, n_bins, g, h, leaf, 2 ** len(feats), LAMBDA)
             if pick is None or pick[2] <= 1e-12:
                 break
             j, b, _ = pick
@@ -596,7 +596,7 @@ def reference_fit_oblivious_gbt(X, y, rounds, learning_rate, depth, lam=1.0,
             leaf = 2 * leaf + (codes[j] > b)
         n_leaves = 2 ** len(feats)
         values = -np.bincount(leaf, weights=g, minlength=n_leaves) / (
-            np.bincount(leaf, weights=h, minlength=n_leaves) + lam)
+            np.bincount(leaf, weights=h, minlength=n_leaves) + LAMBDA)
         trees.append(ObliviousTree(feats, thrs, values))
         F += learning_rate * values[leaf]
         losses.append(_logloss(F, y))

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ import pytest
 
 import gaze_sentinel
 from gaze_sentinel import storage
-from gaze_sentinel.cli import _parse_n_range, main
+from gaze_sentinel.cli import _parse_n_range, build_parser, main
 from gaze_sentinel.evaluate import Corpus
 from gaze_sentinel.learners import default_config, predict_batch, smote, train
 from gaze_sentinel.model_io import load_model, save_model
@@ -585,3 +586,102 @@ class TestErrors:
         with pytest.raises(SystemExit) as err:
             main(["frobnicate"])
         assert err.value.code == 2
+
+
+# Each subcommand's flags: (type, choices, required). Written out here, not
+# read from the CLI's tables, so a change to any of them shows.
+PATH, REQUIRED = (str, None, False), (str, None, True)
+TASK_CHOICES = (str, ("nf-df", "nf-ef"), False)
+WIDTH_CHOICES = (float, (3.0, 5.0, 10.0), False)
+SLIDE = (float, None, False)
+SEED = (int, None, False)
+KIND_CHOICES = ("forest", "ada", "gbt-a", "svm", "gbt-b")
+PARSER_CONTRACT = {
+    "simulate": {"--out": REQUIRED, "--profile": PATH, "--config": PATH, "--seed": SEED,
+                 "--participants": (int, None, False)},
+    "extract": {"--corpus": REQUIRED, "--out": REQUIRED, "--config": PATH},
+    "train": {"--features": REQUIRED, "--out": REQUIRED, "--config": PATH, "--seed": SEED,
+              "--task": TASK_CHOICES, "--classifier": (str, KIND_CHOICES, False)},
+    "eval": {"--corpus": REQUIRED, "--out": REQUIRED, "--config": PATH, "--seed": SEED,
+             "--task": TASK_CHOICES, "--classifier": (str, KIND_CHOICES + ("all",), False),
+             "--mode": (str, ("full", "first-n", "stream"), False), "--n": PATH,
+             "--width": WIDTH_CHOICES, "--slide": SLIDE},
+    "detect": {"--model": REQUIRED, "--session": REQUIRED, "--out": REQUIRED,
+               "--config": PATH, "--width": WIDTH_CHOICES, "--slide": SLIDE},
+    "report": {"--reports": REQUIRED, "--out": REQUIRED, "--config": PATH},
+}
+
+
+def parser_flags() -> dict:
+    """{command: {flag: (type, choices, required)}} as the parser builds them.
+    ``train --classifier all`` is left out of the choices: train refuses
+    ``all`` with exit 1 whether its parser offers it or not
+    (``test_train_refuses_all_from_every_source``)."""
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {command: {a.option_strings[0]: (
+        a.type or str,
+        tuple(c for c in a.choices if (command, c) != ("train", "all")) if a.choices else None,
+        a.required) for a in p._actions if a.option_strings and a.dest != "help"}
+        for command, p in sub.choices.items()}
+
+
+class TestParser:
+    def test_parser_contract(self):
+        assert parser_flags() == PARSER_CONTRACT
+
+    @pytest.mark.parametrize("command, flag", [
+        (command, flag) for command, flags in PARSER_CONTRACT.items()
+        for flag, (kind, choices, _) in flags.items() if kind is not str or choices])
+    def test_bad_flag_value_exits_2(self, command, flag, tmp_path):
+        required = [part for f, (_, _, req) in PARSER_CONTRACT[command].items() if req
+                    for part in (f, str(tmp_path / f.strip("-")))]
+        with pytest.raises(SystemExit) as err:
+            main([command, *required, flag, "bogus"])
+        assert err.value.code == 2
+        assert not os.listdir(tmp_path)
+
+    @pytest.mark.parametrize("command", sorted(PARSER_CONTRACT))
+    def test_missing_required_flag_exits_2(self, command, tmp_path):
+        with pytest.raises(SystemExit) as err:
+            main([command])
+        assert err.value.code == 2
+
+    @pytest.mark.parametrize("via", ["env", "config"])
+    @pytest.mark.parametrize("command, key, value", [
+        ("eval", "task", "nf-xx"), ("eval", "mode", "bogus"), ("eval", "classifier", "mlp"),
+        ("train", "task", "nf-xx"), ("train", "classifier", "mlp"), ("train", "task", 1),
+    ])
+    def test_bad_choice_from_env_or_config_is_refused_before_reading(
+            self, tmp_path, monkeypatch, capsys, command, key, value, via):
+        """Refused with exit 1, naming where the value came from, before the
+        command reads its input (which does not exist here)."""
+        path_flag = "--corpus" if command == "eval" else "--features"
+        argv = [command, path_flag, str(tmp_path / "unread"), "--out", str(tmp_path / "out")]
+        if via == "env":
+            source = f"GAZE_SENTINEL_{key.upper()}"
+            monkeypatch.setenv(source, str(value))
+        else:
+            source = str(tmp_path / "cfg.json")
+            (tmp_path / "cfg.json").write_text(json.dumps({key: value}))
+            argv += ["--config", source]
+        assert main(argv) == 1
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "InvalidParameterError"
+        assert source in record["message"] and key in record["message"]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("via", ["flag", "env", "config"])
+    def test_train_refuses_all_from_every_source(self, tmp_path, monkeypatch, capsys, via):
+        argv = ["train", "--features", str(tmp_path / "unread"), "--out", str(tmp_path / "m")]
+        if via == "flag":
+            argv += ["--classifier", "all"]
+        elif via == "env":
+            monkeypatch.setenv("GAZE_SENTINEL_CLASSIFIER", "all")
+        else:
+            (tmp_path / "cfg.json").write_text(json.dumps({"classifier": "all"}))
+            argv += ["--config", str(tmp_path / "cfg.json")]
+        assert main(argv) == 1
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record == {"error": "InvalidParameterError",
+                          "message": "train expects a single classifier, not 'all'"}

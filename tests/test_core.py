@@ -34,9 +34,9 @@ TWO_ZONES = AoiLayout(
 )
 
 
-def debounce(stream, layout, min_dwell=0.1):
+def debounce(stream, layout):
     """The fixations of the whole recording."""
-    return Debouncer(stream, layout, min_dwell).fixations()
+    return Debouncer(stream, layout).fixations()
 
 
 def label_of(point, layout):
@@ -144,7 +144,7 @@ class TestGazeStream:
 class TestDebounce:
     def test_constant_gaze_single_fixation(self):
         stream = constant_stream(200, 50, 50)
-        fx = debounce(stream, BOARD_ONLY, 0.1)
+        fx = debounce(stream, BOARD_ONLY)
         assert len(fx) == 1
         assert fx[0].aoi is AoiLabel.PUZZLE_BOARD
         assert fx[0].start == 0.0
@@ -155,14 +155,14 @@ class TestDebounce:
         x = np.where(np.arange(n) % 2 == 0, 5.0, 25.0)
         stream = GazeStream(t=np.arange(n) / RATE, x=x, y=x,
                             valid=np.ones(n, dtype=bool))
-        assert debounce(stream, TWO_ZONES, 0.1) == []
+        assert debounce(stream, TWO_ZONES) == []
 
     def test_short_middle_run_is_dropped_and_merged(self):
         # A(0.5s) B(0.05s) A(0.5s) -> one merged A fixation of ~1.0s
         xs = np.concatenate([np.full(100, 5.0), np.full(10, 25.0), np.full(100, 5.0)])
         stream = GazeStream(t=np.arange(210) / RATE, x=xs, y=xs,
                             valid=np.ones(210, dtype=bool))
-        fx = debounce(stream, TWO_ZONES, 0.1)
+        fx = debounce(stream, TWO_ZONES)
         assert len(fx) == 1
         assert fx[0].aoi is AoiLabel.ROBOT_BODY
         assert fx[0].duration == pytest.approx(1.0, abs=PERIOD)
@@ -171,7 +171,7 @@ class TestDebounce:
         valid = np.ones(200, dtype=bool)
         valid[100:105] = False  # 25 ms of invalid samples
         stream = constant_stream(200, 50, 50, valid=valid)
-        fx = debounce(stream, BOARD_ONLY, 0.1)
+        fx = debounce(stream, BOARD_ONLY)
         assert len(fx) == 1
         assert fx[0].duration == pytest.approx(1.0, abs=PERIOD)
 
@@ -179,7 +179,7 @@ class TestDebounce:
         valid = np.ones(400, dtype=bool)
         valid[200:220] = False  # 100 ms of invalid samples
         stream = constant_stream(400, 50, 50, valid=valid)
-        fx = debounce(stream, BOARD_ONLY, 0.1)
+        fx = debounce(stream, BOARD_ONLY)
         # Both fragments survive and merge: the gap is not counted as dwell.
         assert len(fx) == 1
         assert fx[0].duration == pytest.approx(2.0 - 0.1, abs=2 * PERIOD)
@@ -191,12 +191,8 @@ class TestDebounce:
         valid = np.ones(300, dtype=bool)
         valid[100:140] = False
         stream = GazeStream(t=np.arange(300) / RATE, x=xs, y=xs, valid=valid)
-        fx = debounce(stream, BOARD_ONLY, 0.1)
+        fx = debounce(stream, BOARD_ONLY)
         assert {f.aoi for f in fx} == {AoiLabel.PUZZLE_BOARD}
-
-    def test_min_dwell_must_be_positive(self):
-        with pytest.raises(InvalidParameterError):
-            debounce(constant_stream(10, 1, 1), BOARD_ONLY, 0.0)
 
     def test_empty_and_all_invalid_streams(self):
         empty = GazeStream(t=np.array([]), x=np.array([]), y=np.array([]),
@@ -214,7 +210,7 @@ class TestDebounce:
         x = np.repeat(x, runs)[:n]
         stream = GazeStream(t=np.arange(n) / RATE, x=x, y=x,
                             valid=rng.random(n) > 0.02)
-        fx = debounce(stream, TWO_ZONES, 0.1)
+        fx = debounce(stream, TWO_ZONES)
         for a, b in zip(fx, fx[1:]):
             assert a.aoi is not b.aoi
             assert b.start >= a.start
@@ -227,7 +223,7 @@ class TestDebounce:
         x = np.repeat(np.where(rng.random(60) < 0.5, 5.0, 25.0), 40)[:n]
         stream = GazeStream(t=np.arange(n) / RATE, x=x, y=x,
                             valid=np.ones(n, dtype=bool))
-        fx = debounce(stream, TWO_ZONES, 0.1)
+        fx = debounce(stream, TWO_ZONES)
         total = sum(f.duration for f in fx)
         span = stream.t[-1] - stream.t[0] + PERIOD
         assert total <= span + 1e-9
@@ -249,7 +245,7 @@ class TestDebounce:
             t += dur
         stream = GazeStream(t=np.array(ts), x=np.array(xs), y=np.array(xs),
                             valid=np.ones(len(ts), dtype=bool))
-        first = debounce(stream, TWO_ZONES, 0.1)
+        first = debounce(stream, TWO_ZONES)
         # re-feed the debounced output as synthetic samples at the same rate
         ts2, xs2 = [], []
         for f in first:
@@ -259,7 +255,7 @@ class TestDebounce:
             xs2.extend([pos[0]] * k)
         stream2 = GazeStream(t=np.array(ts2), x=np.array(xs2), y=np.array(xs2),
                              valid=np.ones(len(ts2), dtype=bool))
-        second = debounce(stream2, TWO_ZONES, 0.1)
+        second = debounce(stream2, TWO_ZONES)
         assert [f.aoi for f in first] == [f.aoi for f in second]
         for a, b in zip(first, second):
             assert b.duration == pytest.approx(a.duration, abs=2 * PERIOD)
@@ -273,11 +269,11 @@ class TestCausalDebouncer:
         valid = rng.random(n) > 0.03
         t = np.arange(n) / RATE
         stream = GazeStream(t=t, x=x, y=x, valid=valid)
-        deb = Debouncer(stream, TWO_ZONES, 0.1)
+        deb = Debouncer(stream, TWO_ZONES)
         for cut in (0.4, 3.0, 7.77, 14.999):
             keep = t <= cut
             trimmed = GazeStream(t=t[keep], x=x[keep], y=x[keep], valid=valid[keep])
-            expected = debounce(trimmed, TWO_ZONES, 0.1)
+            expected = debounce(trimmed, TWO_ZONES)
             assert deb.fixations_until(cut) == expected
 
     def test_full_equals_plain_debounce(self):
@@ -285,7 +281,7 @@ class TestCausalDebouncer:
         n = 2000
         x = np.repeat(np.where(rng.random(60) < 0.5, 5.0, 25.0), 40)[:n]
         stream = GazeStream(t=np.arange(n) / RATE, x=x, y=x, valid=rng.random(n) > 0.05)
-        deb = Debouncer(stream, TWO_ZONES, 0.1)
+        deb = Debouncer(stream, TWO_ZONES)
         # The prefix that ends at the last sample is the whole recording.
         assert deb.fixations() == deb.fixations_until(float(stream.t[-1]))
         assert len(deb.fixations()) > 10
@@ -294,7 +290,7 @@ class TestCausalDebouncer:
 
 # Zone x positions in TWO_ZONES, plus invalid samples (None).
 ZONE_X = {"body": 5.0, "board": 25.0, "elsewhere": 50.0, "invalid": None}
-# Run lengths in samples on either side of min_dwell (0.1 s = 20 samples),
+# Run lengths in samples on either side of MIN_DWELL_S (0.1 s = 20 samples),
 # and invalid stretches whose valid-to-valid gap lies on either side of
 # INVALID_BRIDGE_S + period (0.055 s = 11 periods).
 RUN_SAMPLES = st.one_of(st.sampled_from([9, 10, 11, 12, 19, 20, 21]), st.integers(1, 60))
@@ -316,11 +312,11 @@ def truncated_features(stream, t0, t1):
     keep = stream.t <= t1
     trimmed = GazeStream(t=stream.t[keep], x=stream.x[keep], y=stream.y[keep],
                          valid=stream.valid[keep])
-    return extract_features(debounce(trimmed, TWO_ZONES, 0.1), t0, t1).as_array()
+    return extract_features(debounce(trimmed, TWO_ZONES), t0, t1).as_array()
 
 
 def assert_windows_match_truncation(stream, bounds):
-    deb = Debouncer(stream, TWO_ZONES, 0.1)
+    deb = Debouncer(stream, TWO_ZONES)
     windows = [Window(t0, t1, 0) for t0, t1 in bounds]
     rows = causal_window_matrix(deb, windows)
     assert rows.shape == (len(windows), len(FEATURE_NAMES))
@@ -355,7 +351,7 @@ class TestCausalWindows:
                   ("board", 15), ("elsewhere", 30)]
         stream = piecewise_stream(pieces)
         t = stream.t
-        deb = Debouncer(stream, TWO_ZONES, 0.1)
+        deb = Debouncer(stream, TWO_ZONES)
         before_first_valid = float(t[2])
         assert deb.fixations_until(before_first_valid) == []
         # 25 samples into the second body run: the board run between is
@@ -391,7 +387,7 @@ class TestSliceEvents:
     def test_rows_match_the_whole_fixation_list(self, pieces, slices):
         stream = piecewise_stream(pieces)
         t = stream.t
-        deb = Debouncer(stream, TWO_ZONES, 0.1)
+        deb = Debouncer(stream, TWO_ZONES)
         fixations = deb.fixations()
         # Slices start on an event's end, on a sample or between two.
         edges = [f.end for f in fixations] + t.tolist()
@@ -405,7 +401,7 @@ class TestSliceEvents:
 
     def test_events_are_those_that_overlap(self):
         pieces = [("body", 40), ("board", 30), ("elsewhere", 25), ("body", 40)]
-        deb = Debouncer(piecewise_stream(pieces), TWO_ZONES, 0.1)
+        deb = Debouncer(piecewise_stream(pieces), TWO_ZONES)
         fixations = deb.fixations()
         assert [f.aoi for f in fixations] == [AoiLabel.ROBOT_BODY, AoiLabel.PUZZLE_BOARD,
                                               AoiLabel.ELSEWHERE, AoiLabel.ROBOT_BODY]

@@ -310,3 +310,37 @@ def test_unread_hyperparameter_is_refused(tmp_path_factory, fitted, kind, data):
     path.write_text(json.dumps(payload))
     with pytest.raises(ModelFormatError):
         load_model(path)
+
+
+# Values no fit can use: a count or seed that is not a whole number or is
+# below its bound, and a rate that is not a finite number above 0.
+OUT_OF_RANGE = [
+    ("seed", -1), ("seed", 1.0), ("seed", True), ("n_trees", 0), ("n_trees", 2.5),
+    ("n_trees", False), ("n_rounds", -1), ("n_rounds", "100"), ("tree_depth", 0),
+    ("svm_epochs", 0), ("learning_rate", float("nan")), ("learning_rate", 0.0),
+    ("learning_rate", float("inf")), ("learning_rate", True), ("svm_c", 0.0),
+    ("svm_c", -1.0), ("svm_c", "1.0"), ("svm_c", None),
+]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("name, value", OUT_OF_RANGE)
+def test_out_of_range_config_is_refused(tmp_path, kind, name, value):
+    """Refused for every kind, whether its fit reads the field or not: as a
+    config, and inside a committed model file whose fingerprint matches the
+    edited config. Nothing is fitted."""
+    with open(os.path.join(FIXTURES, f"model_{kind}.json"), encoding="utf-8") as fh:
+        payload = json.load(fh)
+    config = {**payload["config"], name: value}
+    with pytest.raises(InvalidParameterError, match=name):
+        ClassifierConfig(**config)
+    payload.update(config=config, fingerprint=config_fingerprint(config))
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ModelFormatError, match=name):
+        load_model(path)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_seed_zero_is_in_range(kind):
+    assert default_config(kind, seed=0).seed == 0

@@ -14,7 +14,6 @@ from gaze_sentinel.sim import (
     DEFAULT_LAYOUT,
     LATIN_SQUARE,
     ScenarioCondition,
-    TimingParams,
     build_session,
     build_timeline,
     draw_traits,
@@ -77,7 +76,7 @@ class TestLatinSquare:
 class TestTimeline:
     def test_ef_early_failure_window(self):
         rng = np.random.default_rng(0)
-        tl = build_timeline(cond("EF", "early"), TimingParams(), rng)
+        tl = build_timeline(cond("EF", "early"), rng)
         fs, fe = tl.failure_window()
         assert fe - fs == pytest.approx(15.0, abs=1e-12)
         assert tl.failure_piece == 1
@@ -86,7 +85,7 @@ class TestTimeline:
 
     def test_df_late_adds_16_5(self):
         rng = np.random.default_rng(1)
-        tl = build_timeline(cond("DF", "late"), TimingParams(), rng)
+        tl = build_timeline(cond("DF", "late"), rng)
         fs, fe = tl.failure_window()
         assert fe - fs == pytest.approx(16.5, abs=1e-12)
         assert tl.failure_piece == 3
@@ -94,7 +93,7 @@ class TestTimeline:
     def test_structure_four_pickups_and_placements(self):
         rng = np.random.default_rng(2)
         for c in (cond("EF", "early"), cond("DF", "early"), cond("EF", "late")):
-            tl = build_timeline(c, TimingParams(), rng)
+            tl = build_timeline(c, rng)
             kinds = Counter(e.kind for e in tl.events)
             assert kinds["pickup_start"] == 4
             assert kinds["placement_done"] == 4
@@ -104,7 +103,7 @@ class TestTimeline:
     def test_session_duration_near_three_minutes(self):
         rng = np.random.default_rng(3)
         durations = [
-            build_timeline(cond("EF", "early"), TimingParams(), np.random.default_rng(i)).duration
+            build_timeline(cond("EF", "early"), np.random.default_rng(i)).duration
             for i in range(20)
         ]
         assert 140.0 < min(durations) and max(durations) < 220.0
@@ -113,8 +112,8 @@ class TestTimeline:
 class TestGazeSynthesis:
     def test_same_seed_bit_identical(self):
         behavior = BehaviorParams.default()
-        a = build_session(3, 2, cond("EF", "late"), behavior, TimingParams(), 7)
-        b = build_session(3, 2, cond("EF", "late"), behavior, TimingParams(), 7)
+        a = build_session(3, 2, cond("EF", "late"), behavior, 7)
+        b = build_session(3, 2, cond("EF", "late"), behavior, 7)
         np.testing.assert_array_equal(a.gaze.t, b.gaze.t)
         np.testing.assert_array_equal(a.gaze.x, b.gaze.x)
         np.testing.assert_array_equal(a.gaze.valid, b.gaze.valid)
@@ -122,13 +121,13 @@ class TestGazeSynthesis:
 
     def test_different_seed_differs(self):
         behavior = BehaviorParams.default()
-        a = build_session(3, 2, cond("EF", "late"), behavior, TimingParams(), 7)
-        b = build_session(3, 2, cond("EF", "late"), behavior, TimingParams(), 8)
+        a = build_session(3, 2, cond("EF", "late"), behavior, 7)
+        b = build_session(3, 2, cond("EF", "late"), behavior, 8)
         assert not np.array_equal(a.gaze.x, b.gaze.x)
 
     def test_samples_cover_session_at_rate(self):
         behavior = BehaviorParams.default()
-        s = build_session(1, 1, cond("EF", "early"), behavior, TimingParams(), 7)
+        s = build_session(1, 1, cond("EF", "early"), behavior, 7)
         expected = int(round(s.timeline.duration * behavior.sample_rate_hz))
         assert len(s.gaze) == expected
         assert s.gaze.t[0] == 0.0
@@ -136,13 +135,13 @@ class TestGazeSynthesis:
 
     def test_invalid_rate_close_to_configured(self):
         behavior = BehaviorParams.default()
-        s = build_session(2, 1, cond("DF", "early"), behavior, TimingParams(), 7)
+        s = build_session(2, 1, cond("DF", "early"), behavior, 7)
         rate = 1.0 - np.mean(s.gaze.valid)
         assert abs(rate - behavior.invalid_rate) < 0.01
 
     def test_valid_points_land_on_scene_aois(self):
         behavior = BehaviorParams.default()
-        s = build_session(4, 3, cond("DF", "late"), behavior, TimingParams(), 7)
+        s = build_session(4, 3, cond("DF", "late"), behavior, 7)
         codes = DEFAULT_LAYOUT.label_points(
             s.gaze.x[s.gaze.valid], s.gaze.y[s.gaze.valid]
         )
@@ -151,7 +150,7 @@ class TestGazeSynthesis:
 
     def test_dwells_survive_debouncing(self):
         behavior = BehaviorParams.default()
-        s = build_session(5, 1, cond("EF", "early"), behavior, TimingParams(), 7)
+        s = build_session(5, 1, cond("EF", "early"), behavior, 7)
         fx = Debouncer(s.gaze, s.layout).fixations()
         assert len(fx) > 50
         assert all(f.duration >= 0.1 - 1e-9 for f in fx)

@@ -1,3 +1,4 @@
+import json
 import re
 
 import numpy as np
@@ -156,7 +157,37 @@ def varied_session(n=40):
 def read_line_by_line(path):
     """The per-line JSON reader, which every file not in the writer's exact
     format goes through."""
-    return storage._session(path, *storage._read_session_lines(path))
+    return storage._session(path, *storage._read_session_lines(path.read_bytes(), path))
+
+
+def read_text_mode(path):
+    """The per-line reader as it read the file before it parsed bytes in
+    memory: the file opened in text mode, and a failing line's number
+    looked up by reading the file again. Its arrays and errors are the
+    reference for the in-memory reader."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            header = storage._parse_session_header(fh.readline(), path)
+            columns, line = ([], [], [], []), ""
+            try:
+                for line in fh:
+                    line = line.strip()
+                    if line:
+                        rec = json.loads(line)
+                        for column, key in zip(columns, ("t", "x", "y", "valid")):
+                            column.append(rec[key])
+            except UnicodeDecodeError:
+                raise
+            except (ValueError, KeyError, TypeError, IndexError, RecursionError) as exc:
+                with open(path, encoding="utf-8") as again:
+                    number = next((k for k, text in enumerate(again, start=1)
+                                   if k > 1 and text.strip() == line), 1)
+                raise MalformedStreamError(
+                    f"{path}, line {number}: malformed gaze sample "
+                    f"({type(exc).__name__}: {exc})") from None
+    except UnicodeDecodeError:
+        raise MalformedStreamError(f"{path} is not UTF-8 text") from None
+    return storage._session(path, header, columns)
 
 
 def outcome(read, path):
@@ -235,7 +266,7 @@ def varied_file(tmp_path_factory):
 
 class TestSessionReaderProperties:
     def test_written_file_is_read_in_bulk(self, varied_file, monkeypatch):
-        def refuse(path):
+        def refuse(data, path):
             raise AssertionError("the writer's own file was read line by line")
         monkeypatch.setattr(storage, "_read_session_lines", refuse)
         assert len(storage.read_session_jsonl(varied_file).gaze) == 40
@@ -256,7 +287,34 @@ class TestSessionReaderProperties:
             data = mutate(data, kind, at, byte)
         path = varied_file.with_name("mutated.jsonl")
         path.write_bytes(data)
-        assert outcome(storage.read_session_jsonl, path) == outcome(read_line_by_line, path)
+        result = outcome(storage.read_session_jsonl, path)
+        assert result == outcome(read_line_by_line, path) == outcome(read_text_mode, path)
+
+    @pytest.mark.parametrize("edit", ["crlf", "cr", "blank", "header repeated"])
+    def test_line_numbers_count_every_line(self, varied_file, tmp_path, edit):
+        """Line endings and blank lines are counted as text mode counts them,
+        and a bad line is named by its own number even where its text repeats
+        an earlier line that parsed (the header, which has no ``t``)."""
+        lines = varied_file.read_bytes().splitlines(keepends=True)
+        if edit == "header repeated":
+            lines.insert(7, lines[0])
+        else:
+            ending = {"crlf": b"\r\n", "cr": b"\r", "blank": b"\n\n"}[edit]
+            lines = [line.replace(b"\n", ending) for line in lines]
+            lines[9] = b'{"t":0.5}' + ending  # no x, y or valid
+        path = tmp_path / "edited.jsonl"
+        path.write_bytes(b"".join(lines))
+        number = {"crlf": 10, "cr": 10, "blank": 19, "header repeated": 8}[edit]
+        with pytest.raises(MalformedStreamError, match=f", line {number}: malformed gaze"):
+            storage.read_session_jsonl(path)
+        assert outcome(storage.read_session_jsonl, path) == outcome(read_text_mode, path)
+
+    @pytest.mark.parametrize("ending", [b"\r\n", b"\r", b"\n\n"])
+    def test_other_line_endings_read_the_written_arrays(self, varied_file, tmp_path, ending):
+        path = tmp_path / "edited.jsonl"
+        path.write_bytes(varied_file.read_bytes().replace(b"\n", ending))
+        assert outcome(storage.read_session_jsonl, path) \
+            == outcome(storage.read_session_jsonl, varied_file)
 
 
 def per_sample_lines(session):
