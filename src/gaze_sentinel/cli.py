@@ -58,13 +58,12 @@ _OPTIONS = {
     "n": (str, "", None, "truncation sweep, e.g. 1..15 (default: full per-task sweep)"),
     "width": (float, 5.0, (3.0, 5.0, 10.0), "window width, seconds"),
     "slide": (float, 1.0, None, "window slide, seconds"),
+    "profile": (str, "", None, "behaviour profile JSON (default: built-in)"),
 }
-# Each command's help, its path flags and the options it resolves. Every
-# path flag is required but these, which every command (config) or one
-# (profile) takes.
+# Each command's help, its required path flags and the options it resolves.
 _COMMANDS = {
-    "simulate": ("generate a synthetic session corpus", ("out", "profile"),
-                 ("seed", "participants")),
+    "simulate": ("generate a synthetic session corpus", ("out",),
+                 ("seed", "participants", "profile")),
     "extract": ("compute the per-segment feature table", ("corpus", "out"), ()),
     "train": ("fit one classifier on a feature table", ("features", "out"),
               ("seed", "task", "classifier")),
@@ -74,8 +73,6 @@ _COMMANDS = {
                ("width", "slide")),
     "report": ("aggregate report CSVs into one table", ("reports", "out"), ()),
 }
-_OPTIONAL_PATHS = {"config": "JSON file with default options",
-                   "profile": "behaviour profile JSON (default: built-in)"}
 # A first-n range may hold at most this many values.
 _MAX_N_VALUES = 10_000
 
@@ -116,12 +113,12 @@ def _resolve(args: argparse.Namespace) -> dict:
 
 
 def _cast(key: str, value, source: str):
-    """``value`` as option ``key``'s type. A numeric option refuses a bool,
-    an int option a number that is not whole, and an option with choices a
-    value not among them."""
+    """``value`` as option ``key``'s type. Every option refuses a bool or a
+    null, an int option a number that is not whole, and an option with
+    choices a value not among them."""
     kind, _, choices, _ = _OPTIONS[key]
     try:
-        if kind is not str and isinstance(value, bool) or (
+        if isinstance(value, bool) or value is None or (
                 kind is int and isinstance(value, float) and not value.is_integer()):
             raise ValueError
         value = kind(value)
@@ -161,11 +158,11 @@ def _parse_n_range(spec: str) -> list:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _resolve(args)
-    profile = args.profile or os.environ.get(ENV_PREFIX + "PROFILE")
+    profile = cfg["profile"]
     spec = CorpusSpec(participants=cfg["participants"], master_seed=cfg["seed"],
                       behavior=BehaviorParams.from_file(profile) if profile else None)
     sessions = generate_corpus(spec)
-    run_cfg = {"command": "simulate", **cfg, "profile": args.profile or "default"}
+    run_cfg = {"command": "simulate", **cfg, "profile": profile or "default"}
     storage.write_corpus(sessions, args.out, run_cfg)
     print(f"wrote {len(sessions)} sessions to {args.out}")
     return 0
@@ -310,9 +307,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, paths, keys) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        for path in paths + ("config",):
-            p.add_argument(f"--{path}", required=path not in _OPTIONAL_PATHS,
-                           help=_OPTIONAL_PATHS.get(path))
+        for path in paths:
+            p.add_argument(f"--{path}", required=True)
+        p.add_argument("--config", help="JSON file with default options")
         for key in keys:
             kind, _, choices, about = _OPTIONS[key]
             p.add_argument(f"--{key}", type=kind, choices=choices, help=about)

@@ -296,35 +296,30 @@ def fit_folds(dataset: LabeledDataset, config: ClassifierConfig, held_out) -> li
     return [fit_fold(dataset, config, p) for p in held_out]
 
 
-def _loo_folds(dataset: LabeledDataset, config: ClassifierConfig, test_sets,
-               n_sets: int = 1) -> list:
+def _loo_folds(dataset: LabeledDataset, config: ClassifierConfig, tests: dict) -> list:
     """The participant leave-one-out loop of every regime.
 
-    ``test_sets(pid)`` gives the held-out participant's ``n_sets`` test sets
-    as (blocks, truth) pairs, and its fold model labels each block of rows
-    in one call. Returns, per test set, a (participant, truth, labels,
-    scores) tuple per fold. A participant whose first test set is empty is
-    skipped with a warning. Every test set is built before ``fit_folds``
-    fits the folds.
+    ``tests`` maps each participant of ``dataset`` to its test sets, as
+    (blocks, truth) pairs, and its fold model labels each block of rows in
+    one call. Every participant has the same number of test sets. Returns,
+    per test set, a (participant, truth, labels, scores) tuple per fold, in
+    participant order. A participant whose first test set is empty is
+    skipped with a warning.
 
     Blocks keep scores bit-identical to the detector's: the svm margin is a
     BLAS product whose last bits depend on the rows beside a row, and
     ``stream_detect`` labels one session's windows in one call.
     """
-    pids = np.unique(dataset.groups)
-    if pids.size < 2:
+    pids = np.unique(dataset.groups).tolist()
+    if len(pids) < 2:
         raise InvalidParameterError("leave-one-out needs at least two participants")
-    tested = []
-    for pid in pids.tolist():
-        sets = test_sets(pid)
-        if len(sets[0][1]) == 0:
-            warnings.warn(f"participant {pid} has no test rows; fold skipped")
-            continue
-        tested.append((pid, sets))
-    models = fit_folds(dataset, config, [pid for pid, _ in tested])
-    folds: list = [[] for _ in range(n_sets)]
-    for (pid, sets), model in zip(tested, models):
-        for out, (blocks, truth) in zip(folds, sets):
+    tested = [pid for pid in pids if len(tests[pid][0][1])]
+    for pid in sorted(set(pids) - set(tested)):
+        warnings.warn(f"participant {pid} has no test rows; fold skipped")
+    models = fit_folds(dataset, config, tested)
+    folds: list = [[] for _ in tests[pids[0]]]
+    for pid, model in zip(tested, models):
+        for out, (blocks, truth) in zip(folds, tests[pid]):
             labels, scores = zip(*(predict_batch(model, X) for X in blocks))
             out.append((pid, truth, np.concatenate(labels), np.concatenate(scores)))
     return folds
@@ -333,32 +328,26 @@ def _loo_folds(dataset: LabeledDataset, config: ClassifierConfig, test_sets,
 def loo_cv(dataset: LabeledDataset, config: ClassifierConfig,
            task: str = "") -> EvalReport:
     """One fold per participant, tested on its full-segment rows."""
-
-    def test_set(pid):
+    tests = {}
+    for pid in np.unique(dataset.groups).tolist():
         mask = dataset.groups == pid
-        return [([dataset.X[mask]], dataset.y[mask])]
-
-    (folds,) = _loo_folds(dataset, config, test_set)
+        tests[pid] = [([dataset.X[mask]], dataset.y[mask])]
+    (folds,) = _loo_folds(dataset, config, tests)
     return _pooled_report(task, "full-segment", folds)
 
 
 def first_n_blocks(corpus: Corpus, rows, n_values) -> list:
     """Per n of ``n_values``, the (rows, 11) features of ``rows`` with each
     failure row measured over its first n seconds, [t0, min(t0 + n, t1)];
-    NF rows keep their features. One ``slice_matrix`` call per session
+    NF rows keep their features. One ``slice_matrix`` call per failure row
     covers every n."""
-    blocks = [np.array([r.features for r in rows]) for _ in n_values]
-    failures: dict = {}
+    n = np.asarray(n_values, dtype=np.float64)
+    blocks = [np.array([r.features for r in rows]) for _ in n]
     for i, r in enumerate(rows):
         if r.label != "NF":
-            failures.setdefault(id(r.session), []).append(i)
-    for at in failures.values():
-        t0 = np.tile([rows[i].t0 for i in at], len(n_values))
-        t1 = np.minimum(t0 + np.repeat(n_values, len(at)),
-                        np.tile([rows[i].t1 for i in at], len(n_values)))
-        X = corpus.slice_matrix(rows[at[0]].session, t0, t1)
-        for block, part in zip(blocks, np.split(X, len(n_values))):
-            block[at] = part
+            X = corpus.slice_matrix(r.session, np.full(n.size, r.t0), np.minimum(r.t0 + n, r.t1))
+            for block, x in zip(blocks, X):
+                block[i] = x
     return blocks
 
 
@@ -370,13 +359,12 @@ def eval_first_n(corpus: Corpus, task: str, config: ClassifierConfig,
     if not all(0 < n < math.inf for n in n_values):
         raise InvalidParameterError("truncation lengths must be positive and finite")
     dataset, rows = corpus.dataset_for_task(task)
-
-    def test_sets(pid):
+    tests = {}
+    for pid in np.unique(dataset.groups).tolist():
         test_rows = [r for r in rows if r.participant == pid]
         truth = np.array([0 if r.label == "NF" else 1 for r in test_rows], dtype=np.int64)
-        return [([block], truth) for block in first_n_blocks(corpus, test_rows, n_values)]
-
-    folds = _loo_folds(dataset, config, test_sets, len(n_values))
+        tests[pid] = [([block], truth) for block in first_n_blocks(corpus, test_rows, n_values)]
+    folds = _loo_folds(dataset, config, tests)
     return {n: _pooled_report(task, f"first-{n:g}", f) for n, f in zip(n_values, folds)}
 
 
@@ -434,20 +422,22 @@ def causal_window_matrix(debouncer: Debouncer, windows) -> np.ndarray:
     return feature_matrix(*debouncer.window_events(t0, t1), t0, t1)
 
 
+def _detections(session: Session, windows, labels, scores) -> list:
+    """One ``DetectionEvent`` per window of ``session``, with its label and
+    score."""
+    return [DetectionEvent(session.participant_id, session.puzzle_id, w.t0, w.t1, l, s)
+            for w, l, s in zip(windows, labels.tolist(), scores.tolist())]
+
+
 def stream_detect(model: TrainedModel, session: Session, width: float,
-                  slide: float = 1.0, debouncer: Optional[Debouncer] = None) -> list:
+                  slide: float = 1.0) -> list:
     """Classify every sliding window causally: window k's features use only
     samples with t <= its end."""
-    deb = debouncer or Debouncer(session.gaze, session.layout)
     windows = sliding_windows(session, width, slide)
     if not windows:
         return []
-    labels, scores = predict_batch(model, causal_window_matrix(deb, windows))
-    return [
-        DetectionEvent(session.participant_id, session.puzzle_id,
-                       w.t0, w.t1, int(l), float(s))
-        for w, l, s in zip(windows, labels, scores)
-    ]
+    X = causal_window_matrix(Debouncer(session.gaze, session.layout), windows)
+    return _detections(session, windows, *predict_batch(model, X))
 
 
 @dataclass(frozen=True)
@@ -462,24 +452,22 @@ def loo_stream_eval(corpus: Corpus, task: str, config: ClassifierConfig,
     participant's failure-type sessions window by window."""
     ftype = _failure_type(task)
     dataset, _ = corpus.dataset_for_task(task)
-    sessions: dict = {}
+    located: dict = {}
     for session in corpus.failure_sessions(ftype):
-        sessions.setdefault(session.participant_id, []).append(session)
-
-    def test_set(pid):
-        parts = [corpus.window_features(s, width, slide) for s in sessions.get(pid, ())]
-        truth = np.array([w.truth for windows, _ in parts for w in windows], dtype=np.int64)
-        return [([X for _, X in parts], truth)]
-
-    (folds,) = _loo_folds(dataset, config, test_set)
+        located.setdefault(session.participant_id, []).append(
+            (session, *corpus.window_features(session, width, slide)))
+    tests = {}
+    for pid in np.unique(dataset.groups).tolist():
+        parts = located.get(pid, [])
+        truth = np.array([w.truth for _, windows, _ in parts for w in windows], dtype=np.int64)
+        tests[pid] = [([X for _, _, X in parts], truth)]
+    (folds,) = _loo_folds(dataset, config, tests)
     detections = []
     for pid, _, labels, scores in folds:
-        located = [(s, w) for s in sessions[pid]
-                   for w in corpus.window_features(s, width, slide)[0]]
-        detections.extend(
-            DetectionEvent(s.participant_id, s.puzzle_id, w.t0, w.t1, int(l), float(p))
-            for (s, w), l, p in zip(located, labels, scores)
-        )
+        for session, windows, _ in located[pid]:
+            n = len(windows)
+            detections += _detections(session, windows, labels[:n], scores[:n])
+            labels, scores = labels[n:], scores[n:]
     report = _pooled_report(task, f"window-{width:g}", folds)
     return StreamEvalResult(report=report, detections=tuple(detections))
 
@@ -496,16 +484,18 @@ def interval_detection_rate(detections, corpus: Corpus, width: float) -> list:
     for d in detections:
         by_session.setdefault((d.participant, d.puzzle), []).append(d)
 
+    sessions = {corpus._key(s): s for s in corpus.sessions}
     session_info = {}
     ftypes = set()
-    for session in corpus.sessions:
-        key = (session.participant_id, session.puzzle_id)
-        if key not in by_session:
-            continue
-        window_frame = session.timeline.failure_window()
+    for key in by_session:
+        if key not in sessions:
+            raise InvalidParameterError(
+                f"detections reference participant {key[0]} puzzle {key[1]}, not in the corpus")
+        timeline = sessions[key].timeline
+        window_frame = timeline.failure_window()
         if window_frame is None:
             raise InvalidParameterError("detections reference a failure-free session")
-        ftypes.add(session.timeline.failure_type)
+        ftypes.add(timeline.failure_type)
         session_info[key] = window_frame[0]
     if len(ftypes) > 1:
         raise InvalidParameterError("detections span multiple failure types")

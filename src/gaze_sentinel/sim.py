@@ -127,12 +127,6 @@ class RegimeParams:
                    transitions=tuple(tuple(block["transitions"][src].get(dst, 0.0)
                                            for dst in labels) for src in labels))
 
-    def _written(self) -> dict:
-        labels = [a.token for a in AoiLabel]
-        return {"dwell_mean_s": dict(zip(labels, self.dwell_means)),
-                "transitions": {src: {dst: p for dst, p in zip(labels, row) if p > 0}
-                                for src, row in zip(labels, self.transitions)}}
-
 
 _RULES = {"> 0": lambda v: v > 0, ">= 0": lambda v: v >= 0,
           "in [0, 1]": lambda v: 0 <= v <= 1}
@@ -169,7 +163,7 @@ def _key(key: str, rule, pair: bool = False, **default):
 
 class _ProfileBlock:
     """A profile block whose dataclass fields are all declared with ``_key``:
-    one reader, one checker and one writer serve every field."""
+    one reader and one checker serve every field."""
 
     def __post_init__(self):
         for f in fields(self):
@@ -188,15 +182,6 @@ class _ProfileBlock:
                 value = tuple(value)
             values[f.name] = value
         return cls(**values)
-
-    def _written(self) -> dict:
-        out = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if not isinstance(f.metadata["rule"], str):
-                value = value._written()
-            out[f.metadata["key"]] = list(value) if f.metadata["pair"] else value
-        return out
 
 
 @dataclass(frozen=True)
@@ -287,9 +272,6 @@ class BehaviorParams(_ProfileBlock):
         if schema != PROFILE_SCHEMA_VERSION or isinstance(schema, bool):
             raise InvalidParameterError(f"unsupported profile schema {schema!r}")
         return cls._read(data)
-
-    def to_dict(self) -> dict:
-        return {"schema": PROFILE_SCHEMA_VERSION, **self._written()}
 
     def zero_failure_deltas(self) -> "BehaviorParams":
         """Null profile: failure periods behave exactly like baseline."""

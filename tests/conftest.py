@@ -1,4 +1,6 @@
+import json
 import time
+from importlib import resources
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -13,6 +15,18 @@ settings.load_profile("suite")
 
 from gaze_sentinel.evaluate import Corpus
 from gaze_sentinel.sim import CorpusSpec, generate_corpus
+
+# The committed behaviour profile, the one the simulator reads by default.
+DEFAULT_PROFILE = resources.files("gaze_sentinel") / "profiles" / "default.json"
+
+
+def profile_dict() -> dict:
+    """A fresh dict of the committed profile, without its ``name``, a key
+    the profile reader ignores."""
+    data = json.loads(DEFAULT_PROFILE.read_text())
+    del data["name"]
+    return data
+
 
 # Wall-clock cost of building shared fixtures, charged to the first
 # acceptance criterion that needs them.

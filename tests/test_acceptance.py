@@ -405,8 +405,7 @@ def test_criterion_10_causality(default_corpus):
     ok = True
     while checked < 100 and ok:
         session = sessions[int(rng.integers(0, len(sessions)))]
-        full = stream_detect(model, session, WIDTH, 1.0,
-                             debouncer=default_corpus.debouncer(session))
+        full = stream_detect(model, session, WIDTH, 1.0)
         k = int(rng.integers(3, len(full)))
         cut = full[k].t1
         keep = session.gaze.t <= cut

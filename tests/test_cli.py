@@ -8,12 +8,13 @@ import numpy as np
 import pytest
 
 import gaze_sentinel
+from conftest import DEFAULT_PROFILE, profile_dict
 from gaze_sentinel import storage
 from gaze_sentinel.cli import _parse_n_range, build_parser, main
 from gaze_sentinel.evaluate import Corpus
 from gaze_sentinel.learners import default_config, predict_batch, smote, train
 from gaze_sentinel.model_io import load_model, save_model
-from gaze_sentinel.sim import BehaviorParams, CorpusSpec, generate_corpus
+from gaze_sentinel.sim import CorpusSpec, generate_corpus
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -245,6 +246,22 @@ class TestConfigResolution:
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
         assert len(storage.corpus_paths(out)) == 4
 
+    @pytest.mark.parametrize("via", ["--profile", "GAZE_SENTINEL_PROFILE", "config"])
+    def test_profile_is_recorded_from_every_source(self, tmp_path, monkeypatch, via):
+        profile = str(DEFAULT_PROFILE)
+        argv = ["simulate", "--participants", "1", "--out", str(tmp_path / "c")]
+        if via == "--profile":
+            argv += ["--profile", profile]
+        elif via == "config":
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"profile": profile}))
+            argv += ["--config", str(cfg)]
+        else:
+            monkeypatch.setenv(via, profile)
+        assert main(argv) == 0
+        manifest = json.loads((tmp_path / "c" / "manifest.json").read_text())
+        assert manifest["provenance"]["config"]["profile"] == profile
+
     def test_env_beats_config_file(self, tmp_path, monkeypatch):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"participants": 2}))
@@ -372,7 +389,7 @@ class TestErrors:
         assert record["error"] == "MalformedStreamError"
         assert str(path) in record["message"]
 
-    @pytest.mark.parametrize("via", ["--profile", "GAZE_SENTINEL_PROFILE"])
+    @pytest.mark.parametrize("via", ["--profile", "GAZE_SENTINEL_PROFILE", "config"])
     @pytest.mark.parametrize("text", ['{"schema": 1, ', '{"schema": 1}', '[1, 2]',
                                       '{"schema": 1, "reaction": {}, "baseline": 3}',
                                       "[" * 100000],
@@ -384,6 +401,10 @@ class TestErrors:
         argv = ["simulate", "--participants", "1", "--out", str(tmp_path / "c")]
         if via == "--profile":
             argv += ["--profile", str(profile)]
+        elif via == "config":
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"profile": str(profile)}))
+            argv += ["--config", str(cfg)]
         else:
             monkeypatch.setenv(via, str(profile))
         code = main(argv)
@@ -400,7 +421,7 @@ class TestErrors:
                                             ("invalid_rate", None)])
     def test_bad_profile_value_is_json_error(self, tmp_path, capsys, key, value):
         profile = tmp_path / "profile.json"
-        data = BehaviorParams.default().to_dict()
+        data = profile_dict()
         data[key] = value
         profile.write_text(json.dumps(data))
         code = main(["simulate", "--participants", "1", "--profile", str(profile),
@@ -500,7 +521,8 @@ class TestErrors:
         ("simulate", "seed", True), ("simulate", "participants", False),
         ("simulate", "seed", float("inf")), ("eval", "slide", True), ("eval", "width", False),
         pytest.param("eval", "width", 10 ** 400, id="eval-width-10**400"),
-        ("eval", "width", 7),
+        ("eval", "width", 7), ("simulate", "profile", None), ("simulate", "profile", True),
+        ("eval", "n", None),
     ])
     def test_config_value_of_wrong_kind_is_json_error(self, tmp_path, capsys, command, key,
                                                       value):

@@ -19,6 +19,7 @@ from gaze_sentinel.core import (
 from gaze_sentinel import errors, evaluate
 from gaze_sentinel.errors import InsufficientMinorityError, InvalidParameterError
 from gaze_sentinel.evaluate import (
+    TASKS,
     Corpus,
     DetectionEvent,
     EvalReport,
@@ -34,7 +35,7 @@ from gaze_sentinel.evaluate import (
     stream_detect,
 )
 from gaze_sentinel.features import extract_features
-from gaze_sentinel.learners import LabeledDataset, default_config
+from gaze_sentinel.learners import KINDS, LabeledDataset, default_config
 from gaze_sentinel.model_io import model_payload
 from gaze_sentinel.sim import CorpusSpec, generate_corpus
 
@@ -269,8 +270,7 @@ class TestStreamDetect:
         ds, _ = mini_corpus.dataset_for_task("nf-ef")
         model = fit_fold(ds, default_config("ada", seed=2), held_out=1)
         session = mini_corpus.failure_sessions("EF")[0]
-        events = stream_detect(model, session, 5.0, 1.0,
-                               debouncer=mini_corpus.debouncer(session))
+        events = stream_detect(model, session, 5.0, 1.0)
         assert len(events) == len(sliding_windows(session, 5.0, 1.0))
         for a, b in zip(events, events[1:]):
             assert b.t0 > a.t0
@@ -310,6 +310,17 @@ class TestLooStream:
         assert len(result.detections) == sum(
             len(sliding_windows(s, 5.0)) for s in mini_corpus.failure_sessions("EF")
         )
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("task", sorted(TASKS))
+    def test_detections_are_the_fold_models_stream_detect(self, mini_corpus, task, kind):
+        """Each held-out session's detections equal, compared exactly, those
+        ``stream_detect`` gives with that participant's fold model."""
+        config = default_config(kind, seed=2)
+        ds, _ = mini_corpus.dataset_for_task(task)
+        expected = [event for s in mini_corpus.failure_sessions(TASKS[task])
+                    for event in stream_detect(fit_fold(ds, config, s.participant_id), s, 5.0)]
+        assert loo_stream_eval(mini_corpus, task, config, 5.0).detections == tuple(expected)
 
 
 class TestIntervalDetectionRate:
@@ -358,6 +369,14 @@ class TestIntervalDetectionRate:
                                              0.0, 5.0, 1, 1.0))
         with pytest.raises(InvalidParameterError):
             interval_detection_rate(detections, mini_corpus, 5.0)
+
+    def test_session_outside_the_corpus_rejected(self, mini_corpus):
+        s = mini_corpus.failure_sessions("EF")[0]
+        known = DetectionEvent(s.participant_id, s.puzzle_id, 0.0, 5.0, 1, 1.0)
+        stranger = DetectionEvent(99, 1, 0.0, 5.0, 1, 1.0)
+        for detections in ([stranger], [known, stranger]):
+            with pytest.raises(InvalidParameterError, match="participant 99 puzzle 1"):
+                interval_detection_rate(detections, mini_corpus, 5.0)
 
 
 class TestFirstN:

@@ -1,11 +1,13 @@
 import json
 import numbers
+import shutil
 from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import DEFAULT_PROFILE, profile_dict
 from gaze_sentinel.core import FAILURE_DURATIONS, AoiLabel, Debouncer, segment_session
 from gaze_sentinel.errors import InvalidParameterError
 from gaze_sentinel.sim import (
@@ -227,9 +229,7 @@ class TestCorpus:
 
 class TestBehaviorProfile:
     def test_default_profile_roundtrips_through_dict(self):
-        params = BehaviorParams.default()
-        clone = BehaviorParams.from_dict(params.to_dict())
-        assert clone.to_dict() == params.to_dict()
+        assert BehaviorParams.from_dict(profile_dict()) == BehaviorParams.default()
 
     def test_zero_failure_deltas_equalises_regimes(self):
         params = BehaviorParams.default().zero_failure_deltas()
@@ -237,13 +237,12 @@ class TestBehaviorProfile:
         assert params.failure_stare == params.baseline
 
     def test_profile_file_loading(self, tmp_path):
-        params = BehaviorParams.default()
         path = tmp_path / "profile.json"
-        path.write_text(json.dumps(params.to_dict()))
-        assert BehaviorParams.from_file(path).to_dict() == params.to_dict()
+        shutil.copy(DEFAULT_PROFILE, path)
+        assert BehaviorParams.from_file(path) == BehaviorParams.default()
 
     def test_unknown_keys_are_ignored(self, tmp_path):
-        data = BehaviorParams.default().to_dict()
+        data = profile_dict()
         data["distract_participant_turns"] = True
         data["note"] = {"any": "thing"}
         path = tmp_path / "profile.json"
@@ -264,7 +263,7 @@ class TestBehaviorProfile:
         ("reaction.instance_strength", [None, 1.0]),
     ])
     def test_bad_value_rejected(self, key, value):
-        data = BehaviorParams.default().to_dict()
+        data = profile_dict()
         block, _, name = key.rpartition(".")
         (data[block] if block else data)[name] = value
         with pytest.raises(InvalidParameterError, match=name.removesuffix("_s")):
@@ -273,20 +272,20 @@ class TestBehaviorProfile:
     @pytest.mark.parametrize("dwell", [float("nan"), float("inf"), 0.0, "0.55", True,
                                        pytest.param(10 ** 400, id="10**400")])
     def test_bad_dwell_mean_rejected(self, dwell):
-        data = BehaviorParams.default().to_dict()
+        data = profile_dict()
         data["failure_scan"]["dwell_mean_s"]["robot_body"] = dwell
         with pytest.raises(InvalidParameterError, match="dwell means"):
             BehaviorParams.from_dict(data)
 
     @pytest.mark.parametrize("entry", ["0.4", True, None])
     def test_bad_transition_entry_rejected(self, entry):
-        data = BehaviorParams.default().to_dict()
+        data = profile_dict()
         data["baseline"]["transitions"]["robot_body"]["end_effector"] = entry
         with pytest.raises(InvalidParameterError, match="non-negative entries"):
             BehaviorParams.from_dict(data)
 
     def test_numbers_are_coerced_to_float(self):
-        data = BehaviorParams.default().to_dict()
+        data = profile_dict()
         data["sample_rate_hz"] = 200
         data["reaction"]["slow_extra_delay_s"] = [2, 3]
         params = BehaviorParams.from_dict(data)
@@ -323,7 +322,7 @@ def profile_leaves(data: dict) -> list:
     return paths
 
 
-PROFILE_LEAVES = profile_leaves(BehaviorParams.default().to_dict())
+PROFILE_LEAVES = profile_leaves(profile_dict())
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
     | st.sampled_from([10 ** 400, "0.55", 0, 1, 0.5]),
@@ -346,7 +345,7 @@ def profile_path(tmp_path_factory):
 def test_profile_leaf_loads_only_as_a_number(profile_path, path, value):
     """A profile with one number replaced by any JSON value either fails to
     load, naming its file, or the value was a real, non-bool number."""
-    data = BehaviorParams.default().to_dict()
+    data = profile_dict()
     block = data
     for key in path[:-1]:
         block = block[key]
