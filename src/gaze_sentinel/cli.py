@@ -57,7 +57,6 @@ _OPTIONS = {
     "mode": (str, "full", EVAL_MODES, "evaluation regime"),
     "n": (str, "", None, "truncation sweep, e.g. 1..15 (default: full per-task sweep)"),
     "width": (float, 5.0, (3.0, 5.0, 10.0), "window width, seconds"),
-    "slide": (float, 1.0, None, "window slide, seconds"),
     "profile": (str, "", None, "behaviour profile JSON (default: built-in)"),
 }
 # Each command's help, its required path flags and the options it resolves.
@@ -68,9 +67,9 @@ _COMMANDS = {
     "train": ("fit one classifier on a feature table", ("features", "out"),
               ("seed", "task", "classifier")),
     "eval": ("run leave-one-out evaluation", ("corpus", "out"),
-             ("seed", "task", "classifier", "mode", "n", "width", "slide")),
+             ("seed", "task", "classifier", "mode", "n", "width")),
     "detect": ("stream-classify one session with a saved model", ("model", "session", "out"),
-               ("width", "slide")),
+               ("width",)),
     "report": ("aggregate report CSVs into one table", ("reports", "out"), ()),
 }
 # A first-n range may hold at most this many values.
@@ -84,17 +83,9 @@ def _resolve(args: argparse.Namespace) -> dict:
     A config file that is not a JSON object, or a config or environment
     value its option cannot take, raises ``InvalidParameterError`` naming
     where the value came from."""
-    file_cfg = {}
     config_path = args.config or os.environ.get(ENV_PREFIX + "CONFIG")
-    if config_path:
-        with open(config_path, encoding="utf-8") as fh:
-            try:
-                file_cfg = json.load(fh)
-            except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
-                raise InvalidParameterError(
-                    f"config file {config_path} is not JSON: {exc}") from None
-        if not isinstance(file_cfg, dict):
-            raise InvalidParameterError(f"config file {config_path} must hold a JSON object")
+    file_cfg = storage.read_json(config_path, InvalidParameterError, "config file") \
+        if config_path else {}
     resolved = {}
     for key in args.options:
         value = _OPTIONS[key][1]
@@ -117,14 +108,11 @@ def _cast(key: str, value, source: str):
     null, an int option a number that is not whole, and an option with
     choices a value not among them."""
     kind, _, choices, _ = _OPTIONS[key]
-    try:
+    with storage.decoding(InvalidParameterError, f"{source}: {key} cannot be {value!r}"):
         if isinstance(value, bool) or value is None or (
                 kind is int and isinstance(value, float) and not value.is_integer()):
-            raise ValueError
+            raise ValueError(f"expected {kind.__name__}")
         value = kind(value)
-    except (TypeError, ValueError, OverflowError):  # OverflowError: float(10 ** 400)
-        raise InvalidParameterError(
-            f"{source}: {key} cannot be {value!r}") from None
     if choices is not None and value not in choices:
         finite = "finite " if kind is float else ""
         raise InvalidParameterError(
@@ -205,7 +193,7 @@ def _report_path(out, task: str, mode: str, width: float) -> str:
 
 
 def write_eval(corpus: Corpus, out, task: str, mode: str, kinds, seed: int, run_cfg: dict,
-               n_values=None, width: float = 5.0, slide: float = 1.0) -> list:
+               n_values=None, width: float = 5.0) -> list:
     """Run one evaluation regime for each learner of ``kinds``, then write
     its files into ``out`` and return the report entries (task, kind,
     n_or_width, EvalReport).
@@ -232,7 +220,7 @@ def write_eval(corpus: Corpus, out, task: str, mode: str, kinds, seed: int, run_
             entries.extend((task, kind, f"{n:g}", reports[n]) for n in n_values)
     else:
         for kind, config in configs:
-            result = loo_stream_eval(corpus, task, config, width, slide)
+            result = loo_stream_eval(corpus, task, config, width)
             entries.append((task, kind, f"{width:g}", result.report))
             detections[kind] = result.detections
             offset_rows.extend((task, kind, width, offset, pct) for offset, pct
@@ -253,7 +241,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     n_values = _parse_n_range(cfg["n"]) if cfg["mode"] == "first-n" and cfg["n"] else None
     corpus = Corpus(storage.read_corpus(args.corpus))
     write_eval(corpus, args.out, cfg["task"], cfg["mode"], kinds, cfg["seed"],
-               {"command": "eval", **cfg}, n_values, cfg["width"], cfg["slide"])
+               {"command": "eval", **cfg}, n_values, cfg["width"])
     print(f"wrote {_report_path(args.out, cfg['task'], cfg['mode'], cfg['width'])}")
     return 0
 
@@ -262,7 +250,7 @@ def cmd_detect(args: argparse.Namespace) -> int:
     cfg = _resolve(args)
     model = load_model(args.model)
     session = storage.read_session_jsonl(args.session)
-    events = stream_detect(model, session, cfg["width"], cfg["slide"])
+    events = stream_detect(model, session, cfg["width"])
     run_cfg = {"command": "detect", **cfg}
     storage.write_detections_jsonl(args.out, events, run_cfg)
     positives = sum(1 for e in events if e.predicted == 1)

@@ -6,6 +6,7 @@ Coordinates are scene millimeters; timestamps are seconds from session start.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import Optional
@@ -339,7 +340,8 @@ class RobotEvent:
 
 @dataclass(frozen=True)
 class Timeline:
-    """Ordered robot-action events plus the session's declared scenario."""
+    """Ordered robot-action events plus the session's declared scenario, at
+    finite times."""
 
     events: tuple
     duration: float
@@ -349,6 +351,8 @@ class Timeline:
     def __post_init__(self):
         object.__setattr__(self, "events", tuple(self.events))
         ts = [e.t for e in self.events]
+        if not all(map(math.isfinite, (*ts, self.duration))):
+            raise MalformedTimelineError("timeline times and duration must be finite")
         if any(b <= a for a, b in zip(ts, ts[1:])):
             raise MalformedTimelineError("timeline events must be strictly ordered")
         if ts and self.duration < ts[-1]:

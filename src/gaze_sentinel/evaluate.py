@@ -41,6 +41,7 @@ from .learners import (
 
 TASKS = {"nf-ef": "EF", "nf-df": "DF"}
 SMOTE_K = 2  # neighbours SMOTE interpolates between
+SLIDE_S = 1.0  # the paper's window slide, which interval_detection_rate assumes
 
 
 def metrics(y_true, y_pred) -> tuple[float, Optional[float]]:
@@ -201,11 +202,11 @@ class Corpus:
     def failure_sessions(self, failure_type: str) -> list:
         return [s for s in self.sessions if s.timeline.failure_type == failure_type]
 
-    def window_features(self, session: Session, width: float, slide: float = 1.0):
+    def window_features(self, session: Session, width: float):
         """(windows, feature matrix) computed causally and cached."""
-        key = (self._key(session), float(width), float(slide))
+        key = (self._key(session), float(width))
         if key not in self._window_cache:
-            windows = sliding_windows(session, width, slide)
+            windows = sliding_windows(session, width)
             self._window_cache[key] = (windows, causal_window_matrix(
                 self.debouncer(session), windows))
         return self._window_cache[key]
@@ -390,19 +391,19 @@ class DetectionEvent:
     score: float
 
 
-def sliding_windows(session: Session, width: float, slide: float = 1.0) -> list:
-    """Windows [k*slide, k*slide + width] for k = 0..floor((T-width)/slide)."""
-    if not (0 < width < math.inf and 0 < slide < math.inf):
-        raise InvalidParameterError("width and slide must be positive and finite")
+def sliding_windows(session: Session, width: float) -> list:
+    """Windows [k*SLIDE_S, k*SLIDE_S + width] for k = 0..floor((T-width)/SLIDE_S)."""
+    if not 0 < width < math.inf:
+        raise InvalidParameterError("width must be positive and finite")
     duration = session.timeline.duration
     if duration < width:
         warnings.warn("session shorter than the window width; no windows")
         return []
-    count = int(np.floor((duration - width) / slide + 1e-9)) + 1
+    count = int(np.floor((duration - width) / SLIDE_S + 1e-9)) + 1
     window_frame = session.timeline.failure_window()
     out = []
     for k in range(count):
-        t0 = k * slide
+        t0 = k * SLIDE_S
         t1 = t0 + width
         truth = 0
         if window_frame is not None:
@@ -429,11 +430,10 @@ def _detections(session: Session, windows, labels, scores) -> list:
             for w, l, s in zip(windows, labels.tolist(), scores.tolist())]
 
 
-def stream_detect(model: TrainedModel, session: Session, width: float,
-                  slide: float = 1.0) -> list:
+def stream_detect(model: TrainedModel, session: Session, width: float) -> list:
     """Classify every sliding window causally: window k's features use only
     samples with t <= its end."""
-    windows = sliding_windows(session, width, slide)
+    windows = sliding_windows(session, width)
     if not windows:
         return []
     X = causal_window_matrix(Debouncer(session.gaze, session.layout), windows)
@@ -447,7 +447,7 @@ class StreamEvalResult:
 
 
 def loo_stream_eval(corpus: Corpus, task: str, config: ClassifierConfig,
-                    width: float, slide: float = 1.0) -> StreamEvalResult:
+                    width: float) -> StreamEvalResult:
     """Train per-fold on full segments, then classify the held-out
     participant's failure-type sessions window by window."""
     ftype = _failure_type(task)
@@ -455,7 +455,7 @@ def loo_stream_eval(corpus: Corpus, task: str, config: ClassifierConfig,
     located: dict = {}
     for session in corpus.failure_sessions(ftype):
         located.setdefault(session.participant_id, []).append(
-            (session, *corpus.window_features(session, width, slide)))
+            (session, *corpus.window_features(session, width)))
     tests = {}
     for pid in np.unique(dataset.groups).tolist():
         parts = located.get(pid, [])
@@ -478,7 +478,7 @@ def interval_detection_rate(detections, corpus: Corpus, width: float) -> list:
 
     A participant counts as detected at offset o when any of their positive
     windows starts within half a slide of failure_start + o (nearest-window
-    assignment under the 1-second slide).
+    assignment under the ``SLIDE_S`` slide of 1 s).
     """
     by_session: dict = {}
     for d in detections:

@@ -16,9 +16,9 @@ from .data import check_features
 
 @dataclass
 class AdaParams:
-    """One stump per round: its arrays are 1-D and of equal length, and its
-    features lie in [0, n_features); construction raises ValueError
-    otherwise."""
+    """One stump per round: its arrays are 1-D and of equal length, its
+    features lie in [0, n_features) and its low and high values are classes
+    0 or 1; construction raises ValueError otherwise."""
 
     feature: np.ndarray
     threshold: np.ndarray
@@ -39,6 +39,8 @@ class AdaParams:
         if len(set(shapes)) != 1 or len(shapes[0]) != 1:
             raise ValueError(f"ada arrays must be 1-D and of equal length, got shapes {shapes}")
         check_features("ada", self.feature, self.n_features)
+        if not np.isin([self.low_value, self.high_value], (0, 1)).all():
+            raise ValueError("ada low and high values must be classes 0 or 1")
 
 
 def _presort(X: np.ndarray, y: np.ndarray):

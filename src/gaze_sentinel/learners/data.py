@@ -56,7 +56,8 @@ class LabeledDataset:
 
 @dataclass(frozen=True)
 class Standardizer:
-    """Per-feature mean/std (population); zero-variance features map to 0."""
+    """Per-feature mean/std (population); zero-variance features map to 0.
+    A negative std raises ValueError."""
 
     mean: np.ndarray
     std: np.ndarray
@@ -64,6 +65,8 @@ class Standardizer:
     def __post_init__(self):
         mean = np.ascontiguousarray(self.mean, dtype=np.float64)
         std = np.ascontiguousarray(self.std, dtype=np.float64)
+        if (std < 0).any():
+            raise ValueError("standardizer std must not be negative")
         mean.flags.writeable = False
         std.flags.writeable = False
         object.__setattr__(self, "mean", mean)

@@ -12,10 +12,12 @@ one. This module checks the envelope: a config that ``ClassifierConfig``
 refuses (an unknown kind, or a hyperparameter the kind's fit does not take
 set to other than its published value), a standardizer where the kind's row
 does not standardize or none where it does, a ``params`` object with other
-keys than its type's fields, ``n_features`` that is not a positive integer or
-differs from ``params.n_features``, a standardizer of the wrong length, or a
-top-level ``kind`` or ``fingerprint`` that does not match the model's config
-raises ``ModelFormatError`` before any prediction can run.
+keys than its type's fields, a number in them that is not finite,
+``n_features`` that is not a positive integer or differs from
+``params.n_features``, a standardizer of the wrong length, a
+``params.learning_rate`` unlike the config's, or a top-level ``kind`` or
+``fingerprint`` that does not match the model's config raises
+``ModelFormatError`` naming the file before any prediction can run.
 """
 
 from __future__ import annotations
@@ -26,9 +28,9 @@ from dataclasses import asdict, fields, is_dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError, ModelFormatError, SchemaVersionError
+from .errors import ModelFormatError, SchemaVersionError
 from .learners import LEARNERS, ClassifierConfig, Standardizer, TrainedModel
-from .storage import atomic_write_text
+from .storage import atomic_write_text, decoding, read_json
 
 MODEL_SCHEMA_VERSION = "1.1"
 
@@ -47,14 +49,19 @@ def _encode(value):
 
 def _decode(cls, payload, tree_cls=None):
     """``cls`` built from an object holding exactly its init fields, each
-    item of ``trees`` built as ``tree_cls``."""
+    item of ``trees`` built as ``tree_cls``, every number of them finite."""
     names = [f.name for f in fields(cls) if f.init]
     if not isinstance(payload, dict) or set(payload) != set(names):
         got = sorted(payload) if isinstance(payload, dict) else type(payload).__name__
         raise ModelFormatError(f"{cls.__name__} needs the fields {names}, got {got}")
     if tree_cls is not None:
         payload = {**payload, "trees": [_decode(tree_cls, t) for t in payload["trees"]]}
-    return cls(**payload)
+    value = cls(**payload)
+    for name in names:
+        item = getattr(value, name)
+        _require(not isinstance(item, (float, np.ndarray)) or np.isfinite(item).all(),
+                 f"{cls.__name__}.{name} holds a number that is not finite")
+    return value
 
 
 def _require(ok: bool, message: str) -> None:
@@ -76,7 +83,7 @@ def model_payload(model: TrainedModel) -> dict:
 
 
 def model_from_payload(payload: dict) -> TrainedModel:
-    try:
+    with decoding(ModelFormatError, "malformed model payload"):
         version = str(payload["schema_version"])
         major, _, minor = version.partition(".")
         if major != MODEL_SCHEMA_VERSION.partition(".")[0]:
@@ -105,6 +112,9 @@ def model_from_payload(payload: dict) -> TrainedModel:
         params = _decode(learner.params_type, payload["params"], learner.tree_type)
         _require(params.n_features == n_features,
                  f"params.n_features {params.n_features} differs from n_features {n_features}")
+        rate = getattr(params, "learning_rate", config.learning_rate)
+        _require(rate == config.learning_rate, f"params.learning_rate {rate} differs "
+                 f"from config learning_rate {config.learning_rate}")
         loss = payload.get("train_loss")
         model = TrainedModel(
             config=config,
@@ -119,10 +129,6 @@ def model_from_payload(payload: dict) -> TrainedModel:
                  f"fingerprint {payload['fingerprint']!r} differs from "
                  f"{model.fingerprint!r}, the fingerprint of its config")
         return model
-    except SchemaVersionError:
-        raise
-    except (KeyError, TypeError, ValueError, OverflowError, InvalidParameterError) as exc:
-        raise ModelFormatError(f"malformed model payload: {exc}") from exc
 
 
 def save_model(model: TrainedModel, path) -> None:
@@ -130,13 +136,6 @@ def save_model(model: TrainedModel, path) -> None:
 
 
 def load_model(path) -> TrainedModel:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except OSError:
-        raise
-    except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
-        raise ModelFormatError(f"cannot parse model file {path}: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise ModelFormatError(f"model file {path} does not hold an object")
-    return model_from_payload(payload)
+    payload = read_json(path, ModelFormatError, "model file")
+    with decoding(ModelFormatError, f"model file {path}"):
+        return model_from_payload(payload)

@@ -30,6 +30,7 @@ from .core import (
     Session,
     Timeline,
 )
+from . import storage
 from .errors import InvalidParameterError
 
 PROFILE_SCHEMA_VERSION = 1
@@ -174,12 +175,10 @@ class _ProfileBlock:
     def _read(cls, block: dict):
         values = {}
         for f in fields(cls):
-            key, rule, pair = f.metadata["key"], f.metadata["rule"], f.metadata["pair"]
+            key, rule = f.metadata["key"], f.metadata["rule"]
             value = block[key] if f.default is MISSING else block.get(key, f.default)
             if not isinstance(rule, str):
                 value = rule._read(value)
-            elif pair and isinstance(value, list):
-                value = tuple(value)
             values[f.name] = value
         return cls(**values)
 
@@ -255,16 +254,9 @@ class BehaviorParams(_ProfileBlock):
         too deep, is not an object or lacks a key or value a profile needs
         raises ``InvalidParameterError`` naming it; unknown keys are
         ignored."""
-        try:
-            with open(path, encoding="utf-8") as fh:
-                data = json.load(fh)
-            if not isinstance(data, dict):
-                raise TypeError("not a JSON object")
+        data = storage.read_json(path, InvalidParameterError, "profile")
+        with storage.decoding(InvalidParameterError, f"profile {path}"):
             return cls.from_dict(data)
-        except (ValueError, KeyError, TypeError, AttributeError, RecursionError,
-                InvalidParameterError) as exc:  # RecursionError: nested too deep
-            raise InvalidParameterError(
-                f"bad profile {path} ({type(exc).__name__}: {exc})") from None
 
     @classmethod
     def from_dict(cls, data: dict) -> "BehaviorParams":

@@ -8,6 +8,7 @@ is deterministic, so equal configurations produce byte-identical files.
 
 from __future__ import annotations
 
+import contextlib
 import io
 import json
 import os
@@ -48,6 +49,31 @@ _SAMPLE_LINE = re.compile(
 _SEPARATORS = bytes.maketrans(b",\n", b"  ")
 _NOT_NUMBERS = b'{}":txyvalidruefs'
 _NOT_FLAGS = bytes(b for b in range(256) if b not in b"us")
+
+
+@contextlib.contextmanager
+def decoding(error, where: str):
+    """Raise any fault in decoding input inside the block (a RecursionError
+    is JSON nested too deep) as ``error`` with a message that names
+    ``where``; a fault that already is an ``error`` keeps its type."""
+    try:
+        yield
+    except error as exc:
+        raise type(exc)(f"{where}: {exc}") from None
+    except (ValueError, KeyError, TypeError, AttributeError, IndexError, OverflowError,
+            RecursionError, GazeSentinelError) as exc:
+        raise error(f"{where}: {type(exc).__name__}: {exc}") from None
+
+
+def read_json(path, error, what: str) -> dict:
+    """The JSON object in file ``path``. A file that is not UTF-8 JSON (or is
+    nested too deep) or holds no object raises ``error`` naming ``what`` and
+    the path; an ``OSError`` propagates."""
+    with open(path, encoding="utf-8") as fh, decoding(error, f"{what} {path}"):
+        data = json.load(fh)
+        if not isinstance(data, dict):
+            raise TypeError(f"holds a {type(data).__name__}, not a JSON object")
+    return data
 
 
 def _fmt(value: float) -> str:
@@ -112,26 +138,13 @@ def write_session_jsonl(session: Session, path, config: Optional[dict] = None) -
                       + "\n" + "".join(samples))
 
 
-def read_session_header(path) -> dict:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return _parse_session_header(fh.readline(), path)
-    except UnicodeDecodeError:
-        raise MalformedStreamError(f"{path} is not UTF-8 text") from None
-
-
 def _parse_session_header(line: str, path) -> dict:
-    try:
+    with decoding(MalformedStreamError, f"{path}, line 1"):
         header = json.loads(line)
-    except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
-        raise MalformedStreamError(
-            f"{path}, line 1: cannot parse session header: {exc}") from None
-    if not isinstance(header, dict) or header.get("kind") != "session":
-        raise MalformedStreamError(f"{path} is not a session file")
-    if header.get("schema") != SESSION_SCHEMA_VERSION:
-        raise MalformedStreamError(
-            f"unsupported session schema {header.get('schema')!r} in {path}"
-        )
+        if not isinstance(header, dict) or header.get("kind") != "session":
+            raise MalformedStreamError("not a session header")
+        if header.get("schema") != SESSION_SCHEMA_VERSION:
+            raise MalformedStreamError(f"unsupported session schema {header.get('schema')!r}")
     return header
 
 
@@ -194,14 +207,10 @@ def _session(path, header: dict, columns: tuple) -> Session:
     """The session of a parsed file; any fault in its samples, layout or
     timeline raises ``MalformedStreamError`` naming the path."""
     t, x, y, valid = columns
-    try:
+    with decoding(MalformedStreamError, f"malformed session {path}"):
         gaze = GazeStream(t=np.array(t, dtype=np.float64), x=np.array(x, dtype=np.float64),
                           y=np.array(y, dtype=np.float64), valid=np.array(valid, dtype=bool))
         return session_from_header(header, gaze)
-    except (ValueError, KeyError, TypeError, GazeSentinelError) as exc:
-        raise MalformedStreamError(
-            f"malformed session {path} ({type(exc).__name__}: {exc})"
-        ) from None
 
 
 def _parse_sample_lines(body: bytes) -> tuple:
@@ -274,13 +283,7 @@ def corpus_paths(corpus_dir) -> list:
     naming it."""
     manifest_path = os.path.join(corpus_dir, "manifest.json")
     if os.path.exists(manifest_path):
-        try:
-            with open(manifest_path, encoding="utf-8") as fh:
-                manifest = json.load(fh)
-        except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
-            raise MalformedStreamError(
-                f"cannot parse corpus manifest {manifest_path}: {exc}") from None
-        names = manifest.get("sessions") if isinstance(manifest, dict) else None
+        names = read_json(manifest_path, MalformedStreamError, "corpus manifest").get("sessions")
         if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
             raise MalformedStreamError(
                 f"corpus manifest {manifest_path} holds no sessions list of file names")
@@ -323,11 +326,8 @@ def _csv_rows(path, header: tuple, what: str):
     ``header``, skipping blank and ``#`` lines. A file that is not UTF-8
     text, another header, or a row without exactly the header's fields
     raises ``InvalidParameterError`` with the path (and the line number)."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except UnicodeDecodeError:
-        raise InvalidParameterError(f"{path} is not UTF-8 text") from None
+    with open(path, encoding="utf-8") as fh, decoding(InvalidParameterError, path):
+        lines = fh.readlines()
     seen_header = False
     for number, line in enumerate(lines, start=1):
         line = line.rstrip("\n")
@@ -354,7 +354,7 @@ def read_feature_csv(path) -> list:
     text raises it with the path."""
     rows = []
     for number, parts in _csv_rows(path, _FEATURE_CSV_HEADER, "feature"):
-        try:
+        with decoding(InvalidParameterError, f"{path}, line {number}"):
             row = SegmentRow(
                 task=parts[0],
                 participant=int(parts[1]),
@@ -376,8 +376,6 @@ def read_feature_csv(path) -> list:
                 raise ValueError(f"label {row.label!r} is neither NF nor {TASKS[row.task]}")
             if not row.t1 > row.t0:
                 raise ValueError(f"slice [{row.t0}, {row.t1}] is empty")
-        except ValueError as exc:
-            raise InvalidParameterError(f"{path}, line {number}: {exc}") from None
         rows.append(row)
     if not rows:
         raise InvalidParameterError(f"feature CSV {path} holds no rows")
@@ -417,7 +415,7 @@ def read_report_csv(path) -> list:
     rows = []
     for number, parts in _csv_rows(path, tuple(_REPORT_CSV_HEADER.split(",")), "report"):
         task, classifier, n_or_width, fold, accuracy, recall = parts
-        try:
+        with decoding(InvalidParameterError, f"{path}, line {number}"):
             rows.append({
                 "task": task,
                 "classifier": classifier,
@@ -426,8 +424,6 @@ def read_report_csv(path) -> list:
                 "accuracy": float(accuracy),
                 "recall": float(recall) if recall else None,
             })
-        except ValueError as exc:
-            raise InvalidParameterError(f"{path}, line {number}: {exc}") from None
     return rows
 
 

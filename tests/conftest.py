@@ -13,11 +13,18 @@ settings.register_profile(
 )
 settings.load_profile("suite")
 
+from gaze_sentinel import storage
 from gaze_sentinel.evaluate import Corpus
 from gaze_sentinel.sim import CorpusSpec, generate_corpus
 
 # The committed behaviour profile, the one the simulator reads by default.
 DEFAULT_PROFILE = resources.files("gaze_sentinel") / "profiles" / "default.json"
+
+
+def read_session_header(path) -> dict:
+    """The header of a session file, read without its samples."""
+    with open(path, encoding="utf-8") as fh:
+        return storage._parse_session_header(fh.readline(), path)
 
 
 def profile_dict() -> dict:

@@ -5,15 +5,13 @@ are cached at module scope and shared across criteria.
 """
 
 import itertools
-import json
 import math
-import os
 import time
 from collections import Counter, defaultdict
 
 import numpy as np
 
-from conftest import BUILD_SECONDS
+from conftest import BUILD_SECONDS, read_session_header
 from gaze_sentinel import storage
 from gaze_sentinel.cli import main
 from gaze_sentinel.core import AoiLabel, segment_session
@@ -64,7 +62,7 @@ def test_criterion_01_corpus_structure(tmp_path):
     assert main(["simulate", "--participants", "26", "--seed", str(SEED),
                  "--out", str(out)]) == 0
     paths = storage.corpus_paths(out)
-    headers = [storage.read_session_header(p) for p in paths]
+    headers = [read_session_header(p) for p in paths]
     elapsed = time.monotonic() - t0
 
     counts = Counter()
@@ -405,7 +403,7 @@ def test_criterion_10_causality(default_corpus):
     ok = True
     while checked < 100 and ok:
         session = sessions[int(rng.integers(0, len(sessions)))]
-        full = stream_detect(model, session, WIDTH, 1.0)
+        full = stream_detect(model, session, WIDTH)
         k = int(rng.integers(3, len(full)))
         cut = full[k].t1
         keep = session.gaze.t <= cut
@@ -422,7 +420,7 @@ def test_criterion_10_causality(default_corpus):
                 failure_piece=session.timeline.failure_piece,
             ),
         )
-        partial = stream_detect(model, truncated, WIDTH, 1.0)
+        partial = stream_detect(model, truncated, WIDTH)
         ok = partial == full[: k + 1]
         checked += 1
     _check(10, "stream detection is causal under truncation",

@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -466,6 +467,57 @@ class TestErrors:
         assert f"{path}, line 2:" in record["message"]
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("kind", ["config file", "profile", "model envelope",
+                                      "model params", "manifest", "session header",
+                                      "session sample", "feature CSV", "report CSV"])
+    def test_decode_fault_names_its_file(self, corpus_dir, features_csv, ada_model, tmp_path,
+                                         capsys, kind):
+        """A fault in any kind of input file ends the command with exit 1 and
+        a JSON record naming the file, not a traceback."""
+        session = storage.corpus_paths(corpus_dir)[0]
+        if kind == "config file":
+            bad, text = tmp_path / "cfg.json", '{"seed": 1'
+            argv = ["simulate", "--config", str(bad)]
+        elif kind == "profile":
+            bad, text = tmp_path / "profile.json", '{"schema": 1}'
+            argv = ["simulate", "--profile", str(bad)]
+        elif kind.startswith("model"):
+            model = json.loads(ada_model.read_text())
+            if kind == "model envelope":
+                model["n_features"] = "11"
+            else:
+                model["params"]["threshold"][0] = float("nan")
+            bad, text = tmp_path / "model.json", json.dumps(model)
+            argv = ["detect", "--model", str(bad), "--session", session]
+        elif kind == "manifest":
+            bad, text = tmp_path / "manifest.json", '{"sessions": ['
+            argv = ["extract", "--corpus", str(tmp_path)]
+        elif kind.startswith("session"):
+            lines = open(session).read().splitlines(keepends=True)
+            if kind == "session header":
+                lines[0] = re.sub(r'"duration":[^,]*', '"duration":1e400', lines[0])
+            else:
+                lines[2] = '{"t": 0.01}\n'
+            bad, text = tmp_path / "session.jsonl", "".join(lines)
+            argv = ["detect", "--model", str(ada_model), "--session", str(bad)]
+        elif kind == "feature CSV":
+            bad = tmp_path / "features.csv"
+            text = features_csv.read_text().rstrip("\n").rsplit(",", 1)[0] + ",nan\n"
+            argv = ["train", "--features", str(bad), "--classifier", "ada"]
+        else:
+            (tmp_path / "reports").mkdir()
+            bad = tmp_path / "reports" / "report_full_nf-ef.csv"
+            text = "task,classifier,n_or_width,fold,accuracy,recall\nnf-ef,ada,full,1,x,0.5\n"
+            argv = ["report", "--reports", str(tmp_path / "reports")]
+        bad.write_text(text)
+        capsys.readouterr()
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        record = json.loads(err.strip())
+        assert str(bad) in record["message"]
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_fold_error_in_worker_is_json_error(self, tmp_path):
         # With two participants each training split keeps the other's two
         # EF rows, too few for SMOTE's k = 2; both folds go to workers when
@@ -519,7 +571,7 @@ class TestErrors:
     @pytest.mark.parametrize("command, key, value", [
         ("simulate", "seed", 1.5), ("simulate", "participants", 2.9),
         ("simulate", "seed", True), ("simulate", "participants", False),
-        ("simulate", "seed", float("inf")), ("eval", "slide", True), ("eval", "width", False),
+        ("simulate", "seed", float("inf")), ("eval", "width", False),
         pytest.param("eval", "width", 10 ** 400, id="eval-width-10**400"),
         ("eval", "width", 7), ("simulate", "profile", None), ("simulate", "profile", True),
         ("eval", "n", None),
@@ -540,9 +592,7 @@ class TestErrors:
 
     @pytest.mark.parametrize("command", ["detect", "eval"])
     @pytest.mark.parametrize("key, value, via", [
-        ("slide", "nan", "flag"), ("slide", "inf", "flag"),
-        ("width", "nan", "env"), ("width", "inf", "env"), ("slide", "nan", "env"),
-        ("width", float("nan"), "config"), ("slide", float("inf"), "config"),
+        ("width", "nan", "env"), ("width", "inf", "env"), ("width", float("nan"), "config"),
     ])
     def test_non_finite_width_or_slide_is_json_error(self, corpus_dir, ada_model, tmp_path,
                                                      monkeypatch, capsys, command, key,
@@ -554,9 +604,7 @@ class TestErrors:
         else:
             argv = ["eval", "--corpus", str(corpus_dir), "--mode", "stream",
                     "--classifier", "ada", "--out", str(out)]
-        if via == "flag":
-            argv += [f"--{key}", value]
-        elif via == "env":
+        if via == "env":
             monkeypatch.setenv(f"GAZE_SENTINEL_{key.upper()}", value)
         else:
             cfg = tmp_path / "cfg.json"
@@ -615,7 +663,6 @@ class TestErrors:
 PATH, REQUIRED = (str, None, False), (str, None, True)
 TASK_CHOICES = (str, ("nf-df", "nf-ef"), False)
 WIDTH_CHOICES = (float, (3.0, 5.0, 10.0), False)
-SLIDE = (float, None, False)
 SEED = (int, None, False)
 KIND_CHOICES = ("forest", "ada", "gbt-a", "svm", "gbt-b")
 PARSER_CONTRACT = {
@@ -627,9 +674,9 @@ PARSER_CONTRACT = {
     "eval": {"--corpus": REQUIRED, "--out": REQUIRED, "--config": PATH, "--seed": SEED,
              "--task": TASK_CHOICES, "--classifier": (str, KIND_CHOICES + ("all",), False),
              "--mode": (str, ("full", "first-n", "stream"), False), "--n": PATH,
-             "--width": WIDTH_CHOICES, "--slide": SLIDE},
+             "--width": WIDTH_CHOICES},
     "detect": {"--model": REQUIRED, "--session": REQUIRED, "--out": REQUIRED,
-               "--config": PATH, "--width": WIDTH_CHOICES, "--slide": SLIDE},
+               "--config": PATH, "--width": WIDTH_CHOICES},
     "report": {"--reports": REQUIRED, "--out": REQUIRED, "--config": PATH},
 }
 

@@ -224,23 +224,22 @@ def make_session(duration, failure=None, participant=1, puzzle=1, n_pieces=2):
 class TestSlidingWindows:
     def test_count_formula_60s(self):
         session = make_session(60.0)
-        assert len(sliding_windows(session, 5.0, 1.0)) == 56
+        assert len(sliding_windows(session, 5.0)) == 56
 
     def test_count_formula_180s(self):
         session = make_session(180.0)
-        assert len(sliding_windows(session, 5.0, 1.0)) == 176
+        assert len(sliding_windows(session, 5.0)) == 176
 
     def test_count_formula_general(self):
         for duration in (30.0, 47.3, 90.0):
             for width in (3.0, 5.0, 10.0):
-                for slide in (1.0, 2.0):
-                    session = make_session(duration)
-                    expected = int(np.floor((duration - width) / slide + 1e-9)) + 1
-                    assert len(sliding_windows(session, width, slide)) == expected
+                session = make_session(duration)
+                expected = int(np.floor(duration - width + 1e-9)) + 1
+                assert len(sliding_windows(session, width)) == expected
 
     def test_exact_half_overlap_is_failure(self):
         session = make_session(60.0, failure=(17.5, "EF", 2))
-        windows = sliding_windows(session, 5.0, 1.0)
+        windows = sliding_windows(session, 5.0)
         by_start = {w.t0: w for w in windows}
         # [15, 20] overlaps [17.5, 32.5] by exactly 2.5s = width/2
         assert by_start[15.0].truth == 1
@@ -251,18 +250,15 @@ class TestSlidingWindows:
         session = make_session(60.0)
         object.__setattr__(session.timeline, "duration", 3.0)
         with pytest.warns(UserWarning):
-            assert sliding_windows(session, 5.0, 1.0) == []
+            assert sliding_windows(session, 5.0) == []
 
     def test_invalid_parameters(self):
         session = make_session(60.0)
         with pytest.raises(InvalidParameterError):
-            sliding_windows(session, 0.0, 1.0)
-        with pytest.raises(InvalidParameterError):
-            sliding_windows(session, 5.0, -1.0)
-        for width, slide in ((float("nan"), 1.0), (float("inf"), 1.0),
-                             (5.0, float("nan")), (5.0, float("inf"))):
+            sliding_windows(session, 0.0)
+        for width in (float("nan"), float("inf")):
             with pytest.raises(InvalidParameterError, match="finite"):
-                sliding_windows(session, width, slide)
+                sliding_windows(session, width)
 
 
 class TestStreamDetect:
@@ -270,8 +266,8 @@ class TestStreamDetect:
         ds, _ = mini_corpus.dataset_for_task("nf-ef")
         model = fit_fold(ds, default_config("ada", seed=2), held_out=1)
         session = mini_corpus.failure_sessions("EF")[0]
-        events = stream_detect(model, session, 5.0, 1.0)
-        assert len(events) == len(sliding_windows(session, 5.0, 1.0))
+        events = stream_detect(model, session, 5.0)
+        assert len(events) == len(sliding_windows(session, 5.0))
         for a, b in zip(events, events[1:]):
             assert b.t0 > a.t0
         for e in events:
@@ -281,7 +277,7 @@ class TestStreamDetect:
         ds, _ = mini_corpus.dataset_for_task("nf-ef")
         model = fit_fold(ds, default_config("ada", seed=2), held_out=1)
         session = mini_corpus.failure_sessions("EF")[0]
-        full = stream_detect(model, session, 5.0, 1.0)
+        full = stream_detect(model, session, 5.0)
         rng = np.random.default_rng(0)
         for k in rng.integers(4, len(full) - 1, size=10):
             cut = full[k].t1
@@ -297,7 +293,7 @@ class TestStreamDetect:
                                   failure_type=session.timeline.failure_type,
                                   failure_piece=session.timeline.failure_piece),
             )
-            partial = stream_detect(model, truncated, 5.0, 1.0)
+            partial = stream_detect(model, truncated, 5.0)
             assert partial == full[: k + 1]
 
 
@@ -330,7 +326,7 @@ class TestIntervalDetectionRate:
         detections = []
         for session in corpus.failure_sessions("EF"):
             fs, _ = session.timeline.failure_window()
-            for w in sliding_windows(session, 5.0, 1.0):
+            for w in sliding_windows(session, 5.0):
                 offset = w.t0 - fs
                 predicted = int(any(abs(offset - o) <= 0.5 for o in predicted_offsets))
                 detections.append(DetectionEvent(
@@ -341,7 +337,7 @@ class TestIntervalDetectionRate:
     def test_saturating_detector_hits_every_offset(self, mini_corpus):
         detections = []
         for session in mini_corpus.failure_sessions("EF"):
-            for w in sliding_windows(session, 5.0, 1.0):
+            for w in sliding_windows(session, 5.0):
                 detections.append(DetectionEvent(
                     session.participant_id, session.puzzle_id, w.t0, w.t1, 1, 1.0))
         curve = interval_detection_rate(detections, mini_corpus, 5.0)

@@ -201,6 +201,21 @@ MALFORMED = [
     ("forest", "standardizer on a kind that takes none",
      _set(["standardizer"], {"mean": [0.0] * 4, "std": [1.0] * 4})),
     ("svm", "no standardizer", _set(["standardizer"], None)),
+    ("svm", "NaN weight", _set(["params", "w", 0], float("nan"))),
+    ("svm", "infinite bias", _set(["params", "b"], float("inf"))),
+    ("ada", "infinite alpha", _set(["params", "alpha", 0], float("inf"))),
+    ("ada", "NaN threshold", _set(["params", "threshold", 0], float("nan"))),
+    ("gbt-b", "infinite leaf value", lambda p: _tree(p["params"])["leaf_values"].__setitem__(
+        0, -float("inf"))),
+    ("gbt-a", "NaN threshold", lambda p: _first_internal(p, "threshold", float("nan"))),
+    ("forest", "infinite threshold", lambda p: _first_internal(p, "threshold", float("inf"))),
+    ("svm", "NaN standardizer mean", _set(["standardizer", "mean", 0], float("nan"))),
+    ("svm", "infinite standardizer std", _set(["standardizer", "std", 0], float("inf"))),
+    ("svm", "negative standardizer std", _set(["standardizer", "std", 0], -1.0)),
+    ("ada", "low value 2", _set(["params", "low_value", 0], 2)),
+    ("ada", "high value -1", _set(["params", "high_value", 0], -1)),
+    ("gbt-a", "learning rate unlike its config", _set(["params", "learning_rate"], 0.5)),
+    ("gbt-b", "learning rate unlike its config", _set(["params", "learning_rate"], 0.01)),
 ]
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import read_session_header
 from gaze_sentinel import storage
 from gaze_sentinel.core import AoiLabel, AoiLayout, GazeStream, Rect, Session, Timeline
 from gaze_sentinel.errors import (
@@ -98,7 +99,7 @@ class TestSessionReader:
         with pytest.raises(MalformedStreamError):
             storage.read_session_jsonl(session_file)
         with pytest.raises(MalformedStreamError):
-            storage.read_session_header(session_file)
+            read_session_header(session_file)
 
     def test_header_missing_its_layout(self, session_file):
         lines = lines_of(session_file)
@@ -113,7 +114,11 @@ class TestSessionReader:
         swap_samples,  # non-increasing timestamps
         nested_too_deep(0),
         nested_too_deep(1),
-    ], ids=["aoi-token", "timeline-event", "timestamps", "nested-header", "nested-sample"])
+        header_edit('"duration":1.0', '"duration":1e400'),  # overflows to inf
+        header_edit('"duration":1.0', '"duration":NaN'),
+        header_edit('"timeline":[]', '"timeline":[["pickup_start",1,NaN,null]]'),
+    ], ids=["aoi-token", "timeline-event", "timestamps", "nested-header", "nested-sample",
+            "duration-1e400", "duration-NaN", "event-time-NaN"])
     def test_bad_header_or_sample_order_names_the_file(self, session_file, edit):
         lines = lines_of(session_file)
         edit(lines)
