@@ -73,10 +73,6 @@ class Rect:
         if not (self.x1 > self.x0 and self.y1 > self.y0):
             raise InvalidParameterError(f"degenerate rectangle {self}")
 
-    @property
-    def center(self) -> tuple[float, float]:
-        return (0.5 * (self.x0 + self.x1), 0.5 * (self.y0 + self.y1))
-
 
 @dataclass(frozen=True)
 class AoiLayout:
@@ -99,12 +95,6 @@ class AoiLayout:
             if not isinstance(rect, Rect):
                 raise InvalidParameterError("layout entries must hold Rect values")
             seen.add(lbl)
-
-    def rect_for(self, label: AoiLabel) -> Optional[Rect]:
-        for lbl, rect in self.entries:
-            if lbl is label:
-                return rect
-        return None
 
     def label_points(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Vectorised first-wins labelling; returns int codes."""
@@ -397,10 +387,6 @@ class EpisodeSegment:
             raise InvalidParameterError(f"unknown segment label {self.label!r}")
         if not self.t_end > self.t_start:
             raise InvalidParameterError("segment must have positive duration")
-
-    @property
-    def duration(self) -> float:
-        return self.t_end - self.t_start
 
 
 def segment_session(session: Session) -> list[EpisodeSegment]:

@@ -17,8 +17,9 @@ from .data import check_features
 @dataclass
 class AdaParams:
     """One stump per round: its arrays are 1-D and of equal length, its
-    features lie in [0, n_features) and its low and high values are classes
-    0 or 1; construction raises ValueError otherwise."""
+    features lie in [0, n_features), its low and high values are classes 0
+    or 1 and its alphas are above 0; construction raises ValueError
+    otherwise."""
 
     feature: np.ndarray
     threshold: np.ndarray
@@ -41,6 +42,8 @@ class AdaParams:
         check_features("ada", self.feature, self.n_features)
         if not np.isin([self.low_value, self.high_value], (0, 1)).all():
             raise ValueError("ada low and high values must be classes 0 or 1")
+        if not (self.alpha > 0).all():
+            raise ValueError("ada alphas must be above 0")
 
 
 def _presort(X: np.ndarray, y: np.ndarray):

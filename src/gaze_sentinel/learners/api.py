@@ -75,10 +75,12 @@ _RATES = ("learning_rate", "svm_c")
 
 @dataclass(frozen=True)
 class ClassifierConfig:
-    """``seed`` reaches every kind through SMOTE; any other field its fit
-    does not take must hold the kind's published value, of the same type.
-    A count or seed that is not a whole number, or a rate that is not a
-    finite number, or either below its bound, is refused for every kind."""
+    """``seed`` reaches every kind through the SMOTE of fold models and CLI
+    ``train``; a bare ``train`` of ada, gbt-a or gbt-b does not read it, so
+    it fits the same params under each seed's fingerprint. Any other field
+    its fit does not take must hold the kind's published value, of the same
+    type. A count or seed that is not a whole number, or a rate that is not
+    a finite number, or either below its bound, is refused for every kind."""
 
     kind: str
     seed: int = 7

@@ -10,10 +10,11 @@ order-independent.
 
 from __future__ import annotations
 
+import functools
 import json
 import numbers
 import sys
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from importlib import resources
 from typing import Optional
 
@@ -155,11 +156,11 @@ def _checked(params, name: str, rule: str, pair: bool = False) -> None:
     object.__setattr__(params, name, items if pair else items[0])
 
 
-def _key(key: str, rule, pair: bool = False, **default):
-    """A profile field: its key in the profile JSON, and either the block
-    class that reads its value or the rule (a key of ``_RULES``) that its
-    number, or with ``pair`` each number of its ascending pair, must meet."""
-    return field(metadata={"key": key, "rule": rule, "pair": pair}, **default)
+def _key(key: str, rule, pair: bool = False):
+    """A required profile field: its key in the profile JSON, and either the
+    block class that reads its value or the rule (a key of ``_RULES``) that
+    its number, or with ``pair`` each number of its ascending pair, must meet."""
+    return field(metadata={"key": key, "rule": rule, "pair": pair})
 
 
 class _ProfileBlock:
@@ -175,8 +176,7 @@ class _ProfileBlock:
     def _read(cls, block: dict):
         values = {}
         for f in fields(cls):
-            key, rule = f.metadata["key"], f.metadata["rule"]
-            value = block[key] if f.default is MISSING else block.get(key, f.default)
+            value, rule = block[f.metadata["key"]], f.metadata["rule"]
             if not isinstance(rule, str):
                 value = rule._read(value)
             values[f.name] = value
@@ -233,20 +233,12 @@ class BehaviorParams(_ProfileBlock):
     # One log-normal distortion per participant, applied to BOTH regime
     # matrices, so regime contrasts stay untouched by participant noise.
     participant_transition_sigma: float = _key("participant_transition_sigma", ">= 0")
-    # Dwells are floor + Gamma(shape, mean_excess/shape); shape 1 is the
-    # standard truncated-exponential process, larger values suppress dwell
-    # variability. The one optional key.
-    dwell_shape: float = _key("dwell_shape", "> 0", default=1.0)
 
     @classmethod
+    @functools.cache
     def default(cls) -> "BehaviorParams":
-        global _DEFAULT_CACHE
-        if _DEFAULT_CACHE is None:
-            text = (
-                resources.files("gaze_sentinel") / "profiles" / "default.json"
-            ).read_text()
-            _DEFAULT_CACHE = cls.from_dict(json.loads(text))
-        return _DEFAULT_CACHE
+        text = (resources.files("gaze_sentinel") / "profiles" / "default.json").read_text()
+        return cls.from_dict(json.loads(text))
 
     @classmethod
     def from_file(cls, path) -> "BehaviorParams":
@@ -270,9 +262,6 @@ class BehaviorParams(_ProfileBlock):
         return replace(self, failure_scan=self.baseline, failure_stare=self.baseline)
 
 
-_DEFAULT_CACHE: Optional[BehaviorParams] = None
-
-
 @dataclass(frozen=True)
 class CorpusSpec:
     """What to generate: participant count, master seed, behaviour."""
@@ -285,28 +274,19 @@ class CorpusSpec:
         return self.behavior if self.behavior is not None else BehaviorParams.default()
 
 
-# Tabletop geometry (millimetres). Rectangles are disjoint so synthesized
-# points always land on their intended AOI; the elsewhere box sits in free
-# margin space.
-SCENE_W, SCENE_H = 1200.0, 800.0
-DEFAULT_LAYOUT = AoiLayout(
-    entries=(
-        (AoiLabel.ROBOT_BODY, Rect(460.0, 630.0, 760.0, 800.0)),
-        (AoiLabel.END_EFFECTOR, Rect(480.0, 575.0, 740.0, 620.0)),
-        (AoiLabel.ROBOT_PIECES, Rect(920.0, 500.0, 1100.0, 700.0)),
-        (AoiLabel.PARTICIPANT_PIECES, Rect(350.0, 20.0, 750.0, 120.0)),
-        (AoiLabel.PUZZLE_BOARD, Rect(300.0, 150.0, 894.0, 570.0)),
-    )
+# Tabletop geometry (millimetres): the box each AOI's synthesized points aim
+# at, indexed by AOI code. The first five are the layout's rectangles,
+# disjoint so synthesized points always land on their intended AOI; the
+# ELSEWHERE box sits in free margin space.
+TARGET_BOXES = (
+    Rect(460.0, 630.0, 760.0, 800.0),  # robot body
+    Rect(480.0, 575.0, 740.0, 620.0),  # end effector
+    Rect(920.0, 500.0, 1100.0, 700.0),  # robot pieces
+    Rect(350.0, 20.0, 750.0, 120.0),  # participant pieces
+    Rect(300.0, 150.0, 894.0, 570.0),  # puzzle board
+    Rect(20.0, 640.0, 260.0, 780.0),  # elsewhere
 )
-ELSEWHERE_BOX = Rect(20.0, 640.0, 260.0, 780.0)
-
-
-def _target_box(label: AoiLabel) -> Rect:
-    if label is AoiLabel.ELSEWHERE:
-        return ELSEWHERE_BOX
-    rect = DEFAULT_LAYOUT.rect_for(label)
-    assert rect is not None
-    return rect
+DEFAULT_LAYOUT = AoiLayout(entries=tuple(zip(AoiLabel, TARGET_BOXES[:-1])))
 
 
 def _clipped_normal(rng, mean, sd, bounds) -> float:
@@ -348,17 +328,17 @@ def build_timeline(condition: ScenarioCondition, rng: np.random.Generator) -> Ti
 class ParticipantTraits:
     """Stable per-participant distortions of the behaviour profile.
 
-    ``reaction_style`` mixes the stare (0) and scan (1) archetypes;
-    ``reaction_delay_extra`` adds latency before the reaction starts.
+    The failure regime blends the stare and scan archetypes by a drawn
+    style; ``reaction_delay_extra`` adds latency before the reaction starts
+    and ``reaction_strength_mult`` scales its strength.
     """
 
     dwell_scale: tuple  # six multipliers
     baseline_rows: tuple  # jittered transition matrix rows
     failure_dwell: tuple  # style-blended failure dwell means
     failure_rows: tuple
-    reaction_style: float
     reaction_delay_extra: float
-    reaction_strength_mult: float = 1.0
+    reaction_strength_mult: float
 
 
 def draw_traits(behavior: BehaviorParams, rng: np.random.Generator) -> ParticipantTraits:
@@ -401,7 +381,6 @@ def draw_traits(behavior: BehaviorParams, rng: np.random.Generator) -> Participa
         baseline_rows=distort(behavior.baseline.matrix()),
         failure_dwell=tuple(float(v) for v in fail_dwell),
         failure_rows=distort(fail_rows),
-        reaction_style=style,
         reaction_delay_extra=extra,
         reaction_strength_mult=strength_mult,
     )
@@ -421,7 +400,7 @@ def _blend_regime(base_dwell, base_rows, fail_dwell, fail_rows, s: float):
 
 
 def _regime_spans(timeline: Timeline, reaction: ReactionParams,
-                  delay_extra: float = 0.0) -> list:
+                  delay_extra: float) -> list:
     """(start, end, strength) spans covering [0, duration]."""
     window = timeline.failure_window()
     if window is None:
@@ -446,9 +425,8 @@ def synthesize_gaze(timeline: Timeline, behavior: BehaviorParams,
                     traits: ParticipantTraits, rng: np.random.Generator) -> GazeStream:
     """Sample a semi-Markov AOI walk at the configured rate.
 
-    Dwells are floor-shifted exponentials by default (every dwell clears the
-    debounce threshold; ``dwell_shape`` > 1 trades the exponential for a
-    concentrated gamma). Regime changes truncate the running dwell but keep
+    Dwells are floor-shifted exponentials, so every dwell clears the
+    debounce threshold. Regime changes truncate the running dwell but keep
     the state, so behaviour shifts take effect from the next draw onward.
     """
     floor = behavior.dwell_floor_s
@@ -477,13 +455,7 @@ def synthesize_gaze(timeline: Timeline, behavior: BehaviorParams,
             span_i += 1
         span_end = spans[span_i][1]
         dwell_means, rows = regimes[spans[span_i][2]]
-        scale = max(dwell_means[state] - floor, 1e-3)
-        shape = behavior.dwell_shape
-        if shape == 1.0:
-            excess = float(rng.exponential(scale))
-        else:
-            excess = float(rng.gamma(shape, scale / shape))
-        end = t + floor + excess
+        end = t + floor + float(rng.exponential(max(dwell_means[state] - floor, 1e-3)))
         if end >= span_end - 1e-12 and span_end < duration - 1e-9:
             # Regime boundary: truncate the dwell, keep the state.
             seg_end.append(span_end)
@@ -509,12 +481,11 @@ def synthesize_gaze(timeline: Timeline, behavior: BehaviorParams,
     xs = np.empty(n)
     ys = np.empty(n)
     inset = 2.0
-    for label in AoiLabel:
-        mask = sample_state == int(label)
+    for code, box in enumerate(TARGET_BOXES):
+        mask = sample_state == code
         if not mask.any():
             continue
-        box = _target_box(label)
-        cx, cy = box.center
+        cx, cy = 0.5 * (box.x0 + box.x1), 0.5 * (box.y0 + box.y1)
         xs[mask] = np.clip(cx + jitter[mask, 0], box.x0 + inset, box.x1 - inset)
         ys[mask] = np.clip(cy + jitter[mask, 1], box.y0 + inset, box.y1 - inset)
 
@@ -524,17 +495,15 @@ def synthesize_gaze(timeline: Timeline, behavior: BehaviorParams,
     return GazeStream(t=ts, x=xs, y=ys, valid=~invalid)
 
 
-def session_seed(master_seed: int, participant_id: int, puzzle_id: int) -> np.random.SeedSequence:
-    return np.random.SeedSequence(master_seed, spawn_key=(participant_id, puzzle_id))
-
-
 def build_session(participant_id: int, puzzle_id: int, condition: ScenarioCondition,
                   behavior: BehaviorParams, master_seed: int) -> Session:
     traits_rng = np.random.default_rng(
         np.random.SeedSequence(master_seed, spawn_key=(participant_id, 0))
     )
     traits = draw_traits(behavior, traits_rng)
-    rng = np.random.default_rng(session_seed(master_seed, participant_id, puzzle_id))
+    rng = np.random.default_rng(
+        np.random.SeedSequence(master_seed, spawn_key=(participant_id, puzzle_id))
+    )
     timeline = build_timeline(condition, rng)
     gaze = synthesize_gaze(timeline, behavior, traits, rng)
     return Session(

@@ -27,6 +27,11 @@ def read_session_header(path) -> dict:
         return storage._parse_session_header(fh.readline(), path)
 
 
+def segment_duration(segment) -> float:
+    """The length of an ``EpisodeSegment`` in seconds."""
+    return segment.t_end - segment.t_start
+
+
 def profile_dict() -> dict:
     """A fresh dict of the committed profile, without its ``name``, a key
     the profile reader ignores."""

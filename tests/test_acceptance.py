@@ -11,7 +11,7 @@ from collections import Counter, defaultdict
 
 import numpy as np
 
-from conftest import BUILD_SECONDS, read_session_header
+from conftest import BUILD_SECONDS, read_session_header, segment_duration
 from gaze_sentinel import storage
 from gaze_sentinel.cli import main
 from gaze_sentinel.core import AoiLabel, segment_session
@@ -73,9 +73,9 @@ def test_criterion_01_corpus_structure(tmp_path):
         for seg in segment_session(session):
             counts[seg.label] += 1
             if seg.label == "EF":
-                durations_ok &= abs(seg.duration - 15.0) < 1e-9
+                durations_ok &= abs(segment_duration(seg) - 15.0) < 1e-9
             elif seg.label == "DF":
-                durations_ok &= abs(seg.duration - 16.5) < 1e-9
+                durations_ok &= abs(segment_duration(seg) - 16.5) < 1e-9
 
     # spot-check that one file's sample stream parses end to end
     sample_session = storage.read_session_jsonl(paths[0])

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import os
 import re
@@ -52,7 +53,40 @@ def data_lines(path) -> list:
     return [line for line in lines if not line.startswith("#")]
 
 
+# sha256 of each file that ``simulate --participants 3 --seed 7`` writes. A
+# change that moves the corpus on purpose regenerates these and names the
+# files that moved.
+SIMULATE_DIGESTS = {
+    "manifest.json": "8659c0856e71fe50404986ff4b8beff61b8d65b6ae81e847442571bbc032de5f",
+    "session_p001_z1.jsonl": "81ee44d5a14c85c29ef511cf254e8ba05088428065b32ea01122796526ba8586",
+    "session_p001_z2.jsonl": "e24824fe6fcd674add8ee98a9fee3b021342fcbda5eb44bf192ba6cd8916c032",
+    "session_p001_z3.jsonl": "8e27acfbfdff337cb0e208e8204b865e3534543a56c638171d83c1e430d24c1f",
+    "session_p001_z4.jsonl": "01df18375e133edfd9c00fb37f98394924b30d1976469c0899c1570ef91004e8",
+    "session_p002_z1.jsonl": "bff120548129a3fb6022afb216d6490277f0bb1ac0dc1db039643d543a602713",
+    "session_p002_z2.jsonl": "9a7588ab5b4a0751fadfa9ba695239f3022ed628c81921d6dff230d3c6b38bc8",
+    "session_p002_z3.jsonl": "6e0cf15551da77442a443e9eb635abf13799355c2e03b45954954ff14ed04a64",
+    "session_p002_z4.jsonl": "5ed3bc7e059c3e9154ebbc719ad01b655bfd266a84769eb4d217a759d900ff6e",
+    "session_p003_z1.jsonl": "866607d69df7f4d3bed1631a9051b8f8945731c2998d4189d54d95bc1557b6bf",
+    "session_p003_z2.jsonl": "479dc1349de8749808a32b5aa6c08584e0c34fa0b36575c60153d6e6fd6a31d2",
+    "session_p003_z3.jsonl": "31ee6a81460f2ec762944c7b84c8598ac5721e7cdfe994ee7c60d4aa166b39a3",
+    "session_p003_z4.jsonl": "9852a9b39504497284ec3daef6fa6ee4f2df5ad994f746cca74c7c677d2208e4",
+}
+
+
 class TestSimulate:
+    def test_outputs_match_golden_digests(self, tmp_path, monkeypatch):
+        for name in list(os.environ):
+            if name.startswith("GAZE_SENTINEL_"):
+                monkeypatch.delenv(name)
+        assert main(["simulate", "--participants", "3", "--seed", "7",
+                     "--out", str(tmp_path)]) == 0
+        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                   for p in tmp_path.iterdir()}
+        moved = {name: digests.get(name)
+                 for name in sorted(digests.keys() | SIMULATE_DIGESTS.keys())
+                 if digests.get(name) != SIMULATE_DIGESTS.get(name)}
+        assert not moved, f"files that moved, with their new sha256: {moved}"
+
     def test_writes_sessions_and_manifest(self, corpus_dir):
         names = sorted(os.listdir(corpus_dir))
         assert "manifest.json" in names

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import segment_duration
 from gaze_sentinel.core import (
     AoiLabel,
     AoiLayout,
@@ -448,13 +449,13 @@ class TestSegmentSession:
     def test_ef_on_piece_one(self):
         segs = segment_session(session_for(make_timeline(1, "EF")))
         assert [s.label for s in segs] == ["EF", "NF", "NF", "NF"]
-        assert segs[0].duration == pytest.approx(15.0, abs=1e-9)
+        assert segment_duration(segs[0]) == pytest.approx(15.0, abs=1e-9)
         assert segs[0].t_start == pytest.approx(8.0)
 
     def test_df_on_piece_three(self):
         segs = segment_session(session_for(make_timeline(3, "DF")))
         assert [s.label for s in segs] == ["NF", "NF", "DF", "NF"]
-        assert segs[2].duration == pytest.approx(16.5, abs=1e-9)
+        assert segment_duration(segs[2]) == pytest.approx(16.5, abs=1e-9)
 
     def test_nf_bounds_span_pickup_to_placement(self):
         segs = segment_session(session_for(make_timeline(1, "EF")))

@@ -214,6 +214,8 @@ MALFORMED = [
     ("svm", "negative standardizer std", _set(["standardizer", "std", 0], -1.0)),
     ("ada", "low value 2", _set(["params", "low_value", 0], 2)),
     ("ada", "high value -1", _set(["params", "high_value", 0], -1)),
+    ("ada", "zero alpha", _set(["params", "alpha", 0], 0.0)),
+    ("ada", "negative alpha", _set(["params", "alpha", 0], -1.0)),
     ("gbt-a", "learning rate unlike its config", _set(["params", "learning_rate"], 0.5)),
     ("gbt-b", "learning rate unlike its config", _set(["params", "learning_rate"], 0.01)),
 ]

@@ -245,13 +245,14 @@ class TestBehaviorProfile:
         data = profile_dict()
         data["distract_participant_turns"] = True
         data["note"] = {"any": "thing"}
+        data["dwell_shape"] = 2.0
         path = tmp_path / "profile.json"
         path.write_text(json.dumps(data))
         assert BehaviorParams.from_file(path) == BehaviorParams.default()
 
     @pytest.mark.parametrize("key, value", [
         ("sample_rate_hz", "fast"), ("sample_rate_hz", 0.0), ("sample_rate_hz", None),
-        ("sample_rate_hz", True), ("dwell_floor_s", -0.01), ("dwell_shape", 0.0),
+        ("sample_rate_hz", True), ("dwell_floor_s", -0.01), ("dwell_floor_s", {"s": 0.12}),
         ("position_jitter_mm", float("inf")), ("invalid_rate", 1.5),
         ("invalid_rate", float("nan")), ("participant_dwell_sigma", -1.0),
         ("participant_transition_sigma", [0.3]),
