@@ -9,6 +9,7 @@ nonzero with a machine-readable JSON error record on stderr otherwise.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import math
 import os
@@ -151,6 +152,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                       behavior=BehaviorParams.from_file(profile) if profile else None)
     sessions = generate_corpus(spec)
     run_cfg = {"command": "simulate", **cfg, "profile": profile or "default"}
+    if profile:  # the fingerprint then covers the profile's content, not just its path
+        with open(profile, "rb") as fh:
+            run_cfg["profile_sha256"] = hashlib.sha256(fh.read()).hexdigest()
     storage.write_corpus(sessions, args.out, run_cfg)
     print(f"wrote {len(sessions)} sessions to {args.out}")
     return 0

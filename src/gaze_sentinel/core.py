@@ -162,7 +162,7 @@ class Debouncer:
     shorter than ``MIN_DWELL_S`` are dropped and adjacent surviving runs with
     equal labels are merged (duration sums, gap time is not counted).
 
-    The event table is built once, in one forward pass over the runs. In a
+    The event table is built once, with array operations over the runs. In a
     causal prefix only the last run is provisional (it may still grow), and
     every earlier drop and merge decision is final; so the prefix's events
     are the first few of the table, the last of them as long as it had grown
@@ -170,8 +170,6 @@ class Debouncer:
     """
 
     def __init__(self, stream: GazeStream, layout: AoiLayout):
-        if len(stream) > 1 and not np.all(np.diff(stream.t) > 0):
-            raise MalformedStreamError("timestamps must be strictly increasing")
         self._period = stream.sample_period()
 
         mask = np.asarray(stream.valid, dtype=bool)
@@ -189,35 +187,27 @@ class Debouncer:
         self._build_events()
 
     def _build_events(self) -> None:
-        """One forward pass: the final events, and for each run the number of
-        events before it and the running duration of the last of them."""
-        n_runs = len(self._run_first)
-        run_events = np.zeros(n_runs, dtype=np.int64)
-        run_last_dur = np.zeros(n_runs, dtype=np.float64)
+        """The final events, and for each run the number of events before it
+        and the running duration of the last of them. A kept run opens an
+        event unless the kept run before it has its AOI."""
         durations = (self._run_t1 - self._run_t0) + self._period
-        threshold = MIN_DWELL_S - 1e-12
-        out_code: list[int] = []
-        out_t0: list[float] = []
-        out_dur: list[float] = []
-        for i in range(n_runs):
-            run_events[i] = len(out_code)
-            if out_dur:
-                run_last_dur[i] = out_dur[-1]
-            dur = float(durations[i])
-            if dur < threshold:
-                continue
-            code = int(self._run_code[i])
-            if out_code and out_code[-1] == code:
-                out_dur[-1] += dur
-            else:
-                out_code.append(code)
-                out_t0.append(float(self._run_t0[i]))
-                out_dur.append(dur)
-        self._run_events = run_events
-        self._run_last_dur = run_last_dur
-        self._ev_code = np.array(out_code, dtype=np.int64)
-        self._ev_start = np.array(out_t0, dtype=np.float64)
-        self._ev_dur = np.array(out_dur, dtype=np.float64)
+        is_kept = durations >= MIN_DWELL_S - 1e-12
+        kept = np.flatnonzero(is_kept)
+        code = self._run_code[kept]
+        opens = np.append(True, code[1:] != code[:-1])[: kept.size]
+        first = np.flatnonzero(opens)
+        # running[j]: kept run j's event's duration once run j joined it, added
+        # left to right: the k-th runs of every event at once.
+        running = durations[kept]
+        rank = np.arange(kept.size) - first[np.cumsum(opens) - 1]
+        for k in range(1, rank.max(initial=0) + 1):
+            at = np.flatnonzero(rank == k)
+            running[at] = running[at - 1] + running[at]
+        self._run_events = np.searchsorted(kept[first], np.arange(len(self._run_first)))
+        self._run_last_dur = np.append(0.0, running)[np.cumsum(is_kept) - is_kept]
+        self._ev_code = code[first]
+        self._ev_start = self._run_t0[kept[first]]
+        self._ev_dur = running[np.flatnonzero(np.append(opens, True)[1:])]
         # Ends need not increase (an event lasts one period past its last
         # sample), so windows search their running maximum.
         self._ev_reach = np.maximum.accumulate(self._ev_start + self._ev_dur)

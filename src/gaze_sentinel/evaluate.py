@@ -18,6 +18,7 @@ import pickle
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Optional
 
 import numpy as np
@@ -203,12 +204,12 @@ class Corpus:
         return [s for s in self.sessions if s.timeline.failure_type == failure_type]
 
     def window_features(self, session: Session, width: float):
-        """(windows, feature matrix) computed causally and cached."""
+        """(t0, t1, truth, features) of the session's windows, causal and cached."""
         key = (self._key(session), float(width))
         if key not in self._window_cache:
-            windows = sliding_windows(session, width)
-            self._window_cache[key] = (windows, causal_window_matrix(
-                self.debouncer(session), windows))
+            t0, t1, truth = window_columns(session, width)
+            self._window_cache[key] = (t0, t1, truth, causal_window_matrix(
+                self.debouncer(session), t0, t1))
         return self._window_cache[key]
 
 
@@ -391,53 +392,50 @@ class DetectionEvent:
     score: float
 
 
-def sliding_windows(session: Session, width: float) -> list:
-    """Windows [k*SLIDE_S, k*SLIDE_S + width] for k = 0..floor((T-width)/SLIDE_S)."""
+def window_columns(session: Session, width: float):
+    """The (t0, t1, truth) columns of the windows [k*SLIDE_S, k*SLIDE_S + width]
+    for k = 0..floor((T-width)/SLIDE_S), truth as ``Window`` defines it."""
     if not 0 < width < math.inf:
         raise InvalidParameterError("width must be positive and finite")
     duration = session.timeline.duration
+    count = 0
     if duration < width:
         warnings.warn("session shorter than the window width; no windows")
-        return []
-    count = int(np.floor((duration - width) / SLIDE_S + 1e-9)) + 1
-    window_frame = session.timeline.failure_window()
-    out = []
-    for k in range(count):
-        t0 = k * SLIDE_S
-        t1 = t0 + width
-        truth = 0
-        if window_frame is not None:
-            fs, fe = window_frame
-            overlap = min(t1, fe) - max(t0, fs)
-            if overlap >= width / 2 - 1e-9:
-                truth = 1
-        out.append(Window(t0=t0, t1=t1, truth=truth))
-    return out
+    else:
+        count = int(np.floor((duration - width) / SLIDE_S + 1e-9)) + 1
+    t0 = np.arange(count) * SLIDE_S
+    t1 = t0 + width
+    # Without a failure the frame is empty: every overlap is -inf.
+    fs, fe = session.timeline.failure_window() or (math.inf, -math.inf)
+    truth = (np.minimum(t1, fe) - np.maximum(t0, fs) >= width / 2 - 1e-9).astype(np.int64)
+    return t0, t1, truth
 
 
-def causal_window_matrix(debouncer: Debouncer, windows) -> np.ndarray:
-    """The (windows, 11) feature matrix, each window's row computed only from
-    the samples with t <= its end."""
-    t0 = np.array([w.t0 for w in windows], dtype=np.float64)
-    t1 = np.array([w.t1 for w in windows], dtype=np.float64)
+def sliding_windows(session: Session, width: float) -> list:
+    """``window_columns`` as one ``Window`` per window."""
+    return list(map(Window, *(c.tolist() for c in window_columns(session, width))))
+
+
+def causal_window_matrix(debouncer: Debouncer, t0, t1) -> np.ndarray:
+    """The (windows, 11) feature matrix of the windows [t0[i], t1[i]], each
+    row computed only from the samples with t <= its end."""
     return feature_matrix(*debouncer.window_events(t0, t1), t0, t1)
-
-
-def _detections(session: Session, windows, labels, scores) -> list:
-    """One ``DetectionEvent`` per window of ``session``, with its label and
-    score."""
-    return [DetectionEvent(session.participant_id, session.puzzle_id, w.t0, w.t1, l, s)
-            for w, l, s in zip(windows, labels.tolist(), scores.tolist())]
 
 
 def stream_detect(model: TrainedModel, session: Session, width: float) -> list:
     """Classify every sliding window causally: window k's features use only
     samples with t <= its end."""
-    windows = sliding_windows(session, width)
-    if not windows:
+    t0, t1, _ = window_columns(session, width)
+    if not t0.size:
         return []
-    X = causal_window_matrix(Debouncer(session.gaze, session.layout), windows)
-    return _detections(session, windows, *predict_batch(model, X))
+    X = causal_window_matrix(Debouncer(session.gaze, session.layout), t0, t1)
+    return list(_records(session, t0, t1, *predict_batch(model, X)))
+
+
+def _records(session: Session, t0, t1, labels, scores):
+    """One ``DetectionEvent`` per window of ``session``, from its columns."""
+    return map(DetectionEvent, repeat(session.participant_id), repeat(session.puzzle_id),
+               t0.tolist(), t1.tolist(), labels.tolist(), scores.tolist())
 
 
 @dataclass(frozen=True)
@@ -459,14 +457,14 @@ def loo_stream_eval(corpus: Corpus, task: str, config: ClassifierConfig,
     tests = {}
     for pid in np.unique(dataset.groups).tolist():
         parts = located.get(pid, [])
-        truth = np.array([w.truth for _, windows, _ in parts for w in windows], dtype=np.int64)
-        tests[pid] = [([X for _, _, X in parts], truth)]
+        truth = np.concatenate([truth for *_, truth, _ in parts] + [np.zeros(0, np.int64)])
+        tests[pid] = [([X for *_, X in parts], truth)]
     (folds,) = _loo_folds(dataset, config, tests)
     detections = []
     for pid, _, labels, scores in folds:
-        for session, windows, _ in located[pid]:
-            n = len(windows)
-            detections += _detections(session, windows, labels[:n], scores[:n])
+        for session, t0, t1, _, _ in located[pid]:
+            n = t0.size
+            detections += _records(session, t0, t1, labels[:n], scores[:n])
             labels, scores = labels[n:], scores[n:]
     report = _pooled_report(task, f"window-{width:g}", folds)
     return StreamEvalResult(report=report, detections=tuple(detections))

@@ -52,31 +52,39 @@ class PackedTrees:
     ``child[2 * i + goes_left]`` is node i's next node; a leaf points to
     itself both ways and reads feature 0, so ``depth`` steps (the longest
     root-to-leaf path of any tree) bring every (tree, row) pair to its leaf.
+    ``internal`` marks the nodes that are not leaves.
     """
 
     feature: np.ndarray
     threshold: np.ndarray
     child: np.ndarray
+    internal: np.ndarray
     value: np.ndarray
     roots: np.ndarray
     depth: int
     n_features: int
 
     def leaf_values(self, X: np.ndarray) -> np.ndarray:
-        """(n_trees, n_rows) leaf value of each row in each tree."""
+        """(n_trees, n_rows) leaf value of each row in each tree. After a step
+        that leaves at most half the walked pairs moving, only those walk on."""
         X = np.ascontiguousarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.n_features:
             raise FeatureArityError(
                 f"expected {self.n_features} features, got shape {X.shape}")
         n = X.shape[0]
         flat = X.ravel()
-        row_base = np.tile(np.arange(n, dtype=np.int64) * self.n_features,
-                           self.roots.shape[0])
-        idx = np.repeat(self.roots, n)
+        base = np.tile(np.arange(n) * self.n_features, self.roots.shape[0])
+        leaf = idx = np.repeat(self.roots, n)
+        pair = np.arange(idx.shape[0])
         for _ in range(self.depth):
-            x = flat.take(row_base + self.feature.take(idx))
+            x = flat.take(base + self.feature.take(idx))
             idx = self.child.take(2 * idx + (x < self.threshold.take(idx)))
-        return self.value.take(idx).reshape(self.roots.shape[0], n)
+            moving = self.internal.take(idx)
+            if 2 * np.count_nonzero(moving) <= idx.shape[0]:
+                leaf[pair] = idx
+                pair, idx, base = pair[moving], idx[moving], base[moving]
+        leaf[pair] = idx
+        return self.value.take(leaf).reshape(self.roots.shape[0], n)
 
 
 def pack_trees(trees: list, n_features: int) -> PackedTrees:
@@ -85,7 +93,7 @@ def pack_trees(trees: list, n_features: int) -> PackedTrees:
     features lie outside [0, n_features)."""
     if not trees:
         empty = np.zeros(0, dtype=np.int64)
-        return PackedTrees(empty, np.zeros(0), empty, np.zeros(0), empty, 0, n_features)
+        return PackedTrees(empty, np.zeros(0), empty, empty == 0, np.zeros(0), empty, 0, n_features)
     sizes = np.array([t.feature.shape[0] for t in trees], dtype=np.int64)
     roots = np.cumsum(sizes) - sizes
     offset = np.repeat(roots, sizes)
@@ -122,6 +130,7 @@ def pack_trees(trees: list, n_features: int) -> PackedTrees:
         feature=np.where(internal, feature, 0),
         threshold=np.concatenate([t.threshold for t in trees]),
         child=child,
+        internal=internal,
         value=np.concatenate([t.value for t in trees]),
         roots=roots,
         depth=depth,

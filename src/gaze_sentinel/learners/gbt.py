@@ -250,7 +250,10 @@ def _grow_oblivious(codes, midpoints, groups, widest, g, h, depth):
     n_leaves = 1
     feats, thrs = [], []
     for _level in range(depth):
-        pick = _oblivious_level(groups, gt, ht, leaf, n_leaves)
+        # An empty leaf adds +0.0 to every gain, so only occupied ones are
+        # scored, in leaf order.
+        occupied, slot = np.unique(leaf, return_inverse=True)
+        pick = _oblivious_level(groups, gt, ht, slot, occupied.shape[0])
         if pick is None or pick[2] <= 1e-12:
             break
         j, b, _ = pick

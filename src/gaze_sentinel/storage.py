@@ -443,19 +443,6 @@ def write_detections_jsonl(path, detections, config: Optional[dict] = None) -> N
         "provenance": provenance(config),
     }
     lines = [json.dumps(header, sort_keys=True, separators=(",", ":"))]
-    for d in detections:
-        lines.append(
-            json.dumps(
-                {
-                    "participant": d.participant,
-                    "puzzle": d.puzzle,
-                    "t0": d.t0,
-                    "t1": d.t1,
-                    "predicted": d.predicted,
-                    "score": d.score,
-                },
-                sort_keys=True,
-                separators=(",", ":"),
-            )
-        )
+    # Each record holds the fields of one ``DetectionEvent``.
+    lines += (json.dumps(vars(d), sort_keys=True, separators=(",", ":")) for d in detections)
     atomic_write_text(path, "\n".join(lines) + "\n")

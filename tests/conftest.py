@@ -2,6 +2,7 @@ import json
 import time
 from importlib import resources
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -14,6 +15,7 @@ settings.register_profile(
 settings.load_profile("suite")
 
 from gaze_sentinel import storage
+from gaze_sentinel.core import MIN_DWELL_S
 from gaze_sentinel.evaluate import Corpus
 from gaze_sentinel.sim import CorpusSpec, generate_corpus
 
@@ -61,3 +63,31 @@ def mini_corpus():
     corpus = Corpus(generate_corpus(CorpusSpec(participants=4, master_seed=11)))
     corpus.segment_rows()
     return corpus
+
+
+def scalar_event_table(run_t0, run_t1, run_code, period):
+    """The per-run loop the debouncer's vectorised event table replaced,
+    kept as its reference: (events before each run, running duration of
+    the last of them, event codes, starts, durations)."""
+    n_runs = len(run_t0)
+    run_events = np.zeros(n_runs, dtype=np.int64)
+    run_last_dur = np.zeros(n_runs, dtype=np.float64)
+    durations = (run_t1 - run_t0) + period
+    threshold = MIN_DWELL_S - 1e-12
+    out_code, out_t0, out_dur = [], [], []
+    for i in range(n_runs):
+        run_events[i] = len(out_code)
+        if out_dur:
+            run_last_dur[i] = out_dur[-1]
+        dur = float(durations[i])
+        if dur < threshold:
+            continue
+        code = int(run_code[i])
+        if out_code and out_code[-1] == code:
+            out_dur[-1] += dur
+        else:
+            out_code.append(code)
+            out_t0.append(float(run_t0[i]))
+            out_dur.append(dur)
+    return (run_events, run_last_dur, np.array(out_code, dtype=np.int64),
+            np.array(out_t0, dtype=np.float64), np.array(out_dur, dtype=np.float64))

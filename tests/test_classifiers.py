@@ -363,6 +363,36 @@ def random_trees(draw, n_features: int, votes: bool):
     return trees
 
 
+def chain_tree(rng, depth: int, d: int, votes: bool) -> TreeNodes:
+    """A tree whose internal nodes form one chain ``depth`` splits long.
+    At each split one child is a leaf, and the threshold sends rows of
+    N(0, 1.2) features on down the chain 84% of the time."""
+    feature, threshold, left, right = [], [], [], []
+    for _ in range(depth):
+        i = len(feature)
+        on_right = bool(rng.integers(2))
+        feature += [int(rng.integers(d)), -1]
+        threshold += [-1.2 if on_right else 1.2, 0.0]
+        left += [i + 1 + on_right, 0]
+        right += [i + 2 - on_right, 0]
+    feature.append(-1)
+    threshold.append(0.0)
+    left.append(0)
+    right.append(0)
+    n = len(feature)
+    value = rng.integers(0, 2, n).astype(float) if votes else rng.normal(size=n)
+    return TreeNodes(feature, threshold, left, right, value)
+
+
+def stump(rng, d: int, votes: bool, split: bool) -> TreeNodes:
+    """A lone leaf, or one split over two leaves."""
+    value = rng.integers(0, 2, 3).astype(float) if votes else rng.normal(size=3)
+    if not split:
+        return TreeNodes([-1], [0.0], [0], [0], value[:1])
+    return TreeNodes([int(rng.integers(d)), -1, -1], [rng.normal(), 0.0, 0.0],
+                     [1, 0, 0], [2, 0, 0], value)
+
+
 class TestPackedWalk:
     """``predict_forest`` and ``predict_gbt`` walk all trees at once; their
     scores must be byte-equal to the per-tree walk summed in tree order."""
@@ -381,6 +411,29 @@ class TestPackedWalk:
             got, want = predict_gbt(params, probe), reference_gbt(params, probe)
         assert got.tobytes() == want.tobytes()
         assert max(t.feature.shape[0] for t in params.trees) > 7  # deeper than a stump
+
+    @pytest.mark.parametrize("kind", ["forest", "gbt-a"])
+    @pytest.mark.parametrize("n", [1, 200])
+    def test_ragged_ensembles_match_per_tree_walk(self, kind, n):
+        """Chains of depth 12 and 10 beside stumps: most pairs finish after
+        one step, and the walk goes on with the chains' pairs alone."""
+        rng = np.random.default_rng(n)
+        votes = kind == "forest"
+        trees = [stump(rng, 3, votes, split=k % 2 == 1) for k in range(10)]
+        trees[3:3] = [chain_tree(rng, 12, 3, votes)]
+        trees.append(chain_tree(rng, 10, 3, votes))
+        if votes:
+            params = ForestParams(trees=trees, n_features=3)
+        else:
+            params = GbtParams(trees=trees, learning_rate=0.1, n_features=3)
+        X = rng.normal(0, 1.2, (n, 3))
+        assert params.packed.depth == 12
+        want = np.stack([reference_apply(tree, X) for tree in trees])
+        assert params.packed.leaf_values(X).tobytes() == want.tobytes()
+        if votes:
+            assert predict_forest(params, X).tobytes() == reference_forest(params, X).tobytes()
+        else:
+            assert predict_gbt(params, X).tobytes() == reference_gbt(params, X).tobytes()
 
     @given(random_trees(n_features=3, votes=True), st.integers(0, 2 ** 31 - 1))
     def test_random_forests_match_reference(self, trees, seed):

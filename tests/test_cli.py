@@ -296,6 +296,29 @@ class TestConfigResolution:
         assert main(argv) == 0
         manifest = json.loads((tmp_path / "c" / "manifest.json").read_text())
         assert manifest["provenance"]["config"]["profile"] == profile
+        digest = hashlib.sha256(DEFAULT_PROFILE.read_bytes()).hexdigest()
+        assert manifest["provenance"]["config"]["profile_sha256"] == digest
+
+    def test_fingerprint_tracks_profile_content(self, tmp_path, monkeypatch):
+        """The same profile path with other content gives another
+        fingerprint; a built-in run records no profile digest."""
+        for name in ("GAZE_SENTINEL_PROFILE", "GAZE_SENTINEL_CONFIG"):
+            monkeypatch.delenv(name, raising=False)
+        profile = tmp_path / "p.json"
+        fingerprints = []
+        for k, rate in enumerate((0.02, 0.2)):
+            data = profile_dict()
+            data["invalid_rate"] = rate
+            profile.write_text(json.dumps(data))
+            out = tmp_path / f"c{k}"
+            assert main(["simulate", "--participants", "1", "--profile", str(profile),
+                         "--out", str(out)]) == 0
+            fingerprints.append(
+                json.loads((out / "manifest.json").read_text())["provenance"]["fingerprint"])
+        assert fingerprints[0] != fingerprints[1]
+        assert main(["simulate", "--participants", "1", "--out", str(tmp_path / "b")]) == 0
+        manifest = json.loads((tmp_path / "b" / "manifest.json").read_text())
+        assert "profile_sha256" not in manifest["provenance"]["config"]
 
     def test_env_beats_config_file(self, tmp_path, monkeypatch):
         cfg = tmp_path / "cfg.json"

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from conftest import segment_duration
+from conftest import scalar_event_table, segment_duration
 from gaze_sentinel.core import (
     AoiLabel,
     AoiLayout,
@@ -20,7 +20,7 @@ from gaze_sentinel.errors import (
     MalformedStreamError,
     MalformedTimelineError,
 )
-from gaze_sentinel.evaluate import Window, causal_window_matrix
+from gaze_sentinel.evaluate import causal_window_matrix
 from gaze_sentinel.features import FEATURE_NAMES, extract_features, feature_matrix
 
 RATE = 200.0
@@ -318,9 +318,9 @@ def truncated_features(stream, t0, t1):
 
 def assert_windows_match_truncation(stream, bounds):
     deb = Debouncer(stream, TWO_ZONES)
-    windows = [Window(t0, t1, 0) for t0, t1 in bounds]
-    rows = causal_window_matrix(deb, windows)
-    assert rows.shape == (len(windows), len(FEATURE_NAMES))
+    t0, t1 = np.array(bounds, dtype=np.float64).reshape(-1, 2).T
+    rows = causal_window_matrix(deb, t0, t1)
+    assert rows.shape == (len(bounds), len(FEATURE_NAMES))
     for (t0, t1), row in zip(bounds, rows):
         expected = truncated_features(stream, t0, t1)
         assert np.array_equal(row, expected), (t0, t1, row, expected)
@@ -372,6 +372,39 @@ class TestCausalWindows:
     def test_no_valid_samples(self):
         stream = piecewise_stream([("invalid", 50)])
         assert_windows_match_truncation(stream, [(0.0, 0.1), (-1.0, 0.3)])
+
+
+def jittered_stream(pieces, period, jitter, seed):
+    """``piecewise_stream`` with sample gaps of ``period`` that vary by up to
+    ``jitter`` of it."""
+    stream = piecewise_stream(pieces)
+    gaps = period * (1.0 + jitter * np.random.default_rng(seed).uniform(-1, 1, len(stream)))
+    return GazeStream(t=np.cumsum(gaps) - gaps[0], x=stream.x, y=stream.y, valid=stream.valid)
+
+
+class TestEventTable:
+    """The run and event tables, built with array operations, equal the
+    per-run loop they replaced bit for bit, on streams whose runs are
+    dropped (under 0.1 s) and merged (the same AOI after a dropped run or an
+    invalid gap). The simulated corpus never drops or merges a run, so only
+    these streams reach that path."""
+
+    @given(
+        pieces=st.lists(st.tuples(st.sampled_from(sorted(ZONE_X)),
+                                  st.one_of(st.integers(1, 25), st.sampled_from([30, 60]))),
+                        min_size=1, max_size=30),
+        period=st.sampled_from([0.005, 0.004, 1 / 60]),
+        jitter=st.sampled_from([0.0, 0.3]),
+        seed=st.integers(0, 2 ** 32 - 1),
+    )
+    @example(pieces=[("body", 30), ("board", 5), ("body", 30), ("invalid", 15), ("body", 30),
+                     ("elsewhere", 40)], period=0.005, jitter=0.0, seed=0)
+    def test_tables_match_the_scalar_loop(self, pieces, period, jitter, seed):
+        deb = Debouncer(jittered_stream(pieces, period, jitter, seed), TWO_ZONES)
+        got = (deb._run_events, deb._run_last_dur, deb._ev_code, deb._ev_start, deb._ev_dur)
+        want = scalar_event_table(deb._run_t0, deb._run_t1, deb._run_code, deb._period)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 class TestSliceEvents:
