@@ -32,12 +32,13 @@ from .core import (
 from .errors import InvalidParameterError
 from .features import feature_matrix
 from .learners import (
+    LEARNERS,
     ClassifierConfig,
     LabeledDataset,
     TrainedModel,
     predict_batch,
     smote,
-    train,
+    train_many,
 )
 
 TASKS = {"nf-ef": "EF", "nf-df": "DF"}
@@ -228,24 +229,27 @@ def _failure_type(task: str) -> str:
     return TASKS[task]
 
 
-def _fit_split(X, y, groups, config: ClassifierConfig, held_out: int) -> TrainedModel:
-    """The fold model: train on every participant except ``held_out``, with
-    SMOTE on the training split only, seeded by (config seed, held-out
-    participant)."""
-    train_split = LabeledDataset(X, y, groups).subset(groups != held_out)
-    rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(held_out,)))
-    return train(config, smote(train_split, k=SMOTE_K, rng=rng))
+def _fit_splits(X, y, groups, config: ClassifierConfig, held_out: list) -> list:
+    """The fold models of the ``held_out`` participants: each trained on
+    every other one, with SMOTE on the training split only, seeded by
+    (config seed, held-out participant). ``train_many`` checks each split as
+    it is drawn, so the first fold to fail raises its own error."""
+    dataset = LabeledDataset(X, y, groups)
+    return train_many(config, (
+        smote(dataset.subset(groups != p), k=SMOTE_K,
+              rng=np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(p,))))
+        for p in held_out))
 
 
-def _fit_pickled(X, y, groups, config: ClassifierConfig, held_out: int) -> bytes:
-    """``_fit_split`` in a worker. The model goes back pickled, so the
-    parent's main thread, not the pool's result thread, allocates it."""
-    return pickle.dumps(_fit_split(X, y, groups, config, held_out))
+def _fit_pickled(X, y, groups, config: ClassifierConfig, held_out: list) -> bytes:
+    """``_fit_splits`` in a worker. The models go back pickled, so the
+    parent's main thread, not the pool's result thread, allocates them."""
+    return pickle.dumps(_fit_splits(X, y, groups, config, held_out))
 
 
 def fit_fold(dataset: LabeledDataset, config: ClassifierConfig,
              held_out: int) -> TrainedModel:
-    """The fold model of ``held_out`` (see ``_fit_split``).
+    """The fold model of ``held_out`` (see ``_fit_splits``).
 
     These arguments determine the fit and the dataset's arrays are
     read-only, so the model is fitted once and kept in
@@ -253,8 +257,8 @@ def fit_fold(dataset: LabeledDataset, config: ClassifierConfig,
     """
     key = (config, int(held_out))
     if key not in dataset.fold_models:
-        dataset.fold_models[key] = _fit_split(dataset.X, dataset.y, dataset.groups,
-                                              config, int(held_out))
+        (dataset.fold_models[key],) = _fit_splits(dataset.X, dataset.y, dataset.groups,
+                                                  config, [int(held_out)])
     return dataset.fold_models[key]
 
 
@@ -266,13 +270,13 @@ def fit_folds(dataset: LabeledDataset, config: ClassifierConfig, held_out) -> li
     """The fold models of the ``held_out`` participants, each as
     ``fit_fold`` gives it.
 
-    The folds not yet in ``dataset.fold_models`` are fitted in worker
-    processes, one per CPU this process may use, and kept there; with one
-    CPU or at most one such fold, ``fit_fold`` fits in-process. A fold is a
-    function of the arrays, the config and the held-out id alone, so the
-    models are byte-identical either way. The first failing fold in
-    ``held_out`` order raises its own error, as it would in-process, and
-    the folds not yet started are cancelled.
+    The folds not yet in ``dataset.fold_models`` are fitted and kept there,
+    in jobs: one per fold, or one for all svm folds, which ``train_many``
+    fits in lockstep groups. Jobs run in worker processes, one per CPU this
+    process may use; with one CPU or one job, in-process. A fold depends on
+    the arrays, the config and the held-out id alone, so the models are the
+    same byte for byte either way. The first failing fold in ``held_out``
+    order raises its own error; jobs not yet started are cancelled.
 
     Workers are forked. The pool lives for one call, and two forked
     workers start in about 10 ms with numpy and this package imported;
@@ -284,17 +288,21 @@ def fit_folds(dataset: LabeledDataset, config: ClassifierConfig, held_out) -> li
     """
     held_out = [int(p) for p in held_out]
     missing = [p for p in held_out if (config, p) not in dataset.fold_models]
-    workers = min(_usable_cpus(), len(missing))
+    jobs = [missing] if LEARNERS[config.kind].lockstep else [[p] for p in missing]
+    args = (dataset.X, dataset.y, dataset.groups, config)
+    workers = min(_usable_cpus(), len(jobs))
     if workers > 1:
         with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-            futures = [pool.submit(_fit_pickled, dataset.X, dataset.y, dataset.groups,
-                                   config, p) for p in missing]
+            futures = [pool.submit(_fit_pickled, *args, job) for job in jobs]
             try:
-                for p, future in zip(missing, futures):
-                    dataset.fold_models[(config, p)] = pickle.loads(future.result())
+                fitted = [pickle.loads(future.result()) for future in futures]
             except BaseException:
                 pool.shutdown(cancel_futures=True)
                 raise
+    else:
+        fitted = [_fit_splits(*args, job) for job in jobs]
+    for job, models in zip(jobs, fitted):
+        dataset.fold_models.update(zip([(config, p) for p in job], models))
     return [fit_fold(dataset, config, p) for p in held_out]
 
 
@@ -302,15 +310,11 @@ def _loo_folds(dataset: LabeledDataset, config: ClassifierConfig, tests: dict) -
     """The participant leave-one-out loop of every regime.
 
     ``tests`` maps each participant of ``dataset`` to its test sets, as
-    (blocks, truth) pairs, and its fold model labels each block of rows in
-    one call. Every participant has the same number of test sets. Returns,
-    per test set, a (participant, truth, labels, scores) tuple per fold, in
-    participant order. A participant whose first test set is empty is
-    skipped with a warning.
-
-    Blocks keep scores bit-identical to the detector's: the svm margin is a
-    BLAS product whose last bits depend on the rows beside a row, and
-    ``stream_detect`` labels one session's windows in one call.
+    (X, truth) pairs, and its fold model labels each X in one call. Every
+    participant has the same number of test sets. Returns, per test set, a
+    (participant, truth, labels, scores) tuple per fold, in participant
+    order. A participant whose first test set is empty is skipped with a
+    warning.
     """
     pids = np.unique(dataset.groups).tolist()
     if len(pids) < 2:
@@ -321,9 +325,8 @@ def _loo_folds(dataset: LabeledDataset, config: ClassifierConfig, tests: dict) -
     models = fit_folds(dataset, config, tested)
     folds: list = [[] for _ in tests[pids[0]]]
     for pid, model in zip(tested, models):
-        for out, (blocks, truth) in zip(folds, tests[pid]):
-            labels, scores = zip(*(predict_batch(model, X) for X in blocks))
-            out.append((pid, truth, np.concatenate(labels), np.concatenate(scores)))
+        for out, (X, truth) in zip(folds, tests[pid]):
+            out.append((pid, truth, *predict_batch(model, X)))
     return folds
 
 
@@ -333,7 +336,7 @@ def loo_cv(dataset: LabeledDataset, config: ClassifierConfig,
     tests = {}
     for pid in np.unique(dataset.groups).tolist():
         mask = dataset.groups == pid
-        tests[pid] = [([dataset.X[mask]], dataset.y[mask])]
+        tests[pid] = [(dataset.X[mask], dataset.y[mask])]
     (folds,) = _loo_folds(dataset, config, tests)
     return _pooled_report(task, "full-segment", folds)
 
@@ -365,7 +368,7 @@ def eval_first_n(corpus: Corpus, task: str, config: ClassifierConfig,
     for pid in np.unique(dataset.groups).tolist():
         test_rows = [r for r in rows if r.participant == pid]
         truth = np.array([0 if r.label == "NF" else 1 for r in test_rows], dtype=np.int64)
-        tests[pid] = [([block], truth) for block in first_n_blocks(corpus, test_rows, n_values)]
+        tests[pid] = [(block, truth) for block in first_n_blocks(corpus, test_rows, n_values)]
     folds = _loo_folds(dataset, config, tests)
     return {n: _pooled_report(task, f"first-{n:g}", f) for n, f in zip(n_values, folds)}
 
@@ -457,8 +460,8 @@ def loo_stream_eval(corpus: Corpus, task: str, config: ClassifierConfig,
     tests = {}
     for pid in np.unique(dataset.groups).tolist():
         parts = located.get(pid, [])
-        truth = np.concatenate([truth for *_, truth, _ in parts] + [np.zeros(0, np.int64)])
-        tests[pid] = [([X for *_, X in parts], truth)]
+        tests[pid] = [(np.concatenate([X for *_, X in parts] + [np.zeros((0, dataset.n_features))]),
+                       np.concatenate([truth for *_, truth, _ in parts] + [np.zeros(0, np.int64)]))]
     (folds,) = _loo_folds(dataset, config, tests)
     detections = []
     for pid, _, labels, scores in folds:

@@ -10,6 +10,7 @@ from .api import (
     default_config,
     predict_batch,
     train,
+    train_many,
 )
 from .data import LabeledDataset, Standardizer, fit_standardizer
 from .smote import smote
@@ -28,4 +29,5 @@ __all__ = [
     "predict_batch",
     "smote",
     "train",
+    "train_many",
 ]

@@ -15,7 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -37,6 +37,7 @@ class Learner(NamedTuple):
     tree_type: Optional[type]  # each item of ``params.trees``; None without trees
     published: dict = {}  # overrides of the config field defaults
     standardizes: bool = False  # fit and score on z-scored features
+    lockstep: bool = False  # fit takes datasets of one shape stacked, gives a list
 
 
 _BOOSTED = ("n_rounds", "learning_rate", "tree_depth")
@@ -51,9 +52,9 @@ LEARNERS = {
     # logistic probability.
     "gbt-a": Learner(fit_gbt, _BOOSTED, predict_gbt, 0.5, GbtParams, TreeNodes),
     # Linear hinge/L2 (C=1) by stochastic subgradient descent on
-    # standardized features; the score is a margin.
+    # standardized features, fitted in lockstep; the score is a margin.
     "svm": Learner(fit_svm, ("svm_c", "svm_epochs", "seed"), predict_svm, 0.0,
-                   SvmParams, None, standardizes=True),
+                   SvmParams, None, standardizes=True, lockstep=True),
     # As gbt-a, but shrinkage 0.1 and oblivious (level-shared split) trees.
     "gbt-b": Learner(fit_oblivious_gbt, _BOOSTED, predict_gbt, 0.5, GbtParams,
                      ObliviousTree, published={"learning_rate": 0.1, "oblivious": True}),
@@ -141,22 +142,36 @@ class TrainedModel:
 
 
 def train(config: ClassifierConfig, dataset: LabeledDataset) -> TrainedModel:
-    """Fit ``config`` on ``dataset``; one class only raises
-    ``DegenerateDataError``, and a NaN or infinite feature raises
-    ``InvalidParameterError``."""
-    n0, n1 = dataset.class_counts()
-    if n0 == 0 or n1 == 0:
-        raise DegenerateDataError("training data must contain both classes")
-    X, y = dataset.X, dataset.y
-    if not np.isfinite(X).all():  # the split searches rank rows by value
-        raise InvalidParameterError("training features must be finite numbers")
+    """``train_many`` of one dataset."""
+    return train_many(config, [dataset])[0]
+
+
+def train_many(config: ClassifierConfig, datasets) -> list:
+    """Fit ``config`` on each of ``datasets``, checked as it is drawn: one
+    class only raises ``DegenerateDataError``, and a NaN or infinite feature
+    ``InvalidParameterError``. A lockstep learner (svm) fits the datasets of
+    one shape in one pass; each model equals its fit alone, bit for bit."""
     learner = LEARNERS[config.kind]
-    standardizer = fit_standardizer(X) if learner.standardizes else None
-    fitted = learner.fit(X if standardizer is None else standardizer.apply(X), y,
-                         *(getattr(config, name) for name in learner.fields))
-    params, loss = fitted if isinstance(fitted, tuple) else (fitted, None)
-    return TrainedModel(config, dataset.n_features, standardizer, params,
-                        None if loss is None else tuple(loss))
+    models, groups = [], {}
+    for i, dataset in enumerate(datasets):
+        n0, n1 = dataset.class_counts()
+        if n0 == 0 or n1 == 0:
+            raise DegenerateDataError("training data must contain both classes")
+        if not np.isfinite(dataset.X).all():  # the split searches rank rows by value
+            raise InvalidParameterError("training features must be finite numbers")
+        standardizer = fit_standardizer(dataset.X) if learner.standardizes else None
+        models.append(TrainedModel(config, dataset.n_features, standardizer, None))
+        X = dataset.X if standardizer is None else standardizer.apply(dataset.X)
+        groups.setdefault(X.shape if learner.lockstep else i, []).append((i, X, dataset.y))
+    args = [getattr(config, name) for name in learner.fields]
+    for index, X, y in (zip(*group) for group in groups.values()):
+        fitted = learner.fit(np.stack(X), np.stack(y), *args) if learner.lockstep \
+            else [learner.fit(X[0], y[0], *args)]
+        for i, result in zip(index, fitted):
+            params, loss = result if isinstance(result, tuple) else (result, None)
+            models[i] = replace(models[i], params=params,
+                                train_loss=None if loss is None else tuple(loss))
+    return models
 
 
 def _as_matrix(model: TrainedModel, X) -> np.ndarray:

@@ -91,3 +91,30 @@ def scalar_event_table(run_t0, run_t1, run_code, period):
             out_dur.append(dur)
     return (run_events, run_last_dur, np.array(out_code, dtype=np.int64),
             np.array(out_t0, dtype=np.float64), np.array(out_dur, dtype=np.float64))
+
+
+def reference_fit_svm(X, y, c, epochs, seed):
+    """Pegasos one row at a time, the fit the lockstep svm replaced, kept as
+    its reference: every dot product and norm is numpy's sum of one row's
+    products, the order ``fit_svm`` uses. Returns (w, b)."""
+    n, d = X.shape
+    s = 2.0 * y.astype(np.float64) - 1.0
+    lam = 1.0 / (c * n)
+    radius = 1.0 / np.sqrt(lam)
+    Xa = np.hstack([X, np.ones((n, 1))])
+    w = np.zeros(d + 1)
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    t = 1
+    for _ in range(epochs):
+        for i in rng.permutation(n):
+            eta = 1.0 / (lam * t)
+            row = Xa[i]
+            margin = s[i] * np.sum(row * w)
+            w *= 1.0 - eta * lam
+            if margin < 1.0:
+                w += eta * s[i] * row
+            norm = np.sqrt(np.sum(w * w))
+            if norm > radius:
+                w *= radius / norm
+            t += 1
+    return w[:d], float(w[d])

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import reference_fit_svm
 from gaze_sentinel.errors import DegenerateDataError, FeatureArityError, InvalidParameterError
 from gaze_sentinel.learners import (
     KINDS,
@@ -18,8 +19,10 @@ from gaze_sentinel.learners import (
     forest,
     predict_batch,
     train,
+    train_many,
 )
 from gaze_sentinel.learners.adaboost import AdaParams
+from gaze_sentinel.learners.data import fit_standardizer
 from gaze_sentinel.learners.forest import (
     DfsTree,
     ForestParams,
@@ -703,8 +706,13 @@ def reference_fit_ada(X, y, rounds):
 
 def reference_train(config: ClassifierConfig, ds: LabeledDataset) -> TrainedModel:
     X, y = ds.X, ds.y
-    loss = None
-    if config.kind == "forest":
+    loss = standardizer = None
+    if config.kind == "svm":
+        standardizer = fit_standardizer(X)
+        w, b = reference_fit_svm(standardizer.apply(X), y, config.svm_c,
+                                 config.svm_epochs, config.seed)
+        params = SvmParams(w, b, n_features=X.shape[1])
+    elif config.kind == "forest":
         params = reference_fit_forest(X, y, config.n_trees, config.seed)
     elif config.kind == "ada":
         params = reference_fit_ada(X, y, config.n_rounds)
@@ -714,7 +722,7 @@ def reference_train(config: ClassifierConfig, ds: LabeledDataset) -> TrainedMode
     else:
         params, loss = reference_fit_oblivious_gbt(X, y, config.n_rounds,
                                                    config.learning_rate, config.tree_depth)
-    return TrainedModel(config, ds.n_features, None, params,
+    return TrainedModel(config, ds.n_features, standardizer, params,
                         tuple(loss) if loss else None)
 
 
@@ -742,19 +750,25 @@ def tie_heavy_sets(draw):
     return LabeledDataset(X, y, np.arange(n))
 
 
-REFERENCE_KINDS = ("forest", "ada", "gbt-a", "gbt-b")
+REFERENCE_KINDS = ("forest", "ada", "gbt-a", "svm", "gbt-b")
+
+
+def quick_config(kind: str, seed: int) -> ClassifierConfig:
+    """The published config with 10 trees, rounds or epochs, which keeps
+    the references quick."""
+    return replace(default_config(kind, seed=seed), **{
+        f: 10 for f in ("n_trees", "n_rounds", "svm_epochs") if f in LEARNERS[kind].fields})
 
 
 class TestFitsMatchReference:
-    """The lockstep forest, the presorted gbt-a and ada and the tiled gbt-b
-    levels fit the models the per-node learners fit, byte for byte."""
+    """The lockstep forest and svm, the presorted gbt-a and ada and the
+    tiled gbt-b levels fit the models the per-node and per-row learners
+    fit, byte for byte."""
 
     @pytest.mark.parametrize("kind", REFERENCE_KINDS)
     @given(ds=tie_heavy_sets(), seed=st.integers(0, 2 ** 16))
     def test_tie_heavy_sets(self, kind, ds, seed):
-        # fewer trees and rounds than published keep the references quick
-        config = replace(default_config(kind, seed=seed),
-                         **{f: 10 for f in ("n_trees", "n_rounds") if f in LEARNERS[kind].fields})
+        config = quick_config(kind, seed)
         assert payload_bytes(train(config, ds)) == payload_bytes(reference_train(config, ds))
 
     @pytest.mark.parametrize("kind", REFERENCE_KINDS)
@@ -790,3 +804,40 @@ class TestFitsMatchReference:
         assert built.feature.tolist() == [1, -1, -1]
         assert (built.left.tolist(), built.right.tolist()) == ([1, 0, 0], [2, 0, 0])
         assert built.value.tolist() == [0.0, 1.0, 0.0]
+
+
+class TestSvmFixedOrder:
+    """The svm sums every dot product in one order per row, so a margin
+    depends on its own row alone and a fold on its own data alone."""
+
+    @given(n=st.integers(1, 10_000), seed=st.integers(0, 2 ** 16))
+    def test_margin_alone_equals_margin_in_batch(self, n, seed):
+        rng = np.random.default_rng(seed)
+        model = TrainedModel(default_config("svm"), 11,
+                             fit_standardizer(rng.normal(0, 2, (30, 11))),
+                             SvmParams(rng.normal(0, 3, 11), rng.normal(), n_features=11))
+        X = rng.normal(0, 1, (n, 11)) * 10.0 ** rng.integers(-3, 4, (n, 11))
+        batch = decision_scores(model, X)
+        alone = np.concatenate([decision_scores(model, x) for x in X])
+        assert alone.tobytes() == batch.tobytes()
+
+    @given(sets=st.integers(1, 6), rows=st.integers(4, 40), d=st.integers(1, 5),
+           seed=st.integers(0, 2 ** 16))
+    def test_lockstep_member_equals_its_fit_alone(self, sets, rows, d, seed):
+        rng = np.random.default_rng(seed)
+        datasets = []
+        for _ in range(sets):
+            y = rng.permutation(np.arange(rows) % 2)
+            X = rng.normal(0, 1, (rows, d)) + y[:, None] * rng.normal(0, 1, d)
+            datasets.append(LabeledDataset(X, y, np.arange(rows)))
+        config = quick_config("svm", seed)
+        group = train_many(config, datasets)
+        for ds, model in zip(datasets, group):
+            assert payload_bytes(model) == payload_bytes(train(config, ds))
+
+    def test_datasets_of_other_sizes_fit_in_their_own_groups(self):
+        # 60, 40 and 60 rows: the first and the last fit in one group
+        sets = [separable_60(), xor_sets(n_train=40)[0], xor_sets(n_train=60)[0]]
+        config = quick_config("svm", 3)
+        assert [payload_bytes(m) for m in train_many(config, iter(sets))] == \
+            [payload_bytes(train(config, ds)) for ds in sets]

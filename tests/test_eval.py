@@ -402,20 +402,20 @@ class TestFirstN:
 
 def count_fits(monkeypatch):
     """The list that gets one entry per fold fitted from here on: a config
-    per ``train`` call in this process and per fold sent to a worker."""
+    per training set ``train_many`` draws in this process, alone or in a
+    lockstep group, and per fold sent to a worker."""
     fits = []
-    real_train, real_submit = evaluate.train, ProcessPoolExecutor.submit
+    real_train_many, real_submit = evaluate.train_many, ProcessPoolExecutor.submit
 
-    def counting_train(config, dataset):
-        fits.append(config)
-        return real_train(config, dataset)
+    def counting_train_many(config, datasets):
+        return real_train_many(config, (fits.append(config) or ds for ds in datasets))
 
     def counting_submit(pool, fn, *args):
         if fn is evaluate._fit_pickled:
-            fits.append(args[3])
+            fits.extend([args[3]] * len(args[4]))
         return real_submit(pool, fn, *args)
 
-    monkeypatch.setattr(evaluate, "train", counting_train)
+    monkeypatch.setattr(evaluate, "train_many", counting_train_many)
     monkeypatch.setattr(ProcessPoolExecutor, "submit", counting_submit)
     return fits
 
@@ -534,6 +534,33 @@ class TestParallelFolds:
             assert multiprocessing.active_children() == []
             if cpus == 2:
                 assert len(workers) == 6  # every fold was sent to a worker
+
+    def test_svm_folds_are_one_job_of_lockstep_groups(self, monkeypatch, workers):
+        # Training rows are twice the majority count: 66 rows when 1, 5 or
+        # 6 is held out, 84 when 2, 3 or 4 is; two groups in one job.
+        ds = minority_dataset([12, 3, 3, 3, 12, 12])
+        config = default_config("svm", seed=2)
+        monkeypatch.setattr(evaluate, "ProcessPoolExecutor", None)  # in-process only
+        batch = fit_folds(ds, config, range(1, 7))
+        assert len(workers) == 6
+        one_by_one = LabeledDataset(ds.X, ds.y, ds.groups)
+        for pid, model in enumerate(batch, start=1):
+            expected = fit_fold(one_by_one, config, pid)
+            assert json.dumps(model_payload(model)) == json.dumps(model_payload(expected))
+
+    @pytest.mark.parametrize("cpus", [2, 1])
+    def test_lockstep_job_raises_its_first_failing_fold(self, monkeypatch, workers, cpus):
+        # One job of six folds. Fold 2's training rows hold participant 1's
+        # NaN, and fold 3 has no failure rows to oversample: fold 2's check
+        # must raise before fold 3's SMOTE.
+        monkeypatch.setattr(evaluate, "_usable_cpus", lambda: cpus)
+        ds = minority_dataset([0, 0, 3, 0, 0, 0])
+        X = ds.X.copy()
+        X[0, 0] = np.nan
+        ds = LabeledDataset(X, ds.y, ds.groups)
+        with pytest.raises(InvalidParameterError, match="finite numbers"):
+            fit_folds(ds, default_config("svm", seed=2), range(1, 7))
+        assert ds.fold_models == {}
 
     @pytest.mark.parametrize("cls", [
         c for c in vars(errors).values()
