@@ -285,7 +285,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         )
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "summary.csv")
-    storage.atomic_write_text(path, "\n".join(lines) + "\n")
+    storage.atomic_write(path, ("\n".join(lines) + "\n").encode())
     print(f"wrote {path}")
     return 0
 

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import ModelFormatError, SchemaVersionError
 from .learners import LEARNERS, ClassifierConfig, Standardizer, TrainedModel
-from .storage import atomic_write_text, decoding, read_json
+from .storage import atomic_write, decoding, read_json
 
 MODEL_SCHEMA_VERSION = "1.1"
 
@@ -132,7 +132,7 @@ def model_from_payload(payload: dict) -> TrainedModel:
 
 
 def save_model(model: TrainedModel, path) -> None:
-    atomic_write_text(path, json.dumps(model_payload(model), indent=1))
+    atomic_write(path, json.dumps(model_payload(model), indent=1).encode())
 
 
 def load_model(path) -> TrainedModel:

@@ -12,7 +12,6 @@ import contextlib
 import io
 import json
 import os
-import re
 import tempfile
 from typing import Optional
 
@@ -39,16 +38,10 @@ SESSION_SCHEMA_VERSION = 1
 # grammar (no exponent, no bare "1." or "01.5"), so a body made only of these
 # lines parses to exactly what ``json.loads`` would give it, line by line.
 _SAMPLE_FORMAT = '{"t":%.6f,"x":%.3f,"y":%.3f,"valid":%s}\n'
-_NUMBER = rb"-?(?:0|[1-9][0-9]*)\.[0-9]+"
-_SAMPLE_LINE = re.compile(
-    rb'\{"t":%s,"x":%s,"y":%s,"valid":(?:true|false)\}\n' % (_NUMBER, _NUMBER, _NUMBER))
-# Translating a body of such lines turns each into "t x y  ": separators
-# become spaces and every other byte that is not part of a number is deleted.
-# Deleting all but "u" and "s" leaves one byte a line, the "u" of "true" or
-# the "s" of "false": no key holds either letter.
-_SEPARATORS = bytes.maketrans(b",\n", b"  ")
-_NOT_NUMBERS = b'{}":txyvalidruefs'
-_NOT_FLAGS = bytes(b for b in range(256) if b not in b"us")
+_DECIMALS = (6, 3, 3)  # of t, x and y
+_KEYS = (b'{"t":', b',"x":', b',"y":')
+_FLAGS = (b"false}", b"true}\0")  # each padded to six bytes
+_PAD = b"\0"  # fills a written line's unused cells; no sample line holds it
 
 
 @contextlib.contextmanager
@@ -80,13 +73,13 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def atomic_write_text(path, text: str) -> None:
+def atomic_write(path, data: bytes) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -130,12 +123,73 @@ def write_session_jsonl(session: Session, path, config: Optional[dict] = None) -
         ],
         "provenance": provenance(config),
     }
-    g = session.gaze
+    head = json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n"
+    atomic_write(path, head.encode() + _sample_lines(session.gaze))
+
+
+def _fixed_point(v: np.ndarray, decimals: int) -> Optional[np.ndarray]:
+    """``|v|·10^decimals`` rounded to an integer as ``%.<decimals>f`` rounds
+    it, half to even on the exact binary value; None unless every product is
+    below 2^52, so for any NaN or infinity too."""
+    a = np.abs(v)
+    scale = 10.0 ** decimals  # exact, with at most 14 significant bits
+    with np.errstate(over="ignore"):
+        p = a * scale
+    if not np.all(p < 2.0 ** 52):
+        return None
+    # Dekker's product, with a split into two 26-bit halves by Veltkamp's
+    # method: each product below is exact, so p + e is exactly a·scale.
+    c = a * 134217729.0
+    hi = c - (c - a)
+    e = (hi * scale - p) + (a - hi) * scale
+    k = np.rint(p)
+    # Below 2^52 a half-integer p is exact: only where a·scale is not does
+    # the sign of e break the tie.
+    tie = (p - np.floor(p) == 0.5) & (e != 0)
+    k[tie] = p[tie] + np.copysign(0.5, e[tie])
+    return k.astype(np.int64)
+
+
+def _sample_lines(g: GazeStream) -> bytes:
+    """The sample lines of ``g``, byte for byte as ``_SAMPLE_FORMAT`` formats
+    them. The lines are the columns of a byte matrix: t, x and y are written
+    as fixed-point integers digit by digit, right-aligned in fields as wide
+    as the column's widest value, and the pad bytes left over are deleted."""
+    columns = [(v, _fixed_point(v, d), d) for v, d in zip((g.t, g.x, g.y), _DECIMALS)]
+    if any(k is None for _, k, _ in columns):
+        return _formatted_sample_lines(g)
+    template, fields = bytearray(), []
+    for (v, k, d), key in zip(columns, _KEYS):
+        width = len(str(int(k.max(initial=0)) // 10 ** d))
+        template += key
+        fields.append((len(template), width))
+        template += _PAD * (1 + width) + b"." + _PAD * d
+    template += b',"valid":'
+    flag = len(template)
+    template += _PAD * 6 + b"\n"
+    lines = np.empty((len(template), len(g)), np.uint8)
+    lines[:] = np.frombuffer(template, np.uint8)[:, None]
+    for (v, k, d), (sign, width) in zip(columns, fields):
+        lines[sign] = np.where(np.signbit(v), ord("-"), _PAD[0])
+        point = sign + width + 1
+        # The fraction from its last digit, then the integer part from its units.
+        for cell in (*range(point + d, point, -1), *range(point - 1, sign, -1)):
+            rest = k // 10  # with the product below, several times faster than divmod
+            digit = k - rest * 10 + ord("0")
+            lines[cell] = digit if cell >= point - 1 else np.where(k > 0, digit, _PAD[0])
+            k = rest
+    flags = np.frombuffer(b"".join(_FLAGS), np.uint8).reshape(2, 6).T
+    lines[flag:flag + 6] = flags[:, g.valid.view(np.uint8)]
+    return lines.T.tobytes().translate(None, _PAD)
+
+
+def _formatted_sample_lines(g: GazeStream) -> bytes:
+    """The sample lines of ``g``, formatted one sample at a time. Only a
+    stream holding a value the fixed-point writer cannot hold comes here."""
     flags = ["true" if v else "false" for v in g.valid.tolist()]
     samples = map(_SAMPLE_FORMAT.__mod__,
                   zip(g.t.tolist(), g.x.tolist(), g.y.tolist(), flags))
-    atomic_write_text(path, json.dumps(header, sort_keys=True, separators=(",", ":"))
-                      + "\n" + "".join(samples))
+    return "".join(samples).encode()
 
 
 def _parse_session_header(line: str, path) -> dict:
@@ -189,15 +243,13 @@ def read_session_jsonl(path) -> Session:
     with open(path, "rb") as fh:
         data = fh.read()
     end = data.find(b"\n") + 1
-    head, body = data[:end], data[end:]
-    # Checked with sub, not fullmatch on a repeated group: fullmatch keeps
-    # backtracking state for every line, about 25 MB for a 1.9 MB session.
-    if body and b"\r" not in head and not _SAMPLE_LINE.sub(b"", body):
+    head, body = data[:end], memoryview(data)[end:]
+    columns = _parse_sample_lines(body) if body and b"\r" not in head else None
+    if columns is not None:
         try:
             header = _parse_session_header(head.decode("utf-8"), path)
         except UnicodeDecodeError:
             raise MalformedStreamError(f"{path} is not UTF-8 text") from None
-        columns = _parse_sample_lines(body)
     else:
         header, columns = _read_session_lines(data, path)
     return _session(path, header, columns)
@@ -213,13 +265,80 @@ def _session(path, header: dict, columns: tuple) -> Session:
         return session_from_header(header, gaze)
 
 
-def _parse_sample_lines(body: bytes) -> tuple:
-    """Columns t, x, y, valid of a body of the writer's sample lines, all
-    numbers parsed by one numpy call."""
-    numbers = np.fromstring(body.translate(_SEPARATORS, _NOT_NUMBERS),
-                            dtype=np.float64, sep=" ").reshape(-1, 3)
-    flags = np.frombuffer(body.translate(None, _NOT_FLAGS), dtype=np.uint8)
-    return numbers[:, 0], numbers[:, 1], numbers[:, 2], flags == ord("u")
+def _parse_sample_lines(body) -> Optional[tuple]:
+    """Columns t, x, y, valid of ``body`` (bytes or a view of them) if it is
+    made only of the writer's sample lines, else None.
+
+    A line is accepted only as the writer forms it: its literals, and t, x
+    and y as ``-?(0|[1-9][0-9]*)`` with exactly 6, 3 and 3 decimals and
+    fewer than 2^53 units of the last decimal. The newline and the three
+    points of each line fix where its literals must be; one count of the
+    body's digits then shows that every other byte of a number is a digit.
+    A number is the exact integer ``k`` of its digits over ``10^decimals``:
+    with ``k < 2^53`` one IEEE division rounds it correctly, as
+    ``json.loads`` does.
+    """
+    # A line cut short puts the last word read below up to 18 bytes past the
+    # body; the pads keep every read inside ``data``.
+    pad = bytes(24)
+    data = b"".join((pad, body, pad))
+    buf = np.frombuffer(data, np.uint8)
+    ends = np.flatnonzero(buf == ord("\n"))
+    points = np.flatnonzero(buf == ord("."))
+    n = len(ends)
+    if body[-1:] != b"\n" or len(points) != 3 * n:
+        return None
+    points = points.reshape(n, 3).T
+    # The little-endian word of the eight bytes from each offset of ``data``.
+    words = np.ndarray((len(data) - 7,), "<u8", data, strides=(1,))
+
+    def holds(word, literal: bytes):
+        return word & (1 << 8 * len(literal)) - 1 == int.from_bytes(literal, "little")
+
+    at = np.concatenate(([len(pad)], ends[:-1] + 1))  # each line's first byte
+    ok, numbers = True, []
+    for key, point, d in zip(_KEYS, points, _DECIMALS):
+        ok &= holds(words[at], key)
+        first = at + len(key)
+        minus = buf[first] == ord("-")
+        length = point - first - minus
+        # At most 16 digits in all, so that no k overflows 64 bits.
+        ok &= (length >= 1) & (length <= 16 - d)
+        ok &= (buf[first + minus] != ord("0")) | (length == 1)
+        numbers.append((point, length, d, minus))
+        at = point + d + 1
+    flag = at + len(b',"valid"')
+    word = words[flag]
+    true = holds(word, b":true}\n") & (ends == flag + 6)
+    ok &= holds(words[at], b',"valid"') & (true | holds(word, b":false}\n") & (ends == flag + 7))
+    expected = sum(int(length.sum()) for _, length, _, _ in numbers) + sum(_DECIMALS) * n
+    digits = np.count_nonzero(buf - np.uint8(ord("0")) < 10)  # bytes below "0" wrap past 9
+    if not ok.all() or digits != expected:
+        return None
+    columns = [_decimal(buf, *number) for number in numbers]
+    if any(column is None for column in columns):
+        return None
+    return (*columns, true)
+
+
+def _decimal(buf, point, length, decimals, minus) -> Optional[np.ndarray]:
+    """The numbers whose point is at ``point``, with ``length`` integer
+    digits and ``decimals`` decimals, negated where ``minus``; None if one
+    has 2^53 or more units of its last decimal."""
+    k = np.zeros(len(point), np.uint64)
+    # The digits from the last decimal to the highest integer digit, as the
+    # writer writes them.
+    offsets = (*range(decimals, 0, -1), *range(-1, -1 - int(length.max()), -1))
+    shortest = int(length.min())
+    for power, offset in enumerate(offsets):
+        digit = buf[point + offset] - np.uint8(ord("0"))
+        if -offset > shortest:
+            digit[length < -offset] = 0
+        k += digit * np.uint64(10 ** power)
+    if not np.all(k < 2 ** 53):
+        return None
+    value = k.astype(np.float64) / 10.0 ** decimals
+    return np.where(minus, -value, value)
 
 
 def _read_session_lines(data: bytes, path) -> tuple:
@@ -269,10 +388,8 @@ def write_corpus(sessions, out_dir, config: Optional[dict] = None) -> list:
         "sessions": [os.path.basename(p) for p in paths],
         "provenance": provenance(config),
     }
-    atomic_write_text(
-        os.path.join(out_dir, "manifest.json"),
-        json.dumps(manifest, sort_keys=True, indent=1) + "\n",
-    )
+    atomic_write(os.path.join(out_dir, "manifest.json"),
+                 (json.dumps(manifest, sort_keys=True, indent=1) + "\n").encode())
     return paths
 
 
@@ -318,7 +435,7 @@ def write_feature_csv(rows, path, config: Optional[dict] = None) -> None:
             f"{r.task},{r.participant},{r.puzzle},{r.piece},{r.label},"
             f"{_fmt(r.t0)},{_fmt(r.t1)},{values}"
         )
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    atomic_write(path, ("\n".join(lines) + "\n").encode())
 
 
 def _csv_rows(path, header: tuple, what: str):
@@ -403,7 +520,7 @@ def write_report_csv(path, entries, config: Optional[dict] = None) -> None:
             f"{task},{classifier},{n_or_width},pooled,"
             f"{_fmt(report.accuracy)},{fmt_recall(report.recall)}"
         )
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    atomic_write(path, ("\n".join(lines) + "\n").encode())
 
 
 def read_report_csv(path) -> list:
@@ -433,7 +550,7 @@ def write_offsets_csv(path, entries, config: Optional[dict] = None) -> None:
     lines.append("task,classifier,width,offset_s,pct_detected")
     for task, classifier, width, offset, pct in entries:
         lines.append(f"{task},{classifier},{_fmt(width)},{offset},{_fmt(pct)}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    atomic_write(path, ("\n".join(lines) + "\n").encode())
 
 
 def write_detections_jsonl(path, detections, config: Optional[dict] = None) -> None:
@@ -445,4 +562,4 @@ def write_detections_jsonl(path, detections, config: Optional[dict] = None) -> N
     lines = [json.dumps(header, sort_keys=True, separators=(",", ":"))]
     # Each record holds the fields of one ``DetectionEvent``.
     lines += (json.dumps(vars(d), sort_keys=True, separators=(",", ":")) for d in detections)
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    atomic_write(path, ("\n".join(lines) + "\n").encode())

@@ -15,6 +15,7 @@ from gaze_sentinel.errors import (
 )
 from gaze_sentinel.evaluate import SegmentRow
 from gaze_sentinel.features import FEATURE_NAMES
+from gaze_sentinel.sim import CorpusSpec, generate_corpus
 
 LAYOUT = AoiLayout(entries=((AoiLabel.PUZZLE_BOARD, Rect(0, 0, 100, 100)),))
 
@@ -208,12 +209,18 @@ def outcome(read, path):
             *(column.view(np.uint64).tolist() for column in (g.t, g.x, g.y)))
 
 
-# Numbers outside the writer's grammar, then numbers inside it that are long,
-# tie-breaking, subnormal or overflow to infinity.
+# Numbers outside the writer's grammar, then numbers JSON reads that are long,
+# tie-breaking, subnormal or overflow to infinity, then the edges of the
+# writer's grammar (6 decimals for t, 3 for x and y, fewer than 2^53 units of
+# the last decimal). The list's length is kept prime to 3, so that ``mutate``
+# can put every number under every key.
 NUMBERS = [b"01.5", b"1.", b"1e3", b".5", b"+1.0", b"1.5E-2", b"00.0", b"1_0.0", b"NaN",
            b"-Infinity", b"-0.000", b"-0.5", b"0.1" + b"0" * 30, b"9007199254740993.0",
            b"0.30000000000000004440892098500626", b"0." + b"0" * 320 + b"5",
-           b"9" * 309 + b".0", b"-" + b"2" * 400 + b".5"]
+           b"9" * 309 + b".0", b"-" + b"2" * 400 + b".5",
+           b"0.50000", b"0.5000000", b"12.50", b"12.5000", b"1234567890.000000",
+           b"123456789.000000", b"-0.000000", b"9007199254.740991", b"9007199254.740992",
+           b"4503599627370.496", b"18446744073709551616.000"]
 
 
 NON_FINITE = [b"nan", b"inf", b"-inf"]
@@ -295,6 +302,34 @@ class TestSessionReaderProperties:
         result = outcome(storage.read_session_jsonl, path)
         assert result == outcome(read_line_by_line, path) == outcome(read_text_mode, path)
 
+    @pytest.mark.parametrize("number", NUMBERS)
+    @pytest.mark.parametrize("key", [b"t", b"x", b"y"], ids=["t", "x", "y"])
+    def test_every_number_under_every_key(self, varied_file, tmp_path, key, number):
+        """The bulk parser takes a number only in the writer's grammar for its
+        key, and either way the file reads as the per-line reader reads it."""
+        header, *lines = varied_file.read_bytes().splitlines(keepends=True)
+        lines[6] = re.sub(rb'"%s":[^,}]*' % key, b'"%s":%s' % (key, number), lines[6])
+        path = tmp_path / "edited.jsonl"
+        path.write_bytes(header + b"".join(lines))
+        decimals = 6 if key == b"t" else 3
+        writers = re.fullmatch(rb"-?(0|[1-9][0-9]*)\.[0-9]{%d}" % decimals, number)
+        writers = writers and int(number.lstrip(b"-").replace(b".", b"")) < 2 ** 53
+        assert (storage._parse_sample_lines(b"".join(lines)) is not None) == bool(writers)
+        assert outcome(storage.read_session_jsonl, path) == outcome(read_line_by_line, path)
+
+    @pytest.mark.parametrize("end", [b'"y":1.5\n', b'"y":1.\n', b'"y":-1.\n',
+                                     b'"y":1.500,"valid":t\n', b'"y":1.500,"valid":fals\n',
+                                     b'"y":1.500,"valid":true}'])
+    def test_last_line_cut_short(self, varied_file, tmp_path, end):
+        """A last line that stops short of the writer's end is read as the
+        per-line reader reads it, however near its end its last point is."""
+        data = varied_file.read_bytes()
+        cut = data.rindex(b'"y":')
+        path = tmp_path / "cut.jsonl"
+        path.write_bytes(data[:cut] + end)
+        assert storage._parse_sample_lines(path.read_bytes().split(b"\n", 1)[1]) is None
+        assert outcome(storage.read_session_jsonl, path) == outcome(read_line_by_line, path)
+
     @pytest.mark.parametrize("edit", ["crlf", "cr", "blank", "header repeated"])
     def test_line_numbers_count_every_line(self, varied_file, tmp_path, edit):
         """Line endings and blank lines are counted as text mode counts them,
@@ -345,7 +380,7 @@ TIMES = st.one_of(st.floats(0.0, 1e9), HALF_AT_6, st.sampled_from([0.0, 5e-7, 1e
 class TestSessionWriterProperties:
     @settings(max_examples=200)
     @given(st.lists(st.tuples(TIMES, COORDINATES, COORDINATES, st.booleans()),
-                    max_size=40, unique_by=lambda s: s[0]))
+                    max_size=400, unique_by=lambda s: s[0]))
     def test_bytes_match_the_per_sample_formatter(self, tmp_path_factory, samples):
         samples.sort()
         t, x, y, valid = (np.array(c) for c in zip(*samples)) if samples else [[]] * 4
@@ -356,6 +391,18 @@ class TestSessionWriterProperties:
         storage.write_session_jsonl(session, path)
         header, *lines = path.read_text().splitlines(keepends=True)
         assert lines == per_sample_lines(session)
+
+    def test_simulated_corpus_is_written_in_bulk(self, tmp_path, monkeypatch):
+        def refuse(gaze):
+            raise AssertionError("a simulated session was formatted one sample at a time")
+        monkeypatch.setattr(storage, "_formatted_sample_lines", refuse)
+        sessions = generate_corpus(CorpusSpec(participants=1, master_seed=1))
+        paths = storage.write_corpus(sessions, tmp_path)
+        assert len(paths) == len(sessions) > 0
+        for session, path in zip(sessions, paths):
+            with open(path, encoding="utf-8") as fh:
+                header, *lines = fh.read().splitlines(keepends=True)
+            assert lines == per_sample_lines(session)
 
 
 def feature_row(task="nf-ef", label="NF"):
