@@ -7,11 +7,12 @@ stump left) or hits 0 (a perfect stump, kept with unit weight).
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import check_features
+from .forest import PackedTrees, pack_trees
+from .gbt import ObliviousTree
 
 
 @dataclass
@@ -19,7 +20,8 @@ class AdaParams:
     """One stump per round: its arrays are 1-D and of equal length, its
     features lie in [0, n_features), its low and high values are classes 0
     or 1 and its alphas are above 0; construction raises ValueError
-    otherwise."""
+    otherwise. ``packed`` holds each stump as a one-level oblivious tree
+    whose leaves vote -1 or +1."""
 
     feature: np.ndarray
     threshold: np.ndarray
@@ -27,6 +29,7 @@ class AdaParams:
     high_value: np.ndarray
     alpha: np.ndarray
     n_features: int = 0
+    packed: PackedTrees = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.feature = np.asarray(self.feature, dtype=np.int64)
@@ -39,11 +42,14 @@ class AdaParams:
                                     self.high_value, self.alpha)]
         if len(set(shapes)) != 1 or len(shapes[0]) != 1:
             raise ValueError(f"ada arrays must be 1-D and of equal length, got shapes {shapes}")
-        check_features("ada", self.feature, self.n_features)
         if not np.isin([self.low_value, self.high_value], (0, 1)).all():
             raise ValueError("ada low and high values must be classes 0 or 1")
         if not (self.alpha > 0).all():
             raise ValueError("ada alphas must be above 0")
+        self.packed = pack_trees([
+            ObliviousTree([f], [thr], [2.0 * low - 1.0, 2.0 * high - 1.0]).nodes()
+            for f, thr, low, high in zip(self.feature, self.threshold, self.low_value,
+                                         self.high_value)], self.n_features)
 
 
 def _presort(X: np.ndarray, y: np.ndarray):
@@ -105,33 +111,19 @@ def fit_ada(X: np.ndarray, y: np.ndarray, rounds: int) -> AdaParams:
         err = float(w[miss].sum())
         if err >= 0.5 - 1e-12:
             break
-        if err < 1e-12:
-            feats.append(f), thrs.append(thr), lows.append(low), highs.append(high)
-            alphas.append(1.0)
-            break
-        alpha = float(np.log((1.0 - err) / err))
+        alpha = 1.0 if err < 1e-12 else float(np.log((1.0 - err) / err))
         feats.append(f), thrs.append(thr), lows.append(low), highs.append(high)
         alphas.append(alpha)
+        if err < 1e-12:  # a perfect stump, kept with unit weight
+            break
         w = w * np.exp(alpha * miss)
         w /= w.sum()
-    return AdaParams(
-        feature=np.array(feats, dtype=np.int64),
-        threshold=np.array(thrs, dtype=np.float64),
-        low_value=np.array(lows, dtype=np.int64),
-        high_value=np.array(highs, dtype=np.int64),
-        alpha=np.array(alphas, dtype=np.float64),
-        n_features=d,
-    )
+    return AdaParams(feats, thrs, lows, highs, alphas, n_features=d)
 
 
 def predict_ada(params: AdaParams, X: np.ndarray) -> np.ndarray:
     """Weighted vote margin in [-1, 1]; 0 when no stumps survived."""
-    if params.alpha.size == 0:
-        return np.zeros(X.shape[0], dtype=np.float64)
     margin = np.zeros(X.shape[0], dtype=np.float64)
-    for f, thr, low, high, a in zip(
-        params.feature, params.threshold, params.low_value, params.high_value, params.alpha
-    ):
-        pred = np.where(X[:, f] < thr, low, high)
-        margin += a * (2.0 * pred - 1.0)
-    return margin / params.alpha.sum()
+    for a, vote in zip(params.alpha, params.packed.leaf_values(X)):
+        margin += a * vote
+    return margin / params.alpha.sum() if params.alpha.size else margin

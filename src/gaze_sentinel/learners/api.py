@@ -2,9 +2,9 @@
 
 ``LEARNERS`` holds one row per configuration (the paper's Random Forest,
 AdaBoost, XGBoost, SVM and CatBoost, each trained in-repo): its fit and the
-config fields it takes, its score function, its class threshold, the params
-type a model file decodes into, the type of each of its trees, its published
-overrides of the config defaults and whether it standardizes. Scores are
+published values it takes, its score function, its class threshold, the
+params type a model file decodes into, the type of each of its trees, its
+overrides of ``PUBLISHED`` and whether it standardizes. Scores are
 probability-like for the forest and the gbts (threshold 0.5) and signed
 margins for ada and svm (threshold 0); exact threshold ties resolve to NF.
 All fits are deterministic functions of (data, seed).
@@ -14,8 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -30,14 +29,20 @@ from .svm import SvmParams, fit_svm, predict_svm
 
 class Learner(NamedTuple):
     fit: Callable  # (X, y, *fields) -> params, or (params, training loss)
-    fields: tuple  # the config fields ``fit`` takes, in its argument order
+    fields: tuple  # the record values ``fit`` takes, in its argument order
     score: Callable  # (params, X) -> scores
     threshold: float  # a score above it labels a row 1
     params_type: type
     tree_type: Optional[type]  # each item of ``params.trees``; None without trees
-    published: dict = {}  # overrides of the config field defaults
+    published: dict = {}  # overrides of ``PUBLISHED``
     standardizes: bool = False  # fit and score on z-scored features
     lockstep: bool = False  # fit takes datasets of one shape stacked, gives a list
+
+
+# The published hyperparameters, in the order a model file's config lists
+# them after kind and seed; a ``LEARNERS`` row overrides some for its kind.
+PUBLISHED = {"n_trees": 100, "n_rounds": 100, "learning_rate": 0.01, "tree_depth": 6,
+             "oblivious": False, "svm_c": 1.0, "svm_epochs": 100}
 
 
 _BOOSTED = ("n_rounds", "learning_rate", "tree_depth")
@@ -62,61 +67,29 @@ LEARNERS = {
 KINDS = tuple(LEARNERS)
 
 
-def _learner(kind) -> Learner:
-    if kind not in KINDS:  # a tuple test: an unhashable kind is refused too
-        raise InvalidParameterError(f"unknown classifier kind {kind!r}")
-    return LEARNERS[kind]
-
-
-# The values a fit can use: each of these fields a whole number at least
-# its bound, and each rate a finite number above 0.
-_LEAST = {"seed": 0, "n_trees": 1, "n_rounds": 1, "tree_depth": 1, "svm_epochs": 1}
-_RATES = ("learning_rate", "svm_c")
-
-
 @dataclass(frozen=True)
 class ClassifierConfig:
-    """``seed`` reaches every kind through the SMOTE of fold models and CLI
-    ``train``; a bare ``train`` of ada, gbt-a or gbt-b does not read it, so
-    it fits the same params under each seed's fingerprint. Any other field
-    its fit does not take must hold the kind's published value, of the same
-    type. A count or seed that is not a whole number, or a rate that is not
-    a finite number, or either below its bound, is refused for every kind."""
+    """A kind and a seed (a whole number >= 0); all else is published.
+    ``seed`` reaches every kind through the SMOTE of fold models and CLI
+    ``train``; a bare ``train`` of ada, gbt-a or gbt-b does not read it."""
 
     kind: str
     seed: int = 7
-    n_trees: int = 100
-    n_rounds: int = 100
-    learning_rate: float = 0.01
-    tree_depth: int = 6
-    oblivious: bool = False
-    svm_c: float = 1.0
-    svm_epochs: int = 100
 
     def __post_init__(self):
-        learner = _learner(self.kind)
-        for name, least in _LEAST.items():
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int) or value < least:
-                raise InvalidParameterError(
-                    f"{name} must be a whole number >= {least}, got {value!r}")
-        for name in _RATES:
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, float)) \
-                    or not 0 < value < math.inf:
-                raise InvalidParameterError(
-                    f"{name} must be a finite number > 0, got {value!r}")
-        for f in fields(self)[2:]:  # every field after kind and seed
-            value, want = getattr(self, f.name), learner.published.get(f.name, f.default)
-            if f.name not in learner.fields and (type(value), value) != (type(want), want):
-                raise InvalidParameterError(f"{self.kind} does not read {f.name}: it must "
-                                            f"be {want!r}, got {value!r}")
+        if self.kind not in KINDS:  # a tuple test: an unhashable kind is refused too
+            raise InvalidParameterError(f"unknown classifier kind {self.kind!r}")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
+            raise InvalidParameterError(f"seed must be a whole number >= 0, got {self.seed!r}")
+
+    def record(self) -> dict:
+        """Kind, seed and every published value: a model file's config, and
+        what its fingerprint hashes."""
+        return {"kind": self.kind, "seed": self.seed, **PUBLISHED,
+                **LEARNERS[self.kind].published}
 
 
-def default_config(kind: str, seed: int = 7) -> ClassifierConfig:
-    """The published hyperparameters: the field defaults and the kind's
-    overrides (gbt-b shrinks by 0.1 and grows oblivious trees)."""
-    return ClassifierConfig(kind, seed, **_learner(kind).published)
+default_config = ClassifierConfig
 
 
 def config_fingerprint(config: dict) -> str:
@@ -138,7 +111,7 @@ class TrainedModel:
 
     @property
     def fingerprint(self) -> str:
-        return config_fingerprint(asdict(self.config))
+        return config_fingerprint(self.config.record())
 
 
 def train(config: ClassifierConfig, dataset: LabeledDataset) -> TrainedModel:
@@ -163,7 +136,7 @@ def train_many(config: ClassifierConfig, datasets) -> list:
         models.append(TrainedModel(config, dataset.n_features, standardizer, None))
         X = dataset.X if standardizer is None else standardizer.apply(dataset.X)
         groups.setdefault(X.shape if learner.lockstep else i, []).append((i, X, dataset.y))
-    args = [getattr(config, name) for name in learner.fields]
+    args = [config.record()[name] for name in learner.fields]
     for index, X, y in (zip(*group) for group in groups.values()):
         fitted = learner.fit(np.stack(X), np.stack(y), *args) if learner.lockstep \
             else [learner.fit(X[0], y[0], *args)]

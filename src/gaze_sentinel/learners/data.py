@@ -79,14 +79,6 @@ class Standardizer:
         return np.where(self.std > 0, z, 0.0)
 
 
-def check_features(where: str, features: np.ndarray, n_features: int) -> None:
-    """Raise ValueError unless every index in ``features`` lies in
-    [0, n_features): the feature-range invariant of fitted params."""
-    bad = features[(features < 0) | (features >= n_features)]
-    if bad.size:
-        raise ValueError(f"{where}: feature {bad[0]} outside [0, {n_features})")
-
-
 def fit_standardizer(X: np.ndarray) -> Standardizer:
     X = np.asarray(X, dtype=np.float64)
     if X.size == 0:

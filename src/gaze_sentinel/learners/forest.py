@@ -124,8 +124,9 @@ def pack_trees(trees: list, n_features: int) -> PackedTrees:
     frontier = roots[internal[roots]]
     while frontier.size:
         depth += 1
-        frontier = np.unique(np.concatenate([left[frontier], right[frontier]]))
-        frontier = frontier[internal[frontier]]
+        reached = np.zeros_like(internal)
+        reached[left[frontier]] = reached[right[frontier]] = True
+        frontier = np.flatnonzero(reached & internal)
     return PackedTrees(
         feature=np.where(internal, feature, 0),
         threshold=np.concatenate([t.threshold for t in trees]),

@@ -10,14 +10,13 @@ non-increasing at the shrinkage rates used here.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
-from .data import check_features
 from .forest import DfsTree, PackedTrees, TreeNodes, pack_trees
 
 LAMBDA = 1.0  # L2 penalty on leaf values
@@ -27,7 +26,7 @@ MAX_BINS = 64  # gbt-b's candidate thresholds per feature
 @dataclass
 class ObliviousTree:
     """One (feature, threshold) per level and 2^levels leaf values;
-    construction raises ValueError otherwise."""
+    construction raises ValueError otherwise, or on a negative feature."""
 
     features: np.ndarray  # one feature index per level
     thresholds: np.ndarray
@@ -44,12 +43,25 @@ class ObliviousTree:
         if self.leaf_values.shape != (2 ** levels,):
             raise ValueError(f"oblivious tree: {self.leaf_values.shape} leaf values "
                              f"for {levels} levels, expected {2 ** levels}")
+        if (self.features < 0).any():  # -1 would read as a leaf
+            raise ValueError(f"oblivious tree: feature {self.features.min()} is negative")
 
-    def apply(self, X: np.ndarray) -> np.ndarray:
-        idx = np.zeros(X.shape[0], dtype=np.int64)
-        for f, thr in zip(self.features, self.thresholds):
-            idx = 2 * idx + (X[:, f] >= thr)
-        return self.leaf_values[idx]
+    def nodes(self) -> TreeNodes:
+        """The tree in heap order: node i's children are 2i + 1 (x < its
+        threshold) and 2i + 2, and leaf b is the b-th of the last level."""
+        level, left, right, inner = _heap(self.features.shape[0])
+        return TreeNodes(np.append(self.features, -1)[level],
+                         np.append(self.thresholds, 0.0)[level], left.copy(), right.copy(),
+                         np.append(inner, self.leaf_values))
+
+
+@functools.lru_cache(maxsize=None)
+def _heap(levels: int):
+    """A heap-ordered tree of ``levels`` split levels: each node's level and
+    children (``levels`` and 0 at the leaves), and its splits' zero values."""
+    left = np.append(2 * np.arange(2 ** levels - 1) + 1, np.zeros(2 ** levels, dtype=np.int64))
+    level = np.repeat(np.arange(levels + 1), 2 ** np.arange(levels + 1))
+    return level, left, np.where(left > 0, left + 1, 0), np.zeros(2 ** levels - 1)
 
 
 @dataclass
@@ -61,17 +73,13 @@ class GbtParams:
     trees: list = field(default_factory=list)
     learning_rate: float = 0.1
     n_features: int = 0
-    packed: Optional[PackedTrees] = field(init=False, repr=False, compare=False)
+    packed: PackedTrees = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.learning_rate = float(self.learning_rate)
         self.n_features = operator.index(self.n_features)
-        self.packed = None
-        if all(isinstance(t, TreeNodes) for t in self.trees):
-            self.packed = pack_trees(self.trees, self.n_features)
-        else:  # oblivious trees already route a whole level in one step
-            for k, tree in enumerate(self.trees):
-                check_features(f"tree {k}", tree.features, self.n_features)
+        self.packed = pack_trees([t.nodes() if isinstance(t, ObliviousTree) else t
+                                  for t in self.trees], self.n_features)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -287,11 +295,7 @@ def fit_oblivious_gbt(X: np.ndarray, y: np.ndarray, rounds: int,
 
 def predict_gbt(params: GbtParams, X: np.ndarray) -> np.ndarray:
     """Logistic probability of class 1."""
-    if params.packed is not None:
-        leaves = params.packed.leaf_values(X)
-    else:
-        leaves = [tree.apply(X) for tree in params.trees]
     F = np.zeros(X.shape[0], dtype=np.float64)
-    for leaf in leaves:
+    for leaf in params.packed.leaf_values(X):
         F += params.learning_rate * leaf
     return _sigmoid(F)

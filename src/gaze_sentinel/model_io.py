@@ -8,23 +8,22 @@ A kind's params payload is its params type's fields in declaration order,
 arrays as lists and trees the same way (the kind's ``LEARNERS`` row names
 its params type and its tree type). The params types check their own
 invariants when built, so a loaded model meets the same checks as a fitted
-one. This module checks the envelope: a config that ``ClassifierConfig``
-refuses (an unknown kind, or a hyperparameter the kind's fit does not take
-set to other than its published value), a standardizer where the kind's row
-does not standardize or none where it does, a ``params`` object with other
-keys than its type's fields, a number in them that is not finite,
-``n_features`` that is not a positive integer or differs from
-``params.n_features``, a standardizer of the wrong length, a
-``params.learning_rate`` unlike the config's, or a top-level ``kind`` or
-``fingerprint`` that does not match the model's config raises
-``ModelFormatError`` naming the file before any prediction can run.
+one. This module checks the envelope: a config other than its kind's
+published record (``ClassifierConfig.record``: the same keys, each value of
+the same type), a standardizer where the kind's row does not standardize or
+none where it does, a ``params`` object with other keys than its type's
+fields, a number in them that is not finite, ``n_features`` that is not a
+positive integer or differs from ``params.n_features``, a standardizer of
+the wrong length, a ``params.learning_rate`` unlike the config's, or a
+top-level ``kind`` or ``fingerprint`` that does not match the model's config
+raises ``ModelFormatError`` naming the file before any prediction can run.
 """
 
 from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import asdict, fields, is_dataclass
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 
@@ -73,7 +72,7 @@ def model_payload(model: TrainedModel) -> dict:
     return {
         "schema_version": MODEL_SCHEMA_VERSION,
         "kind": model.config.kind,
-        "config": asdict(model.config),
+        "config": model.config.record(),
         "fingerprint": model.fingerprint,
         "n_features": model.n_features,
         "standardizer": _encode(model.standardizer),
@@ -94,7 +93,12 @@ def model_from_payload(payload: dict) -> TrainedModel:
             warnings.warn(
                 f"model written under schema {version}; reading as {MODEL_SCHEMA_VERSION}"
             )
-        config = ClassifierConfig(**payload["config"])
+        raw = payload["config"]
+        config = ClassifierConfig(raw["kind"], raw["seed"])
+        got, want = ({k: (type(v), v) for k, v in d.items()} for d in (raw, config.record()))
+        for key in {**want, **got}:  # the record's keys in order, then any others
+            _require(got.get(key) == want.get(key),
+                     f"config {key!r} differs from the published {config.kind} record")
         n_features = payload["n_features"]
         _require(type(n_features) is int and n_features > 0,
                  f"n_features must be a positive integer, got {n_features!r}")
@@ -112,9 +116,9 @@ def model_from_payload(payload: dict) -> TrainedModel:
         params = _decode(learner.params_type, payload["params"], learner.tree_type)
         _require(params.n_features == n_features,
                  f"params.n_features {params.n_features} differs from n_features {n_features}")
-        rate = getattr(params, "learning_rate", config.learning_rate)
-        _require(rate == config.learning_rate, f"params.learning_rate {rate} differs "
-                 f"from config learning_rate {config.learning_rate}")
+        rate = config.record()["learning_rate"]
+        _require(getattr(params, "learning_rate", rate) == rate,
+                 f"params.learning_rate differs from config learning_rate {rate}")
         loss = payload.get("train_loss")
         model = TrainedModel(
             config=config,

@@ -105,6 +105,13 @@ def provenance_lines(config: Optional[dict]) -> list:
 
 
 def write_session_jsonl(session: Session, path, config: Optional[dict] = None) -> None:
+    """Write ``session`` to ``path`` atomically; a gaze t, x or y that the
+    reader refuses, NaN or infinite, raises before anything is written."""
+    for name in ("t", "x", "y"):
+        if not np.isfinite(getattr(session.gaze, name)).all():
+            raise InvalidParameterError(f"participant {session.participant_id} puzzle "
+                                        f"{session.puzzle_id}: gaze {name} is not finite, "
+                                        f"so {path} is not written")
     header = {
         "schema": SESSION_SCHEMA_VERSION,
         "kind": "session",
@@ -130,7 +137,7 @@ def write_session_jsonl(session: Session, path, config: Optional[dict] = None) -
 def _fixed_point(v: np.ndarray, decimals: int) -> Optional[np.ndarray]:
     """``|v|·10^decimals`` rounded to an integer as ``%.<decimals>f`` rounds
     it, half to even on the exact binary value; None unless every product is
-    below 2^52, so for any NaN or infinity too."""
+    below 2^52."""
     a = np.abs(v)
     scale = 10.0 ** decimals  # exact, with at most 14 significant bits
     with np.errstate(over="ignore"):
@@ -185,7 +192,7 @@ def _sample_lines(g: GazeStream) -> bytes:
 
 def _formatted_sample_lines(g: GazeStream) -> bytes:
     """The sample lines of ``g``, formatted one sample at a time. Only a
-    stream holding a value the fixed-point writer cannot hold comes here."""
+    stream holding a value of 2^52 units or more comes here."""
     flags = ["true" if v else "false" for v in g.valid.tolist()]
     samples = map(_SAMPLE_FORMAT.__mod__,
                   zip(g.t.tolist(), g.x.tolist(), g.y.tolist(), flags))

@@ -1,6 +1,7 @@
 import json
 import math
-from dataclasses import asdict, replace
+from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from conftest import reference_fit_svm
 from gaze_sentinel.errors import DegenerateDataError, FeatureArityError, InvalidParameterError
 from gaze_sentinel.learners import (
     KINDS,
-    LEARNERS,
     ClassifierConfig,
     LabeledDataset,
     TrainedModel,
@@ -21,7 +21,8 @@ from gaze_sentinel.learners import (
     train,
     train_many,
 )
-from gaze_sentinel.learners.adaboost import AdaParams
+from gaze_sentinel.learners.adaboost import AdaParams, predict_ada
+from gaze_sentinel.learners.api import PUBLISHED
 from gaze_sentinel.learners.data import fit_standardizer
 from gaze_sentinel.learners.forest import (
     DfsTree,
@@ -69,22 +70,14 @@ def xor_sets(n_train=100, n_test=100, seed=5):
 
 class TestConfigs:
     def test_published_hyperparameters(self):
-        assert default_config("forest").n_trees == 100
-        assert default_config("ada").n_rounds == 100
-        gbt_a = default_config("gbt-a")
-        assert (gbt_a.n_rounds, gbt_a.learning_rate, gbt_a.oblivious) == (100, 0.01, False)
-        svm = default_config("svm")
-        assert (svm.svm_c, svm.svm_epochs) == (1.0, 100)
-        gbt_b = default_config("gbt-b")
-        assert (gbt_b.n_rounds, gbt_b.learning_rate, gbt_b.tree_depth,
-                gbt_b.oblivious) == (100, 0.1, 6, True)
-        # Every field goes into the fingerprint, so compare as JSON: 1 and 1.0 differ there.
-        shared = {"seed": 7, "n_trees": 100, "n_rounds": 100, "learning_rate": 0.01,
-                  "tree_depth": 6, "oblivious": False, "svm_c": 1.0, "svm_epochs": 100}
-        changed = {"gbt-b": {"learning_rate": 0.1, "oblivious": True}}
+        # Every value goes into the fingerprint, so compare as JSON: 1 and 1.0 differ there.
+        published = ('"seed": 7, "n_trees": 100, "n_rounds": 100, "learning_rate": 0.01, '
+                     '"tree_depth": 6, "oblivious": false, "svm_c": 1.0, "svm_epochs": 100}')
+        gbt_b = ('"seed": 7, "n_trees": 100, "n_rounds": 100, "learning_rate": 0.1, '
+                 '"tree_depth": 6, "oblivious": true, "svm_c": 1.0, "svm_epochs": 100}')
         for kind in KINDS:
-            expected = {"kind": kind, **shared, **changed.get(kind, {})}
-            assert json.dumps(asdict(default_config(kind, seed=7))) == json.dumps(expected)
+            expected = f'{{"kind": "{kind}", ' + (gbt_b if kind == "gbt-b" else published)
+            assert json.dumps(default_config(kind, seed=7).record()) == expected
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(InvalidParameterError):
@@ -242,7 +235,8 @@ class TestPredictSemantics:
             leaf_values=np.array([0.0, 1.0, 2.0, 3.0]),
         )
         X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
-        np.testing.assert_array_equal(tree.apply(X), [0.0, 1.0, 2.0, 3.0])
+        packed = GbtParams(trees=[tree], learning_rate=1.0, n_features=2).packed
+        np.testing.assert_array_equal(packed.leaf_values(X), [[0.0, 1.0, 2.0, 3.0]])
 
 
 class TestParamsChecks:
@@ -437,6 +431,32 @@ class TestPackedWalk:
             assert predict_forest(params, X).tobytes() == reference_forest(params, X).tobytes()
         else:
             assert predict_gbt(params, X).tobytes() == reference_gbt(params, X).tobytes()
+
+    @pytest.mark.parametrize("kind", ["ada", "gbt-b"])
+    def test_stumps_and_oblivious_trees_match_reference(self, kind):
+        """Ada stumps and gbt-b's heap-ordered trees in the packed walk score
+        the bits of their per-tree formulas, NaN cells routed right."""
+        rng = np.random.default_rng(6)
+        X = np.vstack([rng.normal(-1, 1.5, (80, 4)), rng.normal(1, 1.5, (80, 4))])
+        y = np.array([0] * 80 + [1] * 80)
+        params = train(default_config(kind, seed=2), LabeledDataset(X, y, np.arange(160))).params
+        probe = np.vstack([X, rng.normal(0, 2, (100, 4))])
+        probe[rng.random(probe.shape) < 0.05] = np.nan
+        if kind == "ada":
+            margin = np.zeros(probe.shape[0])
+            for f, thr, low, high, a in zip(params.feature, params.threshold, params.low_value,
+                                            params.high_value, params.alpha):
+                margin += a * (2.0 * np.where(probe[:, f] < thr, low, high) - 1.0)
+            got, want = predict_ada(params, probe), margin / params.alpha.sum()
+        else:
+            F = np.zeros(probe.shape[0])
+            for tree in params.trees:
+                idx = np.zeros(probe.shape[0], dtype=np.int64)
+                for f, thr in zip(tree.features, tree.thresholds):
+                    idx = 2 * idx + ~(probe[:, f] < thr)
+                F += params.learning_rate * tree.leaf_values[idx]
+            got, want = predict_gbt(params, probe), _sigmoid(F)
+        assert got.tobytes() == want.tobytes()
 
     @given(random_trees(n_features=3, votes=True), st.integers(0, 2 ** 31 - 1))
     def test_random_forests_match_reference(self, trees, seed):
@@ -706,22 +726,23 @@ def reference_fit_ada(X, y, rounds):
 
 def reference_train(config: ClassifierConfig, ds: LabeledDataset) -> TrainedModel:
     X, y = ds.X, ds.y
+    r = config.record()
     loss = standardizer = None
     if config.kind == "svm":
         standardizer = fit_standardizer(X)
-        w, b = reference_fit_svm(standardizer.apply(X), y, config.svm_c,
-                                 config.svm_epochs, config.seed)
+        w, b = reference_fit_svm(standardizer.apply(X), y, r["svm_c"], r["svm_epochs"],
+                                 r["seed"])
         params = SvmParams(w, b, n_features=X.shape[1])
     elif config.kind == "forest":
-        params = reference_fit_forest(X, y, config.n_trees, config.seed)
+        params = reference_fit_forest(X, y, r["n_trees"], r["seed"])
     elif config.kind == "ada":
-        params = reference_fit_ada(X, y, config.n_rounds)
+        params = reference_fit_ada(X, y, r["n_rounds"])
     elif config.kind == "gbt-a":
-        params, loss = reference_fit_gbt(X, y, config.n_rounds, config.learning_rate,
-                                         config.tree_depth)
+        params, loss = reference_fit_gbt(X, y, r["n_rounds"], r["learning_rate"],
+                                         r["tree_depth"])
     else:
-        params, loss = reference_fit_oblivious_gbt(X, y, config.n_rounds,
-                                                   config.learning_rate, config.tree_depth)
+        params, loss = reference_fit_oblivious_gbt(X, y, r["n_rounds"], r["learning_rate"],
+                                                   r["tree_depth"])
     return TrainedModel(config, ds.n_features, standardizer, params,
                         tuple(loss) if loss else None)
 
@@ -753,11 +774,12 @@ def tie_heavy_sets(draw):
 REFERENCE_KINDS = ("forest", "ada", "gbt-a", "svm", "gbt-b")
 
 
-def quick_config(kind: str, seed: int) -> ClassifierConfig:
-    """The published config with 10 trees, rounds or epochs, which keeps
-    the references quick."""
-    return replace(default_config(kind, seed=seed), **{
-        f: 10 for f in ("n_trees", "n_rounds", "svm_epochs") if f in LEARNERS[kind].fields})
+@contextmanager
+def quick_config(kind: str, seed: int):
+    """The config of ``kind`` and ``seed`` while the published table holds
+    10 trees, rounds and epochs, which keeps the references quick."""
+    with mock.patch.dict(PUBLISHED, n_trees=10, n_rounds=10, svm_epochs=10):
+        yield ClassifierConfig(kind, seed)
 
 
 class TestFitsMatchReference:
@@ -768,8 +790,8 @@ class TestFitsMatchReference:
     @pytest.mark.parametrize("kind", REFERENCE_KINDS)
     @given(ds=tie_heavy_sets(), seed=st.integers(0, 2 ** 16))
     def test_tie_heavy_sets(self, kind, ds, seed):
-        config = quick_config(kind, seed)
-        assert payload_bytes(train(config, ds)) == payload_bytes(reference_train(config, ds))
+        with quick_config(kind, seed) as config:
+            assert payload_bytes(train(config, ds)) == payload_bytes(reference_train(config, ds))
 
     @pytest.mark.parametrize("kind", REFERENCE_KINDS)
     def test_published_configs(self, kind):
@@ -830,14 +852,14 @@ class TestSvmFixedOrder:
             y = rng.permutation(np.arange(rows) % 2)
             X = rng.normal(0, 1, (rows, d)) + y[:, None] * rng.normal(0, 1, d)
             datasets.append(LabeledDataset(X, y, np.arange(rows)))
-        config = quick_config("svm", seed)
-        group = train_many(config, datasets)
-        for ds, model in zip(datasets, group):
-            assert payload_bytes(model) == payload_bytes(train(config, ds))
+        with quick_config("svm", seed) as config:
+            group = train_many(config, datasets)
+            for ds, model in zip(datasets, group):
+                assert payload_bytes(model) == payload_bytes(train(config, ds))
 
     def test_datasets_of_other_sizes_fit_in_their_own_groups(self):
         # 60, 40 and 60 rows: the first and the last fit in one group
         sets = [separable_60(), xor_sets(n_train=40)[0], xor_sets(n_train=60)[0]]
-        config = quick_config("svm", 3)
-        assert [payload_bytes(m) for m in train_many(config, iter(sets))] == \
-            [payload_bytes(train(config, ds)) for ds in sets]
+        with quick_config("svm", 3) as config:
+            assert [payload_bytes(m) for m in train_many(config, iter(sets))] == \
+                [payload_bytes(train(config, ds)) for ds in sets]

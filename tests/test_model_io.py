@@ -1,6 +1,6 @@
 import json
 import os
-from dataclasses import fields
+import re
 
 import numpy as np
 import pytest
@@ -14,7 +14,6 @@ from gaze_sentinel.errors import (
 )
 from gaze_sentinel.learners import (
     KINDS,
-    LEARNERS,
     ClassifierConfig,
     LabeledDataset,
     config_fingerprint,
@@ -22,6 +21,7 @@ from gaze_sentinel.learners import (
     predict_batch,
     train,
 )
+from gaze_sentinel.learners.api import PUBLISHED
 from gaze_sentinel.model_io import (
     MODEL_SCHEMA_VERSION,
     load_model,
@@ -30,6 +30,11 @@ from gaze_sentinel.model_io import (
 )
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
+
+
+def committed_payload(kind: str) -> dict:
+    with open(os.path.join(FIXTURES, f"model_{kind}.json"), encoding="utf-8") as fh:
+        return json.load(fh)
 
 
 def training_set(seed=0, d=4):
@@ -309,23 +314,22 @@ def test_mutated_model_fails_closed_or_round_trips(tmp_path_factory, fitted, kin
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_unread_hyperparameter_is_refused(tmp_path_factory, fitted, kind, data):
-    """A field the kind's fit does not take (``seed`` aside) refuses any
-    value other than the published one, in value or in type: as a config,
-    and inside a model file whose fingerprint matches the edited config."""
+    """A published hyperparameter refuses any value other than its own, in
+    value or in type: as a config, which takes no such field, and inside a
+    model file whose fingerprint matches the edited config."""
     payload = model_payload(fitted[kind])  # the kind's published config
-    name = data.draw(st.sampled_from(
-        [f.name for f in fields(ClassifierConfig)[2:] if f.name not in LEARNERS[kind].fields]))
+    name = data.draw(st.sampled_from(list(PUBLISHED)))
     good = payload["config"][name]
     value = data.draw(st.one_of(JSON_VALUES, st.sampled_from(
         [float(good), int(good), bool(good), str(good), -good])).filter(
         lambda v: (type(v), v) != (type(good), good)))
+    with pytest.raises(TypeError, match=name):
+        ClassifierConfig(kind, **{name: value})
     config = {**payload["config"], name: value}
-    with pytest.raises(InvalidParameterError):
-        ClassifierConfig(**config)
     payload.update(config=config, fingerprint=config_fingerprint(config))
     path = tmp_path_factory.mktemp("unread") / "model.json"
     path.write_text(json.dumps(payload))
-    with pytest.raises(ModelFormatError):
+    with pytest.raises(ModelFormatError, match=name):
         load_model(path)
 
 
@@ -343,18 +347,49 @@ OUT_OF_RANGE = [
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("name, value", OUT_OF_RANGE)
 def test_out_of_range_config_is_refused(tmp_path, kind, name, value):
-    """Refused for every kind, whether its fit reads the field or not: as a
-    config, and inside a committed model file whose fingerprint matches the
-    edited config. Nothing is fitted."""
-    with open(os.path.join(FIXTURES, f"model_{kind}.json"), encoding="utf-8") as fh:
-        payload = json.load(fh)
+    """Refused for every kind inside a committed model file whose
+    fingerprint matches the edited config, and a seed as a config too.
+    Nothing is fitted."""
+    payload = committed_payload(kind)
     config = {**payload["config"], name: value}
-    with pytest.raises(InvalidParameterError, match=name):
-        ClassifierConfig(**config)
+    if name == "seed":
+        with pytest.raises(InvalidParameterError, match=name):
+            ClassifierConfig(kind, value)
     payload.update(config=config, fingerprint=config_fingerprint(config))
     path = tmp_path / "model.json"
     path.write_text(json.dumps(payload))
     with pytest.raises(ModelFormatError, match=name):
+        load_model(path)
+
+
+def _other_value(value):
+    """(half the value in its own type, the value in another type)."""
+    if isinstance(value, bool):
+        return not value, int(value)
+    return type(value)(value / 2), (float if isinstance(value, int) else int)(value)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("edit", ["value", "type", "missing", "extra"])
+@pytest.mark.parametrize("name", list(PUBLISHED))
+def test_config_other_than_the_record_is_refused(tmp_path, kind, edit, name):
+    """A config is its kind's published record, key for key: a file that
+    differs from it in one value (a forest claiming 50 trees, say), one
+    type, a missing or an extra key is refused, naming the file and the
+    key, whatever its fingerprint."""
+    payload = committed_payload(kind)
+    config = dict(payload["config"])
+    if edit == "missing":
+        del config[name]
+    elif edit == "extra":
+        name = f"{name}_2"
+        config[name] = 1
+    else:
+        config[name] = _other_value(config[name])[edit == "type"]
+    payload.update(config=config, fingerprint=config_fingerprint(config))
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ModelFormatError, match=f"{re.escape(str(path))}.*{name}"):
         load_model(path)
 
 

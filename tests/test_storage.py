@@ -388,9 +388,27 @@ class TestSessionWriterProperties:
                           timeline=Timeline(events=(), duration=1.0),
                           gaze=GazeStream(t=t, x=x, y=y, valid=valid))
         path = tmp_path_factory.mktemp("written") / "session.jsonl"
+        if not np.isfinite([t, x, y]).all():
+            with pytest.raises(InvalidParameterError):
+                storage.write_session_jsonl(session, path)
+            return
         storage.write_session_jsonl(session, path)
         header, *lines = path.read_text().splitlines(keepends=True)
         assert lines == per_sample_lines(session)
+
+    @pytest.mark.parametrize("column, at, value", [
+        ("x", 3, float("nan")), ("y", 10, float("inf")), ("t", -1, float("inf"))])
+    def test_non_finite_sample_is_refused_before_writing(self, tmp_path, column, at, value):
+        g = small_session().gaze
+        columns = {name: np.array(getattr(g, name)) for name in ("t", "x", "y", "valid")}
+        columns[column][at] = value
+        session = Session(participant_id=1, puzzle_id=2, gaze=GazeStream(**columns),
+                          layout=LAYOUT, timeline=Timeline(events=(), duration=1.0))
+        path = tmp_path / "session.jsonl"
+        with pytest.raises(InvalidParameterError,
+                           match=f"participant 1 puzzle 2: gaze {column} .*{re.escape(str(path))}"):
+            storage.write_session_jsonl(session, path)
+        assert list(tmp_path.iterdir()) == []
 
     def test_simulated_corpus_is_written_in_bulk(self, tmp_path, monkeypatch):
         def refuse(gaze):
