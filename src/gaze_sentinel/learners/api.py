@@ -3,7 +3,7 @@
 ``LEARNERS`` holds one row per configuration (the paper's Random Forest,
 AdaBoost, XGBoost, SVM and CatBoost, each trained in-repo): its fit and the
 published values it takes, its score function, its class threshold, the
-params type a model file decodes into, the type of each of its trees, its
+params type a model file decodes into, the type and count of its trees, its
 overrides of ``PUBLISHED`` and whether it standardizes. Scores are
 probability-like for the forest and the gbts (threshold 0.5) and signed
 margins for ada and svm (threshold 0); exact threshold ties resolve to NF.
@@ -34,6 +34,8 @@ class Learner(NamedTuple):
     threshold: float  # a score above it labels a row 1
     params_type: type
     tree_type: Optional[type]  # each item of ``params.trees``; None without trees
+    tree_count: str = ""  # the record value its fit grows that many trees of; "" for none
+    stops_early: bool = False  # the fit may grow fewer, down to none (ada)
     published: dict = {}  # overrides of ``PUBLISHED``
     standardizes: bool = False  # fit and score on z-scored features
     lockstep: bool = False  # fit takes datasets of one shape stacked, gives a list
@@ -50,19 +52,20 @@ LEARNERS = {
     # 100 bagged CART trees, Gini splits, ceil(sqrt(d)) candidate features
     # per node, unlimited depth; the score is the vote fraction.
     "forest": Learner(fit_forest, ("n_trees", "seed"), predict_forest, 0.5,
-                      ForestParams, TreeNodes),
+                      ForestParams, TreeNodes, "n_trees"),
     # 100 rounds of depth-1 stumps with SAMME updates; the score is a margin.
-    "ada": Learner(fit_ada, ("n_rounds",), predict_ada, 0.0, AdaParams, None),
+    "ada": Learner(fit_ada, ("n_rounds",), predict_ada, 0.0, AdaParams, None,
+                   "n_rounds", stops_early=True),
     # 100 Newton-boosted depth-6 trees, shrinkage 0.01; the score is a
     # logistic probability.
-    "gbt-a": Learner(fit_gbt, _BOOSTED, predict_gbt, 0.5, GbtParams, TreeNodes),
+    "gbt-a": Learner(fit_gbt, _BOOSTED, predict_gbt, 0.5, GbtParams, TreeNodes, "n_rounds"),
     # Linear hinge/L2 (C=1) by stochastic subgradient descent on
     # standardized features, fitted in lockstep; the score is a margin.
     "svm": Learner(fit_svm, ("svm_c", "svm_epochs", "seed"), predict_svm, 0.0,
                    SvmParams, None, standardizes=True, lockstep=True),
     # As gbt-a, but shrinkage 0.1 and oblivious (level-shared split) trees.
-    "gbt-b": Learner(fit_oblivious_gbt, _BOOSTED, predict_gbt, 0.5, GbtParams,
-                     ObliviousTree, published={"learning_rate": 0.1, "oblivious": True}),
+    "gbt-b": Learner(fit_oblivious_gbt, _BOOSTED, predict_gbt, 0.5, GbtParams, ObliviousTree,
+                     "n_rounds", published={"learning_rate": 0.1, "oblivious": True}),
 }
 KINDS = tuple(LEARNERS)
 

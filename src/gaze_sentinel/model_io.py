@@ -14,9 +14,11 @@ the same type), a standardizer where the kind's row does not standardize or
 none where it does, a ``params`` object with other keys than its type's
 fields, a number in them that is not finite, ``n_features`` that is not a
 positive integer or differs from ``params.n_features``, a standardizer of
-the wrong length, a ``params.learning_rate`` unlike the config's, or a
-top-level ``kind`` or ``fingerprint`` that does not match the model's config
-raises ``ModelFormatError`` naming the file before any prediction can run.
+the wrong length, a ``params.learning_rate`` unlike the config's, a tree
+count other than its learner row's ``tree_count`` value (more than it, where
+the row ``stops_early``), or a top-level ``kind`` or ``fingerprint`` that
+does not match the model's config raises ``ModelFormatError`` naming the
+file before any prediction can run.
 """
 
 from __future__ import annotations
@@ -95,7 +97,8 @@ def model_from_payload(payload: dict) -> TrainedModel:
             )
         raw = payload["config"]
         config = ClassifierConfig(raw["kind"], raw["seed"])
-        got, want = ({k: (type(v), v) for k, v in d.items()} for d in (raw, config.record()))
+        record = config.record()
+        got, want = ({k: (type(v), v) for k, v in d.items()} for d in (raw, record))
         for key in {**want, **got}:  # the record's keys in order, then any others
             _require(got.get(key) == want.get(key),
                      f"config {key!r} differs from the published {config.kind} record")
@@ -116,9 +119,13 @@ def model_from_payload(payload: dict) -> TrainedModel:
         params = _decode(learner.params_type, payload["params"], learner.tree_type)
         _require(params.n_features == n_features,
                  f"params.n_features {params.n_features} differs from n_features {n_features}")
-        rate = config.record()["learning_rate"]
+        rate = record["learning_rate"]
         _require(getattr(params, "learning_rate", rate) == rate,
                  f"params.learning_rate differs from config learning_rate {rate}")
+        if learner.tree_count:
+            count, most = params.packed.roots.size, record[learner.tree_count]
+            _require(count == most or learner.stops_early and count < most,
+                     f"params hold {count} trees, not {most} ({learner.tree_count})")
         loss = payload.get("train_loss")
         model = TrainedModel(
             config=config,

@@ -10,6 +10,7 @@ order-independent.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import json
 import numbers
@@ -287,6 +288,11 @@ TARGET_BOXES = (
     Rect(20.0, 640.0, 260.0, 780.0),  # elsewhere
 )
 DEFAULT_LAYOUT = AoiLayout(entries=tuple(zip(AoiLabel, TARGET_BOXES[:-1])))
+# Per axis (x, y): each AOI code's box centre, and the bounds that keep a
+# synthesized point 2 mm inside its box.
+_BOX_TARGETS = np.array([[(0.5 * (b.x0 + b.x1), b.x0 + 2.0, b.x1 - 2.0) for b in TARGET_BOXES],
+                         [(0.5 * (b.y0 + b.y1), b.y0 + 2.0, b.y1 - 2.0) for b in TARGET_BOXES]]
+                        ).transpose(0, 2, 1)
 
 
 def _clipped_normal(rng, mean, sd, bounds) -> float:
@@ -421,6 +427,15 @@ def _regime_spans(timeline: Timeline, reaction: ReactionParams,
     return [(a, b, s) for a, b, s in spans if b - a > 1e-9]
 
 
+def _row_cdfs(rows: np.ndarray) -> list:
+    """Each row's CDF as ``Generator.choice(N_AOI, p=row)`` builds it, so
+    ``bisect_right(cdf, rng.random())`` is that call's draw, bit for bit
+    and with the same use of the generator."""
+    cdfs = np.cumsum(rows, axis=1)
+    cdfs /= cdfs[:, -1:]
+    return cdfs.tolist()
+
+
 def synthesize_gaze(timeline: Timeline, behavior: BehaviorParams,
                     traits: ParticipantTraits, rng: np.random.Generator) -> GazeStream:
     """Sample a semi-Markov AOI walk at the configured rate.
@@ -440,10 +455,10 @@ def synthesize_gaze(timeline: Timeline, behavior: BehaviorParams,
         lo, hi = behavior.reaction.instance_strength
         mult = float(rng.uniform(lo, hi)) * traits.reaction_strength_mult
         spans = [(a, b, s * mult) for a, b, s in spans]
-    regimes = {}
+    regimes = []  # per span: each state's dwell scale and transition CDF
     for _, _, s in spans:
-        if s not in regimes:
-            regimes[s] = _blend_regime(base_dwell, base_rows, fail_dwell, fail_rows, s)
+        dwell_means, rows = _blend_regime(base_dwell, base_rows, fail_dwell, fail_rows, s)
+        regimes.append((np.maximum(dwell_means - floor, 1e-3).tolist(), _row_cdfs(rows)))
 
     duration = timeline.duration
     seg_end, seg_state = [], []
@@ -454,40 +469,25 @@ def synthesize_gaze(timeline: Timeline, behavior: BehaviorParams,
         while span_i < len(spans) - 1 and t >= spans[span_i][1] - 1e-12:
             span_i += 1
         span_end = spans[span_i][1]
-        dwell_means, rows = regimes[spans[span_i][2]]
-        end = t + floor + float(rng.exponential(max(dwell_means[state] - floor, 1e-3)))
-        if end >= span_end - 1e-12 and span_end < duration - 1e-9:
-            # Regime boundary: truncate the dwell, keep the state.
-            seg_end.append(span_end)
-            seg_state.append(state)
-            t = span_end
-            continue
-        end = min(end, duration)
-        seg_end.append(end)
+        scales, cdfs = regimes[span_i]
+        end = t + floor + rng.exponential(scales[state])
+        # A regime boundary truncates the dwell and keeps the state.
+        boundary = end >= span_end - 1e-12 and span_end < duration - 1e-9
+        t = span_end if boundary else min(end, duration)
+        seg_end.append(t)
         seg_state.append(state)
-        t = end
-        state = int(rng.choice(N_AOI, p=rows[state]))
-
-    ends = np.array(seg_end)
-    states = np.array(seg_state, dtype=np.int64)
+        if not boundary:
+            state = bisect.bisect_right(cdfs[state], rng.random())
 
     n = int(round(duration * behavior.sample_rate_hz))
     ts = np.arange(n, dtype=np.float64) / behavior.sample_rate_hz
-    idx = np.searchsorted(ends, ts, side="right")
-    idx = np.minimum(idx, len(states) - 1)
-    sample_state = states[idx]
+    # A sample lies in the first dwell ending after it, or else in the last.
+    firsts = np.searchsorted(ts, seg_end[:-1])
+    sample_state = np.repeat(seg_state, np.diff(firsts, prepend=0, append=n))
 
     jitter = rng.normal(0.0, behavior.position_jitter_mm, size=(n, 2))
-    xs = np.empty(n)
-    ys = np.empty(n)
-    inset = 2.0
-    for code, box in enumerate(TARGET_BOXES):
-        mask = sample_state == code
-        if not mask.any():
-            continue
-        cx, cy = 0.5 * (box.x0 + box.x1), 0.5 * (box.y0 + box.y1)
-        xs[mask] = np.clip(cx + jitter[mask, 0], box.x0 + inset, box.x1 - inset)
-        ys[mask] = np.clip(cy + jitter[mask, 1], box.y0 + inset, box.y1 - inset)
+    xs, ys = (np.clip(centre[sample_state] + jitter[:, axis], low[sample_state],
+                      high[sample_state]) for axis, (centre, low, high) in enumerate(_BOX_TARGETS))
 
     invalid = rng.random(n) < behavior.invalid_rate
     xs[invalid] = 0.0

@@ -34,10 +34,9 @@ from .learners import config_fingerprint
 
 SESSION_SCHEMA_VERSION = 1
 
-# The writer's own sample line. A number is a strict subset of JSON's number
-# grammar (no exponent, no bare "1." or "01.5"), so a body made only of these
-# lines parses to exactly what ``json.loads`` would give it, line by line.
-_SAMPLE_FORMAT = '{"t":%.6f,"x":%.3f,"y":%.3f,"valid":%s}\n'
+# A sample line is {"t":%.6f,"x":%.3f,"y":%.3f,"valid":true|false}. Its numbers
+# are a strict subset of JSON's (no exponent, no bare "1." or "01.5"), so such
+# lines parse to exactly what ``json.loads`` would give them, line by line.
 _DECIMALS = (6, 3, 3)  # of t, x and y
 _KEYS = (b'{"t":', b',"x":', b',"y":')
 _FLAGS = (b"false}", b"true}\0")  # each padded to six bytes
@@ -105,13 +104,17 @@ def provenance_lines(config: Optional[dict]) -> list:
 
 
 def write_session_jsonl(session: Session, path, config: Optional[dict] = None) -> None:
-    """Write ``session`` to ``path`` atomically; a gaze t, x or y that the
-    reader refuses, NaN or infinite, raises before anything is written."""
-    for name in ("t", "x", "y"):
-        if not np.isfinite(getattr(session.gaze, name)).all():
+    """Write ``session`` to ``path`` atomically. A gaze t, x or y that the
+    reader refuses (NaN or infinite), or of 2^52 units of its last written
+    digit or more, raises before anything is written."""
+    for name, decimals in zip(("t", "x", "y"), _DECIMALS):
+        with np.errstate(over="ignore"):
+            units = np.abs(getattr(session.gaze, name)) * 10.0 ** decimals
+        if not np.all(units < 2.0 ** 52):  # NaN fails too
             raise InvalidParameterError(f"participant {session.participant_id} puzzle "
-                                        f"{session.puzzle_id}: gaze {name} is not finite, "
-                                        f"so {path} is not written")
+                                        f"{session.puzzle_id}: gaze {name} is not a finite "
+                                        f"number below 2^52 / 10^{decimals}, so {path} is "
+                                        f"not written")
     header = {
         "schema": SESSION_SCHEMA_VERSION,
         "kind": "session",
@@ -134,16 +137,12 @@ def write_session_jsonl(session: Session, path, config: Optional[dict] = None) -
     atomic_write(path, head.encode() + _sample_lines(session.gaze))
 
 
-def _fixed_point(v: np.ndarray, decimals: int) -> Optional[np.ndarray]:
-    """``|v|·10^decimals`` rounded to an integer as ``%.<decimals>f`` rounds
-    it, half to even on the exact binary value; None unless every product is
-    below 2^52."""
+def _fixed_point(v: np.ndarray, decimals: int) -> np.ndarray:
+    """``|v|·10^decimals``, each below 2^52, rounded to an integer as
+    ``%.<decimals>f`` rounds it, half to even on the exact binary value."""
     a = np.abs(v)
     scale = 10.0 ** decimals  # exact, with at most 14 significant bits
-    with np.errstate(over="ignore"):
-        p = a * scale
-    if not np.all(p < 2.0 ** 52):
-        return None
+    p = a * scale
     # Dekker's product, with a split into two 26-bit halves by Veltkamp's
     # method: each product below is exact, so p + e is exactly a·scale.
     c = a * 134217729.0
@@ -158,13 +157,11 @@ def _fixed_point(v: np.ndarray, decimals: int) -> Optional[np.ndarray]:
 
 
 def _sample_lines(g: GazeStream) -> bytes:
-    """The sample lines of ``g``, byte for byte as ``_SAMPLE_FORMAT`` formats
-    them. The lines are the columns of a byte matrix: t, x and y are written
-    as fixed-point integers digit by digit, right-aligned in fields as wide
-    as the column's widest value, and the pad bytes left over are deleted."""
+    """The sample lines of ``g``, byte for byte in the format above. The
+    lines are the columns of a byte matrix: t, x and y are written as
+    fixed-point integers digit by digit, right-aligned in fields as wide as
+    the column's widest value, and the pad bytes left over are deleted."""
     columns = [(v, _fixed_point(v, d), d) for v, d in zip((g.t, g.x, g.y), _DECIMALS)]
-    if any(k is None for _, k, _ in columns):
-        return _formatted_sample_lines(g)
     template, fields = bytearray(), []
     for (v, k, d), key in zip(columns, _KEYS):
         width = len(str(int(k.max(initial=0)) // 10 ** d))
@@ -188,15 +185,6 @@ def _sample_lines(g: GazeStream) -> bytes:
     flags = np.frombuffer(b"".join(_FLAGS), np.uint8).reshape(2, 6).T
     lines[flag:flag + 6] = flags[:, g.valid.view(np.uint8)]
     return lines.T.tobytes().translate(None, _PAD)
-
-
-def _formatted_sample_lines(g: GazeStream) -> bytes:
-    """The sample lines of ``g``, formatted one sample at a time. Only a
-    stream holding a value of 2^52 units or more comes here."""
-    flags = ["true" if v else "false" for v in g.valid.tolist()]
-    samples = map(_SAMPLE_FORMAT.__mod__,
-                  zip(g.t.tolist(), g.x.tolist(), g.y.tolist(), flags))
-    return "".join(samples).encode()
 
 
 def _parse_session_header(line: str, path) -> dict:

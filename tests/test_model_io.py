@@ -226,6 +226,52 @@ MALFORMED = [
 ]
 
 
+def _with_trees(payload, count):
+    """``payload`` with its trees (ada: its stumps) cut to, or grown by
+    repeats to, ``count``."""
+    params = payload["params"]
+    for key in ("trees",) if "trees" in params else (
+            "feature", "threshold", "low_value", "high_value", "alpha"):
+        params[key] = (params[key] * 2)[:count]
+    return payload
+
+
+# (kind, tree count, whether it loads): forest, gbt-a and gbt-b fits grow
+# exactly their published count; ada may stop early, down to no stump.
+TREE_COUNTS = [
+    ("forest", 50, False), ("forest", 101, False), ("forest", 100, True),
+    ("gbt-a", 99, False), ("gbt-a", 101, False), ("gbt-a", 100, True),
+    ("gbt-b", 1, False), ("gbt-b", 200, False), ("gbt-b", 100, True),
+    ("ada", 101, False), ("ada", 0, True), ("ada", 1, True), ("ada", 50, True),
+]
+
+
+@pytest.mark.parametrize("kind, count, loads", TREE_COUNTS)
+def test_tree_count_is_the_records(tmp_path, kind, count, loads):
+    """A committed model file with its trees cut or grown, its config and
+    fingerprint untouched, loads only with a count its record allows."""
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(_with_trees(committed_payload(kind), count)))
+    if loads:
+        assert load_model(path).params.packed.roots.size == count
+    else:
+        with pytest.raises(ModelFormatError, match=f"{re.escape(str(path))}.* {count} trees"):
+            load_model(path)
+
+
+def test_stumpless_ada_round_trips(tmp_path):
+    """ada on constant features keeps no stump; the file it saves loads and
+    predicts as the model did."""
+    X, y = np.ones((10, 2)), np.array([0, 1] * 5)
+    model = train(default_config("ada"), LabeledDataset(X, y, np.arange(10)))
+    assert model.params.alpha.size == 0
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    loaded = load_model(path)
+    assert model_payload(loaded) == model_payload(model)
+    assert np.array_equal(predict_batch(loaded, X)[1], np.zeros(10))
+
+
 @pytest.fixture(scope="module")
 def fitted():
     """Models of every kind fitted on shuffled labels, so trees grow deep."""

@@ -1,3 +1,5 @@
+import bisect
+import hashlib
 import json
 import numbers
 import shutil
@@ -8,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import DEFAULT_PROFILE, profile_dict
-from gaze_sentinel.core import FAILURE_DURATIONS, AoiLabel, Debouncer, segment_session
+from gaze_sentinel.core import FAILURE_DURATIONS, N_AOI, AoiLabel, Debouncer, segment_session
 from gaze_sentinel.errors import InvalidParameterError
 from gaze_sentinel.sim import (
     BehaviorParams,
@@ -16,6 +18,8 @@ from gaze_sentinel.sim import (
     DEFAULT_LAYOUT,
     LATIN_SQUARE,
     ScenarioCondition,
+    _blend_regime,
+    _row_cdfs,
     build_session,
     build_timeline,
     draw_traits,
@@ -158,7 +162,48 @@ class TestGazeSynthesis:
         assert all(f.duration >= 0.1 - 1e-9 for f in fx)
 
 
+# Transition rows: six entries, exact zeros among them, normalised; a
+# regime's rows may also be a blend of two such matrices.
+ROWS = st.lists(st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 1.0)),
+                         min_size=N_AOI, max_size=N_AOI).filter(any),
+                min_size=2 * N_AOI, max_size=2 * N_AOI)
+
+
+@given(seed=st.integers(0, 2 ** 64 - 1), rows=ROWS, strength=st.floats(0.0, 1.0),
+       picks=st.lists(st.tuples(st.integers(0, 3 * N_AOI - 1), st.floats(1e-3, 30.0)),
+                      min_size=1, max_size=40))
+def test_transition_draw_is_generator_choice(seed, rows, strength, picks):
+    """The walk's draw (an exponential dwell, then ``random()`` bisected into
+    the row's CDF) equals an exponential and ``Generator.choice(p=row)``,
+    draw for draw, and leaves the generator in the same state."""
+    a, b = (np.array(m) / np.sum(m, axis=1, keepdims=True) for m in (rows[:N_AOI], rows[N_AOI:]))
+    _, blend = _blend_regime(np.ones(N_AOI), a, np.ones(N_AOI), b, strength)
+    matrix = np.vstack([a, b, blend])
+    cdfs = _row_cdfs(matrix)
+    walk, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+    for row, scale in picks:
+        assert walk.exponential(scale) == reference.exponential(scale)
+        assert bisect.bisect_right(cdfs[row], walk.random()) \
+            == reference.choice(N_AOI, p=matrix[row])
+    assert walk.bit_generator.state == reference.bit_generator.state
+
+
+# sha256 over the default corpus's gaze columns (t, x, y as float64, valid as
+# bytes), session by session. A change that moves the corpus on purpose
+# regenerates it.
+DEFAULT_CORPUS_GAZE_SHA256 = "1b03c89db7b80115d0df2a848ff1ebdf5030e3cb80f73be618c89bab1ba7ee32"
+
+
 class TestCorpus:
+    def test_default_corpus_gaze_is_golden(self, default_corpus):
+        digest = hashlib.sha256()
+        for session in default_corpus.sessions:
+            g = session.gaze
+            for column in (g.t, g.x, g.y, g.valid):
+                digest.update(np.ascontiguousarray(column).tobytes())
+        assert len(default_corpus.sessions) == 104
+        assert digest.hexdigest() == DEFAULT_CORPUS_GAZE_SHA256
+
     def test_single_participant_covers_conditions(self):
         sessions = generate_corpus(CorpusSpec(participants=1, master_seed=5))
         assert len(sessions) == 4
