@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .forest import PackedTrees, pack_trees
-from .gbt import ObliviousTree
+from .gbt import ObliviousTree, best_cut, presort
 
 
 @dataclass
@@ -52,60 +52,23 @@ class AdaParams:
                                          self.high_value)], self.n_features)
 
 
-def _presort(X: np.ndarray, y: np.ndarray):
-    """X's stable column argsort, X and y and 1 - y in that order, and the
-    mask of sorted positions whose next value ties. X is the same in every
-    round, so a fit computes these once."""
-    order = np.argsort(X, axis=0, kind="stable")
-    xs = np.take_along_axis(X, order, axis=0)
-    ys = y[order]
-    return order, xs, ys, 1 - ys, xs[1:] <= xs[:-1]
-
-
-def _fit_stump(presorted, w: np.ndarray):
-    """Minimum weighted-error stump over all features and both polarities,
-    from ``_presort``'s arrays and the row weights ``w``.
-
-    Returns (feature, threshold, low_class, high_class, error) or None when
-    every feature is constant.
-    """
-    order, xs, ys, not_ys, invalid = presorted
-    d = xs.shape[1]
-    ws = w[order]
-    w_pos = np.cumsum(ws * ys, axis=0)
-    w_neg = np.cumsum(ws * not_ys, axis=0)
-    total_pos = w_pos[-1]
-    total_neg = w_neg[-1]
-
-    # Polarity A: predict 1 below the threshold, 0 at or above it.
-    err_a = w_neg[:-1] + (total_pos[None, :] - w_pos[:-1])
-    # Polarity B: predict 0 below the threshold, 1 at or above it.
-    err_b = w_pos[:-1] + (total_neg[None, :] - w_neg[:-1])
-    err_a = np.where(invalid, np.inf, err_a)
-    err_b = np.where(invalid, np.inf, err_b)
-
-    stacked = np.stack([err_a, err_b])
-    flat = int(np.argmin(stacked))
-    polarity, rest = divmod(flat, err_a.size)
-    i, j = divmod(rest, d)
-    best = stacked[polarity].flat[rest]
-    if not np.isfinite(best):
-        return None
-    threshold = 0.5 * (xs[i, j] + xs[i + 1, j])
-    low, high = (1, 0) if polarity == 0 else (0, 1)
-    return j, float(threshold), low, high, float(best)
+def _negated_errors(left, total):
+    """Minus each cut's weighted error from the sums of [w*y, w*(1-y)]:
+    polarity A (1 below the threshold, 0 at or above it), then B (0, 1)."""
+    return -(left[::-1] + (total - left))
 
 
 def fit_ada(X: np.ndarray, y: np.ndarray, rounds: int) -> AdaParams:
     n, d = X.shape
-    presorted = _presort(X, y)
+    order, xs = presort(X)
     w = np.full(n, 1.0 / n)
     feats, thrs, lows, highs, alphas = [], [], [], [], []
     for _ in range(rounds):
-        stump = _fit_stump(presorted, w)
-        if stump is None:
+        cut = best_cut(order, xs, np.array([w * y, w * (1 - y)]), _negated_errors)
+        if cut is None:  # every feature is constant
             break
-        f, thr, low, high, _ = stump
+        _, polarity, f, thr = cut
+        low, high = 1 - polarity, polarity
         pred = np.where(X[:, f] < thr, low, high)
         miss = pred != y
         err = float(w[miss].sum())

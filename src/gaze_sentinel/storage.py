@@ -194,6 +194,10 @@ def _parse_session_header(line: str, path) -> dict:
             raise MalformedStreamError("not a session header")
         if header.get("schema") != SESSION_SCHEMA_VERSION:
             raise MalformedStreamError(f"unsupported session schema {header.get('schema')!r}")
+        for key in ("participant", "puzzle"):
+            value = header.get(key)
+            if type(value) is not int or value < 1:  # a JSON true is a bool, refused too
+                raise MalformedStreamError(f"{key} {value!r} is not an integer of at least 1")
     return header
 
 
@@ -408,10 +412,20 @@ def corpus_paths(corpus_dir) -> list:
 
 
 def read_corpus(corpus_dir) -> list:
+    """The sessions of ``corpus_paths``; two files holding one (participant,
+    puzzle) raise ``MalformedStreamError`` naming both."""
     paths = corpus_paths(corpus_dir)
     if not paths:
         raise InvalidParameterError(f"no session files found in {corpus_dir}")
-    return [read_session_jsonl(p) for p in paths]
+    sessions = [read_session_jsonl(p) for p in paths]
+    seen: dict = {}
+    for path, session in zip(paths, sessions):
+        key = (session.participant_id, session.puzzle_id)
+        if key in seen:
+            raise MalformedStreamError(f"{seen[key]} and {path} both hold participant "
+                                       f"{key[0]} puzzle {key[1]}")
+        seen[key] = path
+    return sessions
 
 
 _FEATURE_CSV_HEADER = ("task", "participant", "puzzle", "piece", "label", "t0", "t1",
@@ -520,22 +534,26 @@ def write_report_csv(path, entries, config: Optional[dict] = None) -> None:
 
 def read_report_csv(path) -> list:
     """Rows of a report table; a header other than the writer's, a row
-    without exactly its six fields, or an accuracy or recall that is not a
-    number raises ``InvalidParameterError`` with the path and the 1-based
-    line number, and a file that is not UTF-8 text raises it with the
-    path."""
+    without exactly its six fields, or an accuracy or non-empty recall that
+    is not a finite number in [0, 1] raises ``InvalidParameterError`` with
+    the path and the 1-based line number, and a file that is not UTF-8 text
+    raises it with the path."""
     rows = []
     for number, parts in _csv_rows(path, tuple(_REPORT_CSV_HEADER.split(",")), "report"):
         task, classifier, n_or_width, fold, accuracy, recall = parts
         with decoding(InvalidParameterError, f"{path}, line {number}"):
-            rows.append({
+            row = {
                 "task": task,
                 "classifier": classifier,
                 "n_or_width": n_or_width,
                 "fold": fold,
                 "accuracy": float(accuracy),
                 "recall": float(recall) if recall else None,
-            })
+            }
+            for name in ("accuracy", "recall"):
+                if row[name] is not None and not 0.0 <= row[name] <= 1.0:
+                    raise ValueError(f"{name} is {row[name]}, not a number in [0, 1]")
+        rows.append(row)
     return rows
 
 

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 from contextlib import contextmanager
@@ -21,7 +22,7 @@ from gaze_sentinel.learners import (
     train,
     train_many,
 )
-from gaze_sentinel.learners.adaboost import AdaParams, predict_ada
+from gaze_sentinel.learners.adaboost import AdaParams, _negated_errors, predict_ada
 from gaze_sentinel.learners.api import PUBLISHED
 from gaze_sentinel.learners.data import fit_standardizer
 from gaze_sentinel.learners.forest import (
@@ -37,10 +38,13 @@ from gaze_sentinel.learners.gbt import (
     ObliviousTree,
     _bin_groups,
     _logloss,
+    _newton_gain,
     _oblivious_level,
     _quantize,
     _sigmoid,
+    best_cut,
     predict_gbt,
+    presort,
 )
 from gaze_sentinel.learners.svm import SvmParams
 from gaze_sentinel.model_io import model_payload
@@ -780,6 +784,59 @@ def quick_config(kind: str, seed: int):
     10 trees, rounds and epochs, which keeps the references quick."""
     with mock.patch.dict(PUBLISHED, n_trees=10, n_rounds=10, svm_epochs=10):
         yield ClassifierConfig(kind, seed)
+
+
+def scan_cuts(X: np.ndarray, stats: np.ndarray, score):
+    """``best_cut`` by brute force: each feature's rows in a stable sort,
+    every cut between distinct values scored alone from sums added one row
+    at a time, and the first maximum kept in (polarity, left size, feature)
+    order."""
+    cuts = []
+    for j in range(X.shape[1]):
+        rows = sorted(range(X.shape[0]), key=lambda r: X[r, j])
+        sums = [list(itertools.accumulate(s[r] for r in rows)) for s in stats.tolist()]
+        total = np.array([s[-1] for s in sums])[:, None, None]
+        for i in range(len(rows) - 1):
+            if X[rows[i], j] < X[rows[i + 1], j]:
+                values = score(np.array([s[i] for s in sums])[:, None, None], total)
+                cuts += [((p, i, j), float(v), 0.5 * (X[rows[i], j] + X[rows[i + 1], j]))
+                         for p, v in enumerate(values[:, 0, 0])]
+    best = None
+    for (p, _, j), value, threshold in sorted(cuts):
+        if best is None or value > best[0]:
+            best = (value, p, j, threshold)
+    return best
+
+
+@st.composite
+def tie_heavy_nodes(draw):
+    """Columns on a small value grid, maybe all of them constant, with the
+    statistics of one polarity (gbt-a's [g, h]) or two (ada's)."""
+    n = draw(st.integers(2, 30))
+    d = draw(st.integers(1, 5))
+    grid = 0 if draw(st.booleans()) else draw(st.integers(1, 3))
+    X = np.array(draw(st.lists(st.integers(-grid, grid), min_size=n * d,
+                               max_size=n * d)), dtype=np.float64).reshape(n, d) / 2
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    y = rng.integers(0, 2, n)
+    if draw(st.booleans()):
+        w = rng.dirichlet(np.ones(n))
+        return X, np.stack([w * y, w * (1 - y)]), _negated_errors
+    p = rng.uniform(0.01, 0.99, n)
+    return X, np.stack([p - y, p * (1.0 - p)]), _newton_gain
+
+
+class TestBestCut:
+    @given(tie_heavy_nodes())
+    def test_matches_a_brute_force_scan(self, node):
+        X, stats, score = node
+        got = best_cut(*presort(X), stats, score)
+        want = scan_cuts(X, stats, score)
+        if want is None:
+            assert got is None and (X == X[0]).all()
+        else:
+            assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
+            assert got[1:] == want[1:]
 
 
 class TestFitsMatchReference:

@@ -3,6 +3,7 @@ import hashlib
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 
@@ -523,6 +524,45 @@ class TestErrors:
         assert record["error"] == "InvalidParameterError"
         assert f"{path}, line 2:" in record["message"]
         assert "Traceback" not in err
+
+    def test_report_value_outside_0_to_1_is_json_error(self, tmp_path, capsys):
+        reports = tmp_path / "reports"
+        reports.mkdir()
+        path = reports / "report_full_nf-ef.csv"
+        path.write_text("task,classifier,n_or_width,fold,accuracy,recall\n"
+                        "nf-ef,ada,full,pooled,7.5,-2\n")
+        code = main(["report", "--reports", str(reports), "--out", str(tmp_path / "out")])
+        assert code == 1
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "InvalidParameterError"
+        assert f"{path}, line 2: ValueError: accuracy is 7.5" in record["message"]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["extract", "detect"])
+    def test_session_id_not_an_integer_is_json_error(self, corpus_dir, ada_model, tmp_path,
+                                                     capsys, command):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(corpus_dir, corpus)
+        bad = corpus / "session_p001_z1.jsonl"
+        bad.write_text(bad.read_text().replace('"participant":1,', '"participant":"x",', 1))
+        argv = (["extract", "--corpus", str(corpus)] if command == "extract" else
+                ["detect", "--model", str(ada_model), "--session", str(bad)])
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "MalformedStreamError"
+        assert f"{bad}, line 1: participant 'x'" in record["message"]
+        assert not (tmp_path / "out").exists()
+
+    def test_two_sessions_of_one_key_is_json_error(self, corpus_dir, tmp_path, capsys):
+        first, second = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        for copy in (first, second):
+            shutil.copyfile(corpus_dir / "session_p001_z1.jsonl", copy)
+        code = main(["extract", "--corpus", str(tmp_path), "--out", str(tmp_path / "f.csv")])
+        assert code == 1
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record == {"error": "MalformedStreamError",
+                          "message": f"{first} and {second} both hold participant 1 puzzle 1"}
+        assert not (tmp_path / "f.csv").exists()
 
     @pytest.mark.parametrize("kind", ["config file", "profile", "model envelope",
                                       "model params", "manifest", "session header",

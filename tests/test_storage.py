@@ -129,6 +129,19 @@ class TestSessionReader:
                 read(session_file)
             assert str(session_file) in str(err.value)
 
+    @pytest.mark.parametrize("value", ['"x"', "1.5", "true", "-3", "0"])
+    @pytest.mark.parametrize("key", ["participant", "puzzle"])
+    def test_header_id_not_an_integer_of_at_least_1_names_the_file(self, session_file, key,
+                                                                    value):
+        lines = lines_of(session_file)
+        lines[0], count = re.subn(f'"{key}":[^,}}]*', f'"{key}":{value}', lines[0])
+        assert count == 1
+        session_file.write_text("".join(lines))
+        for read in (storage.read_session_jsonl, read_line_by_line):
+            with pytest.raises(MalformedStreamError, match=f"{key} .* at least 1") as err:
+                read(session_file)
+            assert str(session_file) in str(err.value)
+
     def test_binary_file(self, tmp_path):
         path = tmp_path / "session.jsonl"
         path.write_bytes(b"\xff\xfe\x00garbage")
@@ -148,6 +161,15 @@ class TestCorpusManifest:
         with pytest.raises(MalformedStreamError) as err:
             storage.corpus_paths(tmp_path)
         assert str(manifest) in str(err.value)
+
+
+class TestCorpusReader:
+    def test_two_files_of_one_session_name_both(self, tmp_path):
+        for name in ("a.jsonl", "b.jsonl"):
+            storage.write_session_jsonl(small_session(), tmp_path / name)
+        with pytest.raises(MalformedStreamError, match="participant 1 puzzle 2") as err:
+            storage.read_corpus(tmp_path)
+        assert f"{tmp_path / 'a.jsonl'} and {tmp_path / 'b.jsonl'}" in str(err.value)
 
 
 def varied_session(n=40):
@@ -499,12 +521,36 @@ class TestReportCsvReader:
         assert [(r["fold"], r["accuracy"], r["recall"]) for r in rows] == [
             ("1", 0.75, None), ("pooled", 0.5, 0.25)]
 
+    @pytest.mark.parametrize("fold_row, loads", [
+        ("nf-ef,ada,full,1,0,1", True), ("nf-ef,ada,full,1,1,0", True),
+        ("nf-ef,ada,full,1,inf,", False), ("nf-ef,ada,full,1,0.5,nan", False)])
+    def test_values_are_read_in_0_to_1(self, report_file, fold_row, loads):
+        lines = report_file.read_text().splitlines()
+        lines[2] = fold_row
+        report_file.write_text("\n".join(lines) + "\n")
+        if loads:
+            assert len(storage.read_report_csv(report_file)) == 2
+        else:
+            with pytest.raises(InvalidParameterError, match="not a number in") as err:
+                storage.read_report_csv(report_file)
+            assert f"{report_file}, line 3:" in str(err.value)
+
     @pytest.mark.parametrize("edit", [
         lambda line: line.rsplit(",", 1)[0],  # five fields
         lambda line: line + ",0.5",  # seven fields
         lambda line: line.replace(",0.5,", ",half,"),  # accuracy not a number
         lambda line: line.rsplit(",", 1)[0] + ",x",  # recall not a number
-    ], ids=["5 fields", "7 fields", "accuracy", "recall"])
+        lambda line: line.replace(",0.5,", ",7.5,"),
+        lambda line: line.replace(",0.5,", ",-0.0001,"),
+        lambda line: line.replace(",0.5,", ",nan,"),
+        lambda line: line.replace(",0.5,", ",inf,"),
+        lambda line: line.rsplit(",", 1)[0] + ",-2",
+        lambda line: line.rsplit(",", 1)[0] + ",1.0000001",
+        lambda line: line.rsplit(",", 1)[0] + ",nan",
+        lambda line: line.rsplit(",", 1)[0] + ",-inf",
+    ], ids=["5 fields", "7 fields", "accuracy", "recall", "accuracy 7.5", "accuracy below 0",
+            "accuracy nan", "accuracy inf", "recall -2", "recall above 1", "recall nan",
+            "recall -inf"])
     def test_bad_row_names_its_line(self, report_file, edit):
         lines = report_file.read_text().splitlines()
         lines[-1] = edit(lines[-1])
