@@ -122,7 +122,7 @@ class SegmentRow:
 
 class Corpus:
     """Session collection with cached debouncing, segment features, task
-    datasets (and with them their fold models, see ``fit_fold``), and
+    datasets (and with them their fold models, see ``fit_folds``), and
     per-window features, shared across classifiers, folds and regimes.
 
     Segment, first-n and window rows all come from one kernel,
@@ -247,36 +247,23 @@ def _fit_pickled(X, y, groups, config: ClassifierConfig, held_out: list) -> byte
     return pickle.dumps(_fit_splits(X, y, groups, config, held_out))
 
 
-def fit_fold(dataset: LabeledDataset, config: ClassifierConfig,
-             held_out: int) -> TrainedModel:
-    """The fold model of ``held_out`` (see ``_fit_splits``).
-
-    These arguments determine the fit and the dataset's arrays are
-    read-only, so the model is fitted once and kept in
-    ``dataset.fold_models``: every regime run on one dataset shares it.
-    """
-    key = (config, int(held_out))
-    if key not in dataset.fold_models:
-        (dataset.fold_models[key],) = _fit_splits(dataset.X, dataset.y, dataset.groups,
-                                                  config, [int(held_out)])
-    return dataset.fold_models[key]
-
-
 def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
 def fit_folds(dataset: LabeledDataset, config: ClassifierConfig, held_out) -> list:
-    """The fold models of the ``held_out`` participants, each as
-    ``fit_fold`` gives it.
+    """The fold models of the ``held_out`` participants (see ``_fit_splits``).
 
-    The folds not yet in ``dataset.fold_models`` are fitted and kept there,
-    in jobs: one per fold, or one for all svm folds, which ``train_many``
-    fits in lockstep groups. Jobs run in worker processes, one per CPU this
-    process may use; with one CPU or one job, in-process. A fold depends on
-    the arrays, the config and the held-out id alone, so the models are the
-    same byte for byte either way. The first failing fold in ``held_out``
-    order raises its own error; jobs not yet started are cancelled.
+    These arguments determine each fit and the dataset's arrays are
+    read-only, so each model is fitted once and kept in
+    ``dataset.fold_models``: every regime run on one dataset shares it.
+    The folds not yet there are fitted in jobs: one per fold, or one for
+    all svm folds, which ``train_many`` fits in lockstep groups. Jobs run in
+    worker processes, one per CPU this process may use; with one CPU or one
+    job, in-process. A fold depends on the arrays, the config and the
+    held-out id alone, so the models are the same byte for byte either way.
+    The first failing fold in ``held_out`` order raises its own error; jobs
+    not yet started are cancelled.
 
     Workers are forked. The pool lives for one call, and two forked
     workers start in about 10 ms with numpy and this package imported;
@@ -303,41 +290,38 @@ def fit_folds(dataset: LabeledDataset, config: ClassifierConfig, held_out) -> li
         fitted = [_fit_splits(*args, job) for job in jobs]
     for job, models in zip(jobs, fitted):
         dataset.fold_models.update(zip([(config, p) for p in job], models))
-    return [fit_fold(dataset, config, p) for p in held_out]
+    return [dataset.fold_models[(config, p)] for p in held_out]
 
 
-def _loo_folds(dataset: LabeledDataset, config: ClassifierConfig, tests: dict) -> list:
+def _loo_folds(dataset: LabeledDataset, config: ClassifierConfig, groups, truth,
+               blocks) -> list:
     """The participant leave-one-out loop of every regime.
 
-    ``tests`` maps each participant of ``dataset`` to its test sets, as
-    (X, truth) pairs, and its fold model labels each X in one call. Every
-    participant has the same number of test sets. Returns, per test set, a
-    (participant, truth, labels, scores) tuple per fold, in participant
-    order. A participant whose first test set is empty is skipped with a
-    warning.
+    The test rows are columns aligned with ``groups``, their participants:
+    ``truth`` and each (rows, 11) feature block of ``blocks``. Each
+    participant's fold model labels its rows of a block in one call.
+    Returns, per block, a (participant, truth, labels, scores) tuple per
+    fold, in participant order. A participant of ``dataset`` without test
+    rows is skipped with a warning.
     """
     pids = np.unique(dataset.groups).tolist()
     if len(pids) < 2:
         raise InvalidParameterError("leave-one-out needs at least two participants")
-    tested = [pid for pid in pids if len(tests[pid][0][1])]
+    tested = [pid for pid in pids if (groups == pid).any()]
     for pid in sorted(set(pids) - set(tested)):
         warnings.warn(f"participant {pid} has no test rows; fold skipped")
-    models = fit_folds(dataset, config, tested)
-    folds: list = [[] for _ in tests[pids[0]]]
-    for pid, model in zip(tested, models):
-        for out, (X, truth) in zip(folds, tests[pid]):
-            out.append((pid, truth, *predict_batch(model, X)))
+    folds: list = [[] for _ in blocks]
+    for pid, model in zip(tested, fit_folds(dataset, config, tested)):
+        mask = groups == pid
+        for out, X in zip(folds, blocks):
+            out.append((pid, truth[mask], *predict_batch(model, X[mask])))
     return folds
 
 
 def loo_cv(dataset: LabeledDataset, config: ClassifierConfig,
            task: str = "") -> EvalReport:
     """One fold per participant, tested on its full-segment rows."""
-    tests = {}
-    for pid in np.unique(dataset.groups).tolist():
-        mask = dataset.groups == pid
-        tests[pid] = [(dataset.X[mask], dataset.y[mask])]
-    (folds,) = _loo_folds(dataset, config, tests)
+    (folds,) = _loo_folds(dataset, config, dataset.groups, dataset.y, [dataset.X])
     return _pooled_report(task, "full-segment", folds)
 
 
@@ -364,12 +348,8 @@ def eval_first_n(corpus: Corpus, task: str, config: ClassifierConfig,
     if not all(0 < n < math.inf for n in n_values):
         raise InvalidParameterError("truncation lengths must be positive and finite")
     dataset, rows = corpus.dataset_for_task(task)
-    tests = {}
-    for pid in np.unique(dataset.groups).tolist():
-        test_rows = [r for r in rows if r.participant == pid]
-        truth = np.array([0 if r.label == "NF" else 1 for r in test_rows], dtype=np.int64)
-        tests[pid] = [(block, truth) for block in first_n_blocks(corpus, test_rows, n_values)]
-    folds = _loo_folds(dataset, config, tests)
+    folds = _loo_folds(dataset, config, dataset.groups, dataset.y,
+                       first_n_blocks(corpus, rows, n_values))
     return {n: _pooled_report(task, f"first-{n:g}", f) for n, f in zip(n_values, folds)}
 
 
@@ -432,13 +412,14 @@ def stream_detect(model: TrainedModel, session: Session, width: float) -> list:
     if not t0.size:
         return []
     X = causal_window_matrix(Debouncer(session.gaze, session.layout), t0, t1)
-    return list(_records(session, t0, t1, *predict_batch(model, X)))
+    return _records(repeat(session.participant_id), repeat(session.puzzle_id), t0, t1,
+                    *predict_batch(model, X))
 
 
-def _records(session: Session, t0, t1, labels, scores):
-    """One ``DetectionEvent`` per window of ``session``, from its columns."""
-    return map(DetectionEvent, repeat(session.participant_id), repeat(session.puzzle_id),
-               t0.tolist(), t1.tolist(), labels.tolist(), scores.tolist())
+def _records(participants, puzzles, t0, t1, labels, scores) -> list:
+    """One ``DetectionEvent`` per window, from its columns."""
+    return list(map(DetectionEvent, participants, puzzles, t0.tolist(), t1.tolist(),
+                    labels.tolist(), scores.tolist()))
 
 
 @dataclass(frozen=True)
@@ -451,25 +432,21 @@ def loo_stream_eval(corpus: Corpus, task: str, config: ClassifierConfig,
                     width: float) -> StreamEvalResult:
     """Train per-fold on full segments, then classify the held-out
     participant's failure-type sessions window by window."""
-    ftype = _failure_type(task)
     dataset, _ = corpus.dataset_for_task(task)
-    located: dict = {}
-    for session in corpus.failure_sessions(ftype):
-        located.setdefault(session.participant_id, []).append(
-            (session, *corpus.window_features(session, width)))
-    tests = {}
-    for pid in np.unique(dataset.groups).tolist():
-        parts = located.get(pid, [])
-        tests[pid] = [(np.concatenate([X for *_, X in parts] + [np.zeros((0, dataset.n_features))]),
-                       np.concatenate([truth for *_, truth, _ in parts] + [np.zeros(0, np.int64)]))]
-    (folds,) = _loo_folds(dataset, config, tests)
-    detections = []
-    for pid, _, labels, scores in folds:
-        for session, t0, t1, _, _ in located[pid]:
-            n = t0.size
-            detections += _records(session, t0, t1, labels[:n], scores[:n])
-            labels, scores = labels[n:], scores[n:]
+    sessions = corpus.failure_sessions(_failure_type(task))
+    columns = [corpus.window_features(s, width) for s in sessions]
+    counts = [t0.size for t0, *_ in columns]
+    empty = (np.zeros(0), np.zeros(0), np.zeros(0, np.int64), np.zeros((0, dataset.n_features)))
+    t0, t1, truth, X = (np.concatenate(c) for c in zip(*columns, empty))
+    groups = np.repeat(np.array([s.participant_id for s in sessions], np.int64), counts)
+    puzzles = np.repeat([s.puzzle_id for s in sessions], counts)
+    (folds,) = _loo_folds(dataset, config, groups, truth, [X])
     report = _pooled_report(task, f"window-{width:g}", folds)
+    # ``Corpus`` sorts sessions by participant, so the folds' labels, in
+    # participant order, are in window order.
+    _, _, labels, scores = zip(*folds)
+    detections = _records(groups.tolist(), puzzles.tolist(), t0, t1,
+                          np.concatenate(labels), np.concatenate(scores))
     return StreamEvalResult(report=report, detections=tuple(detections))
 
 
@@ -481,40 +458,27 @@ def interval_detection_rate(detections, corpus: Corpus, width: float) -> list:
     windows starts within half a slide of failure_start + o (nearest-window
     assignment under the ``SLIDE_S`` slide of 1 s).
     """
-    by_session: dict = {}
-    for d in detections:
-        by_session.setdefault((d.participant, d.puzzle), []).append(d)
-
-    sessions = {corpus._key(s): s for s in corpus.sessions}
-    session_info = {}
-    ftypes = set()
-    for key in by_session:
-        if key not in sessions:
+    timelines = {corpus._key(s): s.timeline for s in corpus.sessions}
+    starts = {}
+    for key in dict.fromkeys((d.participant, d.puzzle) for d in detections):
+        if key not in timelines:
             raise InvalidParameterError(
                 f"detections reference participant {key[0]} puzzle {key[1]}, not in the corpus")
-        timeline = sessions[key].timeline
-        window_frame = timeline.failure_window()
+        window_frame = timelines[key].failure_window()
         if window_frame is None:
             raise InvalidParameterError("detections reference a failure-free session")
-        ftypes.add(timeline.failure_type)
-        session_info[key] = window_frame[0]
+        starts[key] = window_frame[0]
+    ftypes = {timelines[key].failure_type for key in starts}
     if len(ftypes) > 1:
         raise InvalidParameterError("detections span multiple failure types")
-    if not session_info:
+    if not starts:
         return []
-    duration = FAILURE_DURATIONS[next(iter(ftypes))]
-    offsets = range(int(np.floor(duration - width + 1e-9)) + 1)
-
+    duration = FAILURE_DURATIONS[ftypes.pop()]
+    positive = [d for d in detections if d.predicted == 1]
+    fs = np.array([starts[d.participant, d.puzzle] for d in positive], dtype=np.float64)
+    t0 = np.array([d.t0 for d in positive], dtype=np.float64)
+    participants = np.array([d.participant for d in positive], dtype=np.int64)
+    o = np.arange(int(np.floor(duration - width + 1e-9)) + 1)[:, None]
+    hits = (fs + o - 0.5 <= t0) & (t0 < fs + o + 0.5)
     total = len(corpus.participants)
-    curve = []
-    for o in offsets:
-        detected = set()
-        for key, events in by_session.items():
-            fs = session_info[key]
-            lo, hi = fs + o - 0.5, fs + o + 0.5
-            for d in events:
-                if d.predicted == 1 and lo <= d.t0 < hi:
-                    detected.add(key[0])
-                    break
-        curve.append((o, len(detected) / total))
-    return curve
+    return [(k, len(np.unique(participants[row])) / total) for k, row in enumerate(hits)]

@@ -14,7 +14,7 @@ class LabeledDataset:
     """Feature rows with binary classes (0 = NF, 1 = failure) and the owning
     participant id per row, needed for grouped cross-validation.
 
-    ``fold_models`` holds the models ``evaluate.fit_fold`` fitted on this
+    ``fold_models`` holds the models ``evaluate.fit_folds`` fitted on this
     dataset's folds; the arrays are read-only, so they stay valid as long as
     the dataset does."""
 

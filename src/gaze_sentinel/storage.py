@@ -475,9 +475,10 @@ def read_feature_csv(path) -> list:
     """Rows of a feature table; a header other than the writer's, a row
     without exactly its fields, a number that does not parse or is not
     finite, a task not in ``TASKS``, a label other than ``NF`` and its
-    task's failure type, or ``t1 <= t0`` raises ``InvalidParameterError``
-    with the path and the 1-based line number, and a file that is not UTF-8
-    text raises it with the path."""
+    task's failure type, ``t1 <= t0``, a participant or puzzle below 1, or a
+    piece outside 1..4 raises ``InvalidParameterError`` with the path and
+    the 1-based line number, and a file that is not UTF-8 text raises it
+    with the path."""
     rows = []
     for number, parts in _csv_rows(path, _FEATURE_CSV_HEADER, "feature"):
         with decoding(InvalidParameterError, f"{path}, line {number}"):
@@ -502,6 +503,11 @@ def read_feature_csv(path) -> list:
                 raise ValueError(f"label {row.label!r} is neither NF nor {TASKS[row.task]}")
             if not row.t1 > row.t0:
                 raise ValueError(f"slice [{row.t0}, {row.t1}] is empty")
+            for key, value in (("participant", row.participant), ("puzzle", row.puzzle)):
+                if value < 1:
+                    raise ValueError(f"{key} {value} is not an integer of at least 1")
+            if not 1 <= row.piece <= 4:
+                raise ValueError(f"piece {row.piece} is not in 1..4")
         rows.append(row)
     if not rows:
         raise InvalidParameterError(f"feature CSV {path} holds no rows")

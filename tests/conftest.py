@@ -15,7 +15,8 @@ settings.register_profile(
 settings.load_profile("suite")
 
 from gaze_sentinel import storage
-from gaze_sentinel.core import MIN_DWELL_S
+from gaze_sentinel.core import FAILURE_DURATIONS, MIN_DWELL_S
+from gaze_sentinel.errors import InvalidParameterError
 from gaze_sentinel.evaluate import Corpus
 from gaze_sentinel.sim import CorpusSpec, generate_corpus
 
@@ -118,3 +119,45 @@ def reference_fit_svm(X, y, c, epochs, seed):
                 w *= radius / norm
             t += 1
     return w[:d], float(w[d])
+
+
+def reference_interval_detection_rate(detections, corpus, width) -> list:
+    """The per-offset loop the columnar ``interval_detection_rate``
+    replaced, kept as its reference."""
+    by_session: dict = {}
+    for d in detections:
+        by_session.setdefault((d.participant, d.puzzle), []).append(d)
+
+    sessions = {corpus._key(s): s for s in corpus.sessions}
+    session_info = {}
+    ftypes = set()
+    for key in by_session:
+        if key not in sessions:
+            raise InvalidParameterError(
+                f"detections reference participant {key[0]} puzzle {key[1]}, not in the corpus")
+        timeline = sessions[key].timeline
+        window_frame = timeline.failure_window()
+        if window_frame is None:
+            raise InvalidParameterError("detections reference a failure-free session")
+        ftypes.add(timeline.failure_type)
+        session_info[key] = window_frame[0]
+    if len(ftypes) > 1:
+        raise InvalidParameterError("detections span multiple failure types")
+    if not session_info:
+        return []
+    duration = FAILURE_DURATIONS[next(iter(ftypes))]
+    offsets = range(int(np.floor(duration - width + 1e-9)) + 1)
+
+    total = len(corpus.participants)
+    curve = []
+    for o in offsets:
+        detected = set()
+        for key, events in by_session.items():
+            fs = session_info[key]
+            lo, hi = fs + o - 0.5, fs + o + 0.5
+            for d in events:
+                if d.predicted == 1 and lo <= d.t0 < hi:
+                    detected.add(key[0])
+                    break
+        curve.append((o, len(detected) / total))
+    return curve

@@ -18,7 +18,7 @@ from gaze_sentinel.core import AoiLabel, segment_session
 from gaze_sentinel.evaluate import (
     Corpus,
     eval_first_n,
-    fit_fold,
+    fit_folds,
     interval_detection_rate,
     loo_cv,
     loo_stream_eval,
@@ -396,7 +396,7 @@ def test_criterion_10_causality(default_corpus):
     from gaze_sentinel.core import GazeStream, Session, Timeline
 
     ds, _ = default_corpus.dataset_for_task("nf-ef")
-    model = fit_fold(ds, default_config("forest", seed=SEED), held_out=1)
+    (model,) = fit_folds(ds, default_config("forest", seed=SEED), [1])
     sessions = default_corpus.failure_sessions("EF")
     rng = np.random.default_rng(SEED)
     checked = 0

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import multiprocessing
 import pickle
@@ -5,7 +6,9 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+from conftest import reference_interval_detection_rate
 from gaze_sentinel.core import (
     AoiLabel,
     Debouncer,
@@ -25,7 +28,6 @@ from gaze_sentinel.evaluate import (
     EvalReport,
     eval_first_n,
     first_n_blocks,
-    fit_fold,
     fit_folds,
     interval_detection_rate,
     loo_cv,
@@ -120,11 +122,11 @@ class TestLooCv:
         # model bit-identical.
         ds = synthetic_dataset(4, seed=9)
         held = 2
-        model_a = fit_fold(ds, default_config("svm", seed=3), held)
+        (model_a,) = fit_folds(ds, default_config("svm", seed=3), [held])
         X2 = ds.X.copy()
         X2[ds.groups == held] += 1234.5
         ds2 = LabeledDataset(X2, ds.y, ds.groups)
-        model_b = fit_fold(ds2, default_config("svm", seed=3), held)
+        (model_b,) = fit_folds(ds2, default_config("svm", seed=3), [held])
         assert model_payload(model_a) == model_payload(model_b)
 
 
@@ -264,7 +266,7 @@ class TestSlidingWindows:
 class TestStreamDetect:
     def test_event_shape_and_order(self, mini_corpus):
         ds, _ = mini_corpus.dataset_for_task("nf-ef")
-        model = fit_fold(ds, default_config("ada", seed=2), held_out=1)
+        (model,) = fit_folds(ds, default_config("ada", seed=2), [1])
         session = mini_corpus.failure_sessions("EF")[0]
         events = stream_detect(model, session, 5.0)
         assert len(events) == len(sliding_windows(session, 5.0))
@@ -275,7 +277,7 @@ class TestStreamDetect:
 
     def test_causality_against_truncated_sessions(self, mini_corpus):
         ds, _ = mini_corpus.dataset_for_task("nf-ef")
-        model = fit_fold(ds, default_config("ada", seed=2), held_out=1)
+        (model,) = fit_folds(ds, default_config("ada", seed=2), [1])
         session = mini_corpus.failure_sessions("EF")[0]
         full = stream_detect(model, session, 5.0)
         rng = np.random.default_rng(0)
@@ -315,8 +317,14 @@ class TestLooStream:
         config = default_config(kind, seed=2)
         ds, _ = mini_corpus.dataset_for_task(task)
         expected = [event for s in mini_corpus.failure_sessions(TASKS[task])
-                    for event in stream_detect(fit_fold(ds, config, s.participant_id), s, 5.0)]
+                    for event in stream_detect(*fit_folds(ds, config, [s.participant_id]), s, 5.0)]
         assert loo_stream_eval(mini_corpus, task, config, 5.0).detections == tuple(expected)
+
+    def test_task_without_failure_sessions_is_refused(self, mini_corpus):
+        corpus = Corpus([s for s in mini_corpus.sessions if s.timeline.failure_type != "EF"])
+        with pytest.warns(UserWarning, match="has no test rows"):
+            with pytest.raises(InvalidParameterError, match="non-empty inputs"):
+                loo_stream_eval(corpus, "nf-ef", default_config("ada", seed=2), 5.0)
 
 
 class TestIntervalDetectionRate:
@@ -373,6 +381,64 @@ class TestIntervalDetectionRate:
         for detections in ([stranger], [known, stranger]):
             with pytest.raises(InvalidParameterError, match="participant 99 puzzle 1"):
                 interval_detection_rate(detections, mini_corpus, 5.0)
+
+
+@pytest.fixture(scope="module")
+def corpus_with_a_failure_free_session(mini_corpus):
+    """``mini_corpus`` with participant 4's DF puzzle 1 stripped of its
+    failure."""
+    sessions = list(mini_corpus.sessions)
+    i = next(i for i, s in enumerate(sessions) if (s.participant_id, s.puzzle_id) == (4, 1))
+    timeline = sessions[i].timeline
+    assert timeline.failure_type == "DF"
+    events = tuple(e for e in timeline.events if e.failure_type is None)
+    sessions[i] = dataclasses.replace(sessions[i], timeline=Timeline(events, timeline.duration))
+    return Corpus(sessions)
+
+
+@st.composite
+def detection_sets(draw, corpus):
+    """(detections, width): windows of one failure type's sessions that
+    start often exactly half a slide from failure_start + o, and at times
+    one of a failure-free session, of the other type or of a session
+    outside the corpus."""
+    ftype = draw(st.sampled_from(["EF", "DF"]))
+    by_key = {(s.participant_id, s.puzzle_id): s for s in corpus.sessions}
+    keys = [key for key, s in by_key.items() if s.timeline.failure_type == ftype]
+    other = [key for key, s in by_key.items() if s.timeline.failure_type not in (ftype, None)]
+    strangers = [(4, 1), (99, 1), other[0]]  # failure-free, outside the corpus, other type
+    detections = []
+    for _ in range(draw(st.integers(0, 30))):
+        key = draw(st.sampled_from(keys))
+        if draw(st.integers(0, 29)) == 0:
+            key = draw(st.sampled_from(strangers))
+        session = by_key.get(key, by_key[keys[0]])
+        fs = (session.timeline.failure_window() or (0.0, 0.0))[0]
+        o = draw(st.integers(-2, 18))
+        t0 = draw(st.sampled_from([
+            fs + o - 0.5, fs + o + 0.5, fs + o, float(np.nextafter(fs + o - 0.5, -np.inf)),
+            float(np.nextafter(fs + o + 0.5, np.inf)), float(np.floor(fs + o))]))
+        predicted = draw(st.sampled_from([0, 1]))
+        detections.append(DetectionEvent(*key, t0, t0 + 5.0, predicted, float(predicted)))
+    width = draw(st.sampled_from([1.0, 3.0, 5.0, 10.0, 15.0, 16.5, 17.0]))
+    return detections, width
+
+
+def outcome(fn, *args):
+    """``fn(*args)``, or the type and message of the toolkit error it raised."""
+    try:
+        return fn(*args)
+    except InvalidParameterError as err:
+        return type(err), str(err)
+
+
+class TestIntervalDetectionRateMatchesLoop:
+    @given(st.data())
+    def test_columns_match_the_per_offset_loop(self, corpus_with_a_failure_free_session, data):
+        corpus = corpus_with_a_failure_free_session
+        detections, width = data.draw(detection_sets(corpus))
+        want = outcome(reference_interval_detection_rate, detections, corpus, width)
+        assert outcome(interval_detection_rate, detections, corpus, width) == want
 
 
 class TestFirstN:
@@ -473,7 +539,7 @@ class TestParallelFolds:
         assert len(workers) == len(pids)
         one_by_one = LabeledDataset(ds.X, ds.y, ds.groups)
         for pid, model in zip(pids, batch):
-            expected = fit_fold(one_by_one, config, pid)
+            (expected,) = fit_folds(one_by_one, config, [pid])
             assert json.dumps(model_payload(model)) == json.dumps(model_payload(expected))
 
     def test_one_cpu_fits_in_process(self, mini_corpus, workers, monkeypatch):
@@ -507,6 +573,11 @@ class TestParallelFolds:
         dataset, _ = corpus.dataset_for_task("nf-ef")
         assert sorted(held for _, held in dataset.fold_models) == [1, 3, 4]
         assert len(workers) == 3
+        # The detections of the folds on either side of the skipped one stay
+        # in window order.
+        expected = [event for s in corpus.failure_sessions("EF") for event in
+                    stream_detect(*fit_folds(dataset, config, [s.participant_id]), s, 5.0)]
+        assert result.detections == tuple(expected)
 
     @pytest.mark.parametrize("failures, error, message", [
         # Held out, participant 2 leaves one failure row and 3 leaves two.
@@ -545,7 +616,7 @@ class TestParallelFolds:
         assert len(workers) == 6
         one_by_one = LabeledDataset(ds.X, ds.y, ds.groups)
         for pid, model in enumerate(batch, start=1):
-            expected = fit_fold(one_by_one, config, pid)
+            (expected,) = fit_folds(one_by_one, config, [pid])
             assert json.dumps(model_payload(model)) == json.dumps(model_payload(expected))
 
     @pytest.mark.parametrize("cpus", [2, 1])

@@ -507,6 +507,24 @@ class TestFeatureCsvReader:
             storage.read_feature_csv(csv_file)
         assert f"{csv_file}, line {len(lines)}:" in str(err.value)
 
+    @pytest.mark.parametrize("field, value, message", [
+        (1, "-3", "participant -3 is not an integer of at least 1"),
+        (1, "0", "participant 0 is not an integer of at least 1"),
+        (2, "0", "puzzle 0 is not an integer of at least 1"),
+        (3, "0", "piece 0 is not in 1..4"),
+        (3, "5", "piece 5 is not in 1..4"),
+    ], ids=["participant-3", "participant0", "puzzle0", "piece0", "piece5"])
+    def test_id_out_of_range_names_its_line(self, csv_file, field, value, message):
+        lines = csv_file.read_text().splitlines()
+        parts = lines[-1].split(",")
+        parts[field] = value
+        lines[-1] = ",".join(parts)
+        csv_file.write_text("\n".join(lines) + "\n")
+        with pytest.raises(InvalidParameterError) as err:
+            storage.read_feature_csv(csv_file)
+        assert f"{csv_file}, line {len(lines)}:" in str(err.value)
+        assert message in str(err.value)
+
 
 class TestReportCsvReader:
     @pytest.fixture
