@@ -97,12 +97,12 @@ class AoiLayout:
             seen.add(lbl)
 
     def label_points(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Vectorised first-wins labelling; returns int codes."""
-        codes = np.full(len(x), int(AoiLabel.ELSEWHERE), dtype=np.int64)
+        """Vectorised first-wins labelling; returns one-byte codes."""
+        codes = np.full(len(x), int(AoiLabel.ELSEWHERE), dtype=np.uint8)
         # Assign in reverse order so earlier entries overwrite later ones.
         for lbl, rect in reversed(self.entries):
             inside = (x >= rect.x0) & (x < rect.x1) & (y >= rect.y0) & (y < rect.y1)
-            codes[inside] = int(lbl)
+            np.copyto(codes, int(lbl), where=inside)
         return codes
 
 
@@ -137,7 +137,13 @@ class GazeStream:
         if len(self) < 2:
             return 1.0 / DEFAULT_SAMPLE_RATE_HZ
         # Rounded to 1 ns so prefixes of a stream estimate the same period.
-        return round(float(np.median(np.diff(self.t))), 9)
+        # The median gap lies between the extremes, so when both round to one
+        # value it does too, and no sort is needed.
+        gaps = np.diff(self.t)
+        period = round(float(gaps.min()), 9)
+        if period == round(float(gaps.max()), 9):
+            return period
+        return round(float(np.median(gaps)), 9)
 
 
 @dataclass(frozen=True)
@@ -172,16 +178,17 @@ class Debouncer:
     def __init__(self, stream: GazeStream, layout: AoiLayout):
         self._period = stream.sample_period()
 
+        # Labelled before masking: one gather of byte codes, not of x and y.
         mask = np.asarray(stream.valid, dtype=bool)
         t = stream.t[mask]
         self._t = t
-        codes = layout.label_points(stream.x[mask], stream.y[mask])
+        codes = layout.label_points(stream.x, stream.y)[mask]
         gap_break = np.diff(t) >= (INVALID_BRIDGE_S + self._period)
         label_break = codes[1:] != codes[:-1]
         starts = np.flatnonzero(np.concatenate([[t.size > 0], gap_break | label_break]))
         ends = np.append(starts[1:], t.size)[: starts.size]
         self._run_first = starts
-        self._run_code = codes[starts]
+        self._run_code = codes[starts].astype(np.int64)
         self._run_t0 = t[starts]
         self._run_t1 = t[ends - 1]
         self._build_events()

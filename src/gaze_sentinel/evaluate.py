@@ -432,8 +432,12 @@ def loo_stream_eval(corpus: Corpus, task: str, config: ClassifierConfig,
                     width: float) -> StreamEvalResult:
     """Train per-fold on full segments, then classify the held-out
     participant's failure-type sessions window by window."""
+    failure_type = _failure_type(task)
+    sessions = corpus.failure_sessions(failure_type)
+    if not sessions:
+        raise InvalidParameterError(
+            f"task {task} has no {failure_type} sessions to classify window by window")
     dataset, _ = corpus.dataset_for_task(task)
-    sessions = corpus.failure_sessions(_failure_type(task))
     columns = [corpus.window_features(s, width) for s in sessions]
     counts = [t0.size for t0, *_ in columns]
     empty = (np.zeros(0), np.zeros(0), np.zeros(0, np.int64), np.zeros((0, dataset.n_features)))

@@ -229,13 +229,18 @@ def _oblivious_level(groups, g, h, leaf, n_leaves):
         size = k * n_leaves * bins
         Gh = np.bincount(flat, weights=g[:k * n], minlength=size).reshape(k, n_leaves, bins)
         Hh = np.bincount(flat, weights=h[:k * n], minlength=size).reshape(k, n_leaves, bins)
-        GL = np.cumsum(Gh, axis=2)[:, :, :-1]
-        HL = np.cumsum(Hh, axis=2)[:, :, :-1]
+        # The gain in place on every bin. The last bin (no split) is dropped
+        # before the leaf sum, which then runs in the same order as on a
+        # fresh (k, leaves, bins - 1) array: pairwise when bins is 2.
+        GL = np.cumsum(Gh, axis=2)
+        HL = np.cumsum(Hh, axis=2)
         Gt = Gh.sum(axis=2, keepdims=True)
         Ht = Hh.sum(axis=2, keepdims=True)
         GR, HR = Gt - GL, Ht - HL
-        gain = (0.5 * (GL * GL / (HL + LAMBDA) + GR * GR / (HR + LAMBDA)
-                       - Gt * Gt / (Ht + LAMBDA))).sum(axis=1)
+        np.divide(np.multiply(GL, GL, out=GL), np.add(HL, LAMBDA, out=HL), out=GL)
+        np.divide(np.multiply(GR, GR, out=GR), np.add(HR, LAMBDA, out=HR), out=GR)
+        np.subtract(np.add(GL, GR, out=GL), Gt * Gt / (Ht + LAMBDA), out=GL)
+        gain = np.multiply(0.5, GL, out=GL)[:, :, :-1].sum(axis=1)
         b = gain.argmax(axis=1)
         top = gain[np.arange(k), b]
         for j, bj, gj in zip(feats, b.tolist(), top.tolist()):
@@ -273,8 +278,8 @@ def _grow_oblivious(codes, midpoints, groups, widest, g, h, depth):
     for _level in range(depth):
         # An empty leaf adds +0.0 to every gain, so only occupied ones are
         # scored, in leaf order.
-        occupied, slot = np.unique(leaf, return_inverse=True)
-        pick = _oblivious_level(groups, gt, ht, slot, occupied.shape[0])
+        rank = np.cumsum(np.bincount(leaf, minlength=n_leaves) > 0)
+        pick = _oblivious_level(groups, gt, ht, rank[leaf] - 1, int(rank[-1]))
         if pick is None or pick[2] <= 1e-12:
             break
         j, b, _ = pick

@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from conftest import reference_fit_svm
 from gaze_sentinel.errors import DegenerateDataError, FeatureArityError, InvalidParameterError
@@ -526,6 +526,8 @@ def per_feature_level(codes, n_bins, g, h, leaf, n_leaves, lam):
 class TestObliviousLevel:
     @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 200), st.integers(1, 8),
            st.sampled_from([1, 2, 4, 8, 32]))
+    # One 2-bin feature over 32 leaves: its sum over leaves runs pairwise.
+    @example(seed=288, n=31, d=1, n_leaves=32)
     def test_grouped_scoring_matches_per_feature(self, seed, n, d, n_leaves):
         rng = np.random.default_rng(seed)
         n_bins = rng.choice([1, 2, 3, 9, 64], size=d).tolist()

@@ -716,6 +716,25 @@ class TestErrors:
         assert "Traceback" not in err
         assert not out.exists() or not os.listdir(out)
 
+    def test_stream_eval_without_failure_sessions_is_json_error(self, corpus_dir, tmp_path,
+                                                                 recwarn, capsys):
+        corpus = tmp_path / "no_ef"
+        corpus.mkdir()
+        for path in storage.corpus_paths(corpus_dir):
+            if storage.read_session_jsonl(path).timeline.failure_type != "EF":
+                shutil.copy(path, corpus)
+        out = tmp_path / "out"
+        code = main(["eval", "--corpus", str(corpus), "--mode", "stream", "--task", "nf-ef",
+                     "--classifier", "ada", "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        record = json.loads(err.strip())
+        assert record["error"] == "InvalidParameterError"
+        assert "task nf-ef has no EF sessions" in record["message"]
+        assert "Traceback" not in err
+        assert not recwarn.list
+        assert not out.exists() or not os.listdir(out)
+
     @pytest.mark.parametrize("via", ["flag", "env", "config"])
     @pytest.mark.parametrize("command", ["simulate", "train", "eval"])
     def test_negative_seed_is_json_error(self, corpus_dir, features_csv, tmp_path,

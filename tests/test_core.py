@@ -91,8 +91,14 @@ class TestHitTest:
     def test_vectorised_labelling_matches_scalar(self):
         rng = np.random.default_rng(5)
         layout = TWO_ZONES
-        x = rng.uniform(-5, 35, 500)
-        y = rng.uniform(-5, 35, 500)
+        # Every pairing of the rectangles' edges, the values one ulp either
+        # side of them, and points between.
+        edges = np.array([v for e in (0.0, 10.0, 20.0, 30.0)
+                          for v in (np.nextafter(e, -np.inf), e, np.nextafter(e, np.inf))]
+                         + [5.0, 15.0, 25.0, -1.0, 31.0])
+        ex, ey = np.meshgrid(edges, edges)
+        x = np.concatenate([rng.uniform(-5, 35, 500), ex.ravel()])
+        y = np.concatenate([rng.uniform(-5, 35, 500), ey.ravel()])
         codes = layout.label_points(x, y)
         for xi, yi, c in zip(x, y, codes):
             inside = [lbl for lbl, r in layout.entries
@@ -140,6 +146,51 @@ class TestGazeStream:
         s = constant_stream(10, 1, 1)
         with pytest.raises(ValueError):
             s.t[0] = 5.0
+
+
+def median_period(t):
+    """The sample period as the median gap of the whole recording, rounded to
+    1 ns, or the default 200 Hz period for fewer than two samples."""
+    if len(t) < 2:
+        return 1.0 / 200.0
+    return round(float(np.median(np.diff(t))), 9)
+
+
+RATES_HZ = st.sampled_from([60.0, 200.0, 250.0, 1000.0])
+
+
+@st.composite
+def sample_times(draw):
+    """Timestamps of a constant-rate stream with an offset, of a stream whose
+    gaps are jittered, or of one at 100 Hz and then 200 Hz."""
+    kind = draw(st.sampled_from(["constant", "jittered", "two-rate"]))
+    offset = draw(st.sampled_from([0.0, 0.25, 7.0, 123.456]))
+    if kind == "two-rate":
+        slow, fast = draw(st.integers(1, 400)), draw(st.integers(1, 400))
+        return offset + np.concatenate([np.arange(slow) / 100.0,
+                                        slow / 100.0 + np.arange(fast) / 200.0])
+    rate, n = draw(RATES_HZ), draw(st.integers(2, 2000))
+    if kind == "constant":
+        return np.arange(n) / rate + offset
+    jitter = draw(st.sampled_from([1e-13, 1e-10, 4e-10, 1e-9, 1e-6, 0.3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    gaps = (1.0 + jitter * rng.uniform(-1, 1, n - 1)) / rate
+    return offset + np.concatenate([[0.0], np.cumsum(gaps)])
+
+
+class TestSamplePeriod:
+    """``sample_period`` is ``median_period`` bit for bit, also when it takes
+    the period from the shortest and longest gaps alone."""
+
+    @given(sample_times())
+    @example(np.array([]))
+    @example(np.array([0.5]))
+    @example(np.array([0.0, 0.004]))
+    @example(np.array([3.0, 3.0 + 1 / 60]))
+    def test_equals_the_rounded_median_gap(self, t):
+        stream = GazeStream(t=t, x=np.zeros(len(t)), y=np.zeros(len(t)),
+                            valid=np.ones(len(t), dtype=bool))
+        assert stream.sample_period().hex() == median_period(stream.t).hex()
 
 
 class TestDebounce:
@@ -405,6 +456,23 @@ class TestEventTable:
         want = scalar_event_table(deb._run_t0, deb._run_t1, deb._run_code, deb._period)
         for a, b in zip(got, want):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    @given(
+        pieces=st.lists(st.tuples(st.sampled_from(sorted(ZONE_X)), RUN_SAMPLES),
+                        min_size=1, max_size=30),
+        moved_to=st.sampled_from([np.nan, np.inf, 5.0, 25.0, 50.0]),
+    )
+    def test_invalid_samples_coordinates_are_not_read(self, pieces, moved_to):
+        stream = piecewise_stream(pieces)
+        x = np.where(stream.valid, stream.x, moved_to)
+        y = np.where(stream.valid, stream.y, moved_to)
+        moved = GazeStream(t=stream.t, x=x, y=y, valid=stream.valid)
+        deb, deb_moved = Debouncer(stream, TWO_ZONES), Debouncer(moved, TWO_ZONES)
+        tables = [name for name in vars(deb) if name.startswith(("_run_", "_ev_"))]
+        assert len(tables) == 10
+        for name in tables:
+            a, b = getattr(deb, name), getattr(deb_moved, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
 
 class TestSliceEvents:

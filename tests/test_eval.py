@@ -2,6 +2,7 @@ import dataclasses
 import json
 import multiprocessing
 import pickle
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -322,9 +323,11 @@ class TestLooStream:
 
     def test_task_without_failure_sessions_is_refused(self, mini_corpus):
         corpus = Corpus([s for s in mini_corpus.sessions if s.timeline.failure_type != "EF"])
-        with pytest.warns(UserWarning, match="has no test rows"):
-            with pytest.raises(InvalidParameterError, match="non-empty inputs"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidParameterError, match="task nf-ef has no EF sessions"):
                 loo_stream_eval(corpus, "nf-ef", default_config("ada", seed=2), 5.0)
+        assert not corpus.dataset_for_task("nf-ef")[0].fold_models
 
 
 class TestIntervalDetectionRate:
