@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -18,6 +19,7 @@ import sys
 import numpy as np
 
 from . import __version__
+from .core import Debouncer
 from .errors import GazeSentinelError, InvalidParameterError
 from .evaluate import (
     Corpus,
@@ -29,11 +31,13 @@ from .evaluate import (
     loo_cv,
     loo_stream_eval,
     stream_detect,
+    task_rows,
 )
 from .learners import KINDS, default_config, smote, train
 from .model_io import load_model, save_model
+from .pool import fork_map
 from .sim import (BehaviorParams, CorpusSpec, DEFAULT_MASTER_SEED, DEFAULT_PARTICIPANTS,
-                  generate_corpus)
+                  build_session, session_calls)
 from . import storage
 
 ENV_PREFIX = "GAZE_SENTINEL_"
@@ -150,21 +154,38 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     profile = cfg["profile"]
     spec = CorpusSpec(participants=cfg["participants"], master_seed=cfg["seed"],
                       behavior=BehaviorParams.from_file(profile) if profile else None)
-    sessions = generate_corpus(spec)
+    calls = session_calls(spec)
     run_cfg = {"command": "simulate", **cfg, "profile": profile or "default"}
     if profile:  # the fingerprint then covers the profile's content, not just its path
         with open(profile, "rb") as fh:
             run_cfg["profile_sha256"] = hashlib.sha256(fh.read()).hexdigest()
-    storage.write_corpus(sessions, args.out, run_cfg)
-    print(f"wrote {len(sessions)} sessions to {args.out}")
+    names = [storage.session_filename(pid, puzzle) for pid, puzzle, *_ in calls]
+    os.makedirs(args.out, exist_ok=True)
+    fork_map(lambda i: storage.write_session_jsonl(
+        build_session(*calls[i]), os.path.join(args.out, names[i]), run_cfg), range(len(calls)))
+    storage.write_manifest(args.out, names, run_cfg)
+    print(f"wrote {len(calls)} sessions to {args.out}")
     return 0
+
+
+def _session_rows(path) -> tuple:
+    """The (participant, puzzle) of the session file at ``path`` and its
+    rows of each task in ``TASKS`` order, without the session."""
+    session = storage.read_session_jsonl(path)
+    debouncer = Debouncer(session.gaze, session.layout)
+    rows = [task_rows(session, debouncer, task) for task in TASKS]
+    for row in itertools.chain(*rows):
+        row.session = None
+    return (session.participant_id, session.puzzle_id), rows
 
 
 def cmd_extract(args: argparse.Namespace) -> int:
     cfg = _resolve(args)
-    sessions = storage.read_corpus(args.corpus)
-    corpus = Corpus(sessions)
-    rows = corpus.segment_rows()
+    paths = storage.corpus_paths(args.corpus)
+    keyed = fork_map(_session_rows, paths)
+    storage.refuse_duplicates(paths, [key for key, _ in keyed])
+    keyed.sort(key=lambda kr: kr[0])
+    rows = [row for i in range(len(TASKS)) for _, per_task in keyed for row in per_task[i]]
     run_cfg = {"command": "extract", **cfg}
     storage.write_feature_csv(rows, args.out, run_cfg)
     print(f"wrote {len(rows)} feature rows to {args.out}")

@@ -11,12 +11,9 @@ averaging fold metrics, since per-fold test sets are tiny.
 
 from __future__ import annotations
 
+import functools
 import math
-import multiprocessing
-import os
-import pickle
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import repeat
 from typing import Optional
@@ -40,6 +37,7 @@ from .learners import (
     smote,
     train_many,
 )
+from .pool import fork_map
 
 TASKS = {"nf-ef": "EF", "nf-df": "DF"}
 SMOTE_K = 2  # neighbours SMOTE interpolates between
@@ -152,38 +150,10 @@ class Corpus:
         return feature_matrix(*self.debouncer(session).slice_events(t0, t1), t0, t1)
 
     def rows_for_task(self, task: str) -> list:
-        """The task's rows: its failure segments and every NF segment, each
-        measured over [t_start, t_start + D] with D the task's failure
-        duration.
-
-        Every row of a task thus spans the same length. Count-over-span
-        features such as the shift rates lie on the lattice k/D of their
-        slice length D, so NF rows of another length (the pick-and-place
-        action varies) would reveal their class.
-        """
+        """The task's rows, ``task_rows`` of each session in turn."""
         if task not in self._task_rows:
-            ftype = _failure_type(task)
-            duration = FAILURE_DURATIONS[ftype]
-            rows = []
-            for session in self.sessions:
-                segs = [s for s in segment_session(session) if s.label in ("NF", ftype)]
-                t0 = np.array([seg.t_start for seg in segs])
-                X = self.slice_matrix(session, t0, t0 + duration)
-                rows.extend(
-                    SegmentRow(
-                        task=task,
-                        participant=seg.participant_id,
-                        puzzle=seg.puzzle_id,
-                        piece=seg.piece_index,
-                        label=seg.label,
-                        t0=seg.t_start,
-                        t1=seg.t_start + duration,
-                        features=features,
-                        session=session,
-                    )
-                    for seg, features in zip(segs, X)
-                )
-            self._task_rows[task] = rows
+            self._task_rows[task] = [row for session in self.sessions for row in
+                                     task_rows(session, self.debouncer(session), task)]
         return self._task_rows[task]
 
     def segment_rows(self) -> list:
@@ -214,6 +184,28 @@ class Corpus:
         return self._window_cache[key]
 
 
+def task_rows(session: Session, debouncer: Debouncer, task: str) -> list:
+    """The session's rows of the task: its failure segments and every NF
+    segment, each measured over [t_start, t_start + D] with D the task's
+    failure duration.
+
+    Every row of a task thus spans the same length. Count-over-span
+    features such as the shift rates lie on the lattice k/D of their slice
+    length D, so NF rows of another length (the pick-and-place action
+    varies) would reveal their class.
+    """
+    ftype = _failure_type(task)
+    duration = FAILURE_DURATIONS[ftype]
+    segs = [s for s in segment_session(session) if s.label in ("NF", ftype)]
+    t0 = np.array([seg.t_start for seg in segs])
+    t1 = t0 + duration
+    X = feature_matrix(*debouncer.slice_events(t0, t1), t0, t1)
+    return [SegmentRow(task=task, participant=seg.participant_id, puzzle=seg.puzzle_id,
+                       piece=seg.piece_index, label=seg.label, t0=seg.t_start,
+                       t1=seg.t_start + duration, features=features, session=session)
+            for seg, features in zip(segs, X)]
+
+
 def dataset_from_rows(rows) -> LabeledDataset:
     """Features, NF=0 / failure=1 labels, and participant groups of one
     task's rows."""
@@ -229,26 +221,15 @@ def _failure_type(task: str) -> str:
     return TASKS[task]
 
 
-def _fit_splits(X, y, groups, config: ClassifierConfig, held_out: list) -> list:
+def _fit_splits(dataset: LabeledDataset, config: ClassifierConfig, held_out: list) -> list:
     """The fold models of the ``held_out`` participants: each trained on
     every other one, with SMOTE on the training split only, seeded by
     (config seed, held-out participant). ``train_many`` checks each split as
     it is drawn, so the first fold to fail raises its own error."""
-    dataset = LabeledDataset(X, y, groups)
     return train_many(config, (
-        smote(dataset.subset(groups != p), k=SMOTE_K,
+        smote(dataset.subset(dataset.groups != p), k=SMOTE_K,
               rng=np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(p,))))
         for p in held_out))
-
-
-def _fit_pickled(X, y, groups, config: ClassifierConfig, held_out: list) -> bytes:
-    """``_fit_splits`` in a worker. The models go back pickled, so the
-    parent's main thread, not the pool's result thread, allocates them."""
-    return pickle.dumps(_fit_splits(X, y, groups, config, held_out))
-
-
-def _usable_cpus() -> int:
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
 def fit_folds(dataset: LabeledDataset, config: ClassifierConfig, held_out) -> list:
@@ -257,37 +238,16 @@ def fit_folds(dataset: LabeledDataset, config: ClassifierConfig, held_out) -> li
     These arguments determine each fit and the dataset's arrays are
     read-only, so each model is fitted once and kept in
     ``dataset.fold_models``: every regime run on one dataset shares it.
-    The folds not yet there are fitted in jobs: one per fold, or one for
-    all svm folds, which ``train_many`` fits in lockstep groups. Jobs run in
-    worker processes, one per CPU this process may use; with one CPU or one
-    job, in-process. A fold depends on the arrays, the config and the
-    held-out id alone, so the models are the same byte for byte either way.
-    The first failing fold in ``held_out`` order raises its own error; jobs
-    not yet started are cancelled.
-
-    Workers are forked. The pool lives for one call, and two forked
-    workers start in about 10 ms with numpy and this package imported;
-    spawned or forkserver ones import both anew, 0.3-0.5 s per pool on a
-    2-vCPU VM, and re-run the caller's main module, which fails in scripts
-    without a ``__main__`` guard. The executor forks its workers before it
-    starts its own threads; the only other threads are OpenBLAS's, which
-    it stops around a fork.
+    The folds not yet there are fitted in ``fork_map`` jobs: one per fold,
+    or one for all svm folds, which ``train_many`` fits in lockstep groups.
+    A fold depends on the arrays, the config and the held-out id alone, so
+    the models are the same byte for byte in workers or in-process, and the
+    first failing fold in ``held_out`` order raises its own error.
     """
     held_out = [int(p) for p in held_out]
     missing = [p for p in held_out if (config, p) not in dataset.fold_models]
     jobs = [missing] if LEARNERS[config.kind].lockstep else [[p] for p in missing]
-    args = (dataset.X, dataset.y, dataset.groups, config)
-    workers = min(_usable_cpus(), len(jobs))
-    if workers > 1:
-        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-            futures = [pool.submit(_fit_pickled, *args, job) for job in jobs]
-            try:
-                fitted = [pickle.loads(future.result()) for future in futures]
-            except BaseException:
-                pool.shutdown(cancel_futures=True)
-                raise
-    else:
-        fitted = [_fit_splits(*args, job) for job in jobs]
+    fitted = fork_map(functools.partial(_fit_splits, dataset, config), jobs)
     for job, models in zip(jobs, fitted):
         dataset.fold_models.update(zip([(config, p) for p in job], models))
     return [dataset.fold_models[(config, p)] for p in held_out]

@@ -82,7 +82,7 @@ def latin_square_schedule(participant_id: int) -> tuple:
 # (low, high), or a normal (mean, sd) clipped to (low, high).
 # Slice length carries no class signal because every row of a task, NF
 # included, is measured over that task's failure duration (15.0 / 16.5 s;
-# ``Corpus.rows_for_task``). Robot actions in a band around those durations
+# ``evaluate.task_rows``). Robot actions in a band around those durations
 # would not suffice: count-over-span features such as the shift rates would
 # sit on the lattice k/15 or k/16.5 for failure rows only.
 LEAD_IN_S = (4.0, 7.0)
@@ -515,18 +515,17 @@ def build_session(participant_id: int, puzzle_id: int, condition: ScenarioCondit
     )
 
 
-def generate_corpus(spec: CorpusSpec) -> list:
-    """participants x 4 sessions with Latin-square schedules and derived
-    per-session seeds."""
+def session_calls(spec: CorpusSpec) -> list:
+    """The ``build_session`` arguments of each of the corpus's sessions:
+    participants x 4, with Latin-square schedules and derived per-session
+    seeds."""
     if spec.participants < 1:
         raise InvalidParameterError("need at least one participant")
     behavior = spec.resolved_behavior()
-    sessions = []
-    for pid in range(1, spec.participants + 1):
-        schedule = latin_square_schedule(pid)
-        for puzzle in range(1, 5):
-            sessions.append(
-                build_session(pid, puzzle, schedule[puzzle - 1], behavior, spec.master_seed)
-            )
-    return sessions
+    return [(pid, puzzle, latin_square_schedule(pid)[puzzle - 1], behavior, spec.master_seed)
+            for pid in range(1, spec.participants + 1) for puzzle in range(1, 5)]
 
+
+def generate_corpus(spec: CorpusSpec) -> list:
+    """The corpus's sessions (see ``session_calls``)."""
+    return [build_session(*call) for call in session_calls(spec)]

@@ -372,59 +372,55 @@ def session_filename(participant: int, puzzle: int) -> str:
     return f"session_p{participant:03d}_z{puzzle}.jsonl"
 
 
-def write_corpus(sessions, out_dir, config: Optional[dict] = None) -> list:
-    os.makedirs(out_dir, exist_ok=True)
-    paths = []
-    for session in sessions:
-        path = os.path.join(
-            out_dir, session_filename(session.participant_id, session.puzzle_id)
-        )
-        write_session_jsonl(session, path, config)
-        paths.append(path)
+def write_manifest(out_dir, names, config: Optional[dict] = None) -> None:
+    """``out_dir``'s ``manifest.json``, listing its session files ``names``."""
     manifest = {
         "kind": "corpus",
         "schema": SESSION_SCHEMA_VERSION,
-        "sessions": [os.path.basename(p) for p in paths],
+        "sessions": list(names),
         "provenance": provenance(config),
     }
     atomic_write(os.path.join(out_dir, "manifest.json"),
                  (json.dumps(manifest, sort_keys=True, indent=1) + "\n").encode())
-    return paths
 
 
 def corpus_paths(corpus_dir) -> list:
     """The session files ``manifest.json`` lists, or without one every
     ``.jsonl`` file. A manifest that does not parse, or is not an object
     with a ``sessions`` list of file names, raises ``MalformedStreamError``
-    naming it."""
+    naming it; no files at all raise ``InvalidParameterError``."""
     manifest_path = os.path.join(corpus_dir, "manifest.json")
     if os.path.exists(manifest_path):
         names = read_json(manifest_path, MalformedStreamError, "corpus manifest").get("sessions")
         if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
             raise MalformedStreamError(
                 f"corpus manifest {manifest_path} holds no sessions list of file names")
-        return [os.path.join(corpus_dir, name) for name in names]
-    return sorted(
-        os.path.join(corpus_dir, name)
-        for name in os.listdir(corpus_dir)
-        if name.endswith(".jsonl")
-    )
-
-
-def read_corpus(corpus_dir) -> list:
-    """The sessions of ``corpus_paths``; two files holding one (participant,
-    puzzle) raise ``MalformedStreamError`` naming both."""
-    paths = corpus_paths(corpus_dir)
+        paths = [os.path.join(corpus_dir, name) for name in names]
+    else:
+        paths = sorted(os.path.join(corpus_dir, name) for name in os.listdir(corpus_dir)
+                       if name.endswith(".jsonl"))
     if not paths:
         raise InvalidParameterError(f"no session files found in {corpus_dir}")
-    sessions = [read_session_jsonl(p) for p in paths]
+    return paths
+
+
+def refuse_duplicates(paths, keys) -> None:
+    """Raise ``MalformedStreamError`` naming both files when two of ``paths``
+    hold one (participant, puzzle) of ``keys``, their sessions' keys."""
     seen: dict = {}
-    for path, session in zip(paths, sessions):
-        key = (session.participant_id, session.puzzle_id)
+    for path, key in zip(paths, keys):
         if key in seen:
             raise MalformedStreamError(f"{seen[key]} and {path} both hold participant "
                                        f"{key[0]} puzzle {key[1]}")
         seen[key] = path
+
+
+def read_corpus(corpus_dir) -> list:
+    """The sessions of ``corpus_paths``, refusing duplicates (see
+    ``refuse_duplicates``)."""
+    paths = corpus_paths(corpus_dir)
+    sessions = [read_session_jsonl(p) for p in paths]
+    refuse_duplicates(paths, [(s.participant_id, s.puzzle_id) for s in sessions])
     return sessions
 
 

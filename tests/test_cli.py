@@ -1,6 +1,7 @@
 import argparse
 import hashlib
 import json
+import multiprocessing
 import os
 import re
 import shutil
@@ -12,7 +13,7 @@ import pytest
 
 import gaze_sentinel
 from conftest import DEFAULT_PROFILE, profile_dict
-from gaze_sentinel import storage
+from gaze_sentinel import pool, storage
 from gaze_sentinel.cli import _parse_n_range, build_parser, main
 from gaze_sentinel.evaluate import Corpus
 from gaze_sentinel.learners import default_config, predict_batch, smote, train
@@ -139,6 +140,49 @@ class TestExtract:
         text = features_csv.read_text().splitlines()
         assert text[0].startswith("# gaze-sentinel")
         assert text[1].startswith("# fingerprint=")
+
+
+class TestCorpusStagesInWorkers:
+    """``simulate`` and ``extract`` run one ``fork_map`` call per session:
+    in workers with ``_usable_cpus`` patched to 2, in-process with 1."""
+
+    def test_one_or_two_cpus_write_identical_bytes(self, tmp_path, monkeypatch):
+        trees = {}
+        for cpus in (2, 1):
+            monkeypatch.setattr(pool, "_usable_cpus", lambda: cpus)
+            out = tmp_path / f"cpus{cpus}"
+            assert main(["simulate", "--participants", "3", "--seed", "7",
+                         "--out", str(out / "corpus")]) == 0
+            assert main(["extract", "--corpus", str(out / "corpus"),
+                         "--out", str(out / "features.csv")]) == 0
+            assert multiprocessing.active_children() == []
+            trees[cpus] = {str(p.relative_to(out)): p.read_bytes()
+                           for p in out.rglob("*") if p.is_file()}
+        assert len(trees[1]) == 14
+        assert trees[2] == trees[1]
+
+    @pytest.mark.parametrize("cpus", [2, 1])
+    def test_first_malformed_file_in_manifest_order_is_json_error(
+            self, corpus_dir, tmp_path, monkeypatch, capsys, cpus):
+        monkeypatch.setattr(pool, "_usable_cpus", lambda: cpus)
+        corpus = tmp_path / "corpus"
+        shutil.copytree(corpus_dir, corpus)
+        paths = storage.corpus_paths(corpus)
+        for path in (paths[1], paths[3]):
+            with open(path) as fh:
+                lines = fh.read().splitlines(keepends=True)
+            lines[5] = '{"t": 0.01}\n'
+            with open(path, "w") as fh:
+                fh.write("".join(lines))
+        capsys.readouterr()
+        assert main(["extract", "--corpus", str(corpus), "--out", str(tmp_path / "f.csv")]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert json.loads(err) == {
+            "error": "MalformedStreamError",
+            "message": f"{paths[1]}, line 6: malformed gaze sample (KeyError: 'x')"}
+        assert not (tmp_path / "f.csv").exists()
+        assert multiprocessing.active_children() == []
 
 
 class TestTrainAndDetect:

@@ -3,7 +3,6 @@ import json
 import multiprocessing
 import pickle
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -20,7 +19,7 @@ from gaze_sentinel.core import (
     Session,
     Timeline,
 )
-from gaze_sentinel import errors, evaluate
+from gaze_sentinel import errors, evaluate, pool
 from gaze_sentinel.errors import InsufficientMinorityError, InvalidParameterError
 from gaze_sentinel.evaluate import (
     TASKS,
@@ -470,29 +469,24 @@ class TestFirstN:
 
 
 def count_fits(monkeypatch):
-    """The list that gets one entry per fold fitted from here on: a config
-    per training set ``train_many`` draws in this process, alone or in a
-    lockstep group, and per fold sent to a worker."""
+    """The list that gets one entry per fold fitted from here on: its
+    config, for each fold of every job ``fit_folds`` hands to ``fork_map``,
+    whether the job then runs in a worker or in-process."""
     fits = []
-    real_train_many, real_submit = evaluate.train_many, ProcessPoolExecutor.submit
+    real_fork_map = evaluate.fork_map
 
-    def counting_train_many(config, datasets):
-        return real_train_many(config, (fits.append(config) or ds for ds in datasets))
+    def counting_fork_map(fn, jobs):
+        jobs = list(jobs)
+        assert fn.func is evaluate._fit_splits
+        fits.extend(fn.args[1] for job in jobs for _ in job)
+        return real_fork_map(fn, jobs)
 
-    def counting_submit(pool, fn, *args):
-        if fn is evaluate._fit_pickled:
-            fits.extend([args[3]] * len(args[4]))
-        return real_submit(pool, fn, *args)
-
-    monkeypatch.setattr(evaluate, "train_many", counting_train_many)
-    monkeypatch.setattr(ProcessPoolExecutor, "submit", counting_submit)
+    monkeypatch.setattr(evaluate, "fork_map", counting_fork_map)
     return fits
 
 
 class TestFoldSharing:
     def test_each_fold_is_fitted_once_per_corpus(self, mini_corpus, monkeypatch):
-        # Workers fit in child processes, so fits are counted where this
-        # process sees them: in-process ``train`` calls plus folds sent out.
         fits = count_fits(monkeypatch)
         config = default_config("ada", seed=6)
         regimes = [
@@ -530,7 +524,7 @@ class TestParallelFolds:
 
     @pytest.fixture
     def workers(self, monkeypatch):
-        monkeypatch.setattr(evaluate, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(pool, "_usable_cpus", lambda: 2)
         return count_fits(monkeypatch)
 
     @pytest.mark.parametrize("kind", ["forest", "ada", "gbt-a", "svm", "gbt-b"])
@@ -546,7 +540,7 @@ class TestParallelFolds:
             assert json.dumps(model_payload(model)) == json.dumps(model_payload(expected))
 
     def test_one_cpu_fits_in_process(self, mini_corpus, workers, monkeypatch):
-        monkeypatch.setattr(evaluate, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(pool, "_usable_cpus", lambda: 1)
         ds, _ = mini_corpus.dataset_for_task("nf-ef")
         fit_folds(LabeledDataset(ds.X, ds.y, ds.groups), default_config("ada"),
                   mini_corpus.participants)
@@ -600,7 +594,7 @@ class TestParallelFolds:
             ds = minority_dataset(failures)
         config = default_config("forest", seed=2)
         for cpus in (2, 1):
-            monkeypatch.setattr(evaluate, "_usable_cpus", lambda: cpus)
+            monkeypatch.setattr(pool, "_usable_cpus", lambda: cpus)
             with pytest.raises(error) as raised:
                 loo_cv(LabeledDataset(ds.X, ds.y, ds.groups), config)
             assert type(raised.value) is error
@@ -614,7 +608,7 @@ class TestParallelFolds:
         # 6 is held out, 84 when 2, 3 or 4 is; two groups in one job.
         ds = minority_dataset([12, 3, 3, 3, 12, 12])
         config = default_config("svm", seed=2)
-        monkeypatch.setattr(evaluate, "ProcessPoolExecutor", None)  # in-process only
+        monkeypatch.setattr(pool, "_usable_cpus", lambda: 1)  # in-process only
         batch = fit_folds(ds, config, range(1, 7))
         assert len(workers) == 6
         one_by_one = LabeledDataset(ds.X, ds.y, ds.groups)
@@ -627,7 +621,7 @@ class TestParallelFolds:
         # One job of six folds. Fold 2's training rows hold participant 1's
         # NaN, and fold 3 has no failure rows to oversample: fold 2's check
         # must raise before fold 3's SMOTE.
-        monkeypatch.setattr(evaluate, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(pool, "_usable_cpus", lambda: cpus)
         ds = minority_dataset([0, 0, 3, 0, 0, 0])
         X = ds.X.copy()
         X[0, 0] = np.nan

@@ -437,9 +437,10 @@ class TestSessionWriterProperties:
 
     def test_simulated_corpus_is_written_in_bulk(self, tmp_path):
         sessions = generate_corpus(CorpusSpec(participants=1, master_seed=1))
-        paths = storage.write_corpus(sessions, tmp_path)
-        assert len(paths) == len(sessions) > 0
-        for session, path in zip(sessions, paths):
+        assert len(sessions) > 0
+        for session in sessions:
+            path = tmp_path / storage.session_filename(session.participant_id, session.puzzle_id)
+            storage.write_session_jsonl(session, path)
             with open(path, encoding="utf-8") as fh:
                 header, *lines = fh.read().splitlines(keepends=True)
             assert lines == per_sample_lines(session)
