@@ -9,6 +9,7 @@ nonzero with a machine-readable JSON error record on stderr otherwise.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import itertools
 import json
@@ -311,6 +312,11 @@ def cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gaze-sentinel",
@@ -326,17 +332,17 @@ def build_parser() -> argparse.ArgumentParser:
         for key in keys:
             kind, _, choices, about = _OPTIONS[key]
             p.add_argument(f"--{key}", type=kind, choices=choices, help=about)
-        # cmd_<name> is looked up on each call, so a wrapper installed over
-        # it after import is the one that runs.
-        p.set_defaults(func=globals()[f"cmd_{name}"], options=keys)
+        p.set_defaults(options=keys)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command. The parser is built once per process; ``cmd_<name>``
+    is looked up on each call, so a wrapper installed over it after import
+    is the one that runs."""
+    args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except GazeSentinelError as exc:
         record = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(record), file=sys.stderr)

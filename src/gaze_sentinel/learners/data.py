@@ -80,7 +80,15 @@ class Standardizer:
 
 
 def fit_standardizer(X: np.ndarray) -> Standardizer:
+    """The per-feature statistics of X; an empty X, or one whose mean or std
+    overflows to a number that is not finite, raises
+    ``InvalidParameterError``."""
     X = np.asarray(X, dtype=np.float64)
     if X.size == 0:
         raise InvalidParameterError("cannot standardize an empty matrix")
-    return Standardizer(mean=X.mean(axis=0), std=X.std(axis=0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean, std = X.mean(axis=0), X.std(axis=0)
+    if not (np.isfinite(mean).all() and np.isfinite(std).all()):
+        raise InvalidParameterError("feature mean or standard deviation is not a finite "
+                                    "number; a feature value is too large to standardize")
+    return Standardizer(mean=mean, std=std)

@@ -30,13 +30,13 @@ class TreeNodes:
     left: np.ndarray
     right: np.ndarray
     value: np.ndarray
+    # Each array's dtype, which construction converts it to.
+    dtypes = {"feature": np.int64, "threshold": np.float64, "left": np.int64,
+              "right": np.int64, "value": np.float64}
 
     def __post_init__(self):
-        self.feature = np.asarray(self.feature, dtype=np.int64)
-        self.threshold = np.asarray(self.threshold, dtype=np.float64)
-        self.left = np.asarray(self.left, dtype=np.int64)
-        self.right = np.asarray(self.right, dtype=np.int64)
-        self.value = np.asarray(self.value, dtype=np.float64)
+        for name, dtype in self.dtypes.items():
+            setattr(self, name, np.asarray(getattr(self, name), dtype=dtype))
         shapes = [a.shape for a in (self.feature, self.threshold, self.left,
                                     self.right, self.value)]
         if len(set(shapes)) != 1 or len(shapes[0]) != 1 or shapes[0][0] == 0:

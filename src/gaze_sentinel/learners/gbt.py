@@ -31,11 +31,12 @@ class ObliviousTree:
     features: np.ndarray  # one feature index per level
     thresholds: np.ndarray
     leaf_values: np.ndarray  # 2^levels; level 0 is the most significant bit
+    # Each array's dtype, which construction converts it to.
+    dtypes = {"features": np.int64, "thresholds": np.float64, "leaf_values": np.float64}
 
     def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=np.int64)
-        self.thresholds = np.asarray(self.thresholds, dtype=np.float64)
-        self.leaf_values = np.asarray(self.leaf_values, dtype=np.float64)
+        for name, dtype in self.dtypes.items():
+            setattr(self, name, np.asarray(getattr(self, name), dtype=dtype))
         if self.features.ndim != 1 or self.thresholds.shape != self.features.shape:
             raise ValueError(f"oblivious tree: features {self.features.shape} and "
                              f"thresholds {self.thresholds.shape} differ in shape")

@@ -23,6 +23,7 @@ file before any prediction can run.
 
 from __future__ import annotations
 
+import itertools
 import json
 import warnings
 from dataclasses import fields, is_dataclass
@@ -49,20 +50,55 @@ def _encode(value):
 
 
 def _decode(cls, payload, tree_cls=None):
-    """``cls`` built from an object holding exactly its init fields, each
-    item of ``trees`` built as ``tree_cls``, every number of them finite."""
-    names = [f.name for f in fields(cls) if f.init]
-    if not isinstance(payload, dict) or set(payload) != set(names):
-        got = sorted(payload) if isinstance(payload, dict) else type(payload).__name__
-        raise ModelFormatError(f"{cls.__name__} needs the fields {names}, got {got}")
+    """``cls`` built from an object holding exactly its init fields, its
+    ``trees`` built by ``_decode_trees`` as ``tree_cls``, every number of
+    them finite."""
+    names = _init_fields(cls, [payload])
     if tree_cls is not None:
-        payload = {**payload, "trees": [_decode(tree_cls, t) for t in payload["trees"]]}
+        payload = {**payload, "trees": _decode_trees(tree_cls, payload["trees"])}
     value = cls(**payload)
     for name in names:
         item = getattr(value, name)
         _require(not isinstance(item, (float, np.ndarray)) or np.isfinite(item).all(),
                  f"{cls.__name__}.{name} holds a number that is not finite")
     return value
+
+
+def _init_fields(cls, payloads) -> list:
+    """The names of ``cls``'s init fields, which each of ``payloads`` must
+    hold exactly."""
+    names = [f.name for f in fields(cls) if f.init]
+    for payload in payloads:
+        if not isinstance(payload, dict) or set(payload) != set(names):
+            got = sorted(payload) if isinstance(payload, dict) else type(payload).__name__
+            raise ModelFormatError(f"{cls.__name__} needs the fields {names}, got {got}")
+    return names
+
+
+def _decode_trees(cls, items) -> list:
+    """One ``cls`` (a tree type with ``dtypes``) per object of ``items``.
+
+    Each field is one array over all trees, checked finite once, and each
+    tree takes views of it, split by that field's own lengths. A field that
+    does not convert as one array is passed to each tree as it stands, so
+    that the tree it fails in raises as it would alone."""
+    items = list(items)
+    names = _init_fields(cls, items)
+    columns = []
+    for name in names:
+        parts = [item[name] for item in items]
+        try:
+            if not all(type(part) is list for part in parts):
+                raise TypeError  # only lists join into one array
+            flat = np.asarray(list(itertools.chain.from_iterable(parts)), cls.dtypes[name])
+        except (TypeError, ValueError, OverflowError):
+            columns.append(parts)
+            continue
+        _require(np.isfinite(flat).all(), f"{cls.__name__}.{name} holds a number that is "
+                                          f"not finite")
+        ends = itertools.accumulate(map(len, parts))
+        columns.append([flat[end - len(part):end] for part, end in zip(parts, ends)])
+    return [cls(**dict(zip(names, row))) for row in zip(*columns)]
 
 
 def _require(ok: bool, message: str) -> None:

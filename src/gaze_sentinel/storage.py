@@ -27,12 +27,15 @@ from .core import (
     Session,
     Timeline,
 )
-from .errors import GazeSentinelError, InvalidParameterError, MalformedStreamError
+from .errors import (GazeSentinelError, InvalidParameterError, MalformedStreamError,
+                     MalformedTimelineError)
 from .evaluate import TASKS, SegmentRow
 from .features import FEATURE_NAMES, FEATURE_SCHEMA_VERSION
 from .learners import config_fingerprint
 
 SESSION_SCHEMA_VERSION = 1
+# ``json.dumps(..., sort_keys=True, separators=(",", ":"))``, built once.
+_COMPACT = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 # A sample line is {"t":%.6f,"x":%.3f,"y":%.3f,"valid":true|false}. Its numbers
 # are a strict subset of JSON's (no exponent, no bare "1." or "01.5"), so such
@@ -41,6 +44,14 @@ _DECIMALS = (6, 3, 3)  # of t, x and y
 _KEYS = (b'{"t":', b',"x":', b',"y":')
 _FLAGS = (b"false}", b"true}\0")  # each padded to six bytes
 _PAD = b"\0"  # fills a written line's unused cells; no sample line holds it
+# A session's duration may end at most this long after its last sample (after
+# 0 s without samples): every later window would hold no gaze, and a huge
+# duration would ask for more windows than memory holds.
+MAX_TAIL_S = 60.0
+# Little-endian words of the reader: "0" in every byte, and ``_LAST[m]``,
+# the mask of a word's last m bytes.
+_ZEROS = int.from_bytes(b"0" * 8, "little")
+_LAST = np.array([(1 << 64) - (1 << 8 * (8 - m)) for m in range(9)], np.uint64)
 
 
 @contextlib.contextmanager
@@ -99,7 +110,7 @@ def provenance_lines(config: Optional[dict]) -> list:
     return [
         f"# gaze-sentinel {p['tool_version']}",
         f"# fingerprint={p['fingerprint']}",
-        f"# config={json.dumps(p['config'], sort_keys=True, separators=(',', ':'))}",
+        f"# config={_COMPACT.encode(p['config'])}",
     ]
 
 
@@ -133,7 +144,7 @@ def write_session_jsonl(session: Session, path, config: Optional[dict] = None) -
         ],
         "provenance": provenance(config),
     }
-    head = json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n"
+    head = _COMPACT.encode(header) + "\n"
     atomic_write(path, head.encode() + _sample_lines(session.gaze))
 
 
@@ -256,12 +267,19 @@ def read_session_jsonl(path) -> Session:
 
 def _session(path, header: dict, columns: tuple) -> Session:
     """The session of a parsed file; any fault in its samples, layout or
-    timeline raises ``MalformedStreamError`` naming the path."""
+    timeline, or a duration more than ``MAX_TAIL_S`` past its last sample,
+    raises ``MalformedStreamError`` naming the path."""
     t, x, y, valid = columns
     with decoding(MalformedStreamError, f"malformed session {path}"):
-        gaze = GazeStream(t=np.array(t, dtype=np.float64), x=np.array(x, dtype=np.float64),
-                          y=np.array(y, dtype=np.float64), valid=np.array(valid, dtype=bool))
-        return session_from_header(header, gaze)
+        gaze = GazeStream(t=np.asarray(t, dtype=np.float64), x=np.asarray(x, dtype=np.float64),
+                          y=np.asarray(y, dtype=np.float64), valid=np.asarray(valid, dtype=bool))
+        session = session_from_header(header, gaze)
+        last = float(gaze.t[-1]) if len(gaze) else 0.0
+        if not session.timeline.duration <= last + MAX_TAIL_S:
+            raise MalformedTimelineError(
+                f"duration {session.timeline.duration!r} ends more than {MAX_TAIL_S:g} s "
+                f"after the last sample, at {last!r}")
+        return session
 
 
 def _parse_sample_lines(body) -> Optional[tuple]:
@@ -269,75 +287,96 @@ def _parse_sample_lines(body) -> Optional[tuple]:
     made only of the writer's sample lines, else None.
 
     A line is accepted only as the writer forms it: its literals, and t, x
-    and y as ``-?(0|[1-9][0-9]*)`` with exactly 6, 3 and 3 decimals and
-    fewer than 2^53 units of the last decimal. The newline and the three
-    points of each line fix where its literals must be; one count of the
-    body's digits then shows that every other byte of a number is a digit.
-    A number is the exact integer ``k`` of its digits over ``10^decimals``:
-    with ``k < 2^53`` one IEEE division rounds it correctly, as
-    ``json.loads`` does.
+    and y as ``-?(0|[1-9][0-9]*)`` with exactly 6, 3 and 3 decimals, at most
+    16 digits and fewer than 2^53 units of the last decimal. The body's
+    points fix where each line's numbers and literals must be: a line ends
+    after its y's decimals with its valid literal, and the next one starts
+    there. A number is the exact integer ``k`` of its digits over
+    ``10^decimals``: with ``k < 2^53`` one IEEE division rounds it
+    correctly, as ``json.loads`` does.
     """
-    # A line cut short puts the last word read below up to 18 bytes past the
-    # body; the pads keep every read inside ``data``.
-    pad = bytes(24)
+    # Reads below reach up to 16 bytes before the body and, where a line is
+    # cut short, up to 24 past it; the pads keep them inside ``data``.
+    pad = bytes(32)
     data = b"".join((pad, body, pad))
-    buf = np.frombuffer(data, np.uint8)
-    ends = np.flatnonzero(buf == ord("\n"))
-    points = np.flatnonzero(buf == ord("."))
-    n = len(ends)
-    if body[-1:] != b"\n" or len(points) != 3 * n:
+    points = np.flatnonzero(np.frombuffer(data, np.uint8) == ord("."))
+    if not points.size or points.size % 3:
         return None
-    points = points.reshape(n, 3).T
-    # The little-endian word of the eight bytes from each offset of ``data``.
-    words = np.ndarray((len(data) - 7,), "<u8", data, strides=(1,))
-
-    def holds(word, literal: bytes):
-        return word & (1 << 8 * len(literal)) - 1 == int.from_bytes(literal, "little")
-
-    at = np.concatenate(([len(pad)], ends[:-1] + 1))  # each line's first byte
-    ok, numbers = True, []
-    for key, point, d in zip(_KEYS, points, _DECIMALS):
-        ok &= holds(words[at], key)
-        first = at + len(key)
-        minus = buf[first] == ord("-")
-        length = point - first - minus
-        # At most 16 digits in all, so that no k overflows 64 bits.
-        ok &= (length >= 1) & (length <= 16 - d)
-        ok &= (buf[first + minus] != ord("0")) | (length == 1)
-        numbers.append((point, length, d, minus))
-        at = point + d + 1
-    flag = at + len(b',"valid"')
-    word = words[flag]
-    true = holds(word, b":true}\n") & (ends == flag + 6)
-    ok &= holds(words[at], b',"valid"') & (true | holds(word, b":false}\n") & (ends == flag + 7))
-    expected = sum(int(length.sum()) for _, length, _, _ in numbers) + sum(_DECIMALS) * n
-    digits = np.count_nonzero(buf - np.uint8(ord("0")) < 10)  # bytes below "0" wrap past 9
-    if not ok.all() or digits != expected:
+    # A line ends after y's decimals with ,"valid":true}\n or ,"valid":false}\n.
+    after = points[2::3] + _DECIMALS[2] + 1
+    literal, flag = _words(data, after, 2)
+    true = _holds(flag, b":true}\n")
+    ok = _holds(literal, b',"valid"') & (true | _holds(flag, b":false}\n"))
+    end = after + 15 - true  # each line's newline
+    if end[-1] != len(data) - len(pad) - 1:
         return None
-    columns = [_decimal(buf, *number) for number in numbers]
+    at = np.concatenate(([len(pad)], end[:-1] + 1))  # each line's first byte
+    numbers = []
+    for j, (key, decimals) in enumerate(zip(_KEYS, _DECIMALS)):
+        point = points[j::3]
+        # The word at the key also holds the first bytes of its number.
+        (word,) = _words(data, at, 1)
+        minus = (word >> 8 * len(key) & 0xFF) == ord("-")
+        lead = np.where(minus, word >> 8 * len(key) + 8, word >> 8 * len(key)) & 0xFF
+        length = point - at - len(key) - minus  # integer digits
+        ok &= _holds(word, key) & (length >= 1) & (length <= 16 - decimals)
+        ok &= (lead != ord("0")) | (length == 1)
+        numbers.append((point, length, minus, decimals))
+        at = point + decimals + 1
+    if not ok.all():
+        return None
+    columns = [_decimal(data, *number) for number in numbers]
     if any(column is None for column in columns):
         return None
     return (*columns, true)
 
 
-def _decimal(buf, point, length, decimals, minus) -> Optional[np.ndarray]:
-    """The numbers whose point is at ``point``, with ``length`` integer
-    digits and ``decimals`` decimals, negated where ``minus``; None if one
-    has 2^53 or more units of its last decimal."""
-    k = np.zeros(len(point), np.uint64)
-    # The digits from the last decimal to the highest integer digit, as the
-    # writer writes them.
-    offsets = (*range(decimals, 0, -1), *range(-1, -1 - int(length.max()), -1))
-    shortest = int(length.min())
-    for power, offset in enumerate(offsets):
-        digit = buf[point + offset] - np.uint8(ord("0"))
-        if -offset > shortest:
-            digit[length < -offset] = 0
-        k += digit * np.uint64(10 ** power)
+def _words(data: bytes, at, count: int) -> np.ndarray:
+    """The ``count`` little-endian 8-byte words from each offset ``at`` of
+    ``data``, one row per word: the bytes of each offset are read at once."""
+    rows = np.ndarray((len(data) - 8 * count + 1,), f"V{8 * count}", data, strides=(1,))
+    return rows[at].view("<u8").reshape(-1, count).T
+
+
+def _holds(word, literal: bytes):
+    """Whether each little-endian ``word`` starts with the bytes ``literal``."""
+    return word & (1 << 8 * len(literal)) - 1 == int.from_bytes(literal, "little")
+
+
+def _digits(word, count):
+    """The number of the ``count`` digits that end each ``word``, and a
+    nonzero flag where one of those bytes is not a digit."""
+    x = (word ^ _ZEROS) & _LAST[count]
+    # Each byte is now a digit's value, or above 9 where a digit was not.
+    bad = (x | x + 0x7676767676767676) & 0x8080808080808080
+    # Eight digits into one number, as simdjson does: pairs, fours, then all.
+    x = (x * 2561 >> 8) & 0x00FF00FF00FF00FF
+    x = (x * 6553601 >> 16) & 0x0000FFFF0000FFFF
+    return x * 42949672960001 >> 32, bad
+
+
+def _decimal(data, point, length, minus, decimals) -> Optional[np.ndarray]:
+    """The numbers whose point is at offset ``point`` of ``data``, with
+    ``length`` integer digits and ``decimals`` decimals, negated where
+    ``minus``; None if a byte among their digits is not one, or one has 2^53
+    or more units of its last decimal. The 24 bytes from 16 before each
+    point hold all its digits: the last eight, the point left out, make one
+    word, and the integer digits before them another."""
+    before, last, after = _words(data, point - 16, 3)
+    # high: the 8 bytes that end 8 - decimals before the point; low: the last
+    # 8 - decimals bytes before the point, then the decimals after it.
+    high = before >> 8 * decimals | last << 8 * (8 - decimals)
+    low = last >> 8 * decimals | after >> 8 << 8 * (8 - decimals)
+    lows = np.minimum(length, 8 - decimals)
+    high, bad = _digits(high, length - lows)
+    low, bad_low = _digits(low, lows + decimals)
+    if (bad | bad_low).any():
+        return None
+    k = high * 10 ** 8 + low
     if not np.all(k < 2 ** 53):
         return None
     value = k.astype(np.float64) / 10.0 ** decimals
-    return np.where(minus, -value, value)
+    return np.negative(value, out=value, where=minus)
 
 
 def _read_session_lines(data: bytes, path) -> tuple:
@@ -574,7 +613,7 @@ def write_detections_jsonl(path, detections, config: Optional[dict] = None) -> N
         "schema": 1,
         "provenance": provenance(config),
     }
-    lines = [json.dumps(header, sort_keys=True, separators=(",", ":"))]
+    lines = [_COMPACT.encode(header)]
     # Each record holds the fields of one ``DetectionEvent``.
-    lines += (json.dumps(vars(d), sort_keys=True, separators=(",", ":")) for d in detections)
+    lines += map(_COMPACT.encode, map(vars, detections))
     atomic_write(path, ("\n".join(lines) + "\n").encode())

@@ -13,7 +13,7 @@ import pytest
 
 import gaze_sentinel
 from conftest import DEFAULT_PROFILE, profile_dict
-from gaze_sentinel import pool, storage
+from gaze_sentinel import cli, pool, storage
 from gaze_sentinel.cli import _parse_n_range, build_parser, main
 from gaze_sentinel.evaluate import Corpus
 from gaze_sentinel.learners import default_config, predict_batch, smote, train
@@ -597,6 +597,59 @@ class TestErrors:
         assert f"{bad}, line 1: participant 'x'" in record["message"]
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("duration", ["1.65e302", "1e9"])
+    @pytest.mark.parametrize("command", ["detect", "eval"])
+    def test_duration_far_past_the_samples_is_json_error(self, corpus_dir, ada_model,
+                                                         tmp_path, capsys, command, duration):
+        """A finite duration that ends far past the last sample is refused as
+        the session is read, before any window is allocated."""
+        corpus = tmp_path / "corpus"
+        shutil.copytree(corpus_dir, corpus)
+        bad = corpus / "session_p001_z1.jsonl"
+        bad.write_text(re.sub(r'"duration":[^,]*', f'"duration":{duration}', bad.read_text(),
+                              count=1))
+        out = tmp_path / "out"
+        argv = (["detect", "--model", str(ada_model), "--session", str(bad), "--width", "5"]
+                if command == "detect" else
+                ["eval", "--corpus", str(corpus), "--mode", "stream", "--task", "nf-ef",
+                 "--classifier", "ada"])
+        assert main(argv + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        record = json.loads(err.strip())
+        assert record["error"] == "MalformedStreamError"
+        assert str(bad) in record["message"]
+        assert f"more than {storage.MAX_TAIL_S:g} s after the last sample" in record["message"]
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_feature_too_large_to_standardize_is_json_error(self, features_csv, tmp_path,
+                                                            capsys):
+        """svm refuses a table whose feature mean overflows before it writes a
+        model; the learners that do not standardize still train from it, and
+        their models load."""
+        lines = features_csv.read_text().splitlines()
+        column = next(line for line in lines if line.startswith("task,")).split(",").index(
+            "p_robot_body")
+        row = next(i for i, line in enumerate(lines) if line.startswith("nf-ef,"))
+        parts = lines[row].split(",")
+        parts[column] = "1e308"
+        lines[row] = ",".join(parts)
+        table = tmp_path / "features.csv"
+        table.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        argv = ["train", "--features", str(table), "--task", "nf-ef", "--classifier"]
+        model = tmp_path / "svm.json"
+        assert main(argv + ["svm", "--out", str(model)]) == 1
+        err = capsys.readouterr().err
+        record = json.loads(err.strip())
+        assert record["error"] == "InvalidParameterError"
+        assert "standard deviation is not a finite number" in record["message"]
+        assert not model.exists()
+        for kind in ("forest", "ada", "gbt-a", "gbt-b"):
+            model = tmp_path / f"{kind}.json"
+            assert main(argv + [kind, "--out", str(model)]) == 0
+            assert load_model(model).config.kind == kind
+
     def test_two_sessions_of_one_key_is_json_error(self, corpus_dir, tmp_path, capsys):
         first, second = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         for copy in (first, second):
@@ -858,6 +911,38 @@ def parser_flags() -> dict:
 class TestParser:
     def test_parser_contract(self):
         assert parser_flags() == PARSER_CONTRACT
+
+    def test_later_call_resolves_a_flag_it_omits(self, corpus_dir, ada_model, tmp_path,
+                                                 monkeypatch):
+        """The parser is built once per process, and a flag one call sets does
+        not carry over: a later call that omits it resolves it from its own
+        environment, or else from the default."""
+        for name in list(os.environ):
+            if name.startswith("GAZE_SENTINEL_"):
+                monkeypatch.delenv(name)
+        session = storage.corpus_paths(corpus_dir)[0]
+        outs = [tmp_path / f"{name}.jsonl" for name in ("flag", "env", "default")]
+        argv = ["detect", "--model", str(ada_model), "--session", session, "--out"]
+        assert main(argv + [str(outs[0]), "--width", "3"]) == 0
+        monkeypatch.setenv("GAZE_SENTINEL_WIDTH", "10")
+        assert main(argv + [str(outs[1])]) == 0
+        monkeypatch.delenv("GAZE_SENTINEL_WIDTH")
+        assert main(argv + [str(outs[2])]) == 0
+        headers = [json.loads(out.read_text().splitlines()[0]) for out in outs]
+        assert [h["provenance"]["config"]["width"] for h in headers] == [3.0, 10.0, 5.0]
+
+    def test_wrapper_installed_after_a_call_is_the_one_that_runs(self, corpus_dir, ada_model,
+                                                                  tmp_path, monkeypatch):
+        """``cmd_detect`` is looked up when ``main`` runs, so a tracer that
+        wraps it after the first call sees every later one."""
+        session = storage.corpus_paths(corpus_dir)[0]
+        argv = ["detect", "--model", str(ada_model), "--session", session, "--out"]
+        assert main(argv + [str(tmp_path / "a.jsonl")]) == 0
+        seen, unwrapped = [], cli.cmd_detect
+        monkeypatch.setattr(cli, "cmd_detect", lambda args: seen.append(args) or unwrapped(args))
+        assert main(argv + [str(tmp_path / "b.jsonl")]) == 0
+        assert [args.out for args in seen] == [str(tmp_path / "b.jsonl")]
+        assert (tmp_path / "a.jsonl").read_bytes() == (tmp_path / "b.jsonl").read_bytes()
 
     @pytest.mark.parametrize("command, flag", [
         (command, flag) for command, flags in PARSER_CONTRACT.items()

@@ -160,10 +160,17 @@ def _set(path, value):
     return mutate
 
 
-def _first_internal(payload, key, value):
-    tree = _tree(payload["params"])
+def _first_internal(payload, key, value, k=0):
+    tree = _tree(payload["params"], k)
     i = next(i for i, f in enumerate(tree["feature"]) if f != -1)
     tree[key][i] = value
+
+
+def _value_moved_to_earlier_tree(payload, k=3):
+    """Tree k's ``value`` one longer and tree k + 1's one shorter: the totals
+    over all trees agree, so only a split by each tree's own length shows it."""
+    trees = payload["params"]["trees"]
+    trees[k]["value"].append(trees[k + 1]["value"].pop())
 
 
 def _backward_child(payload, k=0):
@@ -214,6 +221,11 @@ MALFORMED = [
         0, -float("inf"))),
     ("gbt-a", "NaN threshold", lambda p: _first_internal(p, "threshold", float("nan"))),
     ("forest", "infinite threshold", lambda p: _first_internal(p, "threshold", float("inf"))),
+    ("forest", "infinite threshold in the last tree",
+     lambda p: _first_internal(p, "threshold", float("inf"), k=-1)),
+    ("gbt-b", "NaN leaf value in a later tree",
+     lambda p: _tree(p["params"], 7)["leaf_values"].__setitem__(3, float("nan"))),
+    ("forest", "value lengths shifted between trees", _value_moved_to_earlier_tree),
     ("svm", "NaN standardizer mean", _set(["standardizer", "mean", 0], float("nan"))),
     ("svm", "infinite standardizer std", _set(["standardizer", "std", 0], float("inf"))),
     ("svm", "negative standardizer std", _set(["standardizer", "std", 0], -1.0)),
@@ -288,6 +300,35 @@ def test_malformed_model_is_a_format_error(tmp_path, fitted, kind, fault, mutate
     path = tmp_path / "model.json"
     path.write_text(json.dumps(payload))
     with pytest.raises(ModelFormatError):
+        load_model(path)
+
+
+# Faults in one tree of many, and the message that names each: the same
+# whether trees are decoded one by one or from one array per field.
+TREE_FAULTS = [
+    ("forest", lambda p: _first_internal(p, "threshold", float("inf"), k=-1),
+     "TreeNodes.threshold holds a number that is not finite"),
+    ("gbt-b", lambda p: _tree(p["params"], 7)["leaf_values"].__setitem__(3, float("nan")),
+     "ObliviousTree.leaf_values holds a number that is not finite"),
+    ("forest", _value_moved_to_earlier_tree,
+     "ValueError: tree node arrays must be 1-D, non-empty and of equal length"),
+    ("gbt-a", _set(["params", "trees", 4, "value"], 0.5),
+     "ValueError: tree node arrays must be 1-D, non-empty and of equal length"),
+    ("gbt-a", _set(["params", "trees", 4, "feature", 0], "x"),
+     "ValueError: invalid literal for int() with base 10: 'x'"),
+    ("gbt-b", _set(["params", "trees", 2, "depth"], 6),
+     "ObliviousTree needs the fields ['features', 'thresholds', 'leaf_values'], "
+     "got ['depth', 'features', 'leaf_values', 'thresholds']"),
+]
+
+
+@pytest.mark.parametrize("kind, mutate, message", TREE_FAULTS)
+def test_tree_fault_message(tmp_path, fitted, kind, mutate, message):
+    payload = model_payload(fitted[kind])
+    mutate(payload)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ModelFormatError, match=re.escape(f"model file {path}: malformed model payload: {message}")):
         load_model(path)
 
 

@@ -93,6 +93,27 @@ class TestSessionReader:
             storage.read_session_jsonl(session_file)
         assert f"{session_file}, line 6:" in str(err.value)
 
+    @pytest.mark.parametrize("samples", [30, 0])
+    @pytest.mark.parametrize("past, reads", [(0.0, True), (1.0, False), (1e9, False)])
+    def test_duration_at_most_max_tail_past_the_last_sample(self, tmp_path, samples, past,
+                                                            reads):
+        """The duration may end ``MAX_TAIL_S`` after the last sample (after
+        0 s without samples), and no later."""
+        session = small_session(samples)
+        last = float(session.gaze.t[-1]) if samples else 0.0
+        duration = last + storage.MAX_TAIL_S + past
+        path = tmp_path / "session.jsonl"
+        storage.write_session_jsonl(Session(
+            participant_id=1, puzzle_id=2, gaze=session.gaze, layout=LAYOUT,
+            timeline=Timeline(events=(), duration=duration)), path)
+        if reads:
+            assert storage.read_session_jsonl(path).timeline.duration == duration
+        else:
+            with pytest.raises(MalformedStreamError, match=re.escape(
+                    f"malformed session {path}: MalformedTimelineError: duration "
+                    f"{duration!r} ends more than 60 s after the last sample, at {last!r}")):
+                storage.read_session_jsonl(path)
+
     def test_unparsable_header(self, session_file):
         lines = lines_of(session_file)
         lines[0] = lines[0][:40] + "\n"
@@ -234,15 +255,21 @@ def outcome(read, path):
 # Numbers outside the writer's grammar, then numbers JSON reads that are long,
 # tie-breaking, subnormal or overflow to infinity, then the edges of the
 # writer's grammar (6 decimals for t, 3 for x and y, fewer than 2^53 units of
-# the last decimal). The list's length is kept prime to 3, so that ``mutate``
-# can put every number under every key.
+# the last decimal), then for 6 and 3 decimals every integer width from 1 to
+# one past the 16 digits the bulk parser takes, a nonzero digit in every
+# position, and its negative: these cross each boundary of the 8-byte words
+# a number is read from. The list's length is kept prime to 3 and at most 85,
+# so that ``mutate``'s byte can put every number under every key.
 NUMBERS = [b"01.5", b"1.", b"1e3", b".5", b"+1.0", b"1.5E-2", b"00.0", b"1_0.0", b"NaN",
            b"-Infinity", b"-0.000", b"-0.5", b"0.1" + b"0" * 30, b"9007199254740993.0",
            b"0.30000000000000004440892098500626", b"0." + b"0" * 320 + b"5",
            b"9" * 309 + b".0", b"-" + b"2" * 400 + b".5",
            b"0.50000", b"0.5000000", b"12.50", b"12.5000", b"1234567890.000000",
            b"123456789.000000", b"-0.000000", b"9007199254.740991", b"9007199254.740992",
-           b"4503599627370.496", b"18446744073709551616.000"]
+           b"4503599627370.496", b"18446744073709551616.000", b"9" * 13 + b".999",
+           *(sign + b"1234567891234567"[:width] + b"." + b"987654"[:decimals]
+             for decimals in (6, 3) for width in range(1, 18 - decimals)
+             for sign in (b"", b"-"))]
 
 
 NON_FINITE = [b"nan", b"inf", b"-inf"]
