@@ -20,6 +20,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from gaze_sentinel.evaluate import (
+    TASKS,
     Corpus,
     eval_first_n,
     interval_detection_rate,
@@ -44,7 +45,8 @@ def main() -> int:
                       behavior=behavior)
     t0 = time.monotonic()
     corpus = Corpus(generate_corpus(spec))
-    corpus.segment_rows()
+    for task in TASKS:
+        corpus.rows_for_task(task)
     print(f"corpus: {len(corpus.sessions)} sessions in {time.monotonic()-t0:.1f}s")
 
     n_values = [1, 2, 3, 4, 5]

@@ -21,7 +21,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from gaze_sentinel import storage
 from gaze_sentinel.cli import write_eval
-from gaze_sentinel.evaluate import Corpus
+from gaze_sentinel.evaluate import TASKS, Corpus
 from gaze_sentinel.learners import KINDS
 from gaze_sentinel.sim import CorpusSpec, generate_corpus
 
@@ -47,10 +47,10 @@ def main() -> int:
     t0 = time.monotonic()
     corpus = Corpus(generate_corpus(
         CorpusSpec(participants=args.participants, master_seed=args.seed)))
-    corpus.segment_rows()
+    tables = [corpus.rows_for_task(task) for task in TASKS]
     print(f"corpus ready ({time.monotonic()-t0:.0f}s)")
 
-    storage.write_feature_csv(corpus.segment_rows(), out / "features.csv", run_cfg)
+    storage.write_feature_csv(tables, out / "features.csv", run_cfg)
 
     for task in ("nf-ef", "nf-df"):
         _progress(write_eval(corpus, out, task, "full", KINDS, args.seed, run_cfg), "full")

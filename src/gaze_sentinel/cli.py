@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
-import itertools
 import json
 import math
 import os
@@ -20,19 +19,17 @@ import sys
 import numpy as np
 
 from . import __version__
-from .core import Debouncer
 from .errors import GazeSentinelError, InvalidParameterError
 from .evaluate import (
     Corpus,
     SMOTE_K,
     TASKS,
-    dataset_from_rows,
+    TaskTable,
     eval_first_n,
     interval_detection_rate,
     loo_cv,
     loo_stream_eval,
     stream_detect,
-    task_rows,
 )
 from .learners import KINDS, default_config, smote, train
 from .model_io import load_model, save_model
@@ -169,27 +166,25 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _session_rows(path) -> tuple:
+def _session_tables(path) -> tuple:
     """The (participant, puzzle) of the session file at ``path`` and its
-    rows of each task in ``TASKS`` order, without the session."""
-    session = storage.read_session_jsonl(path)
-    debouncer = Debouncer(session.gaze, session.layout)
-    rows = [task_rows(session, debouncer, task) for task in TASKS]
-    for row in itertools.chain(*rows):
-        row.session = None
-    return (session.participant_id, session.puzzle_id), rows
+    table of each task in ``TASKS`` order."""
+    corpus = Corpus([storage.read_session_jsonl(path)])
+    (session,) = corpus.sessions
+    return (session.participant_id, session.puzzle_id), [corpus.rows_for_task(task)
+                                                         for task in TASKS]
 
 
 def cmd_extract(args: argparse.Namespace) -> int:
     cfg = _resolve(args)
     paths = storage.corpus_paths(args.corpus)
-    keyed = fork_map(_session_rows, paths)
+    keyed = fork_map(_session_tables, paths)
     storage.refuse_duplicates(paths, [key for key, _ in keyed])
-    keyed.sort(key=lambda kr: kr[0])
-    rows = [row for i in range(len(TASKS)) for _, per_task in keyed for row in per_task[i]]
+    keyed.sort(key=lambda kt: kt[0])
+    tables = [TaskTable.concat(per_session) for per_session in zip(*(t for _, t in keyed))]
     run_cfg = {"command": "extract", **cfg}
-    storage.write_feature_csv(rows, args.out, run_cfg)
-    print(f"wrote {len(rows)} feature rows to {args.out}")
+    storage.write_feature_csv(tables, args.out, run_cfg)
+    print(f"wrote {sum(map(len, tables))} feature rows to {args.out}")
     return 0
 
 
@@ -198,12 +193,11 @@ def cmd_train(args: argparse.Namespace) -> int:
     kind = cfg["classifier"]
     if kind == "all":
         raise InvalidParameterError("train expects a single classifier, not 'all'")
-    rows = [r for r in storage.read_feature_csv(args.features) if r.task == cfg["task"]]
-    if not rows:
+    table = storage.read_feature_csv(args.features).get(cfg["task"])
+    if table is None:
         raise InvalidParameterError(f"{args.features} holds no {cfg['task']} rows")
-    dataset = dataset_from_rows(rows)
     rng = np.random.default_rng(np.random.SeedSequence(cfg["seed"], spawn_key=(0,)))
-    balanced = smote(dataset, k=SMOTE_K, rng=rng)
+    balanced = smote(table.dataset, k=SMOTE_K, rng=rng)
     model = train(default_config(kind, seed=cfg["seed"]), balanced)
     save_model(model, args.out)
     print(f"trained {kind} on {len(balanced)} rows -> {args.out}")

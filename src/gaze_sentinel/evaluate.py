@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import repeat
 from typing import Optional
 
@@ -27,7 +27,7 @@ from .core import (
     segment_session,
 )
 from .errors import InvalidParameterError
-from .features import feature_matrix
+from .features import N_FEATURES, feature_matrix
 from .learners import (
     LEARNERS,
     ClassifierConfig,
@@ -102,37 +102,52 @@ def _pooled_report(task: str, regime: str, folds) -> EvalReport:
                       accuracy=accuracy, recall=recall, fpr=fpr)
 
 
-@dataclass(eq=False)
-class SegmentRow:
-    """One classification unit of one task: a labelled slice plus its
-    features."""
+@dataclass(frozen=True, eq=False)
+class TaskTable:
+    """One task's rows as aligned columns: participant, puzzle, piece, class
+    ``y`` (0 = NF, 1 = the task's failure), the slice [t0, t1] measured, the
+    (rows, 11) features ``X``, and the index into ``Corpus.sessions`` (None
+    for a table that no corpus built)."""
 
     task: str
-    participant: int
-    puzzle: int
-    piece: int
-    label: str
-    t0: float
-    t1: float
-    features: np.ndarray
-    session: Optional[Session] = None
+    participant: np.ndarray
+    puzzle: np.ndarray
+    piece: np.ndarray
+    y: np.ndarray
+    t0: np.ndarray
+    t1: np.ndarray
+    X: np.ndarray
+    session: Optional[np.ndarray] = None
+
+    def __len__(self) -> int:
+        return len(self.y)
+
+    @functools.cached_property
+    def dataset(self) -> LabeledDataset:
+        """The table's dataset, built once: every regime shares its folds."""
+        return LabeledDataset(self.X, self.y, self.participant)
+
+    @classmethod
+    def concat(cls, tables) -> "TaskTable":
+        """The rows of ``tables`` of one task in turn, without session indices."""
+        return cls(tables[0].task, *(np.concatenate([getattr(t, f.name) for t in tables])
+                                     for f in fields(cls)[1:-1]))
 
 
 class Corpus:
-    """Session collection with cached debouncing, segment features, task
-    datasets (and with them their fold models, see ``fit_folds``), and
-    per-window features, shared across classifiers, folds and regimes.
+    """Session collection with cached debouncing, task tables (and with each
+    its dataset and fold models, see ``fit_folds``), and per-window
+    features, shared across classifiers, folds and regimes.
 
-    Segment, first-n and window rows all come from one kernel,
-    ``feature_matrix``, over columns of a session's event table: whole-
-    recording slices for segments and first-n rows, causal ones for
+    Task, first-n and window rows all come from one kernel,
+    ``feature_matrix``, over a session's event table: slices of the whole
+    recording (``measure``) for task and first-n rows, causal ones for
     windows."""
 
     def __init__(self, sessions):
         self.sessions = sorted(sessions, key=lambda s: (s.participant_id, s.puzzle_id))
         self._debouncers: dict = {}
-        self._task_rows: dict = {}
-        self._datasets: dict = {}
+        self._tables: dict = {}
         self._window_cache: dict = {}
 
     def _key(self, session: Session):
@@ -144,28 +159,43 @@ class Corpus:
             self._debouncers[key] = Debouncer(session.gaze, session.layout)
         return self._debouncers[key]
 
-    def slice_matrix(self, session: Session, t0, t1) -> np.ndarray:
-        """The (slices, 11) feature matrix of the session's slices
-        [t0[i], t1[i]] of the whole recording."""
-        return feature_matrix(*self.debouncer(session).slice_events(t0, t1), t0, t1)
+    def measure(self, session, t0, t1) -> np.ndarray:
+        """The (slices, 11) features of the slices [t0[i], t1[i]] of the whole
+        recording of ``sessions[session[i]]``: one ``slice_events`` call per
+        session, over its slices in order (a row depends on no other)."""
+        X = np.empty((len(t0), N_FEATURES))
+        for s in np.unique(session).tolist():
+            at = session == s
+            a, b = t0[at], t1[at]
+            X[at] = feature_matrix(*self.debouncer(self.sessions[s]).slice_events(a, b), a, b)
+        return X
 
-    def rows_for_task(self, task: str) -> list:
-        """The task's rows, ``task_rows`` of each session in turn."""
-        if task not in self._task_rows:
-            self._task_rows[task] = [row for session in self.sessions for row in
-                                     task_rows(session, self.debouncer(session), task)]
-        return self._task_rows[task]
+    def rows_for_task(self, task: str) -> TaskTable:
+        """The task's table, the same object on every call: each session's
+        failure and NF segments in turn, each measured over
+        [t_start, t_start + D] with D the task's failure duration.
 
-    def segment_rows(self) -> list:
-        """Every task's rows, in ``TASKS`` order (the extract table)."""
-        return [row for task in TASKS for row in self.rows_for_task(task)]
+        Every row of a task thus spans the same length. Count-over-span
+        features such as the shift rates lie on the lattice k/D of their
+        slice length D, so NF rows of another length (the pick-and-place
+        action varies) would reveal their class."""
+        if task not in self._tables:
+            ftype = _failure_type(task)
+            segs = [(i, seg) for i, s in enumerate(self.sessions)
+                    for seg in segment_session(s) if seg.label in ("NF", ftype)]
+            session, participant, puzzle, piece, y = np.array(
+                [(i, seg.participant_id, seg.puzzle_id, seg.piece_index, seg.label == ftype)
+                 for i, seg in segs], dtype=np.int64).reshape(-1, 5).T.copy()
+            t0 = np.array([seg.t_start for _, seg in segs], dtype=np.float64)
+            t1 = t0 + FAILURE_DURATIONS[ftype]
+            self._tables[task] = TaskTable(task, participant, puzzle, piece, y, t0, t1,
+                                           self.measure(session, t0, t1), session)
+        return self._tables[task]
 
-    def dataset_for_task(self, task: str) -> tuple[LabeledDataset, list]:
-        """The task's dataset, the same object on every call, and its rows."""
-        rows = self.rows_for_task(task)
-        if task not in self._datasets:
-            self._datasets[task] = dataset_from_rows(rows)
-        return self._datasets[task], rows
+    def dataset_for_task(self, task: str) -> tuple[LabeledDataset, TaskTable]:
+        """The task's dataset, the same object on every call, and its table."""
+        table = self.rows_for_task(task)
+        return table.dataset, table
 
     @property
     def participants(self) -> list:
@@ -182,37 +212,6 @@ class Corpus:
             self._window_cache[key] = (t0, t1, truth, causal_window_matrix(
                 self.debouncer(session), t0, t1))
         return self._window_cache[key]
-
-
-def task_rows(session: Session, debouncer: Debouncer, task: str) -> list:
-    """The session's rows of the task: its failure segments and every NF
-    segment, each measured over [t_start, t_start + D] with D the task's
-    failure duration.
-
-    Every row of a task thus spans the same length. Count-over-span
-    features such as the shift rates lie on the lattice k/D of their slice
-    length D, so NF rows of another length (the pick-and-place action
-    varies) would reveal their class.
-    """
-    ftype = _failure_type(task)
-    duration = FAILURE_DURATIONS[ftype]
-    segs = [s for s in segment_session(session) if s.label in ("NF", ftype)]
-    t0 = np.array([seg.t_start for seg in segs])
-    t1 = t0 + duration
-    X = feature_matrix(*debouncer.slice_events(t0, t1), t0, t1)
-    return [SegmentRow(task=task, participant=seg.participant_id, puzzle=seg.puzzle_id,
-                       piece=seg.piece_index, label=seg.label, t0=seg.t_start,
-                       t1=seg.t_start + duration, features=features, session=session)
-            for seg, features in zip(segs, X)]
-
-
-def dataset_from_rows(rows) -> LabeledDataset:
-    """Features, NF=0 / failure=1 labels, and participant groups of one
-    task's rows."""
-    X = np.array([r.features for r in rows])
-    y = np.array([0 if r.label == "NF" else 1 for r in rows], dtype=np.int64)
-    groups = np.array([r.participant for r in rows], dtype=np.int64)
-    return LabeledDataset(X, y, groups)
 
 
 def _failure_type(task: str) -> str:
@@ -285,19 +284,19 @@ def loo_cv(dataset: LabeledDataset, config: ClassifierConfig,
     return _pooled_report(task, "full-segment", folds)
 
 
-def first_n_blocks(corpus: Corpus, rows, n_values) -> list:
-    """Per n of ``n_values``, the (rows, 11) features of ``rows`` with each
+def first_n_blocks(corpus: Corpus, table: TaskTable, n_values) -> list:
+    """Per n of ``n_values``, the (rows, 11) features of ``table`` with each
     failure row measured over its first n seconds, [t0, min(t0 + n, t1)];
-    NF rows keep their features. One ``slice_matrix`` call per failure row
-    covers every n."""
+    NF rows keep their features. One ``Corpus.measure`` call covers every
+    failure row at every n."""
     n = np.asarray(n_values, dtype=np.float64)
-    blocks = [np.array([r.features for r in rows]) for _ in n]
-    for i, r in enumerate(rows):
-        if r.label != "NF":
-            X = corpus.slice_matrix(r.session, np.full(n.size, r.t0), np.minimum(r.t0 + n, r.t1))
-            for block, x in zip(blocks, X):
-                block[i] = x
-    return blocks
+    fail = np.flatnonzero(table.y == 1)
+    t0 = np.repeat(table.t0[fail], n.size)
+    t1 = np.minimum(t0 + np.tile(n, fail.size), np.repeat(table.t1[fail], n.size))
+    X = corpus.measure(np.repeat(table.session[fail], n.size), t0, t1)
+    blocks = np.repeat(table.X[None], n.size, axis=0)
+    blocks[:, fail] = X.reshape(fail.size, n.size, N_FEATURES).swapaxes(0, 1)
+    return list(blocks)
 
 
 def eval_first_n(corpus: Corpus, task: str, config: ClassifierConfig,
@@ -307,9 +306,9 @@ def eval_first_n(corpus: Corpus, task: str, config: ClassifierConfig,
     n_values = [float(n) for n in n_values]
     if not all(0 < n < math.inf for n in n_values):
         raise InvalidParameterError("truncation lengths must be positive and finite")
-    dataset, rows = corpus.dataset_for_task(task)
+    dataset, table = corpus.dataset_for_task(task)
     folds = _loo_folds(dataset, config, dataset.groups, dataset.y,
-                       first_n_blocks(corpus, rows, n_values))
+                       first_n_blocks(corpus, table, n_values))
     return {n: _pooled_report(task, f"first-{n:g}", f) for n, f in zip(n_values, folds)}
 
 

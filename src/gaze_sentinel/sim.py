@@ -82,9 +82,9 @@ def latin_square_schedule(participant_id: int) -> tuple:
 # (low, high), or a normal (mean, sd) clipped to (low, high).
 # Slice length carries no class signal because every row of a task, NF
 # included, is measured over that task's failure duration (15.0 / 16.5 s;
-# ``evaluate.task_rows``). Robot actions in a band around those durations
-# would not suffice: count-over-span features such as the shift rates would
-# sit on the lattice k/15 or k/16.5 for failure rows only.
+# ``evaluate.Corpus.rows_for_task``). Robot actions in a band around those
+# durations would not suffice: count-over-span features such as the shift
+# rates would sit on the lattice k/15 or k/16.5 for failure rows only.
 LEAD_IN_S = (4.0, 7.0)
 ROBOT_ACTION_S = (15.7, 0.7, (14.5, 17.0))
 GRASP_OFFSET_S = (3.5, 0.6, (2.0, 5.0))

@@ -29,7 +29,7 @@ from .core import (
 )
 from .errors import (GazeSentinelError, InvalidParameterError, MalformedStreamError,
                      MalformedTimelineError)
-from .evaluate import TASKS, SegmentRow
+from .evaluate import TASKS, TaskTable
 from .features import FEATURE_NAMES, FEATURE_SCHEMA_VERSION
 from .learners import config_fingerprint
 
@@ -44,9 +44,10 @@ _DECIMALS = (6, 3, 3)  # of t, x and y
 _KEYS = (b'{"t":', b',"x":', b',"y":')
 _FLAGS = (b"false}", b"true}\0")  # each padded to six bytes
 _PAD = b"\0"  # fills a written line's unused cells; no sample line holds it
-# A session's duration may end at most this long after its last sample (after
-# 0 s without samples): every later window would hold no gaze, and a huge
-# duration would ask for more windows than memory holds.
+# A session may go at most this long without a sample: before its first one,
+# between two, and from its last one (from 0 s without samples) to the end of
+# its duration. Every window inside a longer gap would hold no gaze, and a
+# huge gap would ask for more windows than memory holds.
 MAX_TAIL_S = 60.0
 # Little-endian words of the reader: "0" in every byte, and ``_LAST[m]``,
 # the mask of a word's last m bytes.
@@ -267,18 +268,23 @@ def read_session_jsonl(path) -> Session:
 
 def _session(path, header: dict, columns: tuple) -> Session:
     """The session of a parsed file; any fault in its samples, layout or
-    timeline, or a duration more than ``MAX_TAIL_S`` past its last sample,
-    raises ``MalformedStreamError`` naming the path."""
+    timeline, or a gap of more than ``MAX_TAIL_S`` without a sample, raises
+    ``MalformedStreamError`` naming the path."""
     t, x, y, valid = columns
     with decoding(MalformedStreamError, f"malformed session {path}"):
         gaze = GazeStream(t=np.asarray(t, dtype=np.float64), x=np.asarray(x, dtype=np.float64),
                           y=np.asarray(y, dtype=np.float64), valid=np.asarray(valid, dtype=bool))
         session = session_from_header(header, gaze)
-        last = float(gaze.t[-1]) if len(gaze) else 0.0
-        if not session.timeline.duration <= last + MAX_TAIL_S:
+        t = np.append(0.0, gaze.t)
+        if not session.timeline.duration <= t[-1] + MAX_TAIL_S:
             raise MalformedTimelineError(
                 f"duration {session.timeline.duration!r} ends more than {MAX_TAIL_S:g} s "
-                f"after the last sample, at {last!r}")
+                f"after the last sample, at {float(t[-1])!r}")
+        gap = np.flatnonzero(~(t[1:] <= t[:-1] + MAX_TAIL_S))
+        if gap.size:
+            a, b = t[gap[0]:gap[0] + 2].tolist()
+            raise MalformedTimelineError(
+                f"no sample for more than {MAX_TAIL_S:g} s, from {a!r} to {b!r}")
         return session
 
 
@@ -467,18 +473,18 @@ _FEATURE_CSV_HEADER = ("task", "participant", "puzzle", "piece", "label", "t0", 
                        *FEATURE_NAMES)
 
 
-def write_feature_csv(rows, path, config: Optional[dict] = None) -> None:
-    """One line per task row (``Corpus.segment_rows``): the task, the slice
-    it was measured over, and its features."""
+def write_feature_csv(tables, path, config: Optional[dict] = None) -> None:
+    """One line per row of each ``TaskTable`` of ``tables`` in turn: the
+    task, the slice it was measured over, and its features."""
     lines = provenance_lines(config)
     lines.append(f"# feature_schema={FEATURE_SCHEMA_VERSION}")
     lines.append(",".join(_FEATURE_CSV_HEADER))
-    for r in rows:
-        values = ",".join(_fmt(v) for v in r.features)
-        lines.append(
-            f"{r.task},{r.participant},{r.puzzle},{r.piece},{r.label},"
-            f"{_fmt(r.t0)},{_fmt(r.t1)},{values}"
-        )
+    for table in tables:
+        labels = ("NF", TASKS[table.task])
+        columns = (table.participant, table.puzzle, table.piece, table.y, table.t0, table.t1)
+        lines.extend(f"{table.task},{p},{z},{piece},{labels[y]},{_fmt(t0)},{_fmt(t1)},"
+                     + ",".join(map(_fmt, x)) for p, z, piece, y, t0, t1, x in zip(
+                         *(c.tolist() for c in columns), table.X.tolist()))
     atomic_write(path, ("\n".join(lines) + "\n").encode())
 
 
@@ -506,47 +512,45 @@ def _csv_rows(path, header: tuple, what: str):
             yield number, parts
 
 
-def read_feature_csv(path) -> list:
-    """Rows of a feature table; a header other than the writer's, a row
+def read_feature_csv(path) -> dict:
+    """The ``TaskTable`` of each task a feature table holds rows of, by
+    task in ``TASKS`` order; a header other than the writer's, a row
     without exactly its fields, a number that does not parse or is not
     finite, a task not in ``TASKS``, a label other than ``NF`` and its
-    task's failure type, ``t1 <= t0``, a participant or puzzle below 1, or a
-    piece outside 1..4 raises ``InvalidParameterError`` with the path and
-    the 1-based line number, and a file that is not UTF-8 text raises it
-    with the path."""
-    rows = []
+    task's failure type, ``t1 <= t0``, a participant or puzzle below 1 (or
+    past 64 bits), or a piece outside 1..4 raises ``InvalidParameterError``
+    with the path and the 1-based line number, and a file that is not UTF-8
+    text raises it with the path."""
+    ids: dict = {task: [] for task in TASKS}
+    values: dict = {task: [] for task in TASKS}
     for number, parts in _csv_rows(path, _FEATURE_CSV_HEADER, "feature"):
         with decoding(InvalidParameterError, f"{path}, line {number}"):
-            row = SegmentRow(
-                task=parts[0],
-                participant=int(parts[1]),
-                puzzle=int(parts[2]),
-                piece=int(parts[3]),
-                label=parts[4],
-                t0=float(parts[5]),
-                t1=float(parts[6]),
-                features=np.array([float(v) for v in parts[7:]]),
-            )
-            finite = np.isfinite([row.t0, row.t1, *row.features])
+            task, label = parts[0], parts[4]
+            participant, puzzle, piece = (int(v) for v in parts[1:4])
+            numbers = [float(v) for v in parts[5:]]
+            finite = np.isfinite(numbers)
             if not finite.all():
                 field = 5 + int(np.argmin(finite))
                 raise ValueError(f"{_FEATURE_CSV_HEADER[field]} is {parts[field]}, "
                                  f"not a finite number")
-            if row.task not in TASKS:
-                raise ValueError(f"unknown task {row.task!r}")
-            if row.label not in ("NF", TASKS[row.task]):
-                raise ValueError(f"label {row.label!r} is neither NF nor {TASKS[row.task]}")
-            if not row.t1 > row.t0:
-                raise ValueError(f"slice [{row.t0}, {row.t1}] is empty")
-            for key, value in (("participant", row.participant), ("puzzle", row.puzzle)):
+            if task not in TASKS:
+                raise ValueError(f"unknown task {task!r}")
+            if label not in ("NF", TASKS[task]):
+                raise ValueError(f"label {label!r} is neither NF nor {TASKS[task]}")
+            if not numbers[1] > numbers[0]:
+                raise ValueError(f"slice [{numbers[0]}, {numbers[1]}] is empty")
+            for key, value in (("participant", participant), ("puzzle", puzzle)):
                 if value < 1:
                     raise ValueError(f"{key} {value} is not an integer of at least 1")
-            if not 1 <= row.piece <= 4:
-                raise ValueError(f"piece {row.piece} is not in 1..4")
-        rows.append(row)
-    if not rows:
+            if not 1 <= piece <= 4:
+                raise ValueError(f"piece {piece} is not in 1..4")
+            ids[task].append(np.array([participant, puzzle, piece, label != "NF"], np.int64))
+            values[task].append(numbers)
+    tables = {task: TaskTable(task, *np.transpose(ids[task]), *np.transpose(values[task])[:2],
+                              np.array(values[task])[:, 2:]) for task in TASKS if ids[task]}
+    if not tables:
         raise InvalidParameterError(f"feature CSV {path} holds no rows")
-    return rows
+    return tables
 
 
 _REPORT_CSV_HEADER = "task,classifier,n_or_width,fold,accuracy,recall"

@@ -17,7 +17,7 @@ settings.load_profile("suite")
 from gaze_sentinel import storage
 from gaze_sentinel.core import FAILURE_DURATIONS, MIN_DWELL_S
 from gaze_sentinel.errors import InvalidParameterError
-from gaze_sentinel.evaluate import Corpus
+from gaze_sentinel.evaluate import TASKS, Corpus
 from gaze_sentinel.sim import CorpusSpec, generate_corpus
 
 # The committed behaviour profile, the one the simulator reads by default.
@@ -53,7 +53,8 @@ def default_corpus():
     """The committed synthetic corpus: 26 participants, master seed 7."""
     t0 = time.monotonic()
     corpus = Corpus(generate_corpus(CorpusSpec()))
-    corpus.segment_rows()
+    for task in TASKS:
+        corpus.rows_for_task(task)
     BUILD_SECONDS["default_corpus"] = time.monotonic() - t0
     return corpus
 
@@ -62,7 +63,8 @@ def default_corpus():
 def mini_corpus():
     """Small corpus for fast integration tests (4 participants)."""
     corpus = Corpus(generate_corpus(CorpusSpec(participants=4, master_seed=11)))
-    corpus.segment_rows()
+    for task in TASKS:
+        corpus.rows_for_task(task)
     return corpus
 
 

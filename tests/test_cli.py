@@ -15,7 +15,7 @@ import gaze_sentinel
 from conftest import DEFAULT_PROFILE, profile_dict
 from gaze_sentinel import cli, pool, storage
 from gaze_sentinel.cli import _parse_n_range, build_parser, main
-from gaze_sentinel.evaluate import Corpus
+from gaze_sentinel.evaluate import TASKS, Corpus
 from gaze_sentinel.learners import default_config, predict_batch, smote, train
 from gaze_sentinel.model_io import load_model, save_model
 from gaze_sentinel.sim import CorpusSpec, generate_corpus
@@ -55,10 +55,11 @@ def data_lines(path) -> list:
     return [line for line in lines if not line.startswith("#")]
 
 
-# sha256 of each file that ``simulate --participants 3 --seed 7`` writes. A
-# change that moves the corpus on purpose regenerates these and names the
-# files that moved.
-SIMULATE_DIGESTS = {
+# sha256 of each file that ``simulate --participants 3 --seed 7`` writes, and
+# of ``extract``'s feature table of that corpus. A change that moves them on
+# purpose regenerates these and names the files that moved.
+GOLDEN_DIGESTS = {
+    "features.csv": "e9d319645df4dbef5bb722b9d66796cda2213a387bfb6502e0f591bb25e40dc5",
     "manifest.json": "8659c0856e71fe50404986ff4b8beff61b8d65b6ae81e847442571bbc032de5f",
     "session_p001_z1.jsonl": "81ee44d5a14c85c29ef511cf254e8ba05088428065b32ea01122796526ba8586",
     "session_p001_z2.jsonl": "e24824fe6fcd674add8ee98a9fee3b021342fcbda5eb44bf192ba6cd8916c032",
@@ -82,11 +83,13 @@ class TestSimulate:
                 monkeypatch.delenv(name)
         assert main(["simulate", "--participants", "3", "--seed", "7",
                      "--out", str(tmp_path)]) == 0
+        assert main(["extract", "--corpus", str(tmp_path),
+                     "--out", str(tmp_path / "features.csv")]) == 0
         digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                    for p in tmp_path.iterdir()}
         moved = {name: digests.get(name)
-                 for name in sorted(digests.keys() | SIMULATE_DIGESTS.keys())
-                 if digests.get(name) != SIMULATE_DIGESTS.get(name)}
+                 for name in sorted(digests.keys() | GOLDEN_DIGESTS.keys())
+                 if digests.get(name) != GOLDEN_DIGESTS.get(name)}
         assert not moved, f"files that moved, with their new sha256: {moved}"
 
     def test_writes_sessions_and_manifest(self, corpus_dir):
@@ -121,20 +124,23 @@ class TestExtract:
     def test_feature_table_shape(self, features_csv):
         # one block per task: 3 participants x (12 NF + 2 failure) segments,
         # NF segments measured once per task at that task's failure length
-        rows = storage.read_feature_csv(features_csv)
-        assert len(rows) == 84
-        for task, ftype in (("nf-ef", "EF"), ("nf-df", "DF")):
-            labels = [r.label for r in rows if r.task == task]
-            assert labels.count("NF") == 36
-            assert labels.count(ftype) == 6
-            assert len(labels) == 42
+        tables = storage.read_feature_csv(features_csv)
+        assert list(tables) == ["nf-ef", "nf-df"]
+        for table in tables.values():
+            assert np.sum(table.y == 0) == 36
+            assert np.sum(table.y == 1) == 6
+            assert len(table) == 42
 
     def test_feature_values_match_library_pipeline(self, corpus_dir, features_csv):
         corpus = Corpus(storage.read_corpus(corpus_dir))
-        expected = corpus.segment_rows()
         loaded = storage.read_feature_csv(features_csv)
-        for a, b in zip(expected, loaded):
-            np.testing.assert_array_equal(b.features, a.features)
+        assert list(loaded) == list(TASKS)
+        for task, table in loaded.items():
+            expected = corpus.rows_for_task(task)
+            assert len(table) == len(expected)
+            for column in ("participant", "puzzle", "piece", "y", "t0", "t1", "X"):
+                np.testing.assert_array_equal(getattr(table, column),
+                                              getattr(expected, column), err_msg=column)
 
     def test_header_carries_provenance(self, features_csv):
         text = features_csv.read_text().splitlines()
@@ -619,6 +625,36 @@ class TestErrors:
         assert record["error"] == "MalformedStreamError"
         assert str(bad) in record["message"]
         assert f"more than {storage.MAX_TAIL_S:g} s after the last sample" in record["message"]
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("times", [(0.0, 200000.0), (200000.0,)],
+                             ids=["between-samples", "before-the-first"])
+    @pytest.mark.parametrize("command", ["detect", "eval"])
+    def test_long_gap_without_samples_is_json_error(self, corpus_dir, ada_model, tmp_path,
+                                                    capsys, command, times):
+        """A session that goes more than ``MAX_TAIL_S`` without a sample,
+        between two samples or before its first, is refused as it is read,
+        before any window is allocated; its duration ends at its last
+        sample."""
+        corpus = tmp_path / "corpus"
+        shutil.copytree(corpus_dir, corpus)
+        bad = corpus / "session_p001_z1.jsonl"
+        header = re.sub(r'"duration":[^,]*', f'"duration":{times[-1]}',
+                        bad.read_text().splitlines()[0], count=1)
+        samples = [f'{{"t":{t:.6f},"x":1.000,"y":1.000,"valid":true}}' for t in times]
+        bad.write_text("\n".join([header, *samples]) + "\n")
+        out = tmp_path / "out"
+        argv = (["detect", "--model", str(ada_model), "--session", str(bad), "--width", "5"]
+                if command == "detect" else
+                ["eval", "--corpus", str(corpus), "--mode", "stream", "--task", "nf-ef",
+                 "--classifier", "ada"])
+        assert main(argv + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        record = json.loads(err.strip())
+        assert record == {"error": "MalformedStreamError", "message": (
+            f"malformed session {bad}: MalformedTimelineError: no sample for more than "
+            f"{storage.MAX_TAIL_S:g} s, from 0.0 to 200000.0")}
         assert "Traceback" not in err
         assert not out.exists()
 

@@ -130,43 +130,44 @@ class TestLooCv:
         assert model_payload(model_a) == model_payload(model_b)
 
 
-def reference_row(row, t1):
-    """The row's features over [row.t0, t1], from the session's whole
-    fixation list."""
-    fixations = Debouncer(row.session.gaze, row.session.layout).fixations()
-    return extract_features(fixations, row.t0, t1).as_array()
+def reference_row(corpus, table, i, t1):
+    """Row i's features over [t0[i], t1], from its session's whole fixation
+    list."""
+    session = corpus.sessions[table.session[i]]
+    fixations = Debouncer(session.gaze, session.layout).fixations()
+    return extract_features(fixations, float(table.t0[i]), float(t1)).as_array()
 
 
 class TestTruncateSegment:
     """First-n rows: failure rows measured over [t0, min(t0 + n, t1)]."""
 
     def blocks(self, corpus, task, n_values):
-        _, rows = corpus.dataset_for_task(task)
-        return rows, dict(zip(n_values, first_n_blocks(corpus, rows, n_values)))
+        _, table = corpus.dataset_for_task(task)
+        return table, dict(zip(n_values, first_n_blocks(corpus, table, n_values)))
 
     def test_failure_truncated(self, mini_corpus):
-        rows, blocks = self.blocks(mini_corpus, "nf-ef", [5.0])
-        failures = [i for i, r in enumerate(rows) if r.label == "EF"]
-        assert failures
+        table, blocks = self.blocks(mini_corpus, "nf-ef", [5.0])
+        failures = np.flatnonzero(table.y == 1)
+        assert failures.size
         for i in failures:
-            expected = reference_row(rows[i], rows[i].t0 + 5.0)
+            expected = reference_row(mini_corpus, table, i, table.t0[i] + 5.0)
             assert blocks[5.0][i].tobytes() == expected.tobytes()
-            assert not np.array_equal(blocks[5.0][i], rows[i].features)
+            assert not np.array_equal(blocks[5.0][i], table.X[i])
 
     def test_clamped_to_segment_end(self, mini_corpus):
-        rows, blocks = self.blocks(mini_corpus, "nf-ef", [20.0])
-        assert blocks[20.0].tobytes() == np.array([r.features for r in rows]).tobytes()
+        table, blocks = self.blocks(mini_corpus, "nf-ef", [20.0])
+        assert blocks[20.0].tobytes() == table.X.tobytes()
 
     def test_df_full_duration_identity(self, mini_corpus):
-        rows, blocks = self.blocks(mini_corpus, "nf-df", [16.5])
-        assert blocks[16.5].tobytes() == np.array([r.features for r in rows]).tobytes()
+        table, blocks = self.blocks(mini_corpus, "nf-df", [16.5])
+        assert blocks[16.5].tobytes() == table.X.tobytes()
 
     def test_nf_passes_through(self, mini_corpus):
-        rows, blocks = self.blocks(mini_corpus, "nf-ef", [1.0, 5.0])
+        table, blocks = self.blocks(mini_corpus, "nf-ef", [1.0, 5.0])
+        nf = table.y == 0
+        assert nf.any()
         for n in (1.0, 5.0):
-            for row, x in zip(rows, blocks[n]):
-                if row.label == "NF":
-                    assert x.tobytes() == row.features.tobytes()
+            assert blocks[n][nf].tobytes() == table.X[nf].tobytes()
 
     def test_rejects_nonpositive(self, mini_corpus):
         for n in (0.0, -5.0, float("nan"), float("inf")):
@@ -183,16 +184,16 @@ class TestBatchFeaturizer:
         corpus = Corpus(generate_corpus(CorpusSpec(participants=2, master_seed=seed)))
         n_values = [0.5, 1.0, 3.0, 5.0, 15.0, 20.0]
         for task in ("nf-ef", "nf-df"):
-            rows = corpus.rows_for_task(task)
-            for row in rows:
-                assert row.features.tobytes() == reference_row(row, row.t1).tobytes()
+            table = corpus.rows_for_task(task)
+            for i in range(len(table)):
+                expected = reference_row(corpus, table, i, table.t1[i])
+                assert table.X[i].tobytes() == expected.tobytes()
             checked = 0
-            for n, block in zip(n_values, first_n_blocks(corpus, rows, n_values)):
-                for row, x in zip(rows, block):
-                    if row.label != "NF":
-                        expected = reference_row(row, min(row.t0 + n, row.t1))
-                        assert x.tobytes() == expected.tobytes(), (task, n, row.t0)
-                        checked += 1
+            for n, block in zip(n_values, first_n_blocks(corpus, table, n_values)):
+                for i in np.flatnonzero(table.y == 1):
+                    expected = reference_row(corpus, table, i, min(table.t0[i] + n, table.t1[i]))
+                    assert block[i].tobytes() == expected.tobytes(), (task, n, table.t0[i])
+                    checked += 1
             assert checked == 4 * len(n_values)
 
 

@@ -194,6 +194,13 @@ def test_transition_draw_is_generator_choice(seed, rows, strength, picks):
 DEFAULT_CORPUS_GAZE_SHA256 = "1b03c89db7b80115d0df2a848ff1ebdf5030e3cb80f73be618c89bab1ba7ee32"
 
 
+def task_shift_rates(corpus):
+    """The first feature (AOI shift rate) of every EF row, and of every NF
+    row of both tasks."""
+    ef, df = (corpus.rows_for_task(task) for task in ("nf-ef", "nf-df"))
+    return ef.X[ef.y == 1, 0], np.concatenate([t.X[t.y == 0, 0] for t in (ef, df)])
+
+
 class TestCorpus:
     def test_default_corpus_gaze_is_golden(self, default_corpus):
         digest = hashlib.sha256()
@@ -236,9 +243,7 @@ class TestCorpus:
     def test_failure_shift_rate_exceeds_baseline(self, default_corpus):
         # Monte-Carlo over the 104 committed sessions: mean shift rate over
         # EF failure periods exceeds the NF mean.
-        rows = default_corpus.segment_rows()
-        ef = np.array([r.features[0] for r in rows if r.label == "EF"])
-        nf = np.array([r.features[0] for r in rows if r.label == "NF"])
+        ef, nf = task_shift_rates(default_corpus)
         assert len(ef) >= 50
         assert ef.mean() > nf.mean() + 0.2
 
@@ -247,10 +252,7 @@ class TestCorpus:
 
         spec = CorpusSpec(participants=6, master_seed=21,
                           behavior=BehaviorParams.default().zero_failure_deltas())
-        corpus = Corpus(generate_corpus(spec))
-        rows = corpus.segment_rows()
-        ef = np.array([r.features[0] for r in rows if r.label == "EF"])
-        nf = np.array([r.features[0] for r in rows if r.label == "NF"])
+        ef, nf = task_shift_rates(Corpus(generate_corpus(spec)))
         assert abs(ef.mean() - nf.mean()) < 0.15
 
     def test_null_profile_slices_share_failure_length(self):
@@ -264,12 +266,11 @@ class TestCorpus:
         corpus = Corpus(generate_corpus(spec))
         for task, ftype in TASKS.items():
             duration = FAILURE_DURATIONS[ftype]
-            rows = corpus.rows_for_task(task)
-            assert {r.label for r in rows} == {"NF", ftype}
-            for r in rows:
-                assert r.t1 - r.t0 == pytest.approx(duration, abs=1e-9)
-                entries = r.features[1] * duration
-                assert entries == pytest.approx(round(entries), abs=1e-6)
+            table = corpus.rows_for_task(task)
+            assert set(table.y.tolist()) == {0, 1}
+            np.testing.assert_allclose(table.t1 - table.t0, duration, rtol=0, atol=1e-9)
+            entries = table.X[:, 1] * duration
+            np.testing.assert_allclose(entries, np.round(entries), rtol=0, atol=1e-6)
 
 
 class TestBehaviorProfile:

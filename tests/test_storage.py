@@ -13,7 +13,7 @@ from gaze_sentinel.errors import (
     InvalidParameterError,
     MalformedStreamError,
 )
-from gaze_sentinel.evaluate import SegmentRow
+from gaze_sentinel.evaluate import TaskTable
 from gaze_sentinel.features import FEATURE_NAMES
 from gaze_sentinel.sim import CorpusSpec, generate_corpus
 
@@ -112,6 +112,24 @@ class TestSessionReader:
             with pytest.raises(MalformedStreamError, match=re.escape(
                     f"malformed session {path}: MalformedTimelineError: duration "
                     f"{duration!r} ends more than 60 s after the last sample, at {last!r}")):
+                storage.read_session_jsonl(path)
+
+    @pytest.mark.parametrize("lead, step, reads", [(60.0, 0.005, True), (61.0, 0.005, False),
+                                                   (0.0, 60.0, True), (0.0, 61.0, False)])
+    def test_at_most_max_tail_without_a_sample(self, tmp_path, lead, step, reads):
+        """At most ``MAX_TAIL_S`` may pass before the first sample, and
+        between two samples."""
+        t = lead + np.arange(3) * step
+        gaze = GazeStream(t=t, x=np.full(3, 10.0), y=np.full(3, 10.0), valid=np.ones(3, bool))
+        path = tmp_path / "session.jsonl"
+        storage.write_session_jsonl(Session(
+            participant_id=1, puzzle_id=2, gaze=gaze, layout=LAYOUT,
+            timeline=Timeline(events=(), duration=float(t[-1]))), path)
+        if reads:
+            assert storage.read_session_jsonl(path).gaze.t.tolist() == t.tolist()
+        else:
+            with pytest.raises(MalformedStreamError, match=re.escape(
+                    f"no sample for more than 60 s, from 0.0 to {max(lead, step)!r}")):
                 storage.read_session_jsonl(path)
 
     def test_unparsable_header(self, session_file):
@@ -473,9 +491,12 @@ class TestSessionWriterProperties:
             assert lines == per_sample_lines(session)
 
 
-def feature_row(task="nf-ef", label="NF"):
-    return SegmentRow(task=task, participant=1, puzzle=1, piece=1, label=label,
-                      t0=1.0, t1=16.0, features=np.linspace(0.0, 1.0, len(FEATURE_NAMES)))
+def feature_row(task="nf-ef", label="NF", features=None):
+    """A one-row table of ``task``."""
+    X = np.linspace(0.0, 1.0, len(FEATURE_NAMES)) if features is None else features
+    return TaskTable(task=task, participant=np.array([1]), puzzle=np.array([1]),
+                     piece=np.array([1]), y=np.array([int(label != "NF")]),
+                     t0=np.array([1.0]), t1=np.array([16.0]), X=np.array([X]))
 
 
 class TestFeatureCsvReader:
@@ -486,9 +507,10 @@ class TestFeatureCsvReader:
         return path
 
     def test_roundtrip(self, csv_file):
-        rows = storage.read_feature_csv(csv_file)
-        assert [r.label for r in rows] == ["NF", "EF"]
-        np.testing.assert_array_equal(rows[0].features, feature_row().features)
+        (table,) = storage.read_feature_csv(csv_file).values()
+        assert table.task == "nf-ef"
+        assert table.y.tolist() == [0, 1]
+        np.testing.assert_array_equal(table.X[0], feature_row().X[0])
 
     @pytest.mark.parametrize("edit", [
         lambda line: ",".join(line.split(",")[:8]),  # one feature value
@@ -541,7 +563,8 @@ class TestFeatureCsvReader:
         (2, "0", "puzzle 0 is not an integer of at least 1"),
         (3, "0", "piece 0 is not in 1..4"),
         (3, "5", "piece 5 is not in 1..4"),
-    ], ids=["participant-3", "participant0", "puzzle0", "piece0", "piece5"])
+        (2, "9" * 20, "OverflowError"),
+    ], ids=["participant-3", "participant0", "puzzle0", "piece0", "piece5", "puzzle2^66"])
     def test_id_out_of_range_names_its_line(self, csv_file, field, value, message):
         lines = csv_file.read_text().splitlines()
         parts = lines[-1].split(",")
@@ -616,20 +639,20 @@ class TestReportCsvReader:
         assert str(report_file) in str(err.value)
 
 
-def csv_rows(rows):
-    """A feature table's rows, every float as its raw bits."""
-    bits = lambda values: np.asarray(values, dtype=np.float64).view(np.uint64).tolist()  # noqa: E731
-    return [(r.task, r.participant, r.puzzle, r.piece, r.label, *bits([r.t0, r.t1]),
-             *bits(r.features)) for r in rows]
+def csv_rows(tables):
+    """The rows of a feature table's tables, every float as its raw bits."""
+    return [(t.task, *row) for t in tables.values() for row in zip(
+        t.participant.tolist(), t.puzzle.tolist(), t.piece.tolist(), t.y.tolist(),
+        *np.column_stack([t.t0, t.t1, t.X]).view(np.uint64).T.tolist())]
 
 
 @pytest.fixture(scope="module")
 def varied_csv(tmp_path_factory):
-    rows = [feature_row(), feature_row(label="EF"), feature_row("nf-df", "DF")]
-    rows[1].features = np.array([-0.0, 1e-300, 12345.678, 0.1, 1e16, 2.5, -7.25,
-                                 3.0, 0.0, 0.5, 9.75])
+    tables = [feature_row(), feature_row(label="EF", features=np.array(
+        [-0.0, 1e-300, 12345.678, 0.1, 1e16, 2.5, -7.25, 3.0, 0.0, 0.5, 9.75])),
+        feature_row("nf-df", "DF")]
     path = tmp_path_factory.mktemp("features") / "features.csv"
-    storage.write_feature_csv(rows, path, {"seed": 7})
+    storage.write_feature_csv(tables, path, {"seed": 7})
     return path
 
 
@@ -653,10 +676,11 @@ class TestFeatureCsvReaderProperties:
         path = varied_csv.with_name("mutated.csv")
         path.write_bytes(data)
         try:
-            rows = storage.read_feature_csv(path)
+            tables = storage.read_feature_csv(path)
         except GazeSentinelError:
             return
-        assert all(np.isfinite([r.t0, r.t1, *r.features]).all() for r in rows)
+        assert all(np.isfinite(np.column_stack([t.t0, t.t1, t.X])).all()
+                   for t in tables.values())
         again = varied_csv.with_name("rewritten.csv")
-        storage.write_feature_csv(rows, again)
-        assert csv_rows(storage.read_feature_csv(again)) == csv_rows(rows)
+        storage.write_feature_csv(tables.values(), again)
+        assert csv_rows(storage.read_feature_csv(again)) == csv_rows(tables)
