@@ -11,8 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .forest import PackedTrees, pack_trees
-from .gbt import ObliviousTree, best_cut, presort
+from .gbt import best_cut, presort
+from .trees import ObliviousTree, TreeNodes, column
 
 
 @dataclass
@@ -20,8 +20,8 @@ class AdaParams:
     """One stump per round: its arrays are 1-D and of equal length, its
     features lie in [0, n_features), its low and high values are classes 0
     or 1 and its alphas are above 0; construction raises ValueError
-    otherwise. ``packed`` holds each stump as a one-level oblivious tree
-    whose leaves vote -1 or +1."""
+    otherwise. ``nodes`` holds the stumps as one table of one-level
+    oblivious trees whose leaves vote -1 or +1."""
 
     feature: np.ndarray
     threshold: np.ndarray
@@ -29,27 +29,24 @@ class AdaParams:
     high_value: np.ndarray
     alpha: np.ndarray
     n_features: int = 0
-    packed: PackedTrees = field(init=False, repr=False, compare=False)
+    nodes: TreeNodes = field(init=False, repr=False, compare=False)
+    dtypes = {"feature": np.int64, "threshold": np.float64, "low_value": np.int64,
+              "high_value": np.int64, "alpha": np.float64}
 
     def __post_init__(self):
-        self.feature = np.asarray(self.feature, dtype=np.int64)
-        self.threshold = np.asarray(self.threshold, dtype=np.float64)
-        self.low_value = np.asarray(self.low_value, dtype=np.int64)
-        self.high_value = np.asarray(self.high_value, dtype=np.int64)
-        self.alpha = np.asarray(self.alpha, dtype=np.float64)
+        for name, dtype in self.dtypes.items():
+            setattr(self, name, column(getattr(self, name), dtype, f"AdaParams.{name}"))
         self.n_features = operator.index(self.n_features)
-        shapes = [a.shape for a in (self.feature, self.threshold, self.low_value,
-                                    self.high_value, self.alpha)]
+        shapes = [getattr(self, name).shape for name in self.dtypes]
         if len(set(shapes)) != 1 or len(shapes[0]) != 1:
             raise ValueError(f"ada arrays must be 1-D and of equal length, got shapes {shapes}")
         if not np.isin([self.low_value, self.high_value], (0, 1)).all():
             raise ValueError("ada low and high values must be classes 0 or 1")
         if not (self.alpha > 0).all():
             raise ValueError("ada alphas must be above 0")
-        self.packed = pack_trees([
-            ObliviousTree([f], [thr], [2.0 * low - 1.0, 2.0 * high - 1.0]).nodes()
-            for f, thr, low, high in zip(self.feature, self.threshold, self.low_value,
-                                         self.high_value)], self.n_features)
+        votes = np.stack([2.0 * self.low_value - 1.0, 2.0 * self.high_value - 1.0], axis=1)
+        self.nodes = ObliviousTree(self.feature, self.threshold, votes.ravel(),
+                                   np.ones_like(self.feature)).nodes(self.n_features)
 
 
 def _negated_errors(left, total):
@@ -87,6 +84,6 @@ def fit_ada(X: np.ndarray, y: np.ndarray, rounds: int) -> AdaParams:
 def predict_ada(params: AdaParams, X: np.ndarray) -> np.ndarray:
     """Weighted vote margin in [-1, 1]; 0 when no stumps survived."""
     margin = np.zeros(X.shape[0], dtype=np.float64)
-    for a, vote in zip(params.alpha, params.packed.leaf_values(X)):
+    for a, vote in zip(params.alpha, params.nodes.leaf_values(X)):
         margin += a * vote
     return margin / params.alpha.sum() if params.alpha.size else margin

@@ -3,7 +3,7 @@
 ``LEARNERS`` holds one row per configuration (the paper's Random Forest,
 AdaBoost, XGBoost, SVM and CatBoost, each trained in-repo): its fit and the
 published values it takes, its score function, its class threshold, the
-params type a model file decodes into, the type and count of its trees, its
+params type a model file decodes into, the table type and count of its trees, its
 overrides of ``PUBLISHED`` and whether it standardizes. Scores are
 probability-like for the forest and the gbts (threshold 0.5) and signed
 margins for ada and svm (threshold 0); exact threshold ties resolve to NF.
@@ -22,9 +22,10 @@ import numpy as np
 from ..errors import DegenerateDataError, FeatureArityError, InvalidParameterError
 from .adaboost import AdaParams, fit_ada, predict_ada
 from .data import LabeledDataset, Standardizer, fit_standardizer
-from .forest import ForestParams, TreeNodes, fit_forest, predict_forest
-from .gbt import GbtParams, ObliviousTree, fit_gbt, fit_oblivious_gbt, predict_gbt
+from .forest import ForestParams, fit_forest, predict_forest
+from .gbt import GbtParams, fit_gbt, fit_oblivious_gbt, predict_gbt
 from .svm import SvmParams, fit_svm, predict_svm
+from .trees import ObliviousTree, TreeNodes
 
 
 class Learner(NamedTuple):
@@ -33,7 +34,7 @@ class Learner(NamedTuple):
     score: Callable  # (params, X) -> scores
     threshold: float  # a score above it labels a row 1
     params_type: type
-    tree_type: Optional[type]  # each item of ``params.trees``; None without trees
+    tree_type: Optional[type]  # the table type of ``params.trees``; None without trees
     tree_count: str = ""  # the record value its fit grows that many trees of; "" for none
     stops_early: bool = False  # the fit may grow fewer, down to none (ada)
     published: dict = {}  # overrides of ``PUBLISHED``

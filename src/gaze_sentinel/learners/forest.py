@@ -9,179 +9,24 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import FeatureArityError
-
-_LEAF = -1
-
-
-@dataclass
-class TreeNodes:
-    """Flat array representation of one binary tree.
-
-    ``feature`` is -1 at leaves; ``value`` holds the leaf prediction. Rows
-    route left when x[feature] < threshold. The arrays are 1-D, non-empty
-    and of equal length, or construction raises ValueError. An internal
-    node's children come after it (``i < left[i], right[i] < len(feature)``);
-    ``pack_trees`` refuses a tree that breaks this.
-    """
-
-    feature: np.ndarray
-    threshold: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
-    value: np.ndarray
-    # Each array's dtype, which construction converts it to.
-    dtypes = {"feature": np.int64, "threshold": np.float64, "left": np.int64,
-              "right": np.int64, "value": np.float64}
-
-    def __post_init__(self):
-        for name, dtype in self.dtypes.items():
-            setattr(self, name, np.asarray(getattr(self, name), dtype=dtype))
-        shapes = [a.shape for a in (self.feature, self.threshold, self.left,
-                                    self.right, self.value)]
-        if len(set(shapes)) != 1 or len(shapes[0]) != 1 or shapes[0][0] == 0:
-            raise ValueError(f"tree node arrays must be 1-D, non-empty and of "
-                             f"equal length, got shapes {shapes}")
-
-
-@dataclass(frozen=True)
-class PackedTrees:
-    """Every tree of an ensemble in one set of flat arrays.
-
-    Node arrays are concatenated, child indices offset by their tree's root.
-    ``child[2 * i + goes_left]`` is node i's next node; a leaf points to
-    itself both ways and reads feature 0, so ``depth`` steps (the longest
-    root-to-leaf path of any tree) bring every (tree, row) pair to its leaf.
-    ``internal`` marks the nodes that are not leaves.
-    """
-
-    feature: np.ndarray
-    threshold: np.ndarray
-    child: np.ndarray
-    internal: np.ndarray
-    value: np.ndarray
-    roots: np.ndarray
-    depth: int
-    n_features: int
-
-    def leaf_values(self, X: np.ndarray) -> np.ndarray:
-        """(n_trees, n_rows) leaf value of each row in each tree. After a step
-        that leaves at most half the walked pairs moving, only those walk on."""
-        X = np.ascontiguousarray(X, dtype=np.float64)
-        if X.ndim != 2 or X.shape[1] != self.n_features:
-            raise FeatureArityError(
-                f"expected {self.n_features} features, got shape {X.shape}")
-        n = X.shape[0]
-        flat = X.ravel()
-        base = np.tile(np.arange(n) * self.n_features, self.roots.shape[0])
-        leaf = idx = np.repeat(self.roots, n)
-        pair = np.arange(idx.shape[0])
-        for _ in range(self.depth):
-            x = flat.take(base + self.feature.take(idx))
-            idx = self.child.take(2 * idx + (x < self.threshold.take(idx)))
-            moving = self.internal.take(idx)
-            if 2 * np.count_nonzero(moving) <= idx.shape[0]:
-                leaf[pair] = idx
-                pair, idx, base = pair[moving], idx[moving], base[moving]
-        leaf[pair] = idx
-        return self.value.take(leaf).reshape(self.roots.shape[0], n)
-
-
-def pack_trees(trees: list, n_features: int) -> PackedTrees:
-    """Validate ``trees`` and pack them for one walk; raises ValueError on a
-    tree whose child indices are out of range or point backward, or whose
-    features lie outside [0, n_features)."""
-    if not trees:
-        empty = np.zeros(0, dtype=np.int64)
-        return PackedTrees(empty, np.zeros(0), empty, empty == 0, np.zeros(0), empty, 0, n_features)
-    sizes = np.array([t.feature.shape[0] for t in trees], dtype=np.int64)
-    roots = np.cumsum(sizes) - sizes
-    offset = np.repeat(roots, sizes)
-    feature = np.concatenate([t.feature for t in trees])
-    left = np.concatenate([t.left for t in trees]) + offset
-    right = np.concatenate([t.right for t in trees]) + offset
-    nodes = np.arange(feature.shape[0], dtype=np.int64)
-    internal = feature != _LEAF
-    end = offset + np.repeat(sizes, sizes)
-    checks = (("left child", left - offset, (left <= nodes) | (left >= end)),
-              ("right child", right - offset, (right <= nodes) | (right >= end)),
-              ("feature", feature, (feature < 0) | (feature >= n_features)))
-    for what, column, out in checks:
-        bad = np.flatnonzero(internal & out)
-        if bad.size:
-            i = bad[0]
-            k = int(np.searchsorted(roots, i, side="right")) - 1
-            node = i - roots[k]
-            allowed = (f"[0, {n_features})" if what == "feature"
-                       else f"({node}, {sizes[k]})")
-            raise ValueError(f"tree {k}: node {node} has {what} {column[i]}, "
-                             f"outside {allowed}")
-    child = np.stack([np.where(internal, right, nodes),
-                      np.where(internal, left, nodes)], axis=1).ravel()
-    # Children point forward, so the frontier's smallest index grows every
-    # level and the loop ends within the longest root-to-leaf path.
-    depth = 0
-    frontier = roots[internal[roots]]
-    while frontier.size:
-        depth += 1
-        reached = np.zeros_like(internal)
-        reached[left[frontier]] = reached[right[frontier]] = True
-        frontier = np.flatnonzero(reached & internal)
-    return PackedTrees(
-        feature=np.where(internal, feature, 0),
-        threshold=np.concatenate([t.threshold for t in trees]),
-        child=child,
-        internal=internal,
-        value=np.concatenate([t.value for t in trees]),
-        roots=roots,
-        depth=depth,
-        n_features=n_features,
-    )
+from .trees import DfsTree, TreeNodes
 
 
 @dataclass
 class ForestParams:
-    trees: list = field(default_factory=list)
+    """Bagged trees as one ``TreeNodes`` table (``nodes`` too) over
+    ``n_features`` features, each leaf a 0/1 vote, or raises ValueError."""
+
+    trees: TreeNodes
     n_features: int = 0
-    packed: PackedTrees = field(init=False, repr=False, compare=False)
+    nodes: TreeNodes = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.n_features = operator.index(self.n_features)
-        self.packed = pack_trees(self.trees, self.n_features)
+        self.nodes = self.trees.nodes(self.n_features)
         # predict_forest sums 0/1 votes, which is exact in any order.
-        if not np.isin(self.packed.value, (0.0, 1.0)).all():
+        if not np.isin(self.nodes.value, (0.0, 1.0)).all():
             raise ValueError("forest leaf values must be 0 or 1 votes")
-
-
-class DfsTree:
-    """Node slots of one binary tree grown depth first, left subtree first.
-
-    ``pop()`` gives the next node to decide as (data, slot, depth), or None
-    once the tree is complete; ``leaf`` or ``split`` decides it. A split
-    takes its two children's slots at the end of the node list and stacks
-    them, so every child comes after its parent.
-    """
-
-    def __init__(self, root):
-        self._nodes = [[_LEAF, 0.0, 0, 0, 0.0]]  # feature, threshold, left, right, value
-        self._stack = [(root, 0, 0)]
-
-    def pop(self):
-        return self._stack.pop() if self._stack else None
-
-    def leaf(self, slot: int, value: float) -> None:
-        self._nodes[slot][4] = value
-
-    def split(self, slot: int, depth: int, feature: int, threshold: float,
-              left, right) -> None:
-        k = len(self._nodes)
-        self._nodes[slot][:4] = [feature, threshold, k, k + 1]
-        self._nodes += [[_LEAF, 0.0, 0, 0, 0.0], [_LEAF, 0.0, 0, 0, 0.0]]
-        self._stack += [(right, k + 1, depth + 1), (left, k, depth + 1)]
-
-    def tree(self) -> TreeNodes:
-        feature, threshold, left, right, value = zip(*self._nodes)
-        return TreeNodes(feature, threshold, left, right, value)
 
 
 def _majority(m: int, pos: int) -> float:
@@ -347,10 +192,11 @@ def fit_forest(X: np.ndarray, y: np.ndarray, n_trees: int, seed: int) -> ForestP
         if splitting:
             _split_all(X, y, splitting)
         growing = [(tree, rng) for tree, rng, _, _ in current]
-    return ForestParams(trees=[tree.tree() for tree in trees], n_features=d)
+    return ForestParams(trees=TreeNodes.from_records([tree.record() for tree in trees]),
+                        n_features=d)
 
 
 def predict_forest(params: ForestParams, X: np.ndarray) -> np.ndarray:
     """Fraction of trees voting class 1, in [0, 1]."""
-    votes = params.packed.leaf_values(X).sum(axis=0)
-    return votes / max(len(params.trees), 1)
+    votes = params.nodes.leaf_values(X).sum(axis=0)
+    return votes / max(len(params.nodes), 1)

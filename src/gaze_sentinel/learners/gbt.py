@@ -10,77 +10,33 @@ non-increasing at the shrinkage rates used here.
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .forest import DfsTree, PackedTrees, TreeNodes, pack_trees
+from .trees import DfsTree, ObliviousTree, TreeNodes
 
 LAMBDA = 1.0  # L2 penalty on leaf values
 MAX_BINS = 64  # gbt-b's candidate thresholds per feature
 
 
 @dataclass
-class ObliviousTree:
-    """One (feature, threshold) per level and 2^levels leaf values;
-    construction raises ValueError otherwise, or on a negative feature."""
-
-    features: np.ndarray  # one feature index per level
-    thresholds: np.ndarray
-    leaf_values: np.ndarray  # 2^levels; level 0 is the most significant bit
-    # Each array's dtype, which construction converts it to.
-    dtypes = {"features": np.int64, "thresholds": np.float64, "leaf_values": np.float64}
-
-    def __post_init__(self):
-        for name, dtype in self.dtypes.items():
-            setattr(self, name, np.asarray(getattr(self, name), dtype=dtype))
-        if self.features.ndim != 1 or self.thresholds.shape != self.features.shape:
-            raise ValueError(f"oblivious tree: features {self.features.shape} and "
-                             f"thresholds {self.thresholds.shape} differ in shape")
-        levels = self.features.shape[0]
-        if self.leaf_values.shape != (2 ** levels,):
-            raise ValueError(f"oblivious tree: {self.leaf_values.shape} leaf values "
-                             f"for {levels} levels, expected {2 ** levels}")
-        if (self.features < 0).any():  # -1 would read as a leaf
-            raise ValueError(f"oblivious tree: feature {self.features.min()} is negative")
-
-    def nodes(self) -> TreeNodes:
-        """The tree in heap order: node i's children are 2i + 1 (x < its
-        threshold) and 2i + 2, and leaf b is the b-th of the last level."""
-        level, left, right, inner = _heap(self.features.shape[0])
-        return TreeNodes(np.append(self.features, -1)[level],
-                         np.append(self.thresholds, 0.0)[level], left.copy(), right.copy(),
-                         np.append(inner, self.leaf_values))
-
-
-@functools.lru_cache(maxsize=None)
-def _heap(levels: int):
-    """A heap-ordered tree of ``levels`` split levels: each node's level and
-    children (``levels`` and 0 at the leaves), and its splits' zero values."""
-    left = np.append(2 * np.arange(2 ** levels - 1) + 1, np.zeros(2 ** levels, dtype=np.int64))
-    level = np.repeat(np.arange(levels + 1), 2 ** np.arange(levels + 1))
-    return level, left, np.where(left > 0, left + 1, 0), np.zeros(2 ** levels - 1)
-
-
-@dataclass
 class GbtParams:
-    """Boosted trees: ``TreeNodes`` (gbt-a) or ``ObliviousTree`` (gbt-b),
-    their features in [0, n_features); construction raises ValueError
-    otherwise."""
+    """Boosted trees: one ``TreeNodes`` (gbt-a) or ``ObliviousTree`` (gbt-b)
+    table over ``n_features`` features, or construction raises ValueError.
+    ``nodes`` is the ``TreeNodes`` table the walk reads."""
 
-    trees: list = field(default_factory=list)
+    trees: object
     learning_rate: float = 0.1
     n_features: int = 0
-    packed: PackedTrees = field(init=False, repr=False, compare=False)
+    nodes: TreeNodes = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.learning_rate = float(self.learning_rate)
         self.n_features = operator.index(self.n_features)
-        self.packed = pack_trees([t.nodes() if isinstance(t, ObliviousTree) else t
-                                  for t in self.trees], self.n_features)
+        self.nodes = self.trees.nodes(self.n_features)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -137,8 +93,8 @@ def _newton_gain(left, total):
 
 def _grow_presorted(X, order, xs, g, h, max_depth):
     """One Newton tree over all rows, grown depth first from X's presorted
-    ``order`` and values ``xs`` (both (features, rows)); returns the tree
-    and each row's leaf value.
+    ``order`` and values ``xs`` (both (features, rows)); returns the tree's
+    record and each row's leaf value.
 
     A node carries its rows in ascending order, and below the last split
     level its per-feature sorted rows and values, which a split partitions
@@ -171,24 +127,26 @@ def _grow_presorted(X, order, xs, g, h, max_depth):
         else:
             left, right = (left, None, None), (right, None, None)
         tree.split(slot, depth, f, thr, left, right)
-    return tree.tree(), leaf_value
+    return tree.record(), leaf_value
 
 
-def _boost(X: np.ndarray, y: np.ndarray, rounds: int, learning_rate: float, grow):
+def _boost(X, y, rounds: int, learning_rate: float, tree_type, grow):
     """The boosting loop of both tree shapes; returns (params, per-round
     training loss). ``grow(g, h)`` fits one round's tree to the gradients
-    and Hessians and returns it with each row's leaf value."""
+    and Hessians and returns its record, as ``tree_type.from_records``
+    takes it, with each row's leaf value."""
     y = y.astype(np.float64)
     F = np.zeros(X.shape[0], dtype=np.float64)
     losses = [_logloss(F, y)]
-    trees = []
+    records = []
     for _ in range(rounds):
         p = _sigmoid(F)
-        tree, leaf_value = grow(p - y, p * (1.0 - p))
-        trees.append(tree)
+        record, leaf_value = grow(p - y, p * (1.0 - p))
+        records.append(record)
         F += learning_rate * leaf_value
         losses.append(_logloss(F, y))
-    params = GbtParams(trees=trees, learning_rate=learning_rate, n_features=X.shape[1])
+    params = GbtParams(trees=tree_type.from_records(records), learning_rate=learning_rate,
+                       n_features=X.shape[1])
     return params, losses
 
 
@@ -196,7 +154,7 @@ def fit_gbt(X: np.ndarray, y: np.ndarray, rounds: int, learning_rate: float,
             max_depth: int):
     """Greedy-tree booster; returns (params, per-round training loss)."""
     order, xs = presort(X)
-    return _boost(X, y, rounds, learning_rate,
+    return _boost(X, y, rounds, learning_rate, TreeNodes,
                   lambda g, h: _grow_presorted(X, order, xs, g, h, max_depth))
 
 
@@ -270,8 +228,8 @@ def _quantize(X: np.ndarray):
 
 
 def _grow_oblivious(codes, midpoints, groups, widest, g, h, depth):
-    """One oblivious tree of at most ``depth`` levels; returns the tree and
-    each row's leaf value."""
+    """One oblivious tree of at most ``depth`` levels; returns its record
+    and each row's leaf value."""
     gt, ht = np.tile(g, widest), np.tile(h, widest)
     leaf = np.zeros(g.shape[0], dtype=np.int64)
     n_leaves = 1
@@ -291,9 +249,8 @@ def _grow_oblivious(codes, midpoints, groups, widest, g, h, depth):
     Gs = np.bincount(leaf, weights=g, minlength=n_leaves)
     Hs = np.bincount(leaf, weights=h, minlength=n_leaves)
     values = -Gs / (Hs + LAMBDA)
-    tree = ObliviousTree(features=np.array(feats, dtype=np.int64),
-                         thresholds=np.array(thrs, dtype=np.float64), leaf_values=values)
-    return tree, values[leaf]
+    record = {"features": feats, "thresholds": thrs, "leaf_values": values.tolist()}
+    return record, values[leaf]
 
 
 def fit_oblivious_gbt(X: np.ndarray, y: np.ndarray, rounds: int,
@@ -308,13 +265,13 @@ def fit_oblivious_gbt(X: np.ndarray, y: np.ndarray, rounds: int,
     codes, n_bins, midpoints = _quantize(X)
     groups = _bin_groups(codes, n_bins)
     widest = max((len(feats) for feats, _ in groups.values()), default=0)
-    return _boost(X, y, rounds, learning_rate,
+    return _boost(X, y, rounds, learning_rate, ObliviousTree,
                   lambda g, h: _grow_oblivious(codes, midpoints, groups, widest, g, h, depth))
 
 
 def predict_gbt(params: GbtParams, X: np.ndarray) -> np.ndarray:
     """Logistic probability of class 1."""
     F = np.zeros(X.shape[0], dtype=np.float64)
-    for leaf in params.packed.leaf_values(X):
+    for leaf in params.nodes.leaf_values(X):
         F += params.learning_rate * leaf
     return _sigmoid(F)

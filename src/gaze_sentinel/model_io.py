@@ -5,25 +5,22 @@ reloaded model reproduces predictions exactly. The reader accepts any 1.x
 schema, warning when the minor version differs; other majors are refused.
 
 A kind's params payload is its params type's fields in declaration order,
-arrays as lists and trees the same way (the kind's ``LEARNERS`` row names
-its params type and its tree type). The params types check their own
-invariants when built, so a loaded model meets the same checks as a fitted
-one. This module checks the envelope: a config other than its kind's
-published record (``ClassifierConfig.record``: the same keys, each value of
-the same type), a standardizer where the kind's row does not standardize or
-none where it does, a ``params`` object with other keys than its type's
-fields, a number in them that is not finite, ``n_features`` that is not a
-positive integer or differs from ``params.n_features``, a standardizer of
-the wrong length, a ``params.learning_rate`` unlike the config's, a tree
-count other than its learner row's ``tree_count`` value (more than it, where
-the row ``stops_early``), or a top-level ``kind`` or ``fingerprint`` that
-does not match the model's config raises ``ModelFormatError`` naming the
-file before any prediction can run.
+arrays as lists and ``trees`` one object per tree, which the kind's tree
+type (named in its ``LEARNERS`` row) decodes into one table and encodes
+back tree by tree. Params and tree types check their own invariants when
+built, so a loaded model meets a fitted one's checks; an integer field
+refuses a number that is not a JSON integer. This module checks the
+envelope against the kind's published config record (``ClassifierConfig.
+record``: the same keys, each value of the same type) and learner row:
+keys, types, lengths and finiteness, the standardizer, ``n_features``,
+``params.learning_rate``, the tree count (``tree_count``, or at most it
+where the row ``stops_early``), ``train_loss`` (null, or a booster's
+``n_rounds`` + 1 finite numbers), ``kind`` and ``fingerprint``. A fault
+raises ``ModelFormatError`` naming the file before any prediction runs.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import warnings
 from dataclasses import fields, is_dataclass
@@ -32,16 +29,19 @@ import numpy as np
 
 from .errors import ModelFormatError, SchemaVersionError
 from .learners import LEARNERS, ClassifierConfig, Standardizer, TrainedModel
+from .learners.trees import column, require_fields
 from .storage import atomic_write, decoding, read_json
 
 MODEL_SCHEMA_VERSION = "1.1"
 
 
 def _encode(value):
-    """A dataclass as its init fields in declaration order, arrays and
-    sequences as lists."""
+    """A dataclass as its init fields in declaration order, a tree table
+    tree by tree, arrays and sequences as lists."""
     if is_dataclass(value):
         return {f.name: _encode(getattr(value, f.name)) for f in fields(value) if f.init}
+    if hasattr(value, "records"):
+        return value.records()
     if isinstance(value, np.ndarray):
         return value.tolist()
     if isinstance(value, (list, tuple)):
@@ -51,54 +51,17 @@ def _encode(value):
 
 def _decode(cls, payload, tree_cls=None):
     """``cls`` built from an object holding exactly its init fields, its
-    ``trees`` built by ``_decode_trees`` as ``tree_cls``, every number of
-    them finite."""
-    names = _init_fields(cls, [payload])
+    ``trees`` decoded by ``tree_cls``, every number of them finite."""
+    names = [f.name for f in fields(cls) if f.init]
+    require_fields(cls.__name__, names, [payload])
     if tree_cls is not None:
-        payload = {**payload, "trees": _decode_trees(tree_cls, payload["trees"])}
+        payload = {**payload, "trees": tree_cls.from_records(payload["trees"])}
     value = cls(**payload)
     for name in names:
         item = getattr(value, name)
         _require(not isinstance(item, (float, np.ndarray)) or np.isfinite(item).all(),
                  f"{cls.__name__}.{name} holds a number that is not finite")
     return value
-
-
-def _init_fields(cls, payloads) -> list:
-    """The names of ``cls``'s init fields, which each of ``payloads`` must
-    hold exactly."""
-    names = [f.name for f in fields(cls) if f.init]
-    for payload in payloads:
-        if not isinstance(payload, dict) or set(payload) != set(names):
-            got = sorted(payload) if isinstance(payload, dict) else type(payload).__name__
-            raise ModelFormatError(f"{cls.__name__} needs the fields {names}, got {got}")
-    return names
-
-
-def _decode_trees(cls, items) -> list:
-    """One ``cls`` (a tree type with ``dtypes``) per object of ``items``.
-
-    Each field is one array over all trees, checked finite once, and each
-    tree takes views of it, split by that field's own lengths. A field that
-    does not convert as one array is passed to each tree as it stands, so
-    that the tree it fails in raises as it would alone."""
-    items = list(items)
-    names = _init_fields(cls, items)
-    columns = []
-    for name in names:
-        parts = [item[name] for item in items]
-        try:
-            if not all(type(part) is list for part in parts):
-                raise TypeError  # only lists join into one array
-            flat = np.asarray(list(itertools.chain.from_iterable(parts)), cls.dtypes[name])
-        except (TypeError, ValueError, OverflowError):
-            columns.append(parts)
-            continue
-        _require(np.isfinite(flat).all(), f"{cls.__name__}.{name} holds a number that is "
-                                          f"not finite")
-        ends = itertools.accumulate(map(len, parts))
-        columns.append([flat[end - len(part):end] for part, end in zip(parts, ends)])
-    return [cls(**dict(zip(names, row))) for row in zip(*columns)]
 
 
 def _require(ok: bool, message: str) -> None:
@@ -159,16 +122,20 @@ def model_from_payload(payload: dict) -> TrainedModel:
         _require(getattr(params, "learning_rate", rate) == rate,
                  f"params.learning_rate differs from config learning_rate {rate}")
         if learner.tree_count:
-            count, most = params.packed.roots.size, record[learner.tree_count]
+            count, most = len(params.nodes), record[learner.tree_count]
             _require(count == most or learner.stops_early and count < most,
                      f"params hold {count} trees, not {most} ({learner.tree_count})")
         loss = payload.get("train_loss")
+        boosted = hasattr(params, "learning_rate")  # its loss before each round, and after
+        _require((type(loss) is list and len(loss) == count + 1) if boosted else loss is None,
+                 f"train_loss must be {f'{count + 1} numbers' if boosted else 'null'}")
+        loss = tuple(column(loss, np.float64, "train_loss").tolist()) if boosted else None
         model = TrainedModel(
             config=config,
             n_features=n_features,
             standardizer=standardizer,
             params=params,
-            train_loss=tuple(loss) if loss else None,
+            train_loss=loss,
         )
         _require(payload["kind"] == config.kind,
                  f"kind {payload['kind']!r} differs from config kind {config.kind!r}")

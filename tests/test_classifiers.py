@@ -25,17 +25,10 @@ from gaze_sentinel.learners import (
 from gaze_sentinel.learners.adaboost import AdaParams, _negated_errors, predict_ada
 from gaze_sentinel.learners.api import PUBLISHED
 from gaze_sentinel.learners.data import fit_standardizer
-from gaze_sentinel.learners.forest import (
-    DfsTree,
-    ForestParams,
-    TreeNodes,
-    pack_trees,
-    predict_forest,
-)
+from gaze_sentinel.learners.forest import ForestParams, predict_forest
 from gaze_sentinel.learners.gbt import (
     LAMBDA,
     GbtParams,
-    ObliviousTree,
     _bin_groups,
     _logloss,
     _newton_gain,
@@ -47,6 +40,7 @@ from gaze_sentinel.learners.gbt import (
     presort,
 )
 from gaze_sentinel.learners.svm import SvmParams
+from gaze_sentinel.learners.trees import DfsTree, ObliviousTree, TreeNodes
 from gaze_sentinel.model_io import model_payload
 
 
@@ -171,14 +165,20 @@ def predict_one(model, vector):
     return int(labels[0]), float(scores[0])
 
 
+def leaf(value: float) -> dict:
+    """A one-node tree, as a model file stores it."""
+    return {"feature": [-1], "threshold": [0.0], "left": [0], "right": [0], "value": [value]}
+
+
+def oblivious(features, thresholds, leaf_values) -> dict:
+    """An oblivious tree, as a model file stores it."""
+    return {"features": features, "thresholds": thresholds, "leaf_values": leaf_values}
+
+
 class TestPredictSemantics:
     def test_forest_unanimous_vote(self):
-        tree = TreeNodes(
-            feature=np.array([-1]), threshold=np.array([0.0]),
-            left=np.array([0]), right=np.array([0]), value=np.array([1.0]),
-        )
-        model = TrainedModel(default_config("forest"), 2, None,
-                             ForestParams(trees=[tree] * 10, n_features=2))
+        model = TrainedModel(default_config("forest"), 2, None, ForestParams(
+            trees=TreeNodes.from_records([leaf(1.0)] * 10), n_features=2))
         cls, score = predict_one(model, [0.0, 0.0])
         assert (cls, score) == (1, 1.0)
 
@@ -195,24 +195,17 @@ class TestPredictSemantics:
         assert (cls, score) == (0, 0.0)
 
     def test_gbt_all_zero_leaves_scores_half(self):
-        tree = TreeNodes(
-            feature=np.array([-1]), threshold=np.array([0.0]),
-            left=np.array([0]), right=np.array([0]), value=np.array([0.0]),
-        )
-        model = TrainedModel(default_config("gbt-a"), 3, None,
-                             GbtParams(trees=[tree] * 5, learning_rate=0.01, n_features=3))
+        model = TrainedModel(default_config("gbt-a"), 3, None, GbtParams(
+            trees=TreeNodes.from_records([leaf(0.0)] * 5), learning_rate=0.01,
+            n_features=3))
         cls, score = predict_one(model, [1.0, 2.0, 3.0])
         assert score == 0.5
         assert cls == 0  # exact threshold resolves to NF
 
     def test_probability_tie_resolves_to_nf(self):
         # a model voting exactly half its trees for class 1
-        t0 = TreeNodes(np.array([-1]), np.array([0.0]), np.array([0]),
-                       np.array([0]), np.array([0.0]))
-        t1 = TreeNodes(np.array([-1]), np.array([0.0]), np.array([0]),
-                       np.array([0]), np.array([1.0]))
-        model = TrainedModel(default_config("forest"), 1, None,
-                             ForestParams(trees=[t0, t1], n_features=1))
+        model = TrainedModel(default_config("forest"), 1, None, ForestParams(
+            trees=TreeNodes.from_records([leaf(0.0), leaf(1.0)]), n_features=1))
         cls, score = predict_one(model, [0.0])
         assert (cls, score) == (0, 0.5)
 
@@ -233,14 +226,11 @@ class TestPredictSemantics:
         assert predict_one(model, [0.0, 0.0]) == (0, 0.0)
 
     def test_oblivious_tree_routing(self):
-        tree = ObliviousTree(
-            features=np.array([0, 1]),
-            thresholds=np.array([0.5, 0.5]),
-            leaf_values=np.array([0.0, 1.0, 2.0, 3.0]),
-        )
+        trees = ObliviousTree.from_records(
+            [oblivious([0, 1], [0.5, 0.5], [0.0, 1.0, 2.0, 3.0])])
         X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
-        packed = GbtParams(trees=[tree], learning_rate=1.0, n_features=2).packed
-        np.testing.assert_array_equal(packed.leaf_values(X), [[0.0, 1.0, 2.0, 3.0]])
+        nodes = GbtParams(trees=trees, learning_rate=1.0, n_features=2).nodes
+        np.testing.assert_array_equal(nodes.leaf_values(X), [[0.0, 1.0, 2.0, 3.0]])
 
 
 class TestParamsChecks:
@@ -255,7 +245,8 @@ class TestParamsChecks:
     def test_valid_params_build(self):
         assert self.ada().feature.dtype == np.int64
         assert SvmParams(w=[1, 2], b=0, n_features=2).w.dtype == np.float64
-        assert ObliviousTree([1], [0.5], [0, 1]).leaf_values.dtype == np.float64
+        trees = ObliviousTree.from_records([oblivious([1], [0.5], [0, 1])])
+        assert trees.leaf_values.dtype == np.float64
 
     @pytest.mark.parametrize("changes", [
         {"feature": [0, 7]},  # feature 7 of 2
@@ -276,12 +267,12 @@ class TestParamsChecks:
     def test_invalid_oblivious_tree_raises_at_construction(self, features, thresholds,
                                                             leaves):
         with pytest.raises(ValueError):
-            ObliviousTree(features, thresholds, leaves)
+            ObliviousTree.from_records([oblivious(features, thresholds, leaves)])
 
     def test_oblivious_feature_out_of_range_raises_in_params(self):
-        tree = ObliviousTree([2], [0.5], [0.0, 1.0])
+        trees = ObliviousTree.from_records([oblivious([2], [0.5], [0.0, 1.0])])
         with pytest.raises(ValueError):
-            GbtParams(trees=[tree], learning_rate=0.1, n_features=2)
+            GbtParams(trees=trees, learning_rate=0.1, n_features=2)
 
     @pytest.mark.parametrize("w, n_features", [([1.0, 2.0, 3.0], 2), ([[1.0, 2.0]], 2),
                                                ([1.0, 2.0], 0)])
@@ -291,35 +282,44 @@ class TestParamsChecks:
 
     def test_tree_arrays_of_unequal_length_raise_at_construction(self):
         with pytest.raises(ValueError):
-            TreeNodes([-1], [0.0], [0], [0], [0.0, 1.0])
+            TreeNodes.from_records([{**leaf(0.0), "value": [0.0, 1.0]}])
 
 
-def reference_apply(tree: TreeNodes, X: np.ndarray) -> np.ndarray:
-    """The per-tree walk the packed kernel replaced, kept as its reference."""
+def payload_trees(model: TrainedModel) -> list:
+    """Each tree of ``model`` as its model file stores it: an object of its
+    own part of every column."""
+    return model_payload(model)["params"]["trees"]
+
+
+def reference_apply(tree: dict, X: np.ndarray) -> np.ndarray:
+    """The per-tree walk the packed kernel replaced, kept as its reference:
+    it walks one tree as a model file stores it."""
+    feature, threshold, left, right, value = (
+        np.array(tree[name]) for name in ("feature", "threshold", "left", "right", "value"))
     idx = np.zeros(X.shape[0], dtype=np.int64)
     while True:
-        feat = tree.feature[idx]
+        feat = feature[idx]
         internal = feat != -1
         if not internal.any():
             break
         rows = np.flatnonzero(internal)
         node = idx[rows]
-        goes_left = X[rows, feat[rows]] < tree.threshold[node]
-        idx[rows] = np.where(goes_left, tree.left[node], tree.right[node])
-    return tree.value[idx]
+        goes_left = X[rows, feat[rows]] < threshold[node]
+        idx[rows] = np.where(goes_left, left[node], right[node])
+    return value[idx]
 
 
-def reference_forest(params: ForestParams, X: np.ndarray) -> np.ndarray:
+def reference_forest(trees: list, X: np.ndarray) -> np.ndarray:
     votes = np.zeros(X.shape[0], dtype=np.float64)
-    for tree in params.trees:
+    for tree in trees:
         votes += reference_apply(tree, X)
-    return votes / max(len(params.trees), 1)
+    return votes / max(len(trees), 1)
 
 
-def reference_gbt(params: GbtParams, X: np.ndarray) -> np.ndarray:
+def reference_gbt(trees: list, learning_rate: float, X: np.ndarray) -> np.ndarray:
     F = np.zeros(X.shape[0], dtype=np.float64)
-    for tree in params.trees:
-        F += params.learning_rate * reference_apply(tree, X)
+    for tree in trees:
+        F += learning_rate * reference_apply(tree, X)
     return _sigmoid(F)
 
 
@@ -329,7 +329,8 @@ def probe_with_ties(trees, d: int, n: int = 300, seed: int = 0) -> np.ndarray:
     rng = np.random.default_rng(seed)
     X = rng.normal(0, 2, (n, d))
     for f in range(d):
-        on_f = np.concatenate([t.threshold[t.feature == f] for t in trees] + [[]])
+        on_f = np.concatenate([np.array(t["threshold"])[np.array(t["feature"]) == f]
+                               for t in trees] + [[]])
         if on_f.size:
             rows = rng.random(n) < 1 / 3
             X[rows, f] = rng.choice(on_f, rows.sum())
@@ -339,7 +340,8 @@ def probe_with_ties(trees, d: int, n: int = 300, seed: int = 0) -> np.ndarray:
 
 @st.composite
 def random_trees(draw, n_features: int, votes: bool):
-    """A list of forward-pointing trees of uneven depth, single leaves included."""
+    """A list of forward-pointing trees of uneven depth, single leaves
+    included, as a model file stores them."""
     grid = st.integers(-4, 4).map(lambda k: k / 2)
     trees = []
     for _ in range(draw(st.integers(1, 20))):
@@ -359,12 +361,12 @@ def random_trees(draw, n_features: int, votes: bool):
             pending += [left[i], right[i]]
         leaf = st.sampled_from([0.0, 1.0]) if votes else st.floats(-3, 3)
         value = [draw(leaf) for _ in feature]
-        trees.append(TreeNodes(np.array(feature), np.array(threshold), np.array(left),
-                               np.array(right), np.array(value)))
+        trees.append({"feature": feature, "threshold": threshold, "left": left,
+                      "right": right, "value": value})
     return trees
 
 
-def chain_tree(rng, depth: int, d: int, votes: bool) -> TreeNodes:
+def chain_tree(rng, depth: int, d: int, votes: bool) -> dict:
     """A tree whose internal nodes form one chain ``depth`` splits long.
     At each split one child is a leaf, and the threshold sends rows of
     N(0, 1.2) features on down the chain 84% of the time."""
@@ -382,16 +384,17 @@ def chain_tree(rng, depth: int, d: int, votes: bool) -> TreeNodes:
     right.append(0)
     n = len(feature)
     value = rng.integers(0, 2, n).astype(float) if votes else rng.normal(size=n)
-    return TreeNodes(feature, threshold, left, right, value)
+    return {"feature": feature, "threshold": threshold, "left": left, "right": right,
+            "value": value.tolist()}
 
 
-def stump(rng, d: int, votes: bool, split: bool) -> TreeNodes:
+def stump(rng, d: int, votes: bool, split: bool) -> dict:
     """A lone leaf, or one split over two leaves."""
-    value = rng.integers(0, 2, 3).astype(float) if votes else rng.normal(size=3)
+    value = (rng.integers(0, 2, 3).astype(float) if votes else rng.normal(size=3)).tolist()
     if not split:
-        return TreeNodes([-1], [0.0], [0], [0], value[:1])
-    return TreeNodes([int(rng.integers(d)), -1, -1], [rng.normal(), 0.0, 0.0],
-                     [1, 0, 0], [2, 0, 0], value)
+        return leaf(value[0])
+    return {"feature": [int(rng.integers(d)), -1, -1], "threshold": [rng.normal(), 0.0, 0.0],
+            "left": [1, 0, 0], "right": [2, 0, 0], "value": value}
 
 
 class TestPackedWalk:
@@ -404,14 +407,15 @@ class TestPackedWalk:
         X = np.vstack([rng.normal(-1, 1.5, (80, 4)), rng.normal(1, 1.5, (80, 4))])
         y = np.array([0] * 80 + [1] * 80)
         model = train(default_config(kind, seed=2), LabeledDataset(X, y, np.arange(160)))
-        params = model.params
-        probe = np.vstack([X, probe_with_ties(params.trees, 4)])
+        params, trees = model.params, payload_trees(model)
+        probe = np.vstack([X, probe_with_ties(trees, 4)])
         if kind == "forest":
-            got, want = predict_forest(params, probe), reference_forest(params, probe)
+            got, want = predict_forest(params, probe), reference_forest(trees, probe)
         else:
-            got, want = predict_gbt(params, probe), reference_gbt(params, probe)
+            got = predict_gbt(params, probe)
+            want = reference_gbt(trees, params.learning_rate, probe)
         assert got.tobytes() == want.tobytes()
-        assert max(t.feature.shape[0] for t in params.trees) > 7  # deeper than a stump
+        assert max(len(t["feature"]) for t in trees) > 7  # deeper than a stump
 
     @pytest.mark.parametrize("kind", ["forest", "gbt-a"])
     @pytest.mark.parametrize("n", [1, 200])
@@ -423,18 +427,20 @@ class TestPackedWalk:
         trees = [stump(rng, 3, votes, split=k % 2 == 1) for k in range(10)]
         trees[3:3] = [chain_tree(rng, 12, 3, votes)]
         trees.append(chain_tree(rng, 10, 3, votes))
+        table = TreeNodes.from_records(trees)
         if votes:
-            params = ForestParams(trees=trees, n_features=3)
+            params = ForestParams(trees=table, n_features=3)
         else:
-            params = GbtParams(trees=trees, learning_rate=0.1, n_features=3)
+            params = GbtParams(trees=table, learning_rate=0.1, n_features=3)
         X = rng.normal(0, 1.2, (n, 3))
-        assert params.packed.depth == 12
+        assert params.nodes.depth == 12
         want = np.stack([reference_apply(tree, X) for tree in trees])
-        assert params.packed.leaf_values(X).tobytes() == want.tobytes()
+        assert params.nodes.leaf_values(X).tobytes() == want.tobytes()
         if votes:
-            assert predict_forest(params, X).tobytes() == reference_forest(params, X).tobytes()
+            assert predict_forest(params, X).tobytes() == reference_forest(trees, X).tobytes()
         else:
-            assert predict_gbt(params, X).tobytes() == reference_gbt(params, X).tobytes()
+            assert predict_gbt(params, X).tobytes() == \
+                reference_gbt(trees, 0.1, X).tobytes()
 
     @pytest.mark.parametrize("kind", ["ada", "gbt-b"])
     def test_stumps_and_oblivious_trees_match_reference(self, kind):
@@ -443,7 +449,8 @@ class TestPackedWalk:
         rng = np.random.default_rng(6)
         X = np.vstack([rng.normal(-1, 1.5, (80, 4)), rng.normal(1, 1.5, (80, 4))])
         y = np.array([0] * 80 + [1] * 80)
-        params = train(default_config(kind, seed=2), LabeledDataset(X, y, np.arange(160))).params
+        model = train(default_config(kind, seed=2), LabeledDataset(X, y, np.arange(160)))
+        params = model.params
         probe = np.vstack([X, rng.normal(0, 2, (100, 4))])
         probe[rng.random(probe.shape) < 0.05] = np.nan
         if kind == "ada":
@@ -454,30 +461,31 @@ class TestPackedWalk:
             got, want = predict_ada(params, probe), margin / params.alpha.sum()
         else:
             F = np.zeros(probe.shape[0])
-            for tree in params.trees:
+            for tree in payload_trees(model):
                 idx = np.zeros(probe.shape[0], dtype=np.int64)
-                for f, thr in zip(tree.features, tree.thresholds):
+                for f, thr in zip(tree["features"], tree["thresholds"]):
                     idx = 2 * idx + ~(probe[:, f] < thr)
-                F += params.learning_rate * tree.leaf_values[idx]
+                F += params.learning_rate * np.array(tree["leaf_values"])[idx]
             got, want = predict_gbt(params, probe), _sigmoid(F)
         assert got.tobytes() == want.tobytes()
 
     @given(random_trees(n_features=3, votes=True), st.integers(0, 2 ** 31 - 1))
     def test_random_forests_match_reference(self, trees, seed):
-        params = ForestParams(trees=trees, n_features=3)
+        params = ForestParams(trees=TreeNodes.from_records(trees), n_features=3)
         X = probe_with_ties(trees, 3, n=40, seed=seed)
-        assert predict_forest(params, X).tobytes() == reference_forest(params, X).tobytes()
+        assert predict_forest(params, X).tobytes() == reference_forest(trees, X).tobytes()
         for tree in trees:
-            one = pack_trees([tree], 3).leaf_values(X)[0]
+            one = TreeNodes.from_records([tree]).leaf_values(X)[0]
             assert one.tobytes() == reference_apply(tree, X).tobytes()
 
     @given(random_trees(n_features=3, votes=False), st.integers(0, 2 ** 31 - 1),
            st.sampled_from([0.01, 0.1, 0.3]))
     def test_random_boosters_match_reference(self, trees, seed, rate):
-        params = GbtParams(trees=trees, learning_rate=rate, n_features=3)
+        params = GbtParams(trees=TreeNodes.from_records(trees), learning_rate=rate,
+                           n_features=3)
         for n in (1, 40):
             X = probe_with_ties(trees, 3, n=n, seed=seed)
-            assert predict_gbt(params, X).tobytes() == reference_gbt(params, X).tobytes()
+            assert predict_gbt(params, X).tobytes() == reference_gbt(trees, rate, X).tobytes()
 
 
 class TestAdaEdgeCases:
@@ -543,10 +551,10 @@ class TestObliviousLevel:
 # The per-node learners the batched and presorted fits replaced, kept as
 # their references: every fitted model must equal theirs byte for byte.
 
-def grow_tree(X: np.ndarray, node) -> TreeNodes:
+def grow_tree(X: np.ndarray, node) -> dict:
     """A binary tree over the rows of ``X``, grown depth first, left subtree
-    first. ``node(rows, depth)`` gives the split (feature, threshold) of the
-    node holding ``rows``, or its leaf value."""
+    first, as a model file stores it. ``node(rows, depth)`` gives the split
+    (feature, threshold) of the node holding ``rows``, or its leaf value."""
     nodes = [[-1, 0.0, 0, 0, 0.0]]  # feature, threshold, left, right, value
     stack = [(np.arange(X.shape[0]), 0, 0)]
     while stack:
@@ -561,7 +569,8 @@ def grow_tree(X: np.ndarray, node) -> TreeNodes:
         stack.append((rows[~goes_left], len(nodes) + 1, depth + 1))
         stack.append((rows[goes_left], len(nodes), depth + 1))
         nodes += [[-1, 0.0, 0, 0, 0.0], [-1, 0.0, 0, 0, 0.0]]
-    return TreeNodes(*(np.array(column) for column in zip(*nodes)))
+    return dict(zip(["feature", "threshold", "left", "right", "value"],
+                    map(list, zip(*nodes))))
 
 
 def gini_split(X: np.ndarray, y: np.ndarray, cols: np.ndarray):
@@ -588,7 +597,7 @@ def gini_split(X: np.ndarray, y: np.ndarray, cols: np.ndarray):
     return int(cols[j]), float(0.5 * (xs[i, j] + xs[i + 1, j])), float(cost[i, j])
 
 
-def grow_cart(X: np.ndarray, y: np.ndarray, rng, max_features: int) -> TreeNodes:
+def grow_cart(X: np.ndarray, y: np.ndarray, rng, max_features: int) -> dict:
     def node(rows, depth):
         ys = y[rows]
         pos, m = int(ys.sum()), rows.shape[0]
@@ -612,7 +621,7 @@ def reference_fit_forest(X, y, n_trees, seed):
         rng = np.random.default_rng(child)
         boot = rng.integers(0, n, size=n)
         trees.append(grow_cart(X[boot], y[boot], rng, max_features))
-    return ForestParams(trees=trees, n_features=d)
+    return ForestParams(trees=TreeNodes.from_records(trees), n_features=d)
 
 
 def newton_split(X: np.ndarray, g: np.ndarray, h: np.ndarray, lam: float):
@@ -633,7 +642,7 @@ def newton_split(X: np.ndarray, g: np.ndarray, h: np.ndarray, lam: float):
     return int(j), 0.5 * float(xs[i, j] + xs[i + 1, j])
 
 
-def grow_newton(X, g, h, max_depth, lam) -> TreeNodes:
+def grow_newton(X, g, h, max_depth, lam) -> dict:
     def node(rows, depth):
         gs, hs = g[rows], h[rows]
         split = newton_split(X[rows], gs, hs, lam) if (
@@ -653,8 +662,8 @@ def reference_fit_gbt(X, y, rounds, learning_rate, max_depth):
         trees.append(grow_newton(X, p - y, p * (1.0 - p), max_depth, LAMBDA))
         F += learning_rate * reference_apply(trees[-1], X)
         losses.append(_logloss(F, y))
-    return GbtParams(trees=trees, learning_rate=learning_rate,
-                     n_features=X.shape[1]), losses
+    return GbtParams(trees=TreeNodes.from_records(trees),
+                     learning_rate=learning_rate, n_features=X.shape[1]), losses
 
 
 def reference_fit_oblivious_gbt(X, y, rounds, learning_rate, depth):
@@ -679,11 +688,11 @@ def reference_fit_oblivious_gbt(X, y, rounds, learning_rate, depth):
         n_leaves = 2 ** len(feats)
         values = -np.bincount(leaf, weights=g, minlength=n_leaves) / (
             np.bincount(leaf, weights=h, minlength=n_leaves) + LAMBDA)
-        trees.append(ObliviousTree(feats, thrs, values))
+        trees.append(oblivious(feats, thrs, values.tolist()))
         F += learning_rate * values[leaf]
         losses.append(_logloss(F, y))
-    return GbtParams(trees=trees, learning_rate=learning_rate,
-                     n_features=X.shape[1]), losses
+    return GbtParams(trees=ObliviousTree.from_records(trees),
+                     learning_rate=learning_rate, n_features=X.shape[1]), losses
 
 
 def argsort_stump(X: np.ndarray, y: np.ndarray, w: np.ndarray):
@@ -881,7 +890,7 @@ class TestFitsMatchReference:
         assert tree.pop() == ("right", 2, 1)
         tree.leaf(2, 0.0)
         assert tree.pop() is None
-        built = tree.tree()
+        built = TreeNodes.from_records([tree.record()])
         assert built.feature.tolist() == [1, -1, -1]
         assert (built.left.tolist(), built.right.tolist()) == ([1, 0, 0], [2, 0, 0])
         assert built.value.tolist() == [0.0, 1.0, 0.0]

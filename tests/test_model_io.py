@@ -173,6 +173,15 @@ def _value_moved_to_earlier_tree(payload, k=3):
     trees[k]["value"].append(trees[k + 1]["value"].pop())
 
 
+def _add_half(key):
+    """A mutation that adds 0.5 to ``key`` of tree 0's first internal node."""
+    def mutate(payload):
+        tree = _tree(payload["params"])
+        i = next(i for i, f in enumerate(tree["feature"]) if f != -1)
+        tree[key][i] += 0.5
+    return mutate
+
+
 def _backward_child(payload, k=0):
     tree = _tree(payload["params"], k)
     i = next(i for i, f in enumerate(tree["feature"]) if f != -1 and i > 0)
@@ -235,6 +244,18 @@ MALFORMED = [
     ("ada", "negative alpha", _set(["params", "alpha", 0], -1.0)),
     ("gbt-a", "learning rate unlike its config", _set(["params", "learning_rate"], 0.5)),
     ("gbt-b", "learning rate unlike its config", _set(["params", "learning_rate"], 0.01)),
+    ("forest", "fractional feature", _add_half("feature")),
+    ("forest", "fractional left child", _add_half("left")),
+    ("gbt-a", "fractional left child", _add_half("left")),
+    ("gbt-b", "fractional feature", _set(["params", "trees", 0, "features", 0], 1.5)),
+    ("ada", "fractional feature", _set(["params", "feature", 0], 1.7)),
+    ("ada", "fractional low value", _set(["params", "low_value", 0], 1.5)),
+    ("forest", "train_loss on a kind without one", _set(["train_loss"], [1.0, 2.0])),
+    ("ada", "train_loss on a kind without one", _set(["train_loss"], [1.0, 2.0])),
+    ("svm", "train_loss on a kind without one", _set(["train_loss"], [1.0, 2.0])),
+    ("gbt-a", "train_loss a string", _set(["train_loss"], "abc")),
+    ("gbt-a", "NaN train_loss", _set(["train_loss", 0], float("nan"))),
+    ("gbt-a", "train_loss one value short", lambda p: p["train_loss"].pop()),
 ]
 
 
@@ -265,7 +286,7 @@ def test_tree_count_is_the_records(tmp_path, kind, count, loads):
     path = tmp_path / "model.json"
     path.write_text(json.dumps(_with_trees(committed_payload(kind), count)))
     if loads:
-        assert load_model(path).params.packed.roots.size == count
+        assert len(load_model(path).params.nodes) == count
     else:
         with pytest.raises(ModelFormatError, match=f"{re.escape(str(path))}.* {count} trees"):
             load_model(path)
@@ -319,6 +340,7 @@ TREE_FAULTS = [
     ("gbt-b", _set(["params", "trees", 2, "depth"], 6),
      "ObliviousTree needs the fields ['features', 'thresholds', 'leaf_values'], "
      "got ['depth', 'features', 'leaf_values', 'thresholds']"),
+    ("forest", _add_half("feature"), "TreeNodes.feature holds a value that is not an integer"),
 ]
 
 
