@@ -12,13 +12,12 @@ import argparse
 import functools
 import hashlib
 import json
-import math
 import os
 import sys
 
 import numpy as np
 
-from . import __version__
+from . import __version__, fields
 from .errors import GazeSentinelError, InvalidParameterError
 from .evaluate import (
     Corpus,
@@ -50,17 +49,19 @@ EVAL_MODES = ("full", "first-n", "stream")
 
 
 # Every option a command resolves (its flag, GAZE_SENTINEL_<KEY> variable
-# and config-file key): its type, built-in default, the values it may take
-# (None: any of its type) and its help.
+# and config-file key): the rule of its number (a key of ``fields.RULES``;
+# None: it is text), built-in default, the values it may take (None: any
+# its rule takes) and its help.
 _OPTIONS = {
-    "seed": (int, DEFAULT_MASTER_SEED, None, "master seed, at least 0"),
-    "participants": (int, DEFAULT_PARTICIPANTS, None, "participants to simulate"),
-    "task": (str, "nf-ef", tuple(sorted(TASKS)), "NF against EF or against DF"),
-    "classifier": (str, "all", KINDS + ("all",), "one learner, or all of them"),
-    "mode": (str, "full", EVAL_MODES, "evaluation regime"),
-    "n": (str, "", None, "truncation sweep, e.g. 1..15 (default: full per-task sweep)"),
-    "width": (float, 5.0, (3.0, 5.0, 10.0), "window width, seconds"),
-    "profile": (str, "", None, "behaviour profile JSON (default: built-in)"),
+    "seed": ("an integer of at least 0", DEFAULT_MASTER_SEED, None, "master seed, at least 0"),
+    "participants": ("an integer of at least 1", DEFAULT_PARTICIPANTS, None,
+                     "participants to simulate"),
+    "task": (None, "nf-ef", tuple(sorted(TASKS)), "NF against EF or against DF"),
+    "classifier": (None, "all", KINDS + ("all",), "one learner, or all of them"),
+    "mode": (None, "full", EVAL_MODES, "evaluation regime"),
+    "n": (None, "", None, "truncation sweep, e.g. 1..15 (default: full per-task sweep)"),
+    "width": ("a finite number", 5.0, (3.0, 5.0, 10.0), "window width, seconds"),
+    "profile": (None, "", None, "behaviour profile JSON (default: built-in)"),
 }
 # Each command's help, its required path flags and the options it resolves.
 _COMMANDS = {
@@ -83,9 +84,9 @@ def _resolve(args: argparse.Namespace) -> dict:
     """Merge defaults <- config file <- environment <- explicit flags for the
     options of the parsed command.
 
-    A config file that is not a JSON object, or a config or environment
-    value its option cannot take, raises ``InvalidParameterError`` naming
-    where the value came from."""
+    A config file that is not a JSON object, or a flag, config or
+    environment value its option cannot take, raises
+    ``InvalidParameterError`` naming where the value came from."""
     config_path = args.config or os.environ.get(ENV_PREFIX + "CONFIG")
     file_cfg = storage.read_json(config_path, InvalidParameterError, "config file") \
         if config_path else {}
@@ -93,42 +94,41 @@ def _resolve(args: argparse.Namespace) -> dict:
     for key in args.options:
         value = _OPTIONS[key][1]
         if key in file_cfg:
-            value = _cast(key, file_cfg[key], f"config file {config_path}")
+            value = _cast(key, file_cfg[key], f"config file {config_path}", fields.read)
         env = os.environ.get(ENV_PREFIX + key.upper())
         if env is not None:
-            value = _cast(key, env, ENV_PREFIX + key.upper())
+            value = _cast(key, env, ENV_PREFIX + key.upper(), fields.parse)
         flag = getattr(args, key)
         if flag is not None:
-            value = flag
+            value = _cast(key, flag, f"--{key}", fields.read)
         resolved[key] = value
-    if resolved.get("seed", 0) < 0:
-        raise InvalidParameterError(f"seed must be non-negative, not {resolved['seed']}")
     return resolved
 
 
-def _cast(key: str, value, source: str):
-    """``value`` as option ``key``'s type. Every option refuses a bool or a
-    null, an int option a number that is not whole, and an option with
-    choices a value not among them."""
-    kind, _, choices, _ = _OPTIONS[key]
-    with storage.decoding(InvalidParameterError, f"{source}: {key} cannot be {value!r}"):
-        if isinstance(value, bool) or value is None or (
-                kind is int and isinstance(value, float) and not value.is_integer()):
-            raise ValueError(f"expected {kind.__name__}")
-        value = kind(value)
+def _cast(key: str, value, source: str, read):
+    """``value`` read by option ``key``'s rule with ``read`` (``fields.read``
+    for a JSON value or a parsed flag, ``fields.parse`` for text), or as
+    text where it has no rule; an option with choices refuses a value not
+    among them."""
+    rule, _, choices, _ = _OPTIONS[key]
+    with storage.decoding(InvalidParameterError, source):
+        if rule is not None:
+            value = read(value, key, rule)
+        elif not isinstance(value, str):
+            raise InvalidParameterError(f"{key} {value!r} is not text")
     if choices is not None and value not in choices:
-        finite = "finite " if kind is float else ""
         raise InvalidParameterError(
-            f"{source}: {key} must be one of the {finite}values {choices}, not {value!r}")
+            f"{source}: {key} must be one of the values {choices}, not {value!r}")
     return value
 
 
 def _parse_n_range(spec: str) -> list:
     """'a..b' -> [a, a+1, ..., b]; a single number stands alone. Bounds
-    must be finite, and a range must give at most ``_MAX_N_VALUES`` values."""
+    must be finite JSON numbers, and a range must give at most
+    ``_MAX_N_VALUES`` values."""
     try:
-        bounds = [float(b) for b in spec.split("..")]
-        if len(bounds) > 2 or not all(map(math.isfinite, bounds)) or bounds[-1] < bounds[0]:
+        bounds = [fields.parse(b, "n", "a finite number") for b in spec.split("..")]
+        if len(bounds) > 2 or bounds[-1] < bounds[0]:
             raise ValueError
     except ValueError:
         raise InvalidParameterError(f"cannot parse n range {spec!r}") from None
@@ -324,7 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(f"--{path}", required=True)
         p.add_argument("--config", help="JSON file with default options")
         for key in keys:
-            kind, _, choices, about = _OPTIONS[key]
+            rule, _, choices, about = _OPTIONS[key]
+            kind = fields.RULES[rule][0] if rule else None
             p.add_argument(f"--{key}", type=kind, choices=choices, help=about)
         p.set_defaults(options=keys)
     return parser

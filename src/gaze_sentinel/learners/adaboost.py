@@ -6,13 +6,13 @@ stump left) or hits 0 (a perfect stump, kept with unit weight).
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .. import fields
 from .gbt import best_cut, presort
-from .trees import ObliviousTree, TreeNodes, column
+from .trees import ObliviousTree, TreeNodes
 
 
 @dataclass
@@ -35,8 +35,8 @@ class AdaParams:
 
     def __post_init__(self):
         for name, dtype in self.dtypes.items():
-            setattr(self, name, column(getattr(self, name), dtype, f"AdaParams.{name}"))
-        self.n_features = operator.index(self.n_features)
+            setattr(self, name, fields.column(getattr(self, name), dtype, f"AdaParams.{name}"))
+        self.n_features = fields.read(self.n_features, "n_features", "an integer of at least 0")
         shapes = [getattr(self, name).shape for name in self.dtypes]
         if len(set(shapes)) != 1 or len(shapes[0]) != 1:
             raise ValueError(f"ada arrays must be 1-D and of equal length, got shapes {shapes}")

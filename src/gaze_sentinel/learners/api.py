@@ -19,6 +19,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
+from .. import fields
 from ..errors import DegenerateDataError, FeatureArityError, InvalidParameterError
 from .adaboost import AdaParams, fit_ada, predict_ada
 from .data import LabeledDataset, Standardizer, fit_standardizer
@@ -83,8 +84,7 @@ class ClassifierConfig:
     def __post_init__(self):
         if self.kind not in KINDS:  # a tuple test: an unhashable kind is refused too
             raise InvalidParameterError(f"unknown classifier kind {self.kind!r}")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
-            raise InvalidParameterError(f"seed must be a whole number >= 0, got {self.seed!r}")
+        fields.read(self.seed, "seed", "an integer of at least 0")
 
     def record(self) -> dict:
         """Kind, seed and every published value: a model file's config, and

@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .. import fields
 from ..errors import InvalidParameterError
 
 
@@ -63,8 +64,8 @@ class Standardizer:
     std: np.ndarray
 
     def __post_init__(self):
-        mean = np.ascontiguousarray(self.mean, dtype=np.float64)
-        std = np.ascontiguousarray(self.std, dtype=np.float64)
+        mean = np.ascontiguousarray(fields.column(self.mean, np.float64, "Standardizer.mean"))
+        std = np.ascontiguousarray(fields.column(self.std, np.float64, "Standardizer.std"))
         if (std < 0).any():
             raise ValueError("standardizer std must not be negative")
         mean.flags.writeable = False

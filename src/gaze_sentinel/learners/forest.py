@@ -4,11 +4,11 @@ depth, bootstrap per tree, majority-vote aggregation."""
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .. import fields
 from .trees import DfsTree, TreeNodes
 
 
@@ -22,7 +22,7 @@ class ForestParams:
     nodes: TreeNodes = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.n_features = operator.index(self.n_features)
+        self.n_features = fields.read(self.n_features, "n_features", "an integer of at least 0")
         self.nodes = self.trees.nodes(self.n_features)
         # predict_forest sums 0/1 votes, which is exact in any order.
         if not np.isin(self.nodes.value, (0.0, 1.0)).all():

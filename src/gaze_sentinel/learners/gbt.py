@@ -11,11 +11,11 @@ non-increasing at the shrinkage rates used here.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .. import fields
 from .trees import DfsTree, ObliviousTree, TreeNodes
 
 LAMBDA = 1.0  # L2 penalty on leaf values
@@ -34,8 +34,8 @@ class GbtParams:
     nodes: TreeNodes = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.learning_rate = float(self.learning_rate)
-        self.n_features = operator.index(self.n_features)
+        self.learning_rate = fields.read(self.learning_rate, "learning_rate", "a number > 0")
+        self.n_features = fields.read(self.n_features, "n_features", "an integer of at least 0")
         self.nodes = self.trees.nodes(self.n_features)
 
 

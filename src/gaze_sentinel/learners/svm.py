@@ -13,10 +13,11 @@ so a model does not depend on the CPU, nor a margin on the rows beside it.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
+
+from .. import fields
 
 
 @dataclass
@@ -29,9 +30,9 @@ class SvmParams:
     n_features: int = 0
 
     def __post_init__(self):
-        self.w = np.asarray(self.w, dtype=np.float64)
-        self.b = float(self.b)
-        self.n_features = operator.index(self.n_features)
+        self.w = fields.column(self.w, np.float64, "SvmParams.w")
+        self.b = fields.read(self.b, "SvmParams.b", "a finite number")
+        self.n_features = fields.read(self.n_features, "n_features", "an integer of at least 0")
         if self.w.shape != (self.n_features,):
             raise ValueError(f"svm w has shape {self.w.shape}, "
                              f"expected ({self.n_features},)")

@@ -12,6 +12,7 @@ import itertools
 import numpy as np
 
 from ..errors import FeatureArityError, ModelFormatError
+from ..fields import column
 
 _LEAF = -1
 
@@ -22,22 +23,6 @@ def require_fields(name: str, names: list, records) -> None:
         if not isinstance(record, dict) or set(record) != set(names):
             got = sorted(record) if isinstance(record, dict) else type(record).__name__
             raise ModelFormatError(f"{name} needs the fields {names}, got {got}")
-
-
-def column(values, dtype, where: str) -> np.ndarray:
-    """``values`` as an array of ``dtype``, int64 of integers only or float64
-    of finite numbers only, else ModelFormatError names ``where``; numpy's
-    inferred dtype shows an item of another type with no loop over them."""
-    array = np.asarray(values)
-    if array.dtype != dtype:
-        converted = np.asarray(values, dtype)  # raises on an item that does not convert
-        if array.size and not (dtype == np.float64 and array.dtype == np.int64):
-            raise ModelFormatError(f"{where} holds a value that is not "
-                                   f"{'an integer' if dtype == np.int64 else 'a number'}")
-        array = converted
-    if dtype == np.float64 and not np.isfinite(array).all():
-        raise ModelFormatError(f"{where} holds a number that is not finite")
-    return array
 
 
 class _Table:

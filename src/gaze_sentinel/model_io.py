@@ -8,11 +8,13 @@ A kind's params payload is its params type's fields in declaration order,
 arrays as lists and ``trees`` one object per tree, which the kind's tree
 type (named in its ``LEARNERS`` row) decodes into one table and encodes
 back tree by tree. Params and tree types check their own invariants when
-built, so a loaded model meets a fitted one's checks; an integer field
-refuses a number that is not a JSON integer. This module checks the
-envelope against the kind's published config record (``ClassifierConfig.
-record``: the same keys, each value of the same type) and learner row:
-keys, types, lengths and finiteness, the standardizer, ``n_features``,
+built, so a loaded model meets a fitted one's checks, and read every number
+by ``fields``: a scalar with ``fields.read`` and an array with
+``fields.column``, so an integer field refuses a number that is not a JSON
+integer, and any field a bool, a string or a number that is not finite.
+This module checks the envelope against the kind's published config record
+(``ClassifierConfig.record``: the same keys, each value of the same type)
+and learner row: keys, types and lengths, the standardizer, ``n_features``,
 ``params.learning_rate``, the tree count (``tree_count``, or at most it
 where the row ``stops_early``), ``train_loss`` (null, or a booster's
 ``n_rounds`` + 1 finite numbers), ``kind`` and ``fingerprint``. A fault
@@ -29,7 +31,8 @@ import numpy as np
 
 from .errors import ModelFormatError, SchemaVersionError
 from .learners import LEARNERS, ClassifierConfig, Standardizer, TrainedModel
-from .learners.trees import column, require_fields
+from .fields import column, read
+from .learners.trees import require_fields
 from .storage import atomic_write, decoding, read_json
 
 MODEL_SCHEMA_VERSION = "1.1"
@@ -51,17 +54,11 @@ def _encode(value):
 
 def _decode(cls, payload, tree_cls=None):
     """``cls`` built from an object holding exactly its init fields, its
-    ``trees`` decoded by ``tree_cls``, every number of them finite."""
-    names = [f.name for f in fields(cls) if f.init]
-    require_fields(cls.__name__, names, [payload])
+    ``trees`` decoded by ``tree_cls``."""
+    require_fields(cls.__name__, [f.name for f in fields(cls) if f.init], [payload])
     if tree_cls is not None:
         payload = {**payload, "trees": tree_cls.from_records(payload["trees"])}
-    value = cls(**payload)
-    for name in names:
-        item = getattr(value, name)
-        _require(not isinstance(item, (float, np.ndarray)) or np.isfinite(item).all(),
-                 f"{cls.__name__}.{name} holds a number that is not finite")
-    return value
+    return cls(**payload)
 
 
 def _require(ok: bool, message: str) -> None:
@@ -101,9 +98,7 @@ def model_from_payload(payload: dict) -> TrainedModel:
         for key in {**want, **got}:  # the record's keys in order, then any others
             _require(got.get(key) == want.get(key),
                      f"config {key!r} differs from the published {config.kind} record")
-        n_features = payload["n_features"]
-        _require(type(n_features) is int and n_features > 0,
-                 f"n_features must be a positive integer, got {n_features!r}")
+        n_features = read(payload["n_features"], "n_features", "an integer of at least 1")
         learner = LEARNERS[config.kind]
         std = payload.get("standardizer")
         _require((std is not None) == learner.standardizes, f"a {config.kind} model "

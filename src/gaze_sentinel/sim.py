@@ -13,8 +13,6 @@ from __future__ import annotations
 import bisect
 import functools
 import json
-import numbers
-import sys
 from dataclasses import dataclass, field, fields, replace
 from importlib import resources
 from typing import Optional
@@ -34,6 +32,7 @@ from .core import (
 )
 from . import storage
 from .errors import InvalidParameterError
+from .fields import holds
 
 PROFILE_SCHEMA_VERSION = 1
 DEFAULT_MASTER_SEED = 7
@@ -102,11 +101,11 @@ class RegimeParams:
 
     def __post_init__(self):
         dw = tuple(self.dwell_means)
-        if len(dw) != N_AOI or not all(_is_number(v) and v > 0 for v in dw):
+        if len(dw) != N_AOI or not all(holds(v, "a number > 0") for v in dw):
             raise InvalidParameterError("need six positive, finite dwell means")
         rows = []
         for i, row in enumerate(self.transitions):
-            if len(row) != N_AOI or not all(_is_number(v) and v >= 0 for v in row):
+            if len(row) != N_AOI or not all(holds(v, "a number >= 0") for v in row):
                 raise InvalidParameterError("transition rows need six non-negative entries")
             r = np.asarray(row, dtype=np.float64)
             if r[i] != 0:
@@ -131,47 +130,33 @@ class RegimeParams:
                                            for dst in labels) for src in labels))
 
 
-_RULES = {"> 0": lambda v: v > 0, ">= 0": lambda v: v >= 0,
-          "in [0, 1]": lambda v: 0 <= v <= 1}
-
-
-def _is_number(v) -> bool:
-    """A real, non-bool number in float range, so neither nan nor infinite."""
-    return (isinstance(v, numbers.Real) and not isinstance(v, bool)
-            and abs(v) <= sys.float_info.max)
-
-
-def _checked(params, name: str, rule: str, pair: bool = False) -> None:
-    """Coerce field ``name`` of frozen ``params`` to a finite float meeting
-    ``rule`` (a key of ``_RULES``), or with ``pair`` to an ascending pair of
-    them; anything else raises ``InvalidParameterError``."""
-    value = getattr(params, name)
-    items = list(value) if pair and isinstance(value, (list, tuple)) else [value]
-    if (len(items) != (2 if pair else 1)
-            or not all(_is_number(v) and _RULES[rule](v) for v in items)
-            or items != sorted(items)):
-        what = f"an ascending pair of numbers {rule}" if pair else f"a number {rule}"
-        raise InvalidParameterError(
-            f"{type(params).__name__}.{name} must be {what}, got {value!r}")
-    items = tuple(float(v) for v in items)
-    object.__setattr__(params, name, items if pair else items[0])
-
-
 def _key(key: str, rule, pair: bool = False):
     """A required profile field: its key in the profile JSON, and either the
-    block class that reads its value or the rule (a key of ``_RULES``) that
-    its number, or with ``pair`` each number of its ascending pair, must meet."""
+    block class that reads its value or the rule (a key of ``fields.RULES``)
+    that its number, or with ``pair`` each number of its ascending pair,
+    must meet."""
     return field(metadata={"key": key, "rule": rule, "pair": pair})
 
 
 class _ProfileBlock:
     """A profile block whose dataclass fields are all declared with ``_key``:
-    one reader and one checker serve every field."""
+    one reader and one checker serve every field. A field with a rule is
+    coerced to a float of it, or with ``pair`` to an ascending pair of them;
+    anything else raises ``InvalidParameterError``."""
 
     def __post_init__(self):
         for f in fields(self):
-            if isinstance(f.metadata["rule"], str):
-                _checked(self, f.name, f.metadata["rule"], f.metadata["pair"])
+            rule, pair, value = f.metadata["rule"], f.metadata["pair"], getattr(self, f.name)
+            if not isinstance(rule, str):
+                continue
+            items = list(value) if pair and isinstance(value, (list, tuple)) else [value]
+            if (len(items) != (2 if pair else 1) or not all(holds(v, rule) for v in items)
+                    or items != sorted(items)):
+                what = f"an ascending pair, each {rule}" if pair else rule
+                raise InvalidParameterError(
+                    f"{type(self).__name__}.{f.name} must be {what}, got {value!r}")
+            items = tuple(float(v) for v in items)
+            object.__setattr__(self, f.name, items if pair else items[0])
 
     @classmethod
     def _read(cls, block: dict):
@@ -191,25 +176,25 @@ class ReactionParams(_ProfileBlock):
     its per-type strength. ``slow_reactor_prob`` participants add a large
     extra latency before responding, on every failure they see."""
 
-    ef_delay: float = _key("ef_delay_s", ">= 0")
-    ef_hold: float = _key("ef_hold_s", ">= 0")
-    ef_strength: float = _key("ef_strength", "in [0, 1]")
-    df_delay: float = _key("df_delay_s", ">= 0")
-    df_hold: float = _key("df_hold_s", ">= 0")
-    df_strength: float = _key("df_strength", "in [0, 1]")
-    tail_strength: float = _key("tail_strength", "in [0, 1]")
-    slow_reactor_prob: float = _key("slow_reactor_prob", "in [0, 1]")
-    slow_extra_delay: tuple = _key("slow_extra_delay_s", ">= 0", pair=True)
-    fast_extra_delay: tuple = _key("fast_extra_delay_s", ">= 0", pair=True)
+    ef_delay: float = _key("ef_delay_s", "a number >= 0")
+    ef_hold: float = _key("ef_hold_s", "a number >= 0")
+    ef_strength: float = _key("ef_strength", "a number in [0, 1]")
+    df_delay: float = _key("df_delay_s", "a number >= 0")
+    df_hold: float = _key("df_hold_s", "a number >= 0")
+    df_strength: float = _key("df_strength", "a number in [0, 1]")
+    tail_strength: float = _key("tail_strength", "a number in [0, 1]")
+    slow_reactor_prob: float = _key("slow_reactor_prob", "a number in [0, 1]")
+    slow_extra_delay: tuple = _key("slow_extra_delay_s", "a number >= 0", pair=True)
+    fast_extra_delay: tuple = _key("fast_extra_delay_s", "a number >= 0", pair=True)
     # Slow reactors also react weakly: their envelope scales by a draw from
     # this range, giving a coherent subgroup of faint failure responses.
-    slow_strength: tuple = _key("slow_strength", "in [0, 1]", pair=True)
+    slow_strength: tuple = _key("slow_strength", "a number in [0, 1]", pair=True)
     # Per failure instance, the whole envelope scales by a uniform draw from
     # this range: some failures barely register with some participants.
-    instance_strength: tuple = _key("instance_strength", "in [0, 1]", pair=True)
+    instance_strength: tuple = _key("instance_strength", "a number in [0, 1]", pair=True)
     # Beta(a, a) mixing of the stare/scan archetypes; a < 1 polarises
     # participants toward one style or the other.
-    style_beta: float = _key("style_beta", "> 0")
+    style_beta: float = _key("style_beta", "a number > 0")
 
 
 @dataclass(frozen=True)
@@ -226,14 +211,14 @@ class BehaviorParams(_ProfileBlock):
     failure_scan: RegimeParams = _key("failure_scan", RegimeParams)
     failure_stare: RegimeParams = _key("failure_stare", RegimeParams)
     reaction: ReactionParams = _key("reaction", ReactionParams)
-    sample_rate_hz: float = _key("sample_rate_hz", "> 0")
-    dwell_floor_s: float = _key("dwell_floor_s", ">= 0")
-    position_jitter_mm: float = _key("position_jitter_mm", ">= 0")
-    invalid_rate: float = _key("invalid_rate", "in [0, 1]")
-    participant_dwell_sigma: float = _key("participant_dwell_sigma", ">= 0")
+    sample_rate_hz: float = _key("sample_rate_hz", "a number > 0")
+    dwell_floor_s: float = _key("dwell_floor_s", "a number >= 0")
+    position_jitter_mm: float = _key("position_jitter_mm", "a number >= 0")
+    invalid_rate: float = _key("invalid_rate", "a number in [0, 1]")
+    participant_dwell_sigma: float = _key("participant_dwell_sigma", "a number >= 0")
     # One log-normal distortion per participant, applied to BOTH regime
     # matrices, so regime contrasts stay untouched by participant noise.
-    participant_transition_sigma: float = _key("participant_transition_sigma", ">= 0")
+    participant_transition_sigma: float = _key("participant_transition_sigma", "a number >= 0")
 
     @classmethod
     @functools.cache
@@ -254,7 +239,7 @@ class BehaviorParams(_ProfileBlock):
     @classmethod
     def from_dict(cls, data: dict) -> "BehaviorParams":
         schema = data.get("schema")
-        if schema != PROFILE_SCHEMA_VERSION or isinstance(schema, bool):
+        if not holds(schema, "an integer") or schema != PROFILE_SCHEMA_VERSION:
             raise InvalidParameterError(f"unsupported profile schema {schema!r}")
         return cls._read(data)
 

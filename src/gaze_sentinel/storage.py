@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import __version__
+from . import __version__, fields
 from .core import (
     AoiLabel,
     AoiLayout,
@@ -59,9 +59,12 @@ _LAST = np.array([(1 << 64) - (1 << 8 * (8 - m)) for m in range(9)], np.uint64)
 def decoding(error, where: str):
     """Raise any fault in decoding input inside the block (a RecursionError
     is JSON nested too deep) as ``error`` with a message that names
-    ``where``; a fault that already is an ``error`` keeps its type."""
+    ``where``; a fault that already is an ``error`` keeps its type, and a
+    ``FieldError``'s message is kept without its type name."""
     try:
         yield
+    except fields.FieldError as exc:
+        raise error(f"{where}: {exc}") from None
     except error as exc:
         raise type(exc)(f"{where}: {exc}") from None
     except (ValueError, KeyError, TypeError, AttributeError, IndexError, OverflowError,
@@ -200,43 +203,37 @@ def _sample_lines(g: GazeStream) -> bytes:
 
 
 def _parse_session_header(line: str, path) -> dict:
+    """The header on line 1 of session file ``path``, its ``layout`` and
+    ``timeline`` read into an ``AoiLayout`` and a ``Timeline``; any fault
+    raises ``MalformedStreamError`` naming the path and line 1."""
     with decoding(MalformedStreamError, f"{path}, line 1"):
         header = json.loads(line)
         if not isinstance(header, dict) or header.get("kind") != "session":
             raise MalformedStreamError("not a session header")
-        if header.get("schema") != SESSION_SCHEMA_VERSION:
-            raise MalformedStreamError(f"unsupported session schema {header.get('schema')!r}")
+        schema = header.get("schema")
+        if not fields.holds(schema, "an integer") or schema != SESSION_SCHEMA_VERSION:
+            raise MalformedStreamError(f"unsupported session schema {schema!r}")
         for key in ("participant", "puzzle"):
-            value = header.get(key)
-            if type(value) is not int or value < 1:  # a JSON true is a bool, refused too
-                raise MalformedStreamError(f"{key} {value!r} is not an integer of at least 1")
+            fields.read(header.get(key), key, "an integer of at least 1")
+        header["layout"] = AoiLayout(entries=tuple(
+            (AoiLabel.from_token(token),
+             Rect(*(fields.read(v, f"{token} corner", "a finite number") for v in corners)))
+            for token, *corners in header["layout"]))
+        events = tuple(
+            RobotEvent(kind, fields.read(piece, f"{kind} piece", "in 1..4"),
+                       fields.read(t, f"{kind} time", "a finite number"), failure_type=ft)
+            for kind, piece, t, ft in header["timeline"])
+        piece = header.get("failure_piece")
+        header["timeline"] = Timeline(
+            events, fields.read(header["duration"], "duration", "a finite number"),
+            header.get("failure_type"),
+            None if piece is None else fields.read(piece, "failure_piece", "in 1..4"))
     return header
 
 
 def session_from_header(header: dict, gaze: GazeStream) -> Session:
-    layout = AoiLayout(
-        entries=tuple(
-            (AoiLabel.from_token(token), Rect(x0, y0, x1, y1))
-            for token, x0, y0, x1, y1 in header["layout"]
-        )
-    )
-    events = tuple(
-        RobotEvent(kind, piece, t, failure_type=ft)
-        for kind, piece, t, ft in header["timeline"]
-    )
-    timeline = Timeline(
-        events=events,
-        duration=header["duration"],
-        failure_type=header.get("failure_type"),
-        failure_piece=header.get("failure_piece"),
-    )
-    return Session(
-        participant_id=header["participant"],
-        puzzle_id=header["puzzle"],
-        gaze=gaze,
-        layout=layout,
-        timeline=timeline,
-    )
+    return Session(participant_id=header["participant"], puzzle_id=header["puzzle"],
+                   gaze=gaze, layout=header["layout"], timeline=header["timeline"])
 
 
 def read_session_jsonl(path) -> Session:
@@ -267,9 +264,9 @@ def read_session_jsonl(path) -> Session:
 
 
 def _session(path, header: dict, columns: tuple) -> Session:
-    """The session of a parsed file; any fault in its samples, layout or
-    timeline, or a gap of more than ``MAX_TAIL_S`` without a sample, raises
-    ``MalformedStreamError`` naming the path."""
+    """The session of a parsed file; any fault in its samples, or a gap of
+    more than ``MAX_TAIL_S`` without a sample, raises ``MalformedStreamError``
+    naming the path."""
     t, x, y, valid = columns
     with decoding(MalformedStreamError, f"malformed session {path}"):
         gaze = GazeStream(t=np.asarray(t, dtype=np.float64), x=np.asarray(x, dtype=np.float64),
@@ -469,8 +466,14 @@ def read_corpus(corpus_dir) -> list:
     return sessions
 
 
-_FEATURE_CSV_HEADER = ("task", "participant", "puzzle", "piece", "label", "t0", "t1",
-                       *FEATURE_NAMES)
+# A CSV table's columns in order, each with the rule (a key of
+# ``fields.RULES``) its cells are read by, or None for text: the writer
+# writes them as its header and the reader reads each row by them.
+_FEATURE_COLUMNS = {"task": None, "participant": "an integer of at least 1",
+                    "puzzle": "an integer of at least 1", "piece": "in 1..4", "label": None,
+                    **dict.fromkeys(("t0", "t1", *FEATURE_NAMES), "a finite number")}
+_REPORT_COLUMNS = {"task": None, "classifier": None, "n_or_width": None, "fold": None,
+                   "accuracy": "a number in [0, 1]", "recall": "a number in [0, 1]"}
 
 
 def write_feature_csv(tables, path, config: Optional[dict] = None) -> None:
@@ -478,7 +481,7 @@ def write_feature_csv(tables, path, config: Optional[dict] = None) -> None:
     task, the slice it was measured over, and its features."""
     lines = provenance_lines(config)
     lines.append(f"# feature_schema={FEATURE_SCHEMA_VERSION}")
-    lines.append(",".join(_FEATURE_CSV_HEADER))
+    lines.append(",".join(_FEATURE_COLUMNS))
     for table in tables:
         labels = ("NF", TASKS[table.task])
         columns = (table.participant, table.puzzle, table.piece, table.y, table.t0, table.t1)
@@ -488,62 +491,57 @@ def write_feature_csv(tables, path, config: Optional[dict] = None) -> None:
     atomic_write(path, ("\n".join(lines) + "\n").encode())
 
 
-def _csv_rows(path, header: tuple, what: str):
-    """(1-based line number, fields) of each row of a CSV table under
-    ``header``, skipping blank and ``#`` lines. A file that is not UTF-8
-    text, another header, or a row without exactly the header's fields
-    raises ``InvalidParameterError`` with the path (and the line number)."""
+def _csv_rows(path, columns: dict, what: str, optional=()):
+    """(1-based line number, values) of each row of a CSV table of
+    ``columns``, skipping blank and ``#`` lines: each cell read by its
+    column's rule, an empty cell of an ``optional`` column as None. A file
+    that is not UTF-8 text, another header, a row without exactly the
+    header's fields or a cell outside its rule raises
+    ``InvalidParameterError`` with the path (and the line number)."""
     with open(path, encoding="utf-8") as fh, decoding(InvalidParameterError, path):
         lines = fh.readlines()
-    seen_header = False
+    header, seen_header = list(columns), False
     for number, line in enumerate(lines, start=1):
         line = line.rstrip("\n")
         if not line or line.startswith("#"):
             continue
         parts = line.split(",")
         if not seen_header:
-            if tuple(parts) != header:
+            if parts != header:
                 raise InvalidParameterError(f"unexpected {what} CSV header in {path}")
             seen_header = True
         elif len(parts) != len(header):
             raise InvalidParameterError(
                 f"{path}, line {number}: {len(parts)} fields, expected {len(header)}")
         else:
-            yield number, parts
+            with decoding(InvalidParameterError, f"{path}, line {number}"):
+                values = [None if not cell and name in optional
+                          else cell if rule is None else fields.parse(cell, name, rule)
+                          for (name, rule), cell in zip(columns.items(), parts)]
+            yield number, values
 
 
 def read_feature_csv(path) -> dict:
     """The ``TaskTable`` of each task a feature table holds rows of, by
     task in ``TASKS`` order; a header other than the writer's, a row
-    without exactly its fields, a number that does not parse or is not
-    finite, a task not in ``TASKS``, a label other than ``NF`` and its
-    task's failure type, ``t1 <= t0``, a participant or puzzle below 1 (or
-    past 64 bits), or a piece outside 1..4 raises ``InvalidParameterError``
-    with the path and the 1-based line number, and a file that is not UTF-8
-    text raises it with the path."""
+    without exactly its fields, a cell outside its column's rule (a
+    participant or puzzle that is not a JSON integer of at least 1 or is
+    past 64 bits, a piece outside 1..4, a t0, t1 or feature that is not a
+    finite JSON number), a task not in ``TASKS``, a label other than ``NF``
+    and its task's failure type, or ``t1 <= t0`` raises
+    ``InvalidParameterError`` with the path and the 1-based line number, and
+    a file that is not UTF-8 text raises it with the path."""
     ids: dict = {task: [] for task in TASKS}
     values: dict = {task: [] for task in TASKS}
-    for number, parts in _csv_rows(path, _FEATURE_CSV_HEADER, "feature"):
+    for number, (task, participant, puzzle, piece, label, *numbers) in _csv_rows(
+            path, _FEATURE_COLUMNS, "feature"):
         with decoding(InvalidParameterError, f"{path}, line {number}"):
-            task, label = parts[0], parts[4]
-            participant, puzzle, piece = (int(v) for v in parts[1:4])
-            numbers = [float(v) for v in parts[5:]]
-            finite = np.isfinite(numbers)
-            if not finite.all():
-                field = 5 + int(np.argmin(finite))
-                raise ValueError(f"{_FEATURE_CSV_HEADER[field]} is {parts[field]}, "
-                                 f"not a finite number")
             if task not in TASKS:
                 raise ValueError(f"unknown task {task!r}")
             if label not in ("NF", TASKS[task]):
                 raise ValueError(f"label {label!r} is neither NF nor {TASKS[task]}")
             if not numbers[1] > numbers[0]:
                 raise ValueError(f"slice [{numbers[0]}, {numbers[1]}] is empty")
-            for key, value in (("participant", participant), ("puzzle", puzzle)):
-                if value < 1:
-                    raise ValueError(f"{key} {value} is not an integer of at least 1")
-            if not 1 <= piece <= 4:
-                raise ValueError(f"piece {piece} is not in 1..4")
             ids[task].append(np.array([participant, puzzle, piece, label != "NF"], np.int64))
             values[task].append(numbers)
     tables = {task: TaskTable(task, *np.transpose(ids[task]), *np.transpose(values[task])[:2],
@@ -553,13 +551,10 @@ def read_feature_csv(path) -> dict:
     return tables
 
 
-_REPORT_CSV_HEADER = "task,classifier,n_or_width,fold,accuracy,recall"
-
-
 def write_report_csv(path, entries, config: Optional[dict] = None) -> None:
     """entries: iterable of (task, classifier, n_or_width, EvalReport)."""
     lines = provenance_lines(config)
-    lines.append(_REPORT_CSV_HEADER)
+    lines.append(",".join(_REPORT_COLUMNS))
 
     def fmt_recall(value) -> str:
         return "" if value is None else _fmt(value)
@@ -580,26 +575,11 @@ def write_report_csv(path, entries, config: Optional[dict] = None) -> None:
 def read_report_csv(path) -> list:
     """Rows of a report table; a header other than the writer's, a row
     without exactly its six fields, or an accuracy or non-empty recall that
-    is not a finite number in [0, 1] raises ``InvalidParameterError`` with
+    is not a JSON number in [0, 1] raises ``InvalidParameterError`` with
     the path and the 1-based line number, and a file that is not UTF-8 text
     raises it with the path."""
-    rows = []
-    for number, parts in _csv_rows(path, tuple(_REPORT_CSV_HEADER.split(",")), "report"):
-        task, classifier, n_or_width, fold, accuracy, recall = parts
-        with decoding(InvalidParameterError, f"{path}, line {number}"):
-            row = {
-                "task": task,
-                "classifier": classifier,
-                "n_or_width": n_or_width,
-                "fold": fold,
-                "accuracy": float(accuracy),
-                "recall": float(recall) if recall else None,
-            }
-            for name in ("accuracy", "recall"):
-                if row[name] is not None and not 0.0 <= row[name] <= 1.0:
-                    raise ValueError(f"{name} is {row[name]}, not a number in [0, 1]")
-        rows.append(row)
-    return rows
+    return [dict(zip(_REPORT_COLUMNS, values)) for _, values
+            in _csv_rows(path, _REPORT_COLUMNS, "report", optional=("recall",))]
 
 
 def write_offsets_csv(path, entries, config: Optional[dict] = None) -> None:

@@ -450,6 +450,7 @@ class TestErrors:
         ("GAZE_SENTINEL_WIDTH", "abc", ["eval", "--corpus", "unread"]),
         ("GAZE_SENTINEL_SEED", "1.5", ["simulate", "--participants", "1"]),
         ("GAZE_SENTINEL_WIDTH", "7", ["eval", "--corpus", "unread"]),
+        ("GAZE_SENTINEL_PARTICIPANTS", "1_0", ["simulate"]),
     ])
     def test_uncastable_env_value_is_json_error(self, tmp_path, monkeypatch, capsys,
                                                 name, value, argv):
@@ -804,7 +805,8 @@ class TestErrors:
         ("simulate", "seed", float("inf")), ("eval", "width", False),
         pytest.param("eval", "width", 10 ** 400, id="eval-width-10**400"),
         ("eval", "width", 7), ("simulate", "profile", None), ("simulate", "profile", True),
-        ("eval", "n", None),
+        ("eval", "n", None), ("simulate", "seed", "5"), ("simulate", "seed", 5.0),
+        ("simulate", "participants", "1_0"),
     ])
     def test_config_value_of_wrong_kind_is_json_error(self, tmp_path, capsys, command, key,
                                                       value):

@@ -256,6 +256,13 @@ MALFORMED = [
     ("gbt-a", "train_loss a string", _set(["train_loss"], "abc")),
     ("gbt-a", "NaN train_loss", _set(["train_loss", 0], float("nan"))),
     ("gbt-a", "train_loss one value short", lambda p: p["train_loss"].pop()),
+    ("svm", "bias a string", _set(["params", "b"], "0.5")),
+    ("svm", "bias true", _set(["params", "b"], True)),
+    ("svm", "weight a string", _set(["params", "w", 0], "1e3")),
+    ("svm", "standardizer mean a string", _set(["standardizer", "mean", 0], "0.5")),
+    ("gbt-a", "learning rate a numeric string", _set(["params", "learning_rate"], "0.01")),
+    ("forest", "feature true", lambda p: _first_internal(p, "feature", True)),
+    ("forest", "threshold true", lambda p: _first_internal(p, "threshold", True)),
 ]
 
 

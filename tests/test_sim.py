@@ -1,8 +1,13 @@
+import argparse
 import bisect
+import copy
+import functools
 import hashlib
 import json
 import numbers
+import os
 import shutil
+import tempfile
 from collections import Counter
 
 import numpy as np
@@ -10,8 +15,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import DEFAULT_PROFILE, profile_dict
+from gaze_sentinel import cli, storage
 from gaze_sentinel.core import FAILURE_DURATIONS, N_AOI, AoiLabel, Debouncer, segment_session
-from gaze_sentinel.errors import InvalidParameterError
+from gaze_sentinel.errors import GazeSentinelError, InvalidParameterError
+from gaze_sentinel.learners import KINDS
+from gaze_sentinel.model_io import load_model
 from gaze_sentinel.sim import (
     BehaviorParams,
     CorpusSpec,
@@ -25,6 +33,7 @@ from gaze_sentinel.sim import (
     draw_traits,
     generate_corpus,
     latin_square_schedule,
+    session_calls,
 )
 
 
@@ -351,25 +360,48 @@ class TestBehaviorProfile:
         assert a == b
 
 
-def profile_leaves(data: dict) -> list:
-    """Paths to every number of a profile dict: top-level and reaction
-    fields (each number of a pair), dwell means and transition entries."""
-    paths = []
-    for key, value in data.items():
-        if key == "reaction":
-            for name, v in value.items():
-                paths += [(key, name, i) for i in range(len(v))] if isinstance(v, list) \
-                    else [(key, name)]
-        elif isinstance(value, dict):
-            paths += [(key, "dwell_mean_s", aoi) for aoi in value["dwell_mean_s"]]
-            paths += [(key, "transitions", src, dst)
-                      for src, row in value["transitions"].items() for dst in row]
-        else:
-            paths.append((key,))
-    return paths
+def number_leaves(data, path=()) -> list:
+    """Paths (keys and indices) to every number in the JSON value ``data``."""
+    if isinstance(data, (dict, list)):
+        items = data.items() if isinstance(data, dict) else enumerate(data)
+        return [leaf for key, value in items for leaf in number_leaves(value, (*path, key))]
+    return [path] if isinstance(data, (int, float)) and not isinstance(data, bool) else []
 
 
-PROFILE_LEAVES = profile_leaves(profile_dict())
+def load_config(path):
+    """The options a config file at ``path`` resolves to, with no flag set."""
+    return cli._resolve(argparse.Namespace(config=str(path), options=tuple(CONFIG),
+                                           **dict.fromkeys(CONFIG)))
+
+
+CONFIG = {"seed": 7, "participants": 2, "width": 5.0}
+FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
+
+
+@functools.cache
+def json_inputs() -> dict:
+    """Each JSON input format: a document of it as the program writes it,
+    the bytes that follow the document in its file, and how such a file
+    loads. A session file's header is its JSON document, on line 1."""
+    session = build_session(*session_calls(CorpusSpec(participants=1, master_seed=1))[0])
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "session.jsonl")
+        storage.write_session_jsonl(session, path)
+        with open(path, "rb") as fh:
+            header, body = fh.read().split(b"\n", 1)
+    inputs = {"profile": (profile_dict(), b"", BehaviorParams.from_file),
+              "session header": (json.loads(header), b"\n" + body, storage.read_session_jsonl),
+              "config file": (CONFIG, b"", load_config)}
+    for kind in KINDS:
+        with open(os.path.join(FIXTURES, f"model_{kind}.json"), encoding="utf-8") as fh:
+            inputs[f"model {kind}"] = (json.load(fh), b"", load_model)
+    return inputs
+
+
+# A format, then one of its number leaves: the large forest and gbt files
+# do not outweigh the others.
+JSON_LEAVES = st.deferred(lambda: st.sampled_from(sorted(json_inputs())).flatmap(
+    lambda name: st.tuples(st.just(name), st.sampled_from(number_leaves(json_inputs()[name][0])))))
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
     | st.sampled_from([10 ** 400, "0.55", 0, 1, 0.5]),
@@ -379,28 +411,40 @@ JSON_VALUES = st.recursive(
 
 
 @pytest.fixture(scope="module")
-def profile_path(tmp_path_factory):
-    return tmp_path_factory.mktemp("profile") / "profile.json"
+def json_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("json") / "input.json"
 
 
 @settings(max_examples=300)
-@given(path=st.sampled_from(PROFILE_LEAVES), value=JSON_VALUES)
-@example(path=("baseline", "dwell_mean_s", "robot_body"), value=True)
-@example(path=("failure_scan", "transitions", "robot_body", "end_effector"), value="0.4")
-@example(path=("sample_rate_hz",), value=10 ** 400)
-@example(path=("schema",), value=True)
-def test_profile_leaf_loads_only_as_a_number(profile_path, path, value):
-    """A profile with one number replaced by any JSON value either fails to
-    load, naming its file, or the value was a real, non-bool number."""
-    data = profile_dict()
-    block = data
+@given(leaf=JSON_LEAVES, value=JSON_VALUES)
+@example(leaf=("profile", ("baseline", "dwell_mean_s", "robot_body")), value=True)
+@example(leaf=("profile", ("failure_scan", "transitions", "robot_body", "end_effector")),
+         value="0.4")
+@example(leaf=("profile", ("sample_rate_hz",)), value=10 ** 400)
+@example(leaf=("profile", ("schema",)), value=True)
+@example(leaf=("session header", ("layout", 0, 1)), value=True)
+@example(leaf=("session header", ("timeline", 0, 1)), value=True)
+@example(leaf=("model svm", ("params", "b")), value="0.5")
+@example(leaf=("model forest", ("params", "trees", 0, "threshold", 0)), value=True)
+@example(leaf=("config file", ("seed",)), value="5")
+@example(leaf=("config file", ("seed",)), value=5.0)
+def test_json_leaf_loads_only_as_a_number(json_path, leaf, value):
+    """A profile, session file, model file or config file with one number
+    replaced by any JSON value either fails to load, naming its file, or the
+    value was a real, non-bool number: an int where the field is an integer,
+    which the program writes as an int and every other number as a float."""
+    name, path = leaf
+    document, tail, load = json_inputs()[name]
+    document = copy.deepcopy(document)
+    block = document
     for key in path[:-1]:
         block = block[key]
-    block[path[-1]] = value
-    profile_path.write_text(json.dumps(data))
+    written, block[path[-1]] = block[path[-1]], value
+    json_path.write_bytes(json.dumps(document).encode() + tail)
     try:
-        BehaviorParams.from_file(profile_path)
-    except InvalidParameterError as exc:
-        assert str(profile_path) in str(exc)
+        load(json_path)
+    except GazeSentinelError as exc:
+        assert str(json_path) in str(exc)
     else:
         assert isinstance(value, numbers.Real) and not isinstance(value, bool)
+        assert isinstance(value, int) or not isinstance(written, int)

@@ -157,8 +157,12 @@ class TestSessionReader:
         header_edit('"duration":1.0', '"duration":1e400'),  # overflows to inf
         header_edit('"duration":1.0', '"duration":NaN'),
         header_edit('"timeline":[]', '"timeline":[["pickup_start",1,NaN,null]]'),
+        header_edit('"puzzle_board",0,', '"puzzle_board",true,'),
+        header_edit('"timeline":[]', '"timeline":[["pickup_start",true,0.5,null]]'),
+        header_edit('"schema":1', '"schema":true'),
     ], ids=["aoi-token", "timeline-event", "timestamps", "nested-header", "nested-sample",
-            "duration-1e400", "duration-NaN", "event-time-NaN"])
+            "duration-1e400", "duration-NaN", "event-time-NaN", "layout-corner-true",
+            "event-piece-true", "schema-true"])
     def test_bad_header_or_sample_order_names_the_file(self, session_file, edit):
         lines = lines_of(session_file)
         edit(lines)
@@ -518,6 +522,11 @@ class TestFeatureCsvReader:
         lambda line: line + ",0.5",  # one field too many
         lambda line: line.replace(",1,1,1,", ",1,x,1,", 1),  # puzzle not a number
         lambda line: line.rsplit(",", 1)[0] + ",nope",  # feature not a number
+        # feature values outside JSON's number grammar, which float() reads
+        lambda line: line.rsplit(",", 1)[0] + ",1_0.5",
+        lambda line: line.rsplit(",", 1)[0] + ",1_0",
+        lambda line: line.rsplit(",", 1)[0] + ", 1",
+        lambda line: line.rsplit(",", 1)[0] + ",+1",
     ])
     def test_bad_row_names_its_line(self, csv_file, edit):
         lines = csv_file.read_text().splitlines()
@@ -564,7 +573,11 @@ class TestFeatureCsvReader:
         (3, "0", "piece 0 is not in 1..4"),
         (3, "5", "piece 5 is not in 1..4"),
         (2, "9" * 20, "OverflowError"),
-    ], ids=["participant-3", "participant0", "puzzle0", "piece0", "piece5", "puzzle2^66"])
+        (1, "1_0", "participant 1_0 is not an integer of at least 1"),
+        (1, " 1", "participant  1 is not an integer of at least 1"),
+        (1, "+1", "participant +1 is not an integer of at least 1"),
+    ], ids=["participant-3", "participant0", "puzzle0", "piece0", "piece5", "puzzle2^66",
+            "participant1_0", "participant-space-1", "participant+1"])
     def test_id_out_of_range_names_its_line(self, csv_file, field, value, message):
         lines = csv_file.read_text().splitlines()
         parts = lines[-1].split(",")
@@ -658,6 +671,13 @@ def varied_csv(tmp_path_factory):
 
 CSV_MUTATIONS = ["flip", "cut", "space", "non-utf8", "digit", "crlf", "cr", "blank",
                  "non-finite", "no final newline"]
+# Text a number cell may be given: numbers as repr() and str() write them,
+# and text near them. Written here, not taken from the reader.
+CELL_TEXT = st.one_of(
+    st.floats().map(repr), st.integers().map(str), st.text("0123456789-+._eE naif", max_size=8),
+    st.sampled_from(["1_0", " 1", "+1", "1_0.5", "01", "1.", ".5", "1e5", "-0", "1e400"]))
+JSON_INTEGER = r"-?(0|[1-9][0-9]*)"
+JSON_NUMBER = JSON_INTEGER + r"(\.[0-9]+)?([eE][+-]?[0-9]+)?"
 
 
 class TestFeatureCsvReaderProperties:
@@ -684,3 +704,26 @@ class TestFeatureCsvReaderProperties:
         again = varied_csv.with_name("rewritten.csv")
         storage.write_feature_csv(tables.values(), again)
         assert csv_rows(storage.read_feature_csv(again)) == csv_rows(tables)
+
+    @settings(max_examples=300)
+    @given(field=st.sampled_from([1, 2, 3, *range(5, 7 + len(FEATURE_NAMES))]), text=CELL_TEXT)
+    def test_number_cell_loads_only_in_json_grammar(self, varied_csv, field, text):
+        """A table with one number cell of its last row replaced by any text
+        either fails, naming its file and line, or the text is a JSON number
+        (a JSON integer in an id column) and loads as int() or float() of it."""
+        lines = varied_csv.read_text().splitlines()
+        parts = lines[-1].split(",")
+        parts[field] = text
+        lines[-1] = ",".join(parts)
+        path = varied_csv.with_name("edited.csv")
+        path.write_text("\n".join(lines) + "\n")
+        try:
+            table = storage.read_feature_csv(path)[parts[0]]
+        except InvalidParameterError as exc:
+            assert f"{path}, line {len(lines)}:" in str(exc)
+            return
+        integer = field < 4
+        assert re.fullmatch(JSON_INTEGER if integer else JSON_NUMBER, text)
+        row = [table.participant, table.puzzle, table.piece, None, table.t0, table.t1,
+               *table.X.T]
+        assert row[field - 1][-1] == (int if integer else float)(text)
