@@ -100,16 +100,16 @@ def _resolve(args: argparse.Namespace) -> dict:
             value = _cast(key, env, ENV_PREFIX + key.upper(), fields.parse)
         flag = getattr(args, key)
         if flag is not None:
-            value = _cast(key, flag, f"--{key}", fields.read)
+            value = _cast(key, flag, f"--{key}", fields.parse)
         resolved[key] = value
     return resolved
 
 
 def _cast(key: str, value, source: str, read):
     """``value`` read by option ``key``'s rule with ``read`` (``fields.read``
-    for a JSON value or a parsed flag, ``fields.parse`` for text), or as
-    text where it has no rule; an option with choices refuses a value not
-    among them."""
+    for a JSON value, ``fields.parse`` for the text of a flag or variable),
+    or as text where it has no rule; an option with choices refuses a value
+    not among them."""
     rule, _, choices, _ = _OPTIONS[key]
     with storage.decoding(InvalidParameterError, source):
         if rule is not None:
@@ -325,8 +325,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON file with default options")
         for key in keys:
             rule, _, choices, about = _OPTIONS[key]
-            kind = fields.RULES[rule][0] if rule else None
-            p.add_argument(f"--{key}", type=kind, choices=choices, help=about)
+            # A flag with a rule is text to ``_resolve``, read as its variable is.
+            p.add_argument(f"--{key}", choices=None if rule else choices, help=about)
         p.set_defaults(options=keys)
     return parser
 

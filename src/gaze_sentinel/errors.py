@@ -34,7 +34,8 @@ class FeatureArityError(GazeSentinelError):
 
 
 class ModelFormatError(GazeSentinelError):
-    """Persisted model file is corrupt or structurally invalid."""
+    """Persisted model file is corrupt or structurally invalid, or a model's
+    trees are wider than the tree walk packs."""
 
 
 class SchemaVersionError(ModelFormatError):

@@ -243,9 +243,11 @@ def read_session_jsonl(path) -> Session:
     any other body is read line by line (``_read_session_lines``), with the
     same result, so that reader alone reports malformed lines.
 
-    A sample line that does not parse or lacks one of ``t``, ``x``, ``y``,
-    ``valid`` raises ``MalformedStreamError`` with the path and its 1-based
-    line number. A last line cut mid-record (a file still being written) is
+    A sample line that does not parse, lacks one of ``t``, ``x``, ``y``,
+    ``valid``, or holds a ``t``, ``x`` or ``y`` that is not a finite number
+    (``fields``' rule) or a ``valid`` that is not ``true`` or ``false``
+    raises ``MalformedStreamError`` with the path and its 1-based line
+    number. A last line cut mid-record (a file still being written) is
     such a line: a truncated session is an error, not a shorter session.
     """
     with open(path, "rb") as fh:
@@ -385,7 +387,7 @@ def _decimal(data, point, length, minus, decimals) -> Optional[np.ndarray]:
 def _read_session_lines(data: bytes, path) -> tuple:
     """The header and the sample columns of a session file's bytes ``data``,
     read as text mode reads the file (UTF-8, universal newlines), one
-    ``json.loads`` per line."""
+    ``json.loads`` per line and each value checked as it is read."""
     try:
         with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8") as fh:
             header = _parse_session_header(fh.readline(), path)
@@ -396,9 +398,10 @@ def _read_session_lines(data: bytes, path) -> tuple:
                     continue
                 try:
                     rec = json.loads(line)
-                    t.append(rec["t"])
-                    x.append(rec["x"])
-                    y.append(rec["y"])
+                    for column, key in zip((t, x, y), "txy"):
+                        column.append(fields.read(rec[key], key, "a finite number"))
+                    if type(rec["valid"]) is not bool:
+                        raise TypeError(f"valid is {rec['valid']!r}, not true or false")
                     valid.append(rec["valid"])
                 except (ValueError, KeyError, TypeError, IndexError, RecursionError) as exc:
                     raise MalformedStreamError(

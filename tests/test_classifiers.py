@@ -9,7 +9,12 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from conftest import reference_fit_svm
-from gaze_sentinel.errors import DegenerateDataError, FeatureArityError, InvalidParameterError
+from gaze_sentinel.errors import (
+    DegenerateDataError,
+    FeatureArityError,
+    InvalidParameterError,
+    ModelFormatError,
+)
 from gaze_sentinel.learners import (
     KINDS,
     ClassifierConfig,
@@ -325,7 +330,8 @@ def reference_gbt(trees: list, learning_rate: float, X: np.ndarray) -> np.ndarra
 
 def probe_with_ties(trees, d: int, n: int = 300, seed: int = 0) -> np.ndarray:
     """Random rows, a third of whose cells sit exactly on a threshold of
-    their feature, with some NaN cells (NaN routes right)."""
+    their feature, with some NaN cells (NaN routes right) and some -0.0
+    cells (equal to a 0.0 threshold, so they route right too)."""
     rng = np.random.default_rng(seed)
     X = rng.normal(0, 2, (n, d))
     for f in range(d):
@@ -335,32 +341,48 @@ def probe_with_ties(trees, d: int, n: int = 300, seed: int = 0) -> np.ndarray:
             rows = rng.random(n) < 1 / 3
             X[rows, f] = rng.choice(on_f, rows.sum())
     X[rng.random((n, d)) < 0.05] = np.nan
+    X[rng.random((n, d)) < 0.05] = -0.0
     return X
+
+
+GRID = [k / 2 for k in range(-4, 5)] + [-0.0]  # thresholds, -0.0 beside 0.0
 
 
 @st.composite
 def random_trees(draw, n_features: int, votes: bool):
     """A list of forward-pointing trees of uneven depth, single leaves
-    included, as a model file stores them."""
-    grid = st.integers(-4, 4).map(lambda k: k / 2)
+    included, as a model file stores them. Most trees stop at 41 nodes, with
+    every choice drawn; some split 7 times in 8 up to 161 or 301 nodes (81 or
+    151 leaves), their choices from a drawn seed, so they fill more than one
+    or two 64-bit words of the walk."""
     trees = []
     for _ in range(draw(st.integers(1, 20))):
+        if draw(st.integers(0, 3)):
+            most = 41
+            pick = lambda n: draw(st.integers(0, n - 1))
+            splits = lambda: draw(st.booleans())
+            real = lambda: draw(st.floats(-3, 3))
+        else:
+            most = draw(st.sampled_from([161, 301]))
+            rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+            pick = lambda n: int(rng.integers(n))
+            splits = lambda: rng.random() < 7 / 8
+            real = lambda: rng.uniform(-3, 3)
         feature, threshold, left, right = [-1], [0.0], [0], [0]
         pending = [0]
-        while pending and len(feature) + 2 <= 41:
-            i = pending.pop(draw(st.integers(0, len(pending) - 1)))
-            if not draw(st.booleans()):
+        while pending and len(feature) + 2 <= most:
+            i = pending.pop(pick(len(pending)))
+            if not splits():
                 continue
-            feature[i] = draw(st.integers(0, n_features - 1))
-            threshold[i] = draw(grid)
+            feature[i] = pick(n_features)
+            threshold[i] = GRID[pick(len(GRID))]
             left[i], right[i] = len(feature), len(feature) + 1
             feature += [-1, -1]
             threshold += [0.0, 0.0]
             left += [0, 0]
             right += [0, 0]
             pending += [left[i], right[i]]
-        leaf = st.sampled_from([0.0, 1.0]) if votes else st.floats(-3, 3)
-        value = [draw(leaf) for _ in feature]
+        value = [float(pick(2)) if votes else real() for _ in feature]
         trees.append({"feature": feature, "threshold": threshold, "left": left,
                       "right": right, "value": value})
     return trees
@@ -420,8 +442,9 @@ class TestPackedWalk:
     @pytest.mark.parametrize("kind", ["forest", "gbt-a"])
     @pytest.mark.parametrize("n", [1, 200])
     def test_ragged_ensembles_match_per_tree_walk(self, kind, n):
-        """Chains of depth 12 and 10 beside stumps: most pairs finish after
-        one step, and the walk goes on with the chains' pairs alone."""
+        """Chains of depth 12 and 10 beside stumps and single leaves: trees
+        of uneven depth share one word, and the chains' repeated
+        (feature, threshold) pairs share table rows."""
         rng = np.random.default_rng(n)
         votes = kind == "forest"
         trees = [stump(rng, 3, votes, split=k % 2 == 1) for k in range(10)]
@@ -433,7 +456,10 @@ class TestPackedWalk:
         else:
             params = GbtParams(trees=table, learning_rate=0.1, n_features=3)
         X = rng.normal(0, 1.2, (n, 3))
-        assert params.nodes.depth == 12
+        # All 39 leaves share one word, and equal (feature, threshold) pairs one row.
+        pairs = {(f, t) for tree in trees for f, t in zip(tree["feature"], tree["threshold"])
+                 if f >= 0}
+        assert params.nodes.bits.table.shape == (len(pairs), 1) and len(pairs) < 27
         want = np.stack([reference_apply(tree, X) for tree in trees])
         assert params.nodes.leaf_values(X).tobytes() == want.tobytes()
         if votes:
@@ -442,23 +468,30 @@ class TestPackedWalk:
             assert predict_gbt(params, X).tobytes() == \
                 reference_gbt(trees, 0.1, X).tobytes()
 
-    @pytest.mark.parametrize("kind", ["ada", "gbt-b"])
+    @pytest.mark.parametrize("kind", ["ada", "gbt-b", "ada without stumps"])
     def test_stumps_and_oblivious_trees_match_reference(self, kind):
         """Ada stumps and gbt-b's heap-ordered trees in the packed walk score
-        the bits of their per-tree formulas, NaN cells routed right."""
+        the bits of their per-tree formulas, NaN cells routed right. An ada
+        fit on constant features keeps no stump and scores 0."""
         rng = np.random.default_rng(6)
         X = np.vstack([rng.normal(-1, 1.5, (80, 4)), rng.normal(1, 1.5, (80, 4))])
         y = np.array([0] * 80 + [1] * 80)
-        model = train(default_config(kind, seed=2), LabeledDataset(X, y, np.arange(160)))
+        fit_on = np.ones_like(X) if kind == "ada without stumps" else X
+        model = train(default_config(kind.split()[0], seed=2),
+                      LabeledDataset(fit_on, y, np.arange(160)))
         params = model.params
         probe = np.vstack([X, rng.normal(0, 2, (100, 4))])
         probe[rng.random(probe.shape) < 0.05] = np.nan
-        if kind == "ada":
+        probe[rng.random(probe.shape) < 0.05] = -0.0
+        if kind.startswith("ada"):
             margin = np.zeros(probe.shape[0])
             for f, thr, low, high, a in zip(params.feature, params.threshold, params.low_value,
                                             params.high_value, params.alpha):
                 margin += a * (2.0 * np.where(probe[:, f] < thr, low, high) - 1.0)
-            got, want = predict_ada(params, probe), margin / params.alpha.sum()
+            got = predict_ada(params, probe)
+            want = margin / params.alpha.sum() if params.alpha.size else margin
+            assert params.nodes.leaf_values(probe).shape == (params.alpha.size, 260)
+            assert (params.alpha.size == 0) == (kind == "ada without stumps")
         else:
             F = np.zeros(probe.shape[0])
             for tree in payload_trees(model):
@@ -474,9 +507,56 @@ class TestPackedWalk:
         params = ForestParams(trees=TreeNodes.from_records(trees), n_features=3)
         X = probe_with_ties(trees, 3, n=40, seed=seed)
         assert predict_forest(params, X).tobytes() == reference_forest(trees, X).tobytes()
+        want = np.stack([reference_apply(tree, X) for tree in trees])
+        assert params.nodes.leaf_values(X).tobytes() == want.tobytes()
+        internal = sum(f >= 0 for tree in trees for f in tree["feature"])
+        assert params.nodes.bits.table.nbytes <= 512 * internal
         for tree in trees:
             one = TreeNodes.from_records([tree]).leaf_values(X)[0]
             assert one.tobytes() == reference_apply(tree, X).tobytes()
+
+    @pytest.mark.parametrize("kind", ["forest", "gbt-a"])
+    def test_word_and_block_edges_match_reference(self, kind):
+        """Trees laid out across every edge of the bitvector: a one-leaf tree
+        and a stump share word 0 with a 41-leaf chain that starts mid-word; a
+        31-leaf chain that does not fit there starts word 1; trees of 64, 65
+        and 130 leaves take 1, 2 and 3 whole words; a 4,000-leaf chain does
+        not fit the rest of block 0 and starts block 1, where one-leaf trees
+        follow it. The chains' thresholds repeat across trees."""
+        rng = np.random.default_rng(8)
+        votes = kind == "forest"
+        trees = [stump(rng, 3, votes, split=False), stump(rng, 3, votes, split=True)]
+        trees += [chain_tree(rng, depth, 3, votes) for depth in (40, 30, 63, 64, 129, 3999)]
+        trees += [stump(rng, 3, votes, split=False)] * 2
+        table = TreeNodes.from_records(trees)
+        assert table.bits.first_bit.tolist() == [0, 1, 3, 64, 128, 192, 320, 4096, 8128, 8129]
+        assert table.bits.words == 64 + 63 + 1  # 4,000 leaves take 63 whole words
+        X = probe_with_ties(trees, 3, n=300, seed=2)
+        X[:100] = rng.normal(0, 0.3, (100, 3))  # rows that walk far down the chains
+        want = np.stack([reference_apply(tree, X) for tree in trees])
+        assert table.leaf_values(X).tobytes() == want.tobytes()
+        if votes:
+            params = ForestParams(trees=table, n_features=3)
+            assert predict_forest(params, X).tobytes() == reference_forest(trees, X).tobytes()
+        else:
+            params = GbtParams(trees=table, learning_rate=0.1, n_features=3)
+            assert predict_gbt(params, X).tobytes() == reference_gbt(trees, 0.1, X).tobytes()
+
+    def test_table_memory_is_at_most_512_bytes_per_internal_node(self):
+        """A row of the table is at most one block of 64 words, and there is
+        at most one row per internal node. A 4,096-leaf tree with every
+        threshold distinct meets the bound exactly; one more leaf is refused."""
+        rng = np.random.default_rng(3)
+        for leaves in (2, 64, 65, 4096):
+            tree = chain_tree(rng, leaves - 1, 3, votes=True)
+            tree["threshold"] = [float(i) for i in range(len(tree["feature"]))]
+            table = TreeNodes.from_records([tree])
+            assert table.bits.table.nbytes <= 512 * (leaves - 1)
+            X = rng.normal(0, 2000, (50, 3))
+            assert table.leaf_values(X).tobytes() == reference_apply(tree, X)[None].tobytes()
+        assert table.bits.table.nbytes == 512 * 4095
+        with pytest.raises(ModelFormatError, match="tree 0 has 4097 leaves"):
+            TreeNodes.from_records([chain_tree(rng, 4096, 3, votes=True)])
 
     @given(random_trees(n_features=3, votes=False), st.integers(0, 2 ** 31 - 1),
            st.sampled_from([0.01, 0.1, 0.3]))

@@ -16,7 +16,7 @@ from conftest import DEFAULT_PROFILE, profile_dict
 from gaze_sentinel import cli, pool, storage
 from gaze_sentinel.cli import _parse_n_range, build_parser, main
 from gaze_sentinel.evaluate import TASKS, Corpus
-from gaze_sentinel.learners import default_config, predict_batch, smote, train
+from gaze_sentinel.learners import default_config, predict_batch, smote, train, trees
 from gaze_sentinel.model_io import load_model, save_model
 from gaze_sentinel.sim import CorpusSpec, generate_corpus
 
@@ -460,6 +460,23 @@ class TestErrors:
         record = json.loads(capsys.readouterr().err.strip())
         assert record["error"] == "InvalidParameterError"
         assert name in record["message"]
+
+    @pytest.mark.parametrize("flag, value, argv", [
+        ("--seed", "1_0", ["simulate", "--participants", "1"]),
+        ("--participants", "1.5", ["simulate"]),
+        ("--width", "7", ["eval", "--corpus", "unread"]),
+        ("--width", "abc", ["detect", "--model", "unread", "--session", "unread"]),
+        ("--seed", "-1", ["train", "--features", "unread"]),
+    ])
+    def test_uncastable_flag_value_is_json_error(self, tmp_path, capsys, flag, value, argv):
+        """A flag's text is read by its option's rule, as its variable's is:
+        exit 1 with one JSON record naming the flag, before any input is read."""
+        code = main(argv + [flag, value, "--out", str(tmp_path / "out")])
+        assert code == 1
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "InvalidParameterError"
+        assert flag in record["message"]
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("text", ['{"participants": "many"}', '{"participants": 1',
                                       '{"seed": [1]}',
@@ -910,24 +927,25 @@ class TestErrors:
 
 
 # Each subcommand's flags: (type, choices, required). Written out here, not
-# read from the CLI's tables, so a change to any of them shows.
+# read from the CLI's tables, so a change to any of them shows. A flag with
+# a number rule (seed, participants, width) is text to the parser: its rule
+# and choices are applied as to its variable (``test_uncastable_flag_value_is_json_error``).
 PATH, REQUIRED = (str, None, False), (str, None, True)
 TASK_CHOICES = (str, ("nf-df", "nf-ef"), False)
-WIDTH_CHOICES = (float, (3.0, 5.0, 10.0), False)
-SEED = (int, None, False)
+RULED = (str, None, False)
 KIND_CHOICES = ("forest", "ada", "gbt-a", "svm", "gbt-b")
 PARSER_CONTRACT = {
-    "simulate": {"--out": REQUIRED, "--profile": PATH, "--config": PATH, "--seed": SEED,
-                 "--participants": (int, None, False)},
+    "simulate": {"--out": REQUIRED, "--profile": PATH, "--config": PATH, "--seed": RULED,
+                 "--participants": RULED},
     "extract": {"--corpus": REQUIRED, "--out": REQUIRED, "--config": PATH},
-    "train": {"--features": REQUIRED, "--out": REQUIRED, "--config": PATH, "--seed": SEED,
+    "train": {"--features": REQUIRED, "--out": REQUIRED, "--config": PATH, "--seed": RULED,
               "--task": TASK_CHOICES, "--classifier": (str, KIND_CHOICES, False)},
-    "eval": {"--corpus": REQUIRED, "--out": REQUIRED, "--config": PATH, "--seed": SEED,
+    "eval": {"--corpus": REQUIRED, "--out": REQUIRED, "--config": PATH, "--seed": RULED,
              "--task": TASK_CHOICES, "--classifier": (str, KIND_CHOICES + ("all",), False),
              "--mode": (str, ("full", "first-n", "stream"), False), "--n": PATH,
-             "--width": WIDTH_CHOICES},
+             "--width": RULED},
     "detect": {"--model": REQUIRED, "--session": REQUIRED, "--out": REQUIRED,
-               "--config": PATH, "--width": WIDTH_CHOICES},
+               "--config": PATH, "--width": RULED},
     "report": {"--reports": REQUIRED, "--out": REQUIRED, "--config": PATH},
 }
 
@@ -1022,6 +1040,20 @@ class TestParser:
         assert record["error"] == "InvalidParameterError"
         assert source in record["message"] and key in record["message"]
         assert not (tmp_path / "out").exists()
+
+    def test_train_refuses_trees_the_walk_cannot_pack(self, features_csv, tmp_path,
+                                                      monkeypatch, capsys):
+        """A fitted tree with more leaves than ``MAX_LEAVES`` (lowered here to
+        2, so that a forest on the test corpus has one) ends train with exit 1
+        and one JSON record before it writes a model."""
+        monkeypatch.setattr(trees, "MAX_LEAVES", 2)
+        out = tmp_path / "model.json"
+        assert main(["train", "--features", str(features_csv), "--task", "nf-ef",
+                     "--classifier", "forest", "--out", str(out)]) == 1
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "ModelFormatError"
+        assert "leaves; the walk packs at most 2" in record["message"]
+        assert not out.exists()
 
     @pytest.mark.parametrize("via", ["flag", "env", "config"])
     def test_train_refuses_all_from_every_source(self, tmp_path, monkeypatch, capsys, via):

@@ -182,6 +182,22 @@ def _add_half(key):
     return mutate
 
 
+def _chain_first_tree(leaves):
+    """A mutation that makes tree 0 a chain of ``leaves`` leaves: internal
+    node i splits feature 0 at i, its left child a leaf and its right child
+    the next internal node (the last leaf at the end)."""
+    def mutate(payload):
+        n = 2 * leaves - 1
+        internal = [i % 2 == 0 and i < n - 1 for i in range(n)]
+        payload["params"]["trees"][0] = {
+            "feature": [0 if inner else -1 for inner in internal],
+            "threshold": [float(i) if inner else 0.0 for i, inner in enumerate(internal)],
+            "left": [i + 1 if inner else 0 for i, inner in enumerate(internal)],
+            "right": [i + 2 if inner else 0 for i, inner in enumerate(internal)],
+            "value": [float(i % 2) for i in range(n)]}
+    return mutate
+
+
 def _backward_child(payload, k=0):
     tree = _tree(payload["params"], k)
     i = next(i for i, f in enumerate(tree["feature"]) if f != -1 and i > 0)
@@ -195,6 +211,8 @@ MALFORMED = [
     ("forest", "backward child", _backward_child),
     ("gbt-a", "backward child", _backward_child),
     ("forest", "backward child in a later tree", lambda p: _backward_child(p, 5)),
+    ("gbt-a", "shared child", _set_root_children(1)),
+    ("forest", "4,097 leaves", _chain_first_tree(4097)),
     ("forest", "array lengths differ", lambda p: _tree(p["params"])["value"].pop()),
     ("gbt-a", "array lengths differ", lambda p: _tree(p["params"])["threshold"].pop()),
     ("gbt-a", "scalar array", _set(["params", "trees", 0, "value"], 0.5)),
@@ -348,6 +366,8 @@ TREE_FAULTS = [
      "ObliviousTree needs the fields ['features', 'thresholds', 'leaf_values'], "
      "got ['depth', 'features', 'leaf_values', 'thresholds']"),
     ("forest", _add_half("feature"), "TreeNodes.feature holds a value that is not an integer"),
+    ("gbt-a", _set_root_children(1), "ValueError: tree 0: node 1 is the child of 2 nodes, not 1"),
+    ("forest", _chain_first_tree(4097), "tree 0 has 4097 leaves; the walk packs at most 4096"),
 ]
 
 

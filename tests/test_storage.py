@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import read_session_header
-from gaze_sentinel import storage
+from gaze_sentinel import fields, storage
 from gaze_sentinel.core import AoiLabel, AoiLayout, GazeStream, Rect, Session, Timeline
 from gaze_sentinel.errors import (
     GazeSentinelError,
@@ -84,6 +84,12 @@ class TestSessionReader:
         '{"t":0.5,"x":1.0,"y":2.0,"valid":true',  # cut record
         '[0.5, 1.0, 2.0, true]',  # not an object
         'not json',
+        '{"t":0.5,"x":1.0,"y":2.0,"valid":"false"}',  # valid as text
+        '{"t":0.5,"x":1.0,"y":2.0,"valid":1}',  # valid as a number
+        '{"t":0.5,"x":"12.5","y":2.0,"valid":true}',  # x as text
+        '{"t":0.5,"x":true,"y":2.0,"valid":true}',  # x as a bool
+        '{"t":NaN,"x":1.0,"y":2.0,"valid":true}',  # t not finite
+        '{"t":0.5,"x":1.0,"y":[2.0],"valid":true}',  # y as a list
     ])
     def test_malformed_sample_line_names_its_line(self, session_file, bad):
         lines = lines_of(session_file)
@@ -245,8 +251,11 @@ def read_text_mode(path):
                     line = line.strip()
                     if line:
                         rec = json.loads(line)
-                        for column, key in zip(columns, ("t", "x", "y", "valid")):
-                            column.append(rec[key])
+                        for column, key in zip(columns, ("t", "x", "y")):
+                            column.append(fields.read(rec[key], key, "a finite number"))
+                        if type(rec["valid"]) is not bool:
+                            raise TypeError(f"valid is {rec['valid']!r}, not true or false")
+                        columns[3].append(rec["valid"])
             except UnicodeDecodeError:
                 raise
             except (ValueError, KeyError, TypeError, IndexError, RecursionError) as exc:
